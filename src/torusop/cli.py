@@ -12,6 +12,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import numbers
 import os
 import sys
 
@@ -104,6 +105,20 @@ def default_config(scenario: str) -> dict:
     return json.loads(json.dumps(_DEFAULTS[scenario]))
 
 
+def _fits(value, default) -> bool:
+    """Whether value has the type of default; an int may stand for a float."""
+    if isinstance(value, bool):
+        return isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, numbers.Real)
+    if isinstance(default, int):
+        return isinstance(value, numbers.Integral)
+    if isinstance(default, list):
+        return isinstance(value, list) and (
+            not default or all(_fits(v, default[0]) for v in value))
+    return isinstance(value, type(default))
+
+
 def _validate_config(scenario: str, config: dict) -> dict:
     base = default_config(scenario)
     unknown = sorted(set(config) - set(base))
@@ -111,6 +126,12 @@ def _validate_config(scenario: str, config: dict) -> dict:
         raise ValueError(
             f"unknown config keys for {scenario}: {', '.join(unknown)}"
         )
+    for key, value in sorted(config.items()):
+        if not _fits(value, base[key]):
+            raise ValueError(
+                f"config key {key!r} for {scenario} must be like "
+                f"{base[key]!r}, got {value!r}"
+            )
     base.update(config)
     return base
 
@@ -469,15 +490,9 @@ def main(argv=None) -> int:
                         help="JSON config file; unknown keys are errors")
     parser.add_argument("--out", default=".")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--summary", action="store_true",
                         help="print a pass/fail table for --out and exit")
     args = parser.parse_args(argv)
-
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
 
     if args.summary and args.scenario is None:
         try:

@@ -24,6 +24,7 @@ import scipy.special
 from .lattice import GridSpec
 from .operators import (
     DiscreteOperator,
+    _to_fourier_rep,
     fourier_matrix,
     op_norm,
 )
@@ -93,14 +94,15 @@ def spectral_data(P: DiscreteOperator) -> SpectralData:
         raise ValueError("functional calculus requires a self-adjoint operator")
     g = P.grid
     if P.scalar_symbol:
-        w = fourier_matrix(g)
-        if g.fiber_dim > 1:
-            w = np.kron(w, np.eye(g.fiber_dim))
-        diag_rep = w.conj().T @ P.matrix @ w
-        diag = np.diag(diag_rep).real
-        off = diag_rep - np.diag(np.diag(diag_rep))
+        rep = _to_fourier_rep(P)
+        diag = np.diag(rep).real
+        off = rep - np.diag(np.diag(rep))
         scale = float(np.abs(diag).max()) or 1.0
         if np.abs(off).max() <= 1e-12 * scale:
+            r = g.fiber_dim
+            # the columns of W, one per mode and fiber slot
+            w = fourier_matrix(g)[:, None, :, None] * np.eye(r)[:, None, :]
+            w = w.reshape(g.state_dim, g.state_dim)
             order = np.argsort(diag, kind="stable")
             return SpectralData(diag[order], np.ascontiguousarray(w[:, order]),
                                 P)

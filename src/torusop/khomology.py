@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import BumpFunction, GridSpec
-from .operators import DiscreteOperator, multiplication_operator, op_norm
+from .operators import (
+    DiscreteOperator,
+    _to_fourier_rep,
+    _weighted_rep,
+    multiplication_operator,
+)
 from .funcalc import (
     ScalarFunctionSpec,
     SpectralData,
@@ -25,7 +30,6 @@ from .funcalc import (
     spectral_data,
     spectral_apply,
 )
-from .parametrix import band_projector
 from .quasiloc import EpsRankProfile, uniform_approx_profile
 
 __all__ = [
@@ -144,11 +148,6 @@ def make_multigrading(
     return Multigrading(p, eps, tuple(gens))
 
 
-def _fiber_lift(grid: GridSpec, mat: np.ndarray) -> np.ndarray:
-    """Lift a fiber matrix to the full state space (acts pointwise)."""
-    return np.kron(np.eye(grid.n_points), mat)
-
-
 # ---------------------------------------------------------------------------
 # module assembly
 
@@ -202,16 +201,18 @@ def assemble_module(
     odd_defect = 0.0
     graded_defect = 0.0
     if mg.degree >= 0:
-        eps_full = _fiber_lift(g, mg.grading)
+        a, n, r = P.matrix, g.n_points, g.fiber_dim
+        # a fiber matrix acts pointwise: on the fiber index of each state
+        left = lambda m: (m @ a.reshape(n, r, n * r)).reshape(a.shape)
+        right = lambda m: (a.reshape(n * r, n, r) @ m).reshape(a.shape)
         odd_defect = float(
-            np.abs(eps_full @ P.matrix + P.matrix @ eps_full).max()
+            np.abs(left(mg.grading) + right(mg.grading)).max()
         )
         if odd_defect > 1e-10 * max(1.0, np.abs(P.matrix).max()):
             raise ValueError(f"P is not odd: defect {odd_defect:.3e}")
         for gen in mg.generators:
-            gen_full = _fiber_lift(g, gen)
             graded_defect = max(graded_defect, float(
-                np.abs(gen_full @ P.matrix - P.matrix @ gen_full).max()
+                np.abs(left(gen) - right(gen)).max()
             ))
         if graded_defect > 1e-10 * max(1.0, np.abs(P.matrix).max()):
             raise ValueError(
@@ -302,9 +303,9 @@ def commutator_integral(
     if not P.self_adjoint:
         raise ValueError("P must be self-adjoint")
     sd = spectral or spectral_data(P)
-    rho = multiplication_operator(g, f.values)
+    rho = np.repeat(f.values, g.fiber_dim)
     C = sd.eigenvectors.T.conj() @ (
-        rho.matrix @ P.matrix - P.matrix @ rho.matrix
+        rho[:, None] * P.matrix - P.matrix * rho[None, :]
     ) @ sd.eigenvectors
     mu = sd.eigenvalues
     outer = np.multiply.outer(mu, mu)
@@ -333,7 +334,8 @@ def commutator_integral(
     op = DiscreteOperator(g, 0, mat, provenance="composed")
 
     chi = lambda x: x / np.sqrt(1.0 + x * x)
-    direct = rho.matrix @ sd.apply(chi(mu)) - sd.apply(chi(mu)) @ rho.matrix
+    chi_p = sd.apply(chi(mu))
+    direct = rho[:, None] * chi_p - chi_p * rho[None, :]
     defect = float(np.linalg.norm(mat - direct, 2))
     first_norm = float(np.linalg.norm(
         sd.eigenvectors @ (k_first * C) @ sd.eigenvectors.T.conj(), 2))
@@ -398,16 +400,16 @@ def homotopy_scan(
     # compare at full order k on the upper half of the frequency range,
     # where a genuine leading-order discrepancy stays O(1) relative to P
     # while lower-order differences are suppressed like 1/|xi|
-    hi = band_projector(g, 0.5 * float(np.max(g.frequency_magnitude)),
-                        off_band=True)
-    diff_hi = DiscreteOperator(g, k, diff.matrix @ hi.matrix,
-                               provenance="composed")
-    p_hi = DiscreteOperator(g, k, P.matrix @ hi.matrix,
-                            provenance="composed")
-    pp_hi = DiscreteOperator(g, k, P_prime.matrix @ hi.matrix,
-                             provenance="composed")
-    full = op_norm(diff_hi, 0.0, -float(k))
-    ref = max(op_norm(p_hi, 0.0, -float(k)), op_norm(pp_hi, 0.0, -float(k)))
+    # composing with the projector onto that half removes the columns of
+    # the frequency representation below it
+    hi = np.repeat(
+        g.frequency_magnitude > 0.5 * float(np.max(g.frequency_magnitude)),
+        g.fiber_dim)
+    diff_rep = _to_fourier_rep(diff)
+    hi_norm = lambda rep: float(np.linalg.norm(
+        _weighted_rep(rep, g, 0.0, -float(k))[:, hi], 2))
+    full = hi_norm(diff_rep)
+    ref = max(hi_norm(_to_fourier_rep(P)), hi_norm(_to_fourier_rep(P_prime)))
     principal_defect = full / max(ref, 1e-30)
     if principal_defect > mismatch_tol:
         raise ValueError(
@@ -418,7 +420,7 @@ def homotopy_scan(
     if np.isscalar(t_steps):
         t_steps = [int(t_steps)]
     step_counts = tuple(int(s) for s in t_steps)
-    rhos = [multiplication_operator(g, f.values).matrix for f in test_fs]
+    rhos = [np.repeat(f.values, g.fiber_dim) for f in test_fs]
     eye = np.eye(g.state_dim)
     chi_fn = _as_callable(chi)
     order1 = (k == 1)
@@ -426,7 +428,7 @@ def homotopy_scan(
     if order1:
         if isinstance(chi, ScalarFunctionSpec):
             c_chi = _c_psi(chi)
-    diff_norm = op_norm(diff, 0.0, 0.0)
+    diff_norm = float(np.linalg.norm(diff_rep, 2))
 
     def _tracks(t):
         Pt = DiscreteOperator(g, k,
@@ -438,9 +440,9 @@ def homotopy_scan(
         tad = T - T.T.conj()
         return (
             T,
-            [rho @ T - T @ rho for rho in rhos],
-            [tsq @ rho for rho in rhos],
-            [tad @ rho for rho in rhos],
+            [rho[:, None] * T - T * rho[None, :] for rho in rhos],
+            [tsq * rho[None, :] for rho in rhos],
+            [tad * rho[None, :] for rho in rhos],
         )
 
     jumps, max_jumps = {}, {}

@@ -18,6 +18,8 @@ __all__ = [
     "FrequencySection",
     "Region",
     "BumpFunction",
+    "to_frequency",
+    "from_frequency",
     "fourier",
     "inverse_fourier",
     "sobolev_norm",
@@ -117,11 +119,6 @@ class GridSpec:
         period = self.period
         return (np.asarray(delta) + period / 2.0) % period - period / 2.0
 
-    def torus_distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Geodesic distance between coordinate arrays (..., dim)."""
-        d = self.wrap_delta(np.asarray(a) - np.asarray(b))
-        return np.linalg.norm(np.atleast_2d(d), axis=-1) if d.ndim > 1 else np.abs(d)
-
     def pairwise_distance(self) -> np.ndarray:
         """(n_points, n_points) geodesic distance matrix."""
         pts = self.points
@@ -171,18 +168,41 @@ class FrequencySection:
     coefficients: np.ndarray
 
 
+def _over_grid_axes(grid: GridSpec, cols, transform) -> np.ndarray:
+    cols = np.asarray(cols)
+    shaped = cols.reshape(grid.grid_shape() + (grid.fiber_dim,) + cols.shape[1:])
+    out = transform(shaped, axes=tuple(range(grid.dim)), norm="ortho")
+    return out.reshape(cols.shape)
+
+
+def to_frequency(grid: GridSpec, cols) -> np.ndarray:
+    """Unitary Fourier analysis of state vectors, column by column.
+
+    ``cols`` is one state vector of length ``state_dim`` or a stack of them
+    as columns.  A state index is point * fiber_dim + fiber slot, with the
+    points in C order over the grid axes; the result is indexed by
+    mode * fiber_dim + fiber slot, with the modes in FFT order.  This is
+    W* cols for the unitary W[j, m] = N^{-d/2} exp(i x_j . xi_m) acting on
+    each fiber slot.
+    """
+    return _over_grid_axes(grid, cols, np.fft.fftn)
+
+
+def from_frequency(grid: GridSpec, cols) -> np.ndarray:
+    """Inverse of to_frequency: Fourier synthesis W cols, column by column."""
+    return _over_grid_axes(grid, cols, np.fft.ifftn)
+
+
 def fourier(u: Section) -> FrequencySection:
     """Unitary Fourier transform of a section."""
     g = u.grid
-    shaped = u.values.reshape(g.grid_shape() + (g.fiber_dim,))
-    hat = np.fft.fftn(shaped, axes=tuple(range(g.dim)), norm="ortho")
+    hat = to_frequency(g, u.flat())
     return FrequencySection(g, hat.reshape(g.n_points, g.fiber_dim))
 
 
 def inverse_fourier(uhat: FrequencySection) -> Section:
     g = uhat.grid
-    shaped = uhat.coefficients.reshape(g.grid_shape() + (g.fiber_dim,))
-    vals = np.fft.ifftn(shaped, axes=tuple(range(g.dim)), norm="ortho")
+    vals = from_frequency(g, uhat.coefficients.reshape(-1))
     return Section(g, vals.reshape(g.n_points, g.fiber_dim))
 
 
@@ -233,13 +253,6 @@ class Region:
         if radius == 0 or self.is_empty():
             return self
         return Region(self.grid, self.distance_field() <= radius)
-
-    def diameter(self) -> float:
-        if self.is_empty():
-            return 0.0
-        pts = self.grid.points[self.mask]
-        d = self.grid.wrap_delta(pts[:, None, :] - pts[None, :, :])
-        return float(np.sqrt((d ** 2).sum(axis=-1)).max())
 
 
 def ball_region(grid: GridSpec, center, radius: float) -> Region:

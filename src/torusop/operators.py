@@ -1,8 +1,10 @@
 """Quantization of symbols into dense operators and the operator algebra.
 
 The quantization is exact on the grid: (Pu)(x) = sum_xi e^{i x.xi} p(x, xi)
-u_hat(xi), realized column-wise through the unitary DFT matrix.  Operator
-norms between Sobolev spaces are computed with diagonal frequency weights.
+u_hat(xi), realized as the kernel k(x, y) = n^{-1} sum_xi e^{i (x-y).xi}
+p(x, xi), one inverse FFT over xi per point x.  Operator norms between
+Sobolev spaces are taken in the frequency basis of lattice.to_frequency,
+where the Sobolev weights are diagonal.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import GridSpec, Section
+from .lattice import GridSpec, Section, from_frequency, to_frequency
 from .symbols import Symbol
 
 __all__ = [
@@ -111,6 +113,26 @@ class DiscreteOperator:
         return float(np.linalg.norm(self.matrix, 2))
 
 
+def _kn_matrix(grid: GridSpec, a: np.ndarray) -> np.ndarray:
+    """Dense matrix of sum_xi e^{i (x_j - x_k).xi} a(x_j, xi) / n_points.
+
+    ``a`` has shape (n_points, n_points, r, r), indexed (x, xi, fiber, fiber)
+    with xi in FFT order.  The xi-sum is an inverse FFT per point x_j; the
+    kernel entry (j, k) then reads it at the lattice offset (j - k) mod N.
+    """
+    d, N = grid.dim, grid.points_per_axis
+    n, r = grid.n_points, grid.fiber_dim
+    shape = grid.grid_shape()
+    b = np.fft.ifftn(a.reshape((n,) + shape + (r, r)),
+                     axes=tuple(range(1, d + 1)))
+    b = b.reshape(shape + shape + (r, r))
+    # open index grids over the axes (j_1..j_d, k_1..k_d)
+    ix = np.ix_(*[np.arange(N)] * (2 * d))
+    j, k = ix[:d], ix[d:]
+    kern = b[j + tuple((ji - ki) % N for ji, ki in zip(j, k))]
+    return kern.reshape(n, n, r, r).transpose(0, 2, 1, 3).reshape(n * r, n * r)
+
+
 def quantize(p: Symbol) -> DiscreteOperator:
     """Kohn-Nirenberg quantization of a sampled symbol, exact on the grid."""
     g = p.grid
@@ -118,15 +140,8 @@ def quantize(p: Symbol) -> DiscreteOperator:
         raise ValueError(
             f"state dimension {g.state_dim} exceeds the dense cap {STATE_DIM_CAP}"
         )
-    w = fourier_matrix(g)
     r = g.fiber_dim
-    a = p.at_full_x()
-    if r == 1:
-        mat = (a[:, :, 0, 0] * w) @ w.conj().T
-    else:
-        t = w[:, :, None, None] * a  # (j, m, a, b)
-        t = t.transpose(0, 2, 1, 3).reshape(g.state_dim, g.state_dim)
-        mat = t @ np.kron(w.conj().T, np.eye(r))
+    mat = _kn_matrix(g, p.at_full_x())
     scale = float(np.abs(mat).max()) or 1.0
     sa = bool(np.abs(mat - mat.conj().T).max() <= SELF_ADJOINT_TOL * scale)
     return DiscreteOperator(
@@ -165,11 +180,10 @@ def fourier_multiplier(
     frequency values including the half mode, so e.g. the first derivative
     has exact lattice translation semantics.
     """
-    w = fourier_matrix(grid)
     vals = np.asarray(fn(grid.frequencies), dtype=complex).ravel()
-    mat = (w * vals[None, :]) @ w.conj().T
-    if grid.fiber_dim > 1:
-        mat = np.kron(mat, np.eye(grid.fiber_dim))
+    w = np.repeat(vals, grid.fiber_dim)
+    mat = from_frequency(grid, w[:, None] * to_frequency(
+        grid, np.eye(grid.state_dim)))
     scale = float(np.abs(mat).max()) or 1.0
     sa = bool(np.abs(mat - mat.conj().T).max() <= SELF_ADJOINT_TOL * scale)
     return DiscreteOperator(
@@ -197,64 +211,27 @@ def _state_weights(grid: GridSpec, s: float) -> np.ndarray:
 
 
 def _to_fourier_rep(A: DiscreteOperator) -> np.ndarray:
+    """W* A W: the matrix of A acting on Fourier coefficient vectors."""
     g = A.grid
-    w = fourier_matrix(g)
-    if g.fiber_dim > 1:
-        w = np.kron(w, np.eye(g.fiber_dim))
-    return w.conj().T @ A.matrix @ w
+    # W is symmetric, so right-multiplying by W transforms the rows
+    return from_frequency(g, to_frequency(g, A.matrix).T).T
 
 
-def op_norm(
-    A: DiscreteOperator,
-    s: float,
-    t: float,
-    tol: float = 1e-6,
-    max_iter: int = 5000,
-    seed: int = 0,
-) -> float:
+def _weighted_rep(rep: np.ndarray, grid: GridSpec, s: float,
+                  t: float) -> np.ndarray:
+    """A frequency representation conjugated to a map H^s -> H^t on l2."""
+    return rep * (_state_weights(grid, t)[:, None]
+                  / _state_weights(grid, s)[None, :])
+
+
+def op_norm(A: DiscreteOperator, s: float, t: float) -> float:
     """Operator norm of A : H^s -> H^t (norm of W_t A W_s^{-1} on l2).
 
-    Exact singular values for state dimension <= 2000, otherwise power
-    iteration on the normal operator with exact-SVD fallback.
+    Exact: the largest singular value of the weighted frequency
+    representation.
     """
-    g = A.grid
-    ws = _state_weights(g, s)
-    wt = _state_weights(g, t)
-    if g.state_dim <= 2000:
-        b = _to_fourier_rep(A) * (wt[:, None] / ws[None, :])
-        return float(np.linalg.norm(b, 2))
-
-    w = fourier_matrix(g)
-    if g.fiber_dim > 1:
-        w = np.kron(w, np.eye(g.fiber_dim))
-
-    def matvec(v):
-        u = w @ (v / ws)
-        y = A.matrix @ u
-        return (w.conj().T @ y) * wt
-
-    def rmatvec(v):
-        u = w @ (v * wt)
-        y = A.matrix.conj().T @ u
-        return (w.conj().T @ y) / ws
-
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(g.state_dim) + 1j * rng.standard_normal(g.state_dim)
-    x /= np.linalg.norm(x)
-    sigma = 0.0
-    for _ in range(max_iter):
-        y = rmatvec(matvec(x))
-        norm_y = np.linalg.norm(y)
-        if norm_y == 0.0:
-            return 0.0
-        new_sigma = np.sqrt(norm_y)
-        x = y / norm_y
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
-            return float(new_sigma)
-        sigma = new_sigma
-    # non-convergent power iteration: exact fallback
-    b = _to_fourier_rep(A) * (wt[:, None] / ws[None, :])
-    return float(np.linalg.norm(b, 2))
+    return float(np.linalg.norm(
+        _weighted_rep(_to_fourier_rep(A), A.grid, s, t), 2))
 
 
 def _combine_propagation(a, b):
@@ -350,8 +327,9 @@ def decay_profile(
         sel = (d >= lo) & (d < hi)
         rows.append((float(lo), float(hi),
                      float(mags[sel].max()) if sel.any() else 0.0))
+    rep = _to_fourier_rep(A)
     norms = {
-        (kk, ll): op_norm(A, -kk, ll)
+        (kk, ll): float(np.linalg.norm(_weighted_rep(rep, g, -kk, ll), 2))
         for kk in range(norm_range + 1)
         for ll in range(norm_range + 1)
     }

@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .lattice import GridSpec, Section, fourier, sobolev_norm
+from .lattice import (
+    GridSpec,
+    Section,
+    fourier,
+    from_frequency,
+    sobolev_norm,
+    to_frequency,
+)
 from .symbols import (
     Symbol,
     EllipticityCertificate,
@@ -27,13 +34,11 @@ from .symbols import (
 from .operators import (
     DiscreteOperator,
     apply_operator,
-    compose,
-    fourier_matrix,
     fourier_multiplier,
-    identity_operator,
-    op_norm,
     quantize,
     _state_weights,
+    _to_fourier_rep,
+    _weighted_rep,
 )
 
 __all__ = [
@@ -158,17 +163,20 @@ def build_parametrix(
     S2 = DiscreteOperator(g, -1000, eye - Q.matrix @ P.matrix,
                           provenance="smoothing")
 
-    pi_off = band_projector(g, band_radius, off_band=True)
-    pi_band = band_projector(g, band_radius)
+    # S1 composed with the band projector (or its complement) is S1 with
+    # the frequency columns outside the band (or inside it) removed
+    rep1, rep2 = _to_fourier_rep(S1), _to_fourier_rep(S2)
+    off_cols = np.repeat(offband, g.fiber_dim)
+    norm = lambda m: float(np.linalg.norm(m, 2))
     residual, off_tab, band_tab = {}, {}, {}
     for k in range(norm_range):
         for l in range(norm_range):
-            for tag, tab, S in (("S1", residual, S1), ("S2", residual, S2)):
-                tab[(tag, k, l)] = op_norm(S, -float(k), float(l))
-            off_tab[(k, l)] = op_norm(
-                compose(S1, pi_off), -float(k), float(l))
-            band_tab[(k, l)] = op_norm(
-                compose(S1, pi_band), -float(k), float(l))
+            b1 = _weighted_rep(rep1, g, -float(k), float(l))
+            residual[("S1", k, l)] = norm(b1)
+            residual[("S2", k, l)] = norm(
+                _weighted_rep(rep2, g, -float(k), float(l)))
+            off_tab[(k, l)] = norm(b1[:, off_cols])
+            band_tab[(k, l)] = norm(b1[:, ~off_cols])
     return ParametrixResult(
         Q=Q, S1=S1, S2=S2, iterations=J,
         excision_radius=cert.radius, excision_width=excision_width,
@@ -220,21 +228,17 @@ def elliptic_estimate_constant(
             best = max(best, _estimate_ratio(P, Section(g, vals), s))
 
     if g.state_dim <= EIGH_DIM_CAP:
+        # the quadratic surrogate in the frequency basis, where the
+        # numerator Gram matrix is the diagonal of squared H^s weights
         k = P.order
-        w = fourier_matrix(g)
-        if r > 1:
-            w = np.kron(w, np.eye(r))
         ws = _state_weights(g, s)
         wsk = _state_weights(g, s - k)
-        gram_num = (w * ws ** 2) @ w.conj().T
-        lam = (w * wsk) @ w.conj().T
-        lp = lam @ P.matrix
-        gram_den = (w * wsk ** 2) @ w.conj().T + lp.conj().T @ lp
-        gram_num = (gram_num + gram_num.conj().T) / 2
+        lp = wsk[:, None] * _to_fourier_rep(P)
+        gram_den = np.diag(wsk ** 2) + lp.conj().T @ lp
         gram_den = (gram_den + gram_den.conj().T) / 2
-        vals_, vecs = scipy.linalg.eigh(gram_num, gram_den,
+        vals_, vecs = scipy.linalg.eigh(np.diag(ws ** 2), gram_den,
                                         subset_by_index=[g.state_dim - 1] * 2)
-        u = Section(g, vecs[:, -1].reshape(n, r))
+        u = Section(g, from_frequency(g, vecs[:, -1]).reshape(n, r))
         best = max(best, _estimate_ratio(P, u, s))
     return best
 
@@ -353,12 +357,10 @@ def modified_inner_product(
     if not P.self_adjoint:
         raise ValueError("modified inner product requires a self-adjoint P")
     g = P.grid
-    w = fourier_matrix(g)
-    if g.fiber_dim > 1:
-        w = np.kron(w, np.eye(g.fiber_dim))
-    gk = (w * _state_weights(g, k) ** 2) @ w.conj().T
-    wl = (w * _state_weights(g, l)) @ w.conj().T
-    lp = wl @ P.matrix
+    wk, wl = _state_weights(g, k), _state_weights(g, l)
+    gk = from_frequency(g, (wk ** 2)[:, None] * to_frequency(
+        g, np.eye(g.state_dim)))
+    lp = from_frequency(g, wl[:, None] * to_frequency(g, P.matrix))
     gram = gk + lp.conj().T @ lp
     gram *= g.quadrature_weight ** 2
 

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import (
-    BumpFunction,
-    GridSpec,
     Region,
     Section,
     ball_region,
@@ -25,12 +23,9 @@ from .lattice import (
     lipschitz_bump,
     restricted_seminorm,
     sobolev_norm,
+    to_frequency,
 )
-from .operators import (
-    DiscreteOperator,
-    apply_operator,
-    multiplication_operator,
-)
+from .operators import DiscreteOperator, apply_operator
 from .funcalc import SpectralData, spectral_data, wave_operator
 
 __all__ = [
@@ -72,10 +67,6 @@ class EpsRankProfile:
         return self.ranks[form][self.eps_list.index(eps)]
 
 
-def _bump_operator(grid: GridSpec, f: BumpFunction) -> DiscreteOperator:
-    return multiplication_operator(grid, f.values)
-
-
 def uniform_approx_profile(
     T: DiscreteOperator,
     family,
@@ -91,7 +82,7 @@ def uniform_approx_profile(
     """
     if not family:
         raise ValueError("family must be nonempty")
-    g = T.grid
+    r = T.grid.fiber_dim
     ranks = {}
     for form in forms:
         worst = [0] * len(eps_list)
@@ -99,16 +90,16 @@ def uniform_approx_profile(
         for member in members:
             if form == "fTg":
                 f, h = member
-                mat = (_bump_operator(g, f).matrix @ T.matrix
-                       @ _bump_operator(g, h).matrix)
+                mat = (np.repeat(f.values, r)[:, None] * T.matrix
+                       * np.repeat(h.values, r)[None, :])
             else:
-                mf = _bump_operator(g, member).matrix
+                mf = np.repeat(member.values, r)
                 if form == "fT":
-                    mat = mf @ T.matrix
+                    mat = mf[:, None] * T.matrix
                 elif form == "Tf":
-                    mat = T.matrix @ mf
+                    mat = T.matrix * mf[None, :]
                 elif form == "[T,f]":
-                    mat = T.matrix @ mf - mf @ T.matrix
+                    mat = T.matrix * mf[None, :] - mf[:, None] * T.matrix
                 else:
                     raise ValueError(f"unknown form {form!r}")
             sv = np.linalg.svd(mat, compute_uv=False)
@@ -144,15 +135,6 @@ class DominatingFunctionEstimate:
         return float((mu - running).max() / scale)
 
 
-def _frequency_rep_columns(grid: GridSpec, cols: np.ndarray) -> np.ndarray:
-    """Apply the unitary Fourier analysis map to each column."""
-    n, r = grid.n_points, grid.fiber_dim
-    m = cols.shape[1]
-    shaped = cols.reshape(grid.grid_shape() + (r, m))
-    hat = np.fft.fftn(shaped, axes=tuple(range(grid.dim)), norm="ortho")
-    return hat.reshape(n * r, m)
-
-
 def _restricted_sup(
     A: DiscreteOperator, region: Region, R: float, r: float, s: float,
     cutoff_width: float,
@@ -167,11 +149,11 @@ def _restricted_sup(
     mask = np.repeat(region.mask, fdim)
     cols = A.matrix[:, mask]
     cols = cols * np.repeat(eta.values, fdim)[:, None]
-    num = _frequency_rep_columns(g, cols)
+    num = to_frequency(g, cols)
     num *= np.repeat(g.sobolev_weights(s), fdim)[:, None]
     emb = np.zeros((g.state_dim, int(mask.sum())))
     emb[np.where(mask)[0], np.arange(int(mask.sum()))] = 1.0
-    den = _frequency_rep_columns(g, emb)
+    den = to_frequency(g, emb)
     den *= np.repeat(g.sobolev_weights(r), fdim)[:, None]
     q, rr = np.linalg.qr(den)
     # sup ||num v|| / ||den v|| = ||num rr^{-1}||

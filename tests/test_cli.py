@@ -101,3 +101,30 @@ def test_main_config_file_and_bad_key(tmp_path):
     code = main(["--scenario", "symbol-check", "--config", str(cfg_path),
                  "--out", str(tmp_path / "run")])
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", [
+    {"N": "64"}, {"N": True}, {"N": 64.0}, {"L": "1.0"}, {"L": False},
+    {"families": "laplace+1"}, {"families": ["laplace+1", 3]},
+])
+def test_config_types_checked_before_any_output(tmp_path, bad):
+    out = tmp_path / "run"
+    with pytest.raises(ValueError) as err:
+        run("symbol-check", bad, out=str(out))
+    assert "\n" not in str(err.value)
+    assert not out.exists()
+
+
+def test_main_rejects_mistyped_config_with_one_line(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"N": "64"}))
+    out = tmp_path / "run"
+    code = main(["--scenario", "symbol-check", "--config", str(cfg_path),
+                 "--out", str(out)])
+    assert code == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_int_config_value_accepted_for_float_default(tmp_path):
+    assert run("symbol-check", {"N": 32, "L": 1}, out=str(tmp_path)) == 0

@@ -1,0 +1,192 @@
+"""Differential tests: the FFT Fourier layer against dense DFT-matrix formulas.
+
+Each oracle multiplies by the unitary W = operators.fourier_matrix, lifted
+to the fiber as kron(W, I_r): the slow path that lattice.to_frequency /
+from_frequency and the FFT quantization replace.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from torusop.funcalc import spectral_data
+from torusop.lattice import GridSpec, from_frequency, to_frequency
+from torusop.operators import (
+    DiscreteOperator,
+    _state_weights,
+    compose,
+    fourier_matrix,
+    fourier_multiplier,
+    op_norm,
+    quantize,
+)
+from torusop.parametrix import (
+    band_projector,
+    build_parametrix,
+    modified_inner_product,
+)
+from torusop.symbols import NAMED_SYMBOLS, named_symbol
+
+REL = 1e-12
+
+GRIDS = [GridSpec(1, 64, 1.5, r) for r in (1, 2)] + [
+    GridSpec(2, 8, 1.0, r) for r in (1, 2)
+]
+GRID_IDS = [f"{g.dim}d-N{g.points_per_axis}-r{g.fiber_dim}" for g in GRIDS]
+
+
+def _w(grid):
+    return np.kron(fourier_matrix(grid), np.eye(grid.fiber_dim))
+
+
+def _rel(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+def _random_states(grid, m, seed=0):
+    rng = np.random.default_rng(seed)
+    shape = (grid.state_dim, m)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _dense_quantize(p):
+    g = p.grid
+    w = fourier_matrix(g)
+    t = w[:, :, None, None] * p.at_full_x()
+    t = t.transpose(0, 2, 1, 3).reshape(g.state_dim, g.state_dim)
+    return t @ np.kron(w.conj().T, np.eye(g.fiber_dim))
+
+
+def _dense_weighted_rep(A, s, t):
+    w = _w(A.grid)
+    scale = (_state_weights(A.grid, t)[:, None]
+             / _state_weights(A.grid, s)[None, :])
+    return (w.conj().T @ A.matrix @ w) * scale
+
+
+def _dense_op_norm(A, s, t):
+    return float(np.linalg.norm(_dense_weighted_rep(A, s, t), 2))
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_to_and_from_frequency_match_dense_w(grid):
+    w = _w(grid)
+    cols = _random_states(grid, 3)
+    assert _rel(to_frequency(grid, cols), w.conj().T @ cols) <= REL
+    assert _rel(from_frequency(grid, cols), w @ cols) <= REL
+    # a single state vector keeps its shape
+    vec = cols[:, 0]
+    assert to_frequency(grid, vec).shape == vec.shape
+    assert _rel(to_frequency(grid, vec), w.conj().T @ vec) <= REL
+    assert _rel(from_frequency(grid, to_frequency(grid, cols)), cols) <= REL
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_SYMBOLS))
+@pytest.mark.parametrize("dim,N", [(1, 64), (2, 8)])
+def test_quantize_matches_dense_w(name, dim, N):
+    fiber = 2 if name.startswith("dirac") else 1
+    g = GridSpec(dim, N, 1.5, fiber)
+    p = named_symbol(g, name)
+    P = quantize(p)
+    assert _rel(P.matrix, _dense_quantize(p)) <= REL
+
+    # the Nyquist slot quantizes its symmetrized sample: on the plane wave
+    # with mode -N/2 along axis 0, P acts by that sample at each point
+    idx = [0] * dim
+    idx[0] = N // 2
+    m = int(np.ravel_multi_index(idx, g.grid_shape()))
+    wave = np.exp(1j * g.points @ g.frequencies[m])
+    scale = max(1.0, float(np.abs(p.samples).max()))
+    for slot in range(fiber):
+        u = np.zeros((g.n_points, fiber), dtype=complex)
+        u[:, slot] = wave
+        expect = np.einsum("xab,xb->xa", p.at_full_x()[:, m], u)
+        got = (P.matrix @ u.ravel()).reshape(g.n_points, fiber)
+        assert np.abs(got - expect).max() <= REL * scale
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_op_norm_matches_dense_w(grid):
+    name = "dirac" if grid.fiber_dim > 1 else "elliptic_x"
+    P = quantize(named_symbol(grid, name))
+    rng = np.random.default_rng(1)
+    pert = rng.standard_normal(P.matrix.shape)
+    A = DiscreteOperator(grid, P.order, P.matrix + 1e-3 * pert,
+                         provenance="composed")
+    for s, t in ((0.0, 0.0), (1.0, 0.0), (0.0, -2.0), (-1.0, 2.0)):
+        expect = _dense_op_norm(A, s, t)
+        assert abs(op_norm(A, s, t) - expect) <= REL * expect
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_fourier_multiplier_matches_dense_w(grid):
+    fn = lambda xi: 1.0 + np.exp(1j * xi[..., 0]) + (xi ** 2).sum(axis=-1)
+    M = fourier_multiplier(grid, fn, order=2)
+    w = _w(grid)
+    vals = np.repeat(fn(grid.frequencies), grid.fiber_dim)
+    assert _rel(M.matrix, (w * vals[None, :]) @ w.conj().T) <= REL
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_spectral_data_fast_path_matches_dense_w(grid, monkeypatch):
+    P = fourier_multiplier(grid, lambda xi: 1.0 + (xi ** 2).sum(axis=-1),
+                           order=2)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("multiplier fell back to a dense eigensolve")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
+    sd = spectral_data(P)
+    w = _w(grid)
+    dense_diag = np.diag(w.conj().T @ P.matrix @ w).real
+    assert _rel(sd.eigenvalues, np.sort(dense_diag)) <= REL
+    # the eigenbasis is the lifted W, columns permuted
+    overlap = np.abs(sd.eigenvectors.conj().T @ w)
+    assert np.abs(np.sort(overlap, axis=1)[:, -1] - 1.0).max() <= REL
+    assert np.abs(np.sort(overlap, axis=1)[:, :-1]).max() <= REL
+
+
+def test_parametrix_masked_norms_match_projector_composition():
+    g = GridSpec(1, 64, 2.0)
+    p = named_symbol(g, "elliptic_x")
+    res = build_parametrix(quantize(p), p, 1, excision_width=2.0,
+                           norm_range=2)
+    radius = res.excision_radius + res.excision_width
+    off = compose(res.S1, band_projector(g, radius, off_band=True))
+    band = compose(res.S1, band_projector(g, radius))
+    for (k, l), value in res.off_band_norms.items():
+        expect = op_norm(off, -float(k), float(l))
+        assert abs(value - expect) <= REL * expect
+        assert abs(value - _dense_op_norm(off, -float(k), float(l))) \
+            <= REL * expect
+        expect = op_norm(band, -float(k), float(l))
+        assert abs(res.band_norms[(k, l)] - expect) <= REL * expect
+    for (tag, k, l), value in res.residual_norms.items():
+        S = res.S1 if tag == "S1" else res.S2
+        expect = _dense_op_norm(S, -float(k), float(l))
+        assert abs(value - expect) <= REL * expect
+
+
+def test_parametrix_masked_norms_on_exact_multiplier_case():
+    # the off-band residual of laplace+1 is roundoff in both paths, so it is
+    # checked by the gate it feeds, not by a relative difference
+    g = GridSpec(1, 64, 2.0)
+    p = named_symbol(g, "laplace+1")
+    res = build_parametrix(quantize(p), p, 1, excision_width=2.0,
+                           norm_range=2)
+    radius = res.excision_radius + res.excision_width
+    off = compose(res.S1, band_projector(g, radius, off_band=True))
+    assert res.off_band_norms[(0, 0)] <= 1e-10
+    assert op_norm(off, 0.0, 0.0) <= 1e-10
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_modified_inner_product_gram_matches_dense_w(grid):
+    name = "dirac" if grid.fiber_dim > 1 else "laplace+1"
+    P = quantize(named_symbol(grid, name))
+    mip = modified_inner_product(P, k=1.0, l=-1.0, probes=2)
+    w = _w(grid)
+    gk = (w * _state_weights(grid, 1.0) ** 2) @ w.conj().T
+    lp = ((w * _state_weights(grid, -1.0)) @ w.conj().T) @ P.matrix
+    gram = (gk + lp.conj().T @ lp) * grid.quadrature_weight ** 2
+    assert _rel(mip.gram, gram) <= REL
