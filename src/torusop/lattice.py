@@ -7,7 +7,7 @@ the unitary FFT, so all Sobolev norms are diagonal in the frequency basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -124,9 +124,6 @@ class GridSpec:
         pts = self.points
         d = self.wrap_delta(pts[:, None, :] - pts[None, :, :])
         return np.sqrt((d ** 2).sum(axis=-1))
-
-    def compatible(self, other: "GridSpec") -> bool:
-        return self == other
 
 
 def _check_finite(values, what="values"):
@@ -271,7 +268,6 @@ class BumpFunction:
     lipschitz_bound: float
     support_diam: float
     sup_norm: float = 1.0
-    derivative_bounds: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).ravel()
@@ -291,21 +287,6 @@ class BumpFunction:
         worst = 0.0
         for axis in range(g.dim):
             worst = max(worst, float(np.abs(np.roll(v, -1, axis) - v).max()) / h)
-        return worst
-
-    def measured_derivative_sup(self, order: int) -> float:
-        """Sup-norm of the order-th spectral derivative (max over axes)."""
-        g = self.grid
-        v = self.values.reshape(g.grid_shape())
-        xi_axis = g.axis_modes / g.period_scale
-        worst = 0.0
-        for axis in range(g.dim):
-            hat = np.fft.fft(v, axis=axis)
-            shape = [1] * g.dim
-            shape[axis] = g.points_per_axis
-            mult = (1j * xi_axis.reshape(shape)) ** order
-            dv = np.fft.ifft(hat * mult, axis=axis)
-            worst = max(worst, float(np.abs(dv).max()))
         return worst
 
     def translated(self, shift_indices) -> "BumpFunction":
@@ -336,7 +317,7 @@ def cutoff_eta(region: Region, R: float) -> BumpFunction:
     """Smooth cutoff: 1 on the region, 0 outside B_R(region).
 
     The transition runs over geodesic distance [0, R] with a C^2 smoothstep,
-    so the measured j-th derivative sup-norms scale like C_j / R.
+    whose slope is at most 1.875 / R (the declared Lipschitz bound).
     """
     g = region.grid
     if R < 4 * g.spacing:
@@ -347,12 +328,9 @@ def cutoff_eta(region: Region, R: float) -> BumpFunction:
         vals = np.ones(g.n_points)
     else:
         vals = smoothstep(region.distance_field() / R)
-    # derivative bound certificates measured after construction
-    bump = BumpFunction(
+    return BumpFunction(
         g, vals, lipschitz_bound=1.875 / R, support_diam=np.inf, sup_norm=1.0
     )
-    bounds = tuple(bump.measured_derivative_sup(j) for j in (1, 2))
-    return replace(bump, derivative_bounds=bounds)
 
 
 def restricted_seminorm(

@@ -2,9 +2,12 @@
 
 The quantization is exact on the grid: (Pu)(x) = sum_xi e^{i x.xi} p(x, xi)
 u_hat(xi), realized as the kernel k(x, y) = n^{-1} sum_xi e^{i (x-y).xi}
-p(x, xi), one inverse FFT over xi per point x.  Operator norms between
-Sobolev spaces are taken in the frequency basis of lattice.to_frequency,
-where the Sobolev weights are diagonal.
+p(x, xi), one inverse FFT over xi per point x.  A symbol that does not
+depend on x takes a single inverse FFT, and its kernel depends on x - y
+only; Fourier multipliers are built the same way, so quantization and
+multipliers share one kernel builder, FFT mode order and state layout.
+Operator norms between Sobolev spaces are taken in the frequency basis of
+lattice.to_frequency, where the Sobolev weights are diagonal.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ __all__ = [
     "quantize",
     "multiplication_operator",
     "fourier_multiplier",
-    "identity_operator",
     "op_norm",
     "compose",
     "adjoint",
@@ -116,39 +118,47 @@ class DiscreteOperator:
 def _kn_matrix(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     """Dense matrix of sum_xi e^{i (x_j - x_k).xi} a(x_j, xi) / n_points.
 
-    ``a`` has shape (n_points, n_points, r, r), indexed (x, xi, fiber, fiber)
-    with xi in FFT order.  The xi-sum is an inverse FFT per point x_j; the
-    kernel entry (j, k) then reads it at the lattice offset (j - k) mod N.
+    ``a`` has shape (m, n_points, r, r), indexed (x, xi, fiber, fiber) with
+    xi in FFT order; m = 1 stands for a symbol that does not depend on x.
+    The xi-sum is one inverse FFT per sampled x; the kernel entry (j, k)
+    then reads it at the lattice offset (j - k) mod N, at x_j (or at the
+    single sample, which makes the matrix translation invariant).
     """
     d, N = grid.dim, grid.points_per_axis
     n, r = grid.n_points, grid.fiber_dim
     shape = grid.grid_shape()
-    b = np.fft.ifftn(a.reshape((n,) + shape + (r, r)),
-                     axes=tuple(range(1, d + 1)))
-    b = b.reshape(shape + shape + (r, r))
+    m = a.shape[0]
+    x_shape = shape if m == n else (1,) * d
+    b = np.fft.ifftn(a.reshape(x_shape + shape + (r, r)),
+                     axes=tuple(range(d, 2 * d)))
     # open index grids over the axes (j_1..j_d, k_1..k_d)
     ix = np.ix_(*[np.arange(N)] * (2 * d))
     j, k = ix[:d], ix[d:]
-    kern = b[j + tuple((ji - ki) % N for ji, ki in zip(j, k))]
+    x = j if m == n else (0,) * d
+    kern = b[x + tuple((ji - ki) % N for ji, ki in zip(j, k))]
     return kern.reshape(n, n, r, r).transpose(0, 2, 1, 3).reshape(n * r, n * r)
+
+
+def _kn_operator(grid: GridSpec, order: int, a: np.ndarray,
+                 **flags) -> DiscreteOperator:
+    """The operator of ``_kn_matrix(grid, a)``, flagged self-adjoint when it is."""
+    if grid.state_dim > STATE_DIM_CAP:
+        raise ValueError(
+            f"state dimension {grid.state_dim} exceeds the dense cap "
+            f"{STATE_DIM_CAP}"
+        )
+    mat = _kn_matrix(grid, a)
+    scale = float(np.abs(mat).max()) or 1.0
+    sa = bool(np.abs(mat - mat.conj().T).max() <= SELF_ADJOINT_TOL * scale)
+    return DiscreteOperator(grid, order, mat, provenance="quantized",
+                            self_adjoint=sa, **flags)
 
 
 def quantize(p: Symbol) -> DiscreteOperator:
     """Kohn-Nirenberg quantization of a sampled symbol, exact on the grid."""
-    g = p.grid
-    if g.state_dim > STATE_DIM_CAP:
-        raise ValueError(
-            f"state dimension {g.state_dim} exceeds the dense cap {STATE_DIM_CAP}"
-        )
-    r = g.fiber_dim
-    mat = _kn_matrix(g, p.at_full_x())
-    scale = float(np.abs(mat).max()) or 1.0
-    sa = bool(np.abs(mat - mat.conj().T).max() <= SELF_ADJOINT_TOL * scale)
-    return DiscreteOperator(
-        g, p.order, mat,
-        provenance="quantized",
-        self_adjoint=sa,
-        scalar_symbol=(r == 1),
+    return _kn_operator(
+        p.grid, p.order, p.samples,
+        scalar_symbol=(p.grid.fiber_dim == 1),
         hermitian_symbol=p.hermitian_valued,
     )
 
@@ -181,24 +191,10 @@ def fourier_multiplier(
     has exact lattice translation semantics.
     """
     vals = np.asarray(fn(grid.frequencies), dtype=complex).ravel()
-    w = np.repeat(vals, grid.fiber_dim)
-    mat = from_frequency(grid, w[:, None] * to_frequency(
-        grid, np.eye(grid.state_dim)))
-    scale = float(np.abs(mat).max()) or 1.0
-    sa = bool(np.abs(mat - mat.conj().T).max() <= SELF_ADJOINT_TOL * scale)
-    return DiscreteOperator(
-        grid, order, mat,
-        provenance="quantized", self_adjoint=sa,
+    return _kn_operator(
+        grid, order, vals[None, :, None, None] * np.eye(grid.fiber_dim),
         scalar_symbol=True, hermitian_symbol=bool(np.all(np.isreal(vals))),
         propagation_speed=propagation_speed,
-    )
-
-
-def identity_operator(grid: GridSpec) -> DiscreteOperator:
-    return DiscreteOperator(
-        grid, 0, np.eye(grid.state_dim),
-        provenance="multiplication", self_adjoint=True,
-        scalar_symbol=True, hermitian_symbol=True, propagation_bound=0.0,
     )
 
 

@@ -357,16 +357,17 @@ def modified_inner_product(
     if not P.self_adjoint:
         raise ValueError("modified inner product requires a self-adjoint P")
     g = P.grid
-    wk, wl = _state_weights(g, k), _state_weights(g, l)
-    gk = from_frequency(g, (wk ** 2)[:, None] * to_frequency(
-        g, np.eye(g.state_dim)))
-    lp = from_frequency(g, wl[:, None] * to_frequency(g, P.matrix))
+    gk = fourier_multiplier(
+        g, lambda xi: (1.0 + (xi ** 2).sum(axis=-1)) ** k).matrix
+    lp = from_frequency(g, _state_weights(g, l)[:, None]
+                        * to_frequency(g, P.matrix))
     gram = gk + lp.conj().T @ lp
     gram *= g.quadrature_weight ** 2
 
     rng = np.random.default_rng(seed)
     worst = 0.0
     n, r = g.n_points, g.fiber_dim
+    pnorm = np.linalg.norm(P.matrix, 2)
     for _ in range(probes):
         u = (rng.standard_normal((n * r,))
              + 1j * rng.standard_normal((n * r,)))
@@ -377,7 +378,6 @@ def modified_inner_product(
         rhs = np.vdot(u, gram @ pv)
         norm_u = np.sqrt(abs(np.vdot(u, gram @ u)))
         norm_v = np.sqrt(abs(np.vdot(v, gram @ v)))
-        pnorm = np.linalg.norm(P.matrix, 2)
         worst = max(worst, abs(lhs - rhs) / (pnorm * norm_u * norm_v))
     return ModifiedInnerProduct(gram=gram, max_asymmetry=float(worst),
                                 probes=probes)

@@ -208,15 +208,6 @@ class SymbolEstimateReport:
     order_used: int
     constants: dict = field(default_factory=dict)
 
-    def max_constant(self, alpha_total=None, beta_total=None) -> float:
-        vals = [
-            c
-            for (a, b), c in self.constants.items()
-            if (alpha_total is None or sum(a) <= alpha_total)
-            and (beta_total is None or sum(b) <= beta_total)
-        ]
-        return max(vals) if vals else 0.0
-
 
 def estimate_constants(
     p: Symbol, alpha_max: int, beta_max: int
@@ -297,7 +288,7 @@ def compose_symbols(p: Symbol, q: Symbol, J: int) -> Symbol:
     Declared order is order(p) + order(q).
     """
     g = p.grid
-    if not g.compatible(q.grid):
+    if g != q.grid:
         raise ValueError("incompatible grids")
     if J < 0:
         raise ValueError("J must be >= 0")

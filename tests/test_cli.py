@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from torusop import cli
 from torusop.cli import default_config, main, report, run
 
 
@@ -93,6 +94,29 @@ def test_main_summary_only_mode(tmp_path, capsys):
     assert main(["--summary", "--out", str(tmp_path)]) == 2
     run("symbol-check", {"N": 32}, out=str(tmp_path))
     assert main(["--summary", "--out", str(tmp_path)]) == 0
+
+
+def test_full_suite_summary_counts_each_check_once(tmp_path, monkeypatch):
+    names = [s for s in cli.SCENARIOS if s != "full-suite"]
+    assert len(names) == 9
+
+    def stub(fail):
+        def scenario(cfg, out, rng):
+            checks = [cli._check("ok row", 0, 0)]
+            if fail:
+                checks.append(cli._check("broken row", 1, 0))
+            return checks, []
+        return scenario
+
+    for name in names:
+        monkeypatch.setitem(cli.SCENARIOS, name, stub(name == "parametrix"))
+    out = tmp_path / "all"
+    assert run("full-suite", out=str(out)) == 1
+    code, lines = report(str(out))
+    assert code == 1
+    # 9 rollup rows on top, then the 10 stub checks of the sub-scenarios
+    assert lines[0] == "17/19 pass"
+    assert len([line for line in lines if "broken row" in line]) == 1
 
 
 def test_main_config_file_and_bad_key(tmp_path):

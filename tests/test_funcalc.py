@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from torusop.lattice import GridSpec
 from torusop.operators import (
@@ -11,6 +12,7 @@ from torusop.operators import (
 )
 from torusop.funcalc import (
     NAMED_FUNCTIONS,
+    SpectralData,
     chi_resolvent_integral,
     fourier_apply,
     named_function,
@@ -34,6 +36,20 @@ def test_spectral_data_reconstructs():
     sd = spectral_data(P)
     rec = sd.apply(sd.eigenvalues.astype(complex))
     assert np.abs(rec - P.matrix).max() <= 1e-9 * np.abs(P.matrix).max()
+
+
+def test_spectral_data_rejects_corrupted_decomposition():
+    P = _p(N=32, name="elliptic_x")
+    vals, vecs = scipy.linalg.eigh(P.matrix)
+    SpectralData(vals, vecs, P)
+    bad_vecs = vecs.copy()
+    bad_vecs[:, 3] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="not unitary"):
+        SpectralData(vals, bad_vecs, P)
+    bad_vals = vals.copy()
+    bad_vals[3] += 1e-6 * np.abs(vals).max()
+    with pytest.raises(ValueError, match="reconstruction defect"):
+        SpectralData(bad_vals, vecs, P)
 
 
 def test_spectral_data_multiplier_fast_path():

@@ -9,7 +9,6 @@ from torusop.operators import (
     compose,
     decay_profile,
     fourier_multiplier,
-    identity_operator,
     multiplication_operator,
     op_norm,
     quantize,
@@ -114,3 +113,13 @@ def test_decay_profile_shells_cover_grid():
     assert len(prof.shells) == 8
     assert prof.shells[0][2] >= prof.shells[-1][2]
     assert all(np.isfinite(v) for v in prof.norms.values())
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 64, 1.5), GridSpec(2, 8, 1.0)],
+                         ids=["1d-N64", "2d-N8"])
+def test_quantize_x_independent_equals_fourier_multiplier(grid):
+    # one kernel builder serves both; an even symbol samples the Nyquist
+    # slot as the multiplier does, so the matrices agree bit for bit
+    P = quantize(named_symbol(grid, "laplace+1"))
+    M = fourier_multiplier(grid, lambda xi: 1 + (xi ** 2).sum(-1), order=2)
+    assert np.abs(P.matrix - M.matrix).max() == 0.0
