@@ -376,11 +376,14 @@ def _run_homotopy_scan(cfg, out, rng):
     return checks, ["trace.json"]
 
 
+def _sub_scenarios():
+    """The scenarios full-suite runs, each in its own sub-directory."""
+    return [s for s in sorted(_DEFAULTS) if s != "full-suite"]
+
+
 def _run_full_suite(cfg, out, rng):
-    checks, artifacts = [], []
-    for scenario in sorted(_DEFAULTS):
-        if scenario == "full-suite":
-            continue
+    checks, artifacts, summaries = [], [], []
+    for scenario in _sub_scenarios():
         sub = os.path.join(out, scenario)
         os.makedirs(sub, exist_ok=True)
         sub_cfg = default_config(scenario)
@@ -391,7 +394,11 @@ def _run_full_suite(cfg, out, rng):
                              sum(0 if c["passed"] else 1
                                  for c in sub_checks), 0))
         artifacts.extend(f"{scenario}/{f}" for f in files)
-        _write_summary(sub, scenario, sub_cfg, sub_checks)
+        summaries.append((sub, scenario, sub_cfg, sub_checks))
+    # written once every sub-scenario has finished, so a crash part way
+    # leaves no partial set of summaries for --summary to read as a pass
+    for summary in summaries:
+        _write_summary(*summary)
     return checks, artifacts
 
 
@@ -424,6 +431,21 @@ def _write_summary(out, scenario, cfg, checks):
         fh.write(json_bytes(summary))
 
 
+def _remove_previous_results(out):
+    """Delete the summary and manifest files an earlier run left in ``out``.
+
+    Only those named files are touched: in ``out`` itself and in the
+    per-scenario sub-directories full-suite writes.  A run that then
+    crashes leaves no summary behind that --summary could read as a pass.
+    """
+    for sub in ["", *_sub_scenarios()]:
+        for name in ("summary.json", "manifest.json"):
+            try:
+                os.remove(os.path.join(out, sub, name))
+            except FileNotFoundError:
+                pass
+
+
 def run(scenario: str, config: dict | None = None, out: str = ".",
         seed: int | None = None) -> int:
     """Run one scenario; returns 0 iff every recorded check passed."""
@@ -433,6 +455,7 @@ def run(scenario: str, config: dict | None = None, out: str = ".",
     if seed is not None:
         cfg["seed"] = int(seed)
     os.makedirs(out, exist_ok=True)
+    _remove_previous_results(out)
     rng = np.random.default_rng(cfg["seed"])
     checks, artifacts = SCENARIOS[scenario](cfg, out, rng)
     _write_summary(out, scenario, cfg, checks)

@@ -6,6 +6,16 @@ assuming convergence.  Quadratures are applied to the eigenvalues and
 conjugated back, which agrees with summing the matrix-valued integrand by
 unitary equivalence and keeps the routes cheap enough to scan.
 
+Every route ends in SpectralData.apply, V f(lambda) V*.  For a Fourier
+multiplier V is the Fourier basis (columns permuted by ``modes``), and apply
+builds f(P) through operators._kn_matrix, the kernel builder that
+fourier_multiplier uses, at O(n^2 log n) instead of a dense O(n^3) product.
+The decomposition is checked when SpectralData is built.  The spectral-norm
+checks go through a one-sided gate: the bound
+||D||_2 <= sqrt(||D||_1 ||D||_inf) against a Rayleigh quotient |x*Ax| / x*x
+<= ||A||_2 can only say "pass" when the exact check would pass; otherwise
+the exact SVD norms decide, as before.
+
 Fourier transform convention for the wave route: fhat(t) is the unitary
 transform, f(x) = (1/sqrt(2 pi)) int fhat(t) e^{itx} dt.  The Lipschitz
 constant of the psi-difference bound uses the non-unitary transform
@@ -21,9 +31,10 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from .lattice import GridSpec
+from .lattice import GridSpec, to_frequency
 from .operators import (
     DiscreteOperator,
+    _kn_matrix,
     _to_fourier_rep,
     fourier_matrix,
     op_norm,
@@ -48,35 +59,103 @@ __all__ = [
 
 SPECTRAL_REL_TOL = 1e-9
 UNITARY_TOL = 1e-10
+# relative room the cheap gate leaves for rounding in the norms it compares;
+# those carry relative errors of order state_dim * 1e-16
+GATE_MARGIN = 1e-6
 
 
 # ---------------------------------------------------------------------------
 # spectral decomposition
 
 
+def _gate_passes(defect: np.ndarray, a: np.ndarray, x: np.ndarray) -> bool:
+    """One-sided check of ||defect||_2 <= SPECTRAL_REL_TOL * ||a||_2.
+
+    sqrt(||D||_1 ||D||_inf) bounds ||D||_2 from above (Golub & Van Loan,
+    Matrix Computations, 2.3), and the Rayleigh quotient |x* a x| / x* x
+    bounds ||a||_2 from below, so True implies that the exact check passes.
+    False decides nothing: the caller then takes the exact norms.
+    """
+    mag = np.abs(defect)
+    upper = math.sqrt(float(mag.sum(axis=0).max())
+                      * float(mag.sum(axis=1).max()))
+    lower = abs(np.vdot(x, a @ x)) / np.vdot(x, x).real
+    return upper * (1.0 + GATE_MARGIN) <= SPECTRAL_REL_TOL * lower
+
+
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigendecomposition P = V diag(lambda) V* of a self-adjoint operator."""
+    """Eigendecomposition P = V diag(lambda) V* of a self-adjoint operator.
+
+    ``modes``, when set, declares V to be the Fourier basis of
+    lattice.to_frequency with permuted columns: column i is the basis vector
+    of frequency state index modes[i].  apply then builds V f(lambda) V*
+    with the multiplier kernel builder instead of dense products.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     source: DiscreteOperator
+    modes: np.ndarray | None = None
 
     def __post_init__(self):
-        v = self.eigenvectors
+        v, lam = self.eigenvectors, self.eigenvalues
+        a = self.source.matrix
         n = v.shape[0]
-        gram_defect = float(np.abs(v.conj().T @ v - np.eye(n)).max())
-        if gram_defect > UNITARY_TOL * n:
-            raise ValueError(f"eigenvector basis not unitary: {gram_defect:.3e}")
-        recon = (v * self.eigenvalues[None, :]) @ v.conj().T
-        scale = float(np.linalg.norm(self.source.matrix, 2)) or 1.0
-        defect = float(np.linalg.norm(recon - self.source.matrix, 2))
-        if defect > SPECTRAL_REL_TOL * scale:
-            raise ValueError(f"spectral reconstruction defect {defect:.3e}")
+        if self.modes is not None and not np.array_equal(
+                np.sort(self.modes), np.arange(n)):
+            raise ValueError("modes is not a permutation of the states")
+        recons = [self.apply]
+        if not self._is_declared_fourier_basis():
+            gram_defect = float(np.abs(v.conj().T @ v - np.eye(n)).max())
+            if gram_defect > UNITARY_TOL * n:
+                raise ValueError(
+                    f"eigenvector basis not unitary: {gram_defect:.3e}")
+            if self.modes is not None:
+                # apply does not read these eigenvectors; check them too
+                recons.append(lambda vals: (v * vals[None, :]) @ v.conj().T)
+        x = v[:, int(np.argmax(np.abs(lam)))]
+        for recon in recons:
+            d = recon(lam)
+            d -= a
+            if _gate_passes(d, a, x):
+                continue
+            scale = float(np.linalg.norm(a, 2)) or 1.0
+            defect = float(np.linalg.norm(d, 2))
+            if defect > SPECTRAL_REL_TOL * scale:
+                raise ValueError(f"spectral reconstruction defect {defect:.3e}")
+
+    def _is_declared_fourier_basis(self) -> bool:
+        """Whether V is the Fourier basis of ``modes`` to within a margin
+        that makes the dense Gram check max|V*V - I| <= UNITARY_TOL n pass.
+
+        With E = W* V - Pi (Pi the permutation of modes), V*V - I =
+        Pi* E + E* Pi + E* E has entries at most 2e + n e^2, e = max|E|.
+        e <= UNITARY_TOL n / 4 bounds them by
+        UNITARY_TOL n (1/2 + UNITARY_TOL n^2 / 16), just over half the Gram
+        budget below the dense cap; the rest covers the rounding of the
+        transform.
+        """
+        if self.modes is None:
+            return False
+        n = self.eigenvectors.shape[0]
+        e = to_frequency(self.source.grid, self.eigenvectors)
+        e[self.modes, np.arange(n)] -= 1.0
+        return float(np.abs(e).max()) <= UNITARY_TOL * n / 4
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * np.asarray(values, dtype=complex)[None, :]) @ v.conj().T
+        """V diag(values) V*, with values in eigenvalue order."""
+        values = np.asarray(values, dtype=complex)
+        if self.modes is None:
+            v = self.eigenvectors
+            return (v * values[None, :]) @ v.conj().T
+        g = self.source.grid
+        r = g.fiber_dim
+        per_state = np.empty(g.state_dim, dtype=complex)
+        per_state[self.modes] = values
+        # an x-independent symbol, diagonal over the fiber
+        return _kn_matrix(g, per_state.reshape(1, g.n_points, r, 1)
+                          * np.eye(r))
 
     @property
     def spectral_radius(self) -> float:
@@ -89,23 +168,28 @@ def spectral_data(P: DiscreteOperator) -> SpectralData:
     Operators that are diagonal in the frequency basis (Fourier multipliers)
     are recognized and diagonalized exactly by the Fourier matrix, which is
     much cheaper than a dense eigensolve and keeps multiplier calculus exact.
+    The result records the mode order, so its apply runs through the
+    multiplier kernel builder.
     """
     if not P.self_adjoint:
         raise ValueError("functional calculus requires a self-adjoint operator")
     g = P.grid
     if P.scalar_symbol:
         rep = _to_fourier_rep(P)
-        diag = np.diag(rep).real
-        off = rep - np.diag(np.diag(rep))
+        diag = np.diag(rep).real.copy()
+        np.fill_diagonal(rep, 0.0)
+        off = float(np.abs(rep).max())
+        del rep
         scale = float(np.abs(diag).max()) or 1.0
-        if np.abs(off).max() <= 1e-12 * scale:
+        if off <= 1e-12 * scale:
             r = g.fiber_dim
-            # the columns of W, one per mode and fiber slot
-            w = fourier_matrix(g)[:, None, :, None] * np.eye(r)[:, None, :]
-            w = w.reshape(g.state_dim, g.state_dim)
             order = np.argsort(diag, kind="stable")
-            return SpectralData(diag[order], np.ascontiguousarray(w[:, order]),
-                                P)
+            # column i is the column of W for mode order[i] // r, placed in
+            # fiber slot order[i] % r
+            w = (fourier_matrix(g)[:, None, order // r]
+                 * (np.arange(r)[:, None] == order % r))
+            return SpectralData(diag[order], w.reshape(g.state_dim, -1), P,
+                                modes=order)
     vals, vecs = scipy.linalg.eigh(P.matrix)
     return SpectralData(vals, vecs, P)
 

@@ -148,10 +148,15 @@ def _kn_operator(grid: GridSpec, order: int, a: np.ndarray,
             f"{STATE_DIM_CAP}"
         )
     mat = _kn_matrix(grid, a)
+    op = DiscreteOperator(grid, order, mat, provenance="quantized", **flags)
+    # flag and symmetrize as __post_init__ does for self_adjoint=True,
+    # scanning A - A* once instead of once here and once there
+    mat = op.matrix
     scale = float(np.abs(mat).max()) or 1.0
-    sa = bool(np.abs(mat - mat.conj().T).max() <= SELF_ADJOINT_TOL * scale)
-    return DiscreteOperator(grid, order, mat, provenance="quantized",
-                            self_adjoint=sa, **flags)
+    if np.abs(mat - mat.conj().T).max() <= SELF_ADJOINT_TOL * scale:
+        object.__setattr__(op, "matrix", (mat + mat.conj().T) / 2.0)
+        object.__setattr__(op, "self_adjoint", True)
+    return op
 
 
 def quantize(p: Symbol) -> DiscreteOperator:

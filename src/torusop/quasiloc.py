@@ -21,7 +21,6 @@ from .lattice import (
     ball_region,
     cutoff_eta,
     lipschitz_bump,
-    restricted_seminorm,
     sobolev_norm,
     to_frequency,
 )
@@ -135,27 +134,34 @@ class DominatingFunctionEstimate:
         return float((mu - running).max() / scale)
 
 
+def _embedding_r_factor(region: Region, r: float) -> np.ndarray:
+    """R factor of the H^r embedding of sections supported in the region."""
+    g = region.grid
+    fdim = g.fiber_dim
+    mask = np.repeat(region.mask, fdim)
+    m = int(mask.sum())
+    emb = np.zeros((g.state_dim, m))
+    emb[np.where(mask)[0], np.arange(m)] = 1.0
+    den = to_frequency(g, emb)
+    den *= np.repeat(g.sobolev_weights(r), fdim)[:, None]
+    return np.linalg.qr(den)[1]
+
+
 def _restricted_sup(
-    A: DiscreteOperator, region: Region, R: float, r: float, s: float,
-    cutoff_width: float,
+    A: DiscreteOperator, region: Region, eta, rr: np.ndarray, s: float,
 ) -> float:
-    """Exact sup over u supported in the region of the cutoff seminorm ratio."""
+    """Exact sup over u supported in the region of the cutoff seminorm ratio.
+
+    ``eta`` is the cutoff of the exterior and ``rr`` the region's
+    ``_embedding_r_factor``.
+    """
     g = A.grid
     fdim = g.fiber_dim
-    outside = region.ball(R).complement()
-    if outside.is_empty():
-        return 0.0
-    eta = cutoff_eta(outside, cutoff_width)
     mask = np.repeat(region.mask, fdim)
     cols = A.matrix[:, mask]
     cols = cols * np.repeat(eta.values, fdim)[:, None]
     num = to_frequency(g, cols)
     num *= np.repeat(g.sobolev_weights(s), fdim)[:, None]
-    emb = np.zeros((g.state_dim, int(mask.sum())))
-    emb[np.where(mask)[0], np.arange(int(mask.sum()))] = 1.0
-    den = to_frequency(g, emb)
-    den *= np.repeat(g.sobolev_weights(r), fdim)[:, None]
-    q, rr = np.linalg.qr(den)
     # sup ||num v|| / ||den v|| = ||num rr^{-1}||
     mat = np.linalg.solve(rr.T.conj(), num.T.conj()).T.conj()
     return float(np.linalg.svd(mat, compute_uv=False)[0])
@@ -171,28 +177,42 @@ def dominating_function(
     seed: int = 0,
     cutoff_width: float | None = None,
 ) -> DominatingFunctionEstimate:
-    """Estimate mu(R): mass of Au beyond B_R(L) relative to ||u||_{H^r}."""
+    """Estimate mu(R): mass of Au beyond B_R(L) relative to ||u||_{H^r}.
+
+    Each region's distance field is taken once per call and its exterior
+    at radius R is the set where that distance exceeds R; the cutoff of
+    each exterior is built once per (R, region) and serves the exact
+    estimator and every probe; the QR factor of a region's H^r embedding
+    is taken once per call.
+    """
     g = A.grid
     if probes < 1:
         raise ValueError("at least one probe required")
+    if any(R < 0 for R in R_list):
+        raise ValueError("radius must be nonnegative")
     if cutoff_width is None:
         cutoff_width = 4.0 * g.spacing
     rng = np.random.default_rng(seed)
+    dists = [region.distance_field() for region in region_list]
+    factors = {}  # region index -> R factor, taken on first use
     mu, estimators, skipped = [], [], []
     for R in R_list:
         best = 0.0
         estimator = "probe"
         usable = False
-        for region in region_list:
-            outside = region.ball(R).complement()
+        for i, (region, dist) in enumerate(zip(region_list, dists)):
+            outside = Region(g, dist > R)
             if outside.is_empty():
                 skipped.append((float(R), "no exterior at this radius"))
                 continue
             usable = True
+            eta = cutoff_eta(outside, cutoff_width)
             m = int(region.mask.sum()) * g.fiber_dim
             if m <= EXACT_ESTIMATOR_CAP and g.state_dim <= EXACT_ESTIMATOR_CAP:
-                best = max(best, _restricted_sup(A, region, R, r, s,
-                                                 cutoff_width))
+                if i not in factors:
+                    factors[i] = _embedding_r_factor(region, r)
+                best = max(best, _restricted_sup(A, region, eta, factors[i],
+                                                 s))
                 estimator = "svd"
             for _ in range(probes):
                 vals = (rng.standard_normal((g.n_points, g.fiber_dim))
@@ -203,7 +223,9 @@ def dominating_function(
                 if denom == 0.0:
                     continue
                 au = apply_operator(A, u)
-                num = restricted_seminorm(au, s, outside, cutoff_width)
+                # the body of restricted_seminorm, with this exterior's eta
+                num = sobolev_norm(
+                    Section(g, au.values * eta.values[:, None]), s)
                 best = max(best, num / denom)
         if usable:
             mu.append(best)

@@ -152,3 +152,28 @@ def test_main_rejects_mistyped_config_with_one_line(tmp_path, capsys):
 
 def test_int_config_value_accepted_for_float_default(tmp_path):
     assert run("symbol-check", {"N": 32, "L": 1}, out=str(tmp_path)) == 0
+
+
+@pytest.mark.parametrize("crashing", ["symbol-check", "parametrix"])
+def test_crashed_run_leaves_no_old_pass(tmp_path, monkeypatch, crashing):
+    # a passing full-suite, then a run into the same directory whose
+    # scenario raises: neither the old summaries nor the sub-scenarios
+    # finished before the crash may read as a pass
+    def passing(cfg, out, rng):
+        return [cli._check("ok row", 0, 0)], []
+
+    for name in cli.SCENARIOS:
+        if name != "full-suite":
+            monkeypatch.setitem(cli.SCENARIOS, name, passing)
+    out = str(tmp_path / "run")
+    assert run("full-suite", out=out) == 0
+    assert main(["--summary", "--out", out]) == 0
+
+    def crash(cfg, out, rng):
+        raise RuntimeError("scenario crashed")
+
+    monkeypatch.setitem(cli.SCENARIOS, crashing, crash)
+    scenario = "full-suite" if crashing == "parametrix" else crashing
+    with pytest.raises(RuntimeError):
+        main(["--scenario", scenario, "--out", out])
+    assert main(["--summary", "--out", out]) != 0

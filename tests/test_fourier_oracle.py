@@ -146,6 +146,18 @@ def test_spectral_data_fast_path_matches_dense_w(grid, monkeypatch):
     assert np.abs(np.sort(overlap, axis=1)[:, :-1]).max() <= REL
 
 
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_spectral_apply_fourier_basis_matches_dense_products(grid):
+    P = fourier_multiplier(grid, lambda xi: 1.0 + (xi ** 2).sum(axis=-1),
+                           order=2)
+    sd = spectral_data(P)
+    assert sd.modes is not None
+    v, lam = sd.eigenvectors, sd.eigenvalues
+    for f in (lam, np.exp(0.3j * lam), lam / np.sqrt(1.0 + lam ** 2)):
+        vals = np.asarray(f, dtype=complex)
+        assert _rel(sd.apply(vals), (v * vals[None, :]) @ v.conj().T) <= REL
+
+
 def test_parametrix_masked_norms_match_projector_composition():
     g = GridSpec(1, 64, 2.0)
     p = named_symbol(g, "elliptic_x")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from torusop.lattice import GridSpec
 from torusop.operators import (
@@ -12,7 +13,9 @@ from torusop.operators import (
 )
 from torusop.funcalc import (
     NAMED_FUNCTIONS,
+    SPECTRAL_REL_TOL,
     SpectralData,
+    _gate_passes,
     chi_resolvent_integral,
     fourier_apply,
     named_function,
@@ -50,6 +53,77 @@ def test_spectral_data_rejects_corrupted_decomposition():
     bad_vals[3] += 1e-6 * np.abs(vals).max()
     with pytest.raises(ValueError, match="reconstruction defect"):
         SpectralData(bad_vals, vecs, P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1),
+       log_size=st.floats(-14.0, -6.0))
+def test_spectral_gate_is_one_sided(half_n, seed, log_size):
+    # a decomposition of A checked against A + E, |E| = 10^log_size |A|
+    n = 2 * half_n
+    g = GridSpec(1, n, 1.0)
+    rng = np.random.default_rng(seed)
+
+    def hermitian():
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return (h + h.conj().T) / 2.0
+
+    a = hermitian()
+    e = hermitian()
+    e *= 10.0 ** log_size * np.linalg.norm(a, 2) / np.linalg.norm(e, 2)
+    vals, vecs = scipy.linalg.eigh(a)
+    src = DiscreteOperator(g, 0, a + e, provenance="composed",
+                           self_adjoint=True)
+    m = src.matrix
+    d = (vecs * vals.astype(complex)[None, :]) @ vecs.conj().T - m
+    exact_ok = (np.linalg.norm(d, 2)
+                <= SPECTRAL_REL_TOL * (np.linalg.norm(m, 2) or 1.0))
+    cheap_ok = _gate_passes(d, m, vecs[:, np.argmax(np.abs(vals))])
+    assert exact_ok or not cheap_ok
+    if log_size <= -11.0:
+        assert cheap_ok
+    if exact_ok:
+        SpectralData(vals, vecs, src)
+    else:
+        with pytest.raises(ValueError, match="reconstruction defect"):
+            SpectralData(vals, vecs, src)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 64, 1.0), GridSpec(2, 8, 1.0, 2)],
+                         ids=["1d-r1", "2d-r2"])
+def test_spectral_data_fourier_path_rejects_corruption(grid):
+    P = fourier_multiplier(grid, lambda xi: 1.0 + (xi ** 2).sum(axis=-1),
+                           order=2)
+    sd = spectral_data(P)
+    vals, vecs, modes = sd.eigenvalues, sd.eigenvectors, sd.modes
+    SpectralData(vals, vecs, P, modes=modes)
+    bad_vals = vals.copy()
+    bad_vals[3] += 1e-6 * np.abs(vals).max()
+    with pytest.raises(ValueError, match="reconstruction defect"):
+        SpectralData(bad_vals, vecs, P, modes=modes)
+    swapped = modes.copy()
+    swapped[[0, -1]] = swapped[[-1, 0]]
+    with pytest.raises(ValueError, match="reconstruction defect"):
+        SpectralData(vals, vecs, P, modes=swapped)
+    with pytest.raises(ValueError, match="not a permutation"):
+        SpectralData(vals, vecs, P, modes=np.zeros_like(modes))
+    # eigenvectors off the declared basis are checked densely
+    bad_vecs = vecs.copy()
+    bad_vecs[:, 3] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="not unitary"):
+        SpectralData(vals, bad_vecs, P, modes=modes)
+    with pytest.raises(ValueError, match="reconstruction defect"):
+        SpectralData(vals, vecs[:, ::-1], P, modes=modes)
+
+
+def test_spectral_gate_passes_on_wave_scan_multiplier():
+    # the cheap bounds decide at the wave-scan size, with no SVD
+    g = GridSpec(1, 1024, 8.0)
+    P = fourier_multiplier(g, lambda xi: 1.0 + xi[..., 0] ** 2, order=2)
+    sd = spectral_data(P)
+    assert sd._is_declared_fourier_basis()
+    x = sd.eigenvectors[:, np.argmax(np.abs(sd.eigenvalues))]
+    assert _gate_passes(sd.apply(sd.eigenvalues) - P.matrix, P.matrix, x)
 
 
 def test_spectral_data_multiplier_fast_path():

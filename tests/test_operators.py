@@ -3,6 +3,8 @@ import pytest
 
 from torusop.lattice import GridSpec, Section
 from torusop.operators import (
+    SELF_ADJOINT_TOL,
+    _kn_matrix,
     adjoint,
     apply_operator,
     commutator,
@@ -14,7 +16,7 @@ from torusop.operators import (
     quantize,
     symmetrize,
 )
-from torusop.symbols import named_symbol, symbol_from_callable
+from torusop.symbols import NAMED_SYMBOLS, named_symbol, symbol_from_callable
 
 
 def test_quantize_identity():
@@ -123,3 +125,19 @@ def test_quantize_x_independent_equals_fourier_multiplier(grid):
     P = quantize(named_symbol(grid, "laplace+1"))
     M = fourier_multiplier(grid, lambda xi: 1 + (xi ** 2).sum(-1), order=2)
     assert np.abs(P.matrix - M.matrix).max() == 0.0
+
+
+@pytest.mark.parametrize("dim,N", [(1, 64), (2, 8)])
+def test_quantize_self_adjoint_flag_follows_kernel_defect(dim, N):
+    # the flag is set by one scan: max|A - A*| <= SELF_ADJOINT_TOL max|A|
+    # on the raw kernel, and a flagged matrix is (A + A*) / 2
+    for name in sorted(NAMED_SYMBOLS):
+        fiber = 2 if name.startswith("dirac") else 1
+        p = named_symbol(GridSpec(dim, N, 1.5, fiber), name)
+        raw = _kn_matrix(p.grid, p.samples)
+        flag = (np.abs(raw - raw.conj().T).max()
+                <= SELF_ADJOINT_TOL * np.abs(raw).max())
+        P = quantize(p)
+        assert P.self_adjoint == flag, name
+        expect = (raw + raw.conj().T) / 2.0 if flag else raw
+        assert np.array_equal(P.matrix, expect), name

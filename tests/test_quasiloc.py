@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
 
-from torusop.lattice import GridSpec, ball_region, lipschitz_bump
+from torusop import lattice
+from torusop.lattice import (
+    GridSpec,
+    Section,
+    ball_region,
+    cutoff_eta,
+    lipschitz_bump,
+    restricted_seminorm,
+    sobolev_norm,
+    to_frequency,
+)
 from torusop.operators import (
     DiscreteOperator,
+    apply_operator,
     compose,
     fourier_multiplier,
     multiplication_operator,
@@ -151,3 +162,98 @@ def test_spotcheck_verdicts_agree_for_smoothing_operator():
         assert defect <= bound * (1 + 1e-9)
     assert rep.verdict_lipschitz
     assert rep.verdicts_agree
+
+
+def _per_r_reference(A, r, s, R_list, region_list, probes, seed,
+                     cutoff_width):
+    """The dominating-function loop that rebuilds every exterior, cutoff
+    and QR factor per radius: the reference the shared-work loop must
+    reproduce bit for bit."""
+    g = A.grid
+    fdim = g.fiber_dim
+
+    def restricted_sup(region, R):
+        outside = region.ball(R).complement()
+        if outside.is_empty():
+            return 0.0
+        eta = cutoff_eta(outside, cutoff_width)
+        mask = np.repeat(region.mask, fdim)
+        cols = A.matrix[:, mask] * np.repeat(eta.values, fdim)[:, None]
+        num = to_frequency(g, cols)
+        num *= np.repeat(g.sobolev_weights(s), fdim)[:, None]
+        emb = np.zeros((g.state_dim, int(mask.sum())))
+        emb[np.where(mask)[0], np.arange(int(mask.sum()))] = 1.0
+        den = to_frequency(g, emb)
+        den *= np.repeat(g.sobolev_weights(r), fdim)[:, None]
+        _q, rr = np.linalg.qr(den)
+        mat = np.linalg.solve(rr.T.conj(), num.T.conj()).T.conj()
+        return float(np.linalg.svd(mat, compute_uv=False)[0])
+
+    rng = np.random.default_rng(seed)
+    mu, estimators, skipped = [], [], []
+    for R in R_list:
+        best, estimator, usable = 0.0, "probe", False
+        for region in region_list:
+            outside = region.ball(R).complement()
+            if outside.is_empty():
+                skipped.append((float(R), "no exterior at this radius"))
+                continue
+            usable = True
+            best = max(best, restricted_sup(region, R))
+            estimator = "svd"
+            for _ in range(probes):
+                vals = (rng.standard_normal((g.n_points, fdim))
+                        + 1j * rng.standard_normal((g.n_points, fdim)))
+                vals[~region.mask] = 0.0
+                u = Section(g, vals)
+                denom = sobolev_norm(u, r)
+                if denom == 0.0:
+                    continue
+                au = apply_operator(A, u)
+                num = restricted_seminorm(au, s, outside, cutoff_width)
+                best = max(best, num / denom)
+        mu.append(best if usable else np.nan)
+        estimators.append(estimator if usable else "skipped")
+    return tuple(mu), tuple(estimators), tuple(skipped)
+
+
+DOMINATING_CASES = [
+    # (grid, symbol, radii); the last radius of each leaves no exterior
+    (GridSpec(1, 64, 1.0), "elliptic_x", (0.0, 0.5, 1.0, 2.0, 7.0)),
+    (GridSpec(2, 12, 1.0, 2), "dirac", (0.0, 0.6, 1.2, 2.0, 10.0)),
+]
+
+
+@pytest.mark.parametrize("grid, name, radii", DOMINATING_CASES,
+                         ids=["1d", "2d"])
+def test_dominating_function_matches_per_radius_loop(grid, name, radii,
+                                                     monkeypatch):
+    A = quantize(named_symbol(grid, name))
+    regions = [ball_region(grid, grid.points[0], 0.3),
+               ball_region(grid, grid.points[grid.n_points // 3], 0.6)]
+    width = 4.0 * grid.spacing
+    mu, est, skipped = _per_r_reference(A, 1.0, 0.0, radii, regions, 3, 7,
+                                        width)
+    assert skipped and np.isnan(mu[-1])
+
+    calls = []
+    original = lattice.Region.distance_field
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(lattice.Region, "distance_field", counted)
+    res = dominating_function(A, 1.0, 0.0, radii, regions, probes=3, seed=7,
+                              cutoff_width=width)
+    assert np.array_equal(res.mu_hat, mu, equal_nan=True)
+    assert res.estimator == est
+    assert res.skipped == skipped
+
+    # without the exterior-free radius: one field per region, plus the
+    # cutoff's field of each exterior
+    calls.clear()
+    res = dominating_function(A, 1.0, 0.0, radii[:-1], regions, probes=3,
+                              seed=7, cutoff_width=width)
+    assert len(calls) == len(regions) * (1 + len(radii) - 1)
+    assert res.mu_hat == mu[:-1]
