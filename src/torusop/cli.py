@@ -133,6 +133,13 @@ def _validate_config(scenario: str, config: dict) -> dict:
                 f"{base[key]!r}, got {value!r}"
             )
     base.update(config)
+    # bad grid values fail here, before run() touches the output directory
+    if "L" in base:
+        for N in base.get("N_ladder", [base.get("N")]):
+            try:
+                GridSpec(1, N, base["L"])
+            except ValueError as exc:
+                raise ValueError(f"config for {scenario}: {exc}") from None
     return base
 
 

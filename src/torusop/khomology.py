@@ -430,12 +430,18 @@ def homotopy_scan(
             c_chi = _c_psi(chi)
     diff_norm = float(np.linalg.norm(diff_rep, 2))
 
+    # chi(P_t) by t: nested step counts revisit the same t-points
+    chi_at = {}
+
     def _tracks(t):
-        Pt = DiscreteOperator(g, k,
-                              (1.0 - t) * P.matrix + t * P_prime.matrix,
-                              provenance="composed", self_adjoint=True)
-        sd = spectral_data(Pt)
-        T = sd.apply(np.asarray(chi_fn(sd.eigenvalues), dtype=complex))
+        T = chi_at.get(t)
+        if T is None:
+            Pt = DiscreteOperator(g, k,
+                                  (1.0 - t) * P.matrix + t * P_prime.matrix,
+                                  provenance="composed", self_adjoint=True)
+            sd = spectral_data(Pt)
+            T = sd.apply(np.asarray(chi_fn(sd.eigenvalues), dtype=complex))
+            chi_at[t] = T
         tsq = T @ T - eye
         tad = T - T.T.conj()
         return (

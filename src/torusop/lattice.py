@@ -53,8 +53,10 @@ class GridSpec:
         n = self.points_per_axis
         if n < 4 or n % 2 != 0:
             raise ValueError(f"points_per_axis must be even and >= 4, got {n}")
-        if self.period_scale <= 0:
-            raise ValueError("period_scale must be positive")
+        if not 0 < self.period_scale < np.inf:
+            raise ValueError(
+                f"period_scale must be positive and finite, "
+                f"got {self.period_scale}")
         if self.fiber_dim < 1:
             raise ValueError("fiber_dim must be positive")
 
@@ -235,13 +237,30 @@ class Region:
         return Region(self.grid, ~self.mask)
 
     def distance_field(self) -> np.ndarray:
-        """Geodesic distance from every grid point to the region (0 inside)."""
+        """Geodesic distance from every grid point to the region (0 inside).
+
+        The minimum runs over the region's edge points only: those with at
+        least one of their 2*dim periodic lattice neighbours outside the
+        region.  A region point that is not an edge point has a neighbour in
+        the region one grid step closer to any outside point, so it is never
+        the nearest, and the minimum is the same float as over all points.
+        """
+        g = self.grid
         if self.is_empty():
-            return np.full(self.grid.n_points, np.inf)
-        pts = self.grid.points
-        inside = pts[self.mask]
-        d = self.grid.wrap_delta(pts[:, None, :] - inside[None, :, :])
-        return np.sqrt((d ** 2).sum(axis=-1)).min(axis=1)
+            return np.full(g.n_points, np.inf)
+        shaped = self.mask.reshape(g.grid_shape())
+        interior = shaped.copy()
+        for axis in range(g.dim):
+            for step in (1, -1):
+                interior &= np.roll(shaped, step, axis)
+        outside = ~self.mask
+        out = np.zeros(g.n_points)
+        if outside.any():
+            pts = g.points
+            edge = pts[self.mask & ~interior.ravel()]
+            d = g.wrap_delta(pts[outside][:, None, :] - edge[None, :, :])
+            out[outside] = np.sqrt((d ** 2).sum(axis=-1)).min(axis=1)
+        return out
 
     def ball(self, radius: float) -> "Region":
         """B_R(region) in the torus geodesic metric; B_0 is the region itself."""

@@ -6,12 +6,15 @@ composition defect, q_{j+1} = q_j - q_0 o (p o q_j - 1).  The residuals
 S1 = I - PQ and S2 = I - QP are defined by exact subtraction, so the matrix
 identities hold to rounding.  Because the excision zeroes the inverse on a
 low-frequency band, S1 acts as the identity there; residual norms are
-therefore reported both on and off that band.
+therefore reported both on and off that band.  Each norm is one SVD, taken
+on the first read of its table entry.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 import scipy.linalg
@@ -65,9 +68,46 @@ def band_projector(grid: GridSpec, radius: float, off_band: bool = False):
     return fourier_multiplier(grid, fn, order=0)
 
 
+class _LazyTable(Mapping):
+    """Read-only table whose entries are computed on first read and kept.
+
+    Membership, length and iteration use the fixed key list and compute
+    nothing; ``compute(key)`` runs once per key, on its first ``[]`` read.
+    """
+
+    def __init__(self, keys, compute):
+        self._keys = dict.fromkeys(keys)
+        self._values = {}
+        self._compute = compute
+
+    def __getitem__(self, key):
+        if key not in self._values:
+            if key not in self._keys:
+                raise KeyError(key)
+            self._values[key] = self._compute(key)
+        return self._values[key]
+
+    def __contains__(self, key):
+        return key in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+
 @dataclass(frozen=True)
 class ParametrixResult:
-    """Approximate inverse Q with residuals S1 = I - PQ and S2 = I - QP."""
+    """Approximate inverse Q with residuals S1 = I - PQ and S2 = I - QP.
+
+    The norm tables are read-only mappings whose keys are fixed when the
+    result is built; each entry is an exact SVD norm, computed on its first
+    read and then kept.  ``residual_norms[(tag, k, l)]`` is the norm of
+    S1 or S2 (tag "S1"/"S2") as a map H^{-k} -> H^l;
+    ``off_band_norms[(k, l)]`` and ``band_norms[(k, l)]`` are the same norm
+    of S1 composed with the projector off or onto the excised band.
+    """
 
     Q: DiscreteOperator
     S1: DiscreteOperator
@@ -75,9 +115,9 @@ class ParametrixResult:
     iterations: int
     excision_radius: float
     excision_width: float
-    residual_norms: dict = field(default_factory=dict)
-    off_band_norms: dict = field(default_factory=dict)
-    band_norms: dict = field(default_factory=dict)
+    residual_norms: Mapping = field(default_factory=dict)
+    off_band_norms: Mapping = field(default_factory=dict)
+    band_norms: Mapping = field(default_factory=dict)
     defect_history: tuple = ()
     diverged: bool = False
     worst_cell: tuple = ()
@@ -114,7 +154,11 @@ def build_parametrix(
     """Iterated symbol-correction parametrix of an elliptic operator.
 
     J counts the correction sweeps; it is also used as the truncation order
-    of the composition expansion inside each sweep.
+    of the composition expansion inside each sweep.  The norm tables hold
+    the keys k, l in range(norm_range); no norm is computed here.  The
+    first read of an S1 entry (residual, off-band or band) takes the
+    frequency representation of S1, the first read of an ("S2", k, l)
+    entry that of S2, and every read of a new entry takes one SVD.
     """
     if cert is None:
         cert = check_elliptic(p)
@@ -165,18 +209,19 @@ def build_parametrix(
 
     # S1 composed with the band projector (or its complement) is S1 with
     # the frequency columns outside the band (or inside it) removed
-    rep1, rep2 = _to_fourier_rep(S1), _to_fourier_rep(S2)
+    reps = {"S1": cache(lambda: _to_fourier_rep(S1)),
+            "S2": cache(lambda: _to_fourier_rep(S2))}
     off_cols = np.repeat(offband, g.fiber_dim)
-    norm = lambda m: float(np.linalg.norm(m, 2))
-    residual, off_tab, band_tab = {}, {}, {}
-    for k in range(norm_range):
-        for l in range(norm_range):
-            b1 = _weighted_rep(rep1, g, -float(k), float(l))
-            residual[("S1", k, l)] = norm(b1)
-            residual[("S2", k, l)] = norm(
-                _weighted_rep(rep2, g, -float(k), float(l)))
-            off_tab[(k, l)] = norm(b1[:, off_cols])
-            band_tab[(k, l)] = norm(b1[:, ~off_cols])
+
+    def norm(tag, k, l, cols=slice(None)):
+        b = _weighted_rep(reps[tag](), g, -float(k), float(l))
+        return float(np.linalg.norm(b[:, cols], 2))
+
+    kl = [(k, l) for k in range(norm_range) for l in range(norm_range)]
+    residual = _LazyTable([(tag, k, l) for k, l in kl for tag in reps],
+                          lambda key: norm(*key))
+    off_tab = _LazyTable(kl, lambda key: norm("S1", *key, off_cols))
+    band_tab = _LazyTable(kl, lambda key: norm("S1", *key, ~off_cols))
     return ParametrixResult(
         Q=Q, S1=S1, S2=S2, iterations=J,
         excision_radius=cert.radius, excision_width=excision_width,

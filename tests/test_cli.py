@@ -150,6 +150,36 @@ def test_main_rejects_mistyped_config_with_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario,bad", [
+    ("symbol-check", {"N": 15}), ("symbol-check", {"N": 2}),
+    ("parametrix", {"L": -1.0}), ("waveprop", {"L": 0}),
+    ("symbol-check", {"L": float("nan")}),
+    ("symbol-check", {"L": float("inf")}),
+    ("compose-check", {"N_ladder": [64, 15]}),
+    ("compose-check", {"N_ladder": [64], "L": -2.0}),
+])
+def test_bad_grid_values_fail_before_any_output(tmp_path, capsys, scenario,
+                                                bad):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(bad))
+    out = tmp_path / "run"
+    code = main(["--scenario", scenario, "--config", str(cfg_path),
+                 "--out", str(out)])
+    assert code == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_bad_grid_values_keep_an_earlier_summary(tmp_path):
+    out = tmp_path / "run"
+    assert run("symbol-check", {"N": 32}, out=str(out)) == 0
+    before = _tree_bytes(out)
+    for bad in ({"N": 15}, {"L": -1.0}):
+        with pytest.raises(ValueError):
+            run("symbol-check", bad, out=str(out))
+        assert _tree_bytes(out) == before
+
+
 def test_int_config_value_accepted_for_float_default(tmp_path):
     assert run("symbol-check", {"N": 32, "L": 1}, out=str(tmp_path)) == 0
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from torusop import khomology
 from torusop.lattice import GridSpec, lipschitz_bump
 from torusop.operators import (
     DiscreteOperator,
@@ -168,3 +169,33 @@ def test_homotopy_order2_continuity():
     assert tr.gamma["commutator"] > 0
     # no closed-form Lipschitz constant is claimed away from order one
     assert tr.lipschitz == ()
+
+
+def test_homotopy_scan_diagonalizes_each_t_once(monkeypatch):
+    # t_steps [4, 8, 16] visit 5 + 9 + 17 t-points, 17 of them distinct
+    g = GridSpec(1, 32, 1.0)
+    P = fourier_multiplier(g, lambda xi: xi[..., 0], order=1)
+    pert = multiplication_operator(g, 0.3 * np.cos(g.points[:, 0]))
+    Pp = DiscreteOperator(g, 1, P.matrix + pert.matrix,
+                          provenance="composed", self_adjoint=True)
+    chi = named_function("chi_rational")
+    fs = [lipschitz_bump(g, np.zeros(1), 1.0, 2.0),
+          lipschitz_bump(g, np.ones(1), 1.5, 2.0)]
+    calls = []
+    spectral_data = khomology.spectral_data
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return spectral_data(*args, **kwargs)
+
+    monkeypatch.setattr(khomology, "spectral_data", counting)
+    tr = homotopy_scan(P, Pp, chi, [4, 8, 16], fs)
+    assert len(calls) == 17
+    for steps in (4, 8, 16):
+        single = homotopy_scan(P, Pp, chi, [steps], fs)
+        for fam in FAMILIES:
+            assert single.jumps[(fam, steps)] == tr.jumps[(fam, steps)]
+            assert single.max_jumps[(fam, steps)] \
+                == tr.max_jumps[(fam, steps)]
+    assert single.lipschitz == tr.lipschitz
+    assert len(calls) == 17 + 5 + 9 + 17

@@ -3,6 +3,7 @@ import pytest
 
 from torusop.lattice import (
     GridSpec,
+    Region,
     Section,
     ball_region,
     cutoff_eta,
@@ -109,3 +110,44 @@ def test_translate_section_round_trip():
     u = Section(g, rng.standard_normal((32, 1)))
     v = translate_section(translate_section(u, (5,)), (-5,))
     assert np.allclose(u.values, v.values)
+
+
+def _all_points_distance(region):
+    """Distance field as the minimum over every region point (the oracle)."""
+    if region.is_empty():
+        return np.full(region.grid.n_points, np.inf)
+    pts = region.grid.points
+    inside = pts[region.mask]
+    d = region.grid.wrap_delta(pts[:, None, :] - inside[None, :, :])
+    return np.sqrt((d ** 2).sum(axis=-1)).min(axis=1)
+
+
+def _test_regions(g, rng):
+    n = g.n_points
+    yield Region(g, np.zeros(n, bool))
+    yield Region(g, np.ones(n, bool))
+    for i in (0, n // 2 + 1, n - 1):
+        single = np.zeros(n, bool)
+        single[i] = True
+        yield Region(g, single)
+    for density in (0.1, 0.5, 0.9):
+        yield Region(g, rng.random(n) < density)
+    for radius in (0.3, 1.0, 2.5):
+        ball = ball_region(g, rng.uniform(0.0, g.period, g.dim), radius)
+        yield ball
+        dist = _all_points_distance(ball)
+        for R in (0.5, 1.5):
+            yield Region(g, dist > R)
+
+
+@pytest.mark.parametrize("dim,N,L", [
+    (1, 4, 1.0), (1, 6, 0.7), (1, 64, 1.5), (2, 4, 1.0), (2, 6, 1.3),
+    (2, 16, 1.0)])
+def test_distance_field_matches_all_points_minimum(dim, N, L):
+    g = GridSpec(dim, N, L)
+    rng = np.random.default_rng([dim, N])
+    for region in _test_regions(g, rng):
+        got = region.distance_field()
+        expect = _all_points_distance(region)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))

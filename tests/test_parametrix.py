@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
 
+try:
+    import numpy.linalg._linalg as _np_linalg_impl
+except ImportError:  # numpy < 2
+    import numpy.linalg.linalg as _np_linalg_impl
+
+from torusop import parametrix
 from torusop.lattice import GridSpec, Section
-from torusop.operators import apply_operator, fourier_multiplier, quantize
+from torusop.operators import (
+    _to_fourier_rep,
+    _weighted_rep,
+    apply_operator,
+    fourier_multiplier,
+    quantize,
+)
 from torusop.parametrix import (
     band_projector,
     build_parametrix,
@@ -11,7 +23,7 @@ from torusop.parametrix import (
     fourier_diagonal_constant,
     modified_inner_product,
 )
-from torusop.symbols import named_symbol
+from torusop.symbols import named_symbol, symbol_from_callable
 
 
 def test_band_projector_partition():
@@ -89,3 +101,121 @@ def test_modified_inner_product_symmetric():
     assert mip.max_asymmetry <= 1e-10
     evals = np.linalg.eigvalsh(mip.gram)
     assert evals.min() > 0
+
+
+def _coupled_symbol(g):
+    """elliptic_x on C^r plus an x-dependent coupling of the fiber slots."""
+    eye = np.eye(g.fiber_dim)
+    swap = eye[::-1]
+
+    def fn(x, xi):
+        a = 2.0 + np.cos(x[..., 0]) + (xi ** 2).sum(axis=-1)
+        b = 0.3 * np.sin(x[..., 0])
+        return a[..., None, None] * eye + b[..., None, None] * swap
+
+    return symbol_from_callable(g, 2, fn, hermitian_valued=True)
+
+
+def _eager_tables(res, norm_range):
+    """The norm tables as every entry was computed before they became lazy."""
+    g = res.S1.grid
+    offband = g.frequency_magnitude > res.excision_radius + res.excision_width
+    rep1, rep2 = _to_fourier_rep(res.S1), _to_fourier_rep(res.S2)
+    off_cols = np.repeat(offband, g.fiber_dim)
+    norm = lambda m: float(np.linalg.norm(m, 2))
+    residual, off_tab, band_tab = {}, {}, {}
+    for k in range(norm_range):
+        for l in range(norm_range):
+            b1 = _weighted_rep(rep1, g, -float(k), float(l))
+            residual[("S1", k, l)] = norm(b1)
+            residual[("S2", k, l)] = norm(
+                _weighted_rep(rep2, g, -float(k), float(l)))
+            off_tab[(k, l)] = norm(b1[:, off_cols])
+            band_tab[(k, l)] = norm(b1[:, ~off_cols])
+    return residual, off_tab, band_tab
+
+
+LAZY_GRIDS = [GridSpec(1, 32, 1.0, r) for r in (1, 2)] + [
+    GridSpec(2, 8, 1.0, r) for r in (1, 2)]
+
+
+@pytest.mark.parametrize("norm_range", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "grid", LAZY_GRIDS,
+    ids=[f"{g.dim}d-r{g.fiber_dim}" for g in LAZY_GRIDS])
+def test_lazy_norm_tables_equal_eager_loop(grid, norm_range):
+    p = _coupled_symbol(grid)
+    res = build_parametrix(quantize(p), p, 1, excision_width=1.0,
+                           norm_range=norm_range)
+    tables = (res.residual_norms, res.off_band_norms, res.band_norms)
+    for lazy, eager in zip(tables, _eager_tables(res, norm_range)):
+        assert list(lazy) == list(eager)
+        assert len(lazy) == len(eager)
+        # read in reverse so the first read of S1 is not always (S1, 0, 0)
+        for key in reversed(list(eager)):
+            assert lazy[key] == eager[key]
+        assert dict(lazy) == eager
+        assert list(lazy.items()) == list(eager.items())
+
+
+def test_lazy_norm_tables_compute_only_what_is_read(monkeypatch):
+    g = GridSpec(1, 32, 1.0)
+    p = named_symbol(g, "elliptic_x")
+    P = quantize(p)
+    counts = {"svd": 0, "rep": 0}
+    svd, to_rep = _np_linalg_impl.svd, parametrix._to_fourier_rep
+
+    def counting_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counting_rep(A):
+        counts["rep"] += 1
+        return to_rep(A)
+
+    monkeypatch.setattr(_np_linalg_impl, "svd", counting_svd)
+    monkeypatch.setattr(parametrix, "_to_fourier_rep", counting_rep)
+    res = build_parametrix(P, p, 1, excision_width=1.0, norm_range=3)
+    assert counts == {"svd": 0, "rep": 0}
+    tables = (res.residual_norms, res.off_band_norms, res.band_norms)
+    assert [len(t) for t in tables] == [18, 9, 9]
+    assert ("S2", 2, 2) in res.residual_norms and (2, 2) in res.band_norms
+    assert ("S2", 3, 0) not in res.residual_norms
+    assert (0, 3) not in res.off_band_norms
+    for table in tables:
+        assert len(list(table)) == len(table)
+    assert counts == {"svd": 0, "rep": 0}
+
+    value = res.off_band_norms[(0, 0)]
+    assert counts == {"svd": 1, "rep": 1}
+    # float keys find the integer entries, and a second read is kept
+    assert res.off_band_norms[(0.0, 0.0)] == value
+    assert counts == {"svd": 1, "rep": 1}
+    # another S1 entry reuses the S1 representation; S2 takes its own
+    res.band_norms[(0.0, 1.0)]
+    assert counts == {"svd": 2, "rep": 1}
+    res.residual_norms[("S2", 1, 0)]
+    assert counts == {"svd": 3, "rep": 2}
+    res.residual_norms[("S1", 1.0, 2.0)]
+    assert counts == {"svd": 4, "rep": 2}
+    assert list(res.band_norms) == [(k, l) for k in range(3)
+                                    for l in range(3)]
+
+
+def test_lazy_norm_tables_reject_unknown_keys():
+    g = GridSpec(1, 32, 1.0)
+    p = named_symbol(g, "laplace+1")
+    res = build_parametrix(quantize(p), p, 1, excision_width=1.0,
+                           norm_range=2)
+    for table, key in ((res.off_band_norms, (2, 0)),
+                       (res.band_norms, (0, -1)),
+                       (res.residual_norms, ("S3", 0, 0)),
+                       (res.residual_norms, (0, 0))):
+        assert key not in table
+        with pytest.raises(KeyError):
+            table[key]
+        assert table.get(key) is None
+    assert res.off_band_norms[(0.0, 1.0)] == res.off_band_norms[(0, 1)]
+    assert list(dict(res.off_band_norms)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    with pytest.raises(TypeError):
+        res.band_norms[(0, 0)] = 1.0
