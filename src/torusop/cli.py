@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .lattice import GridSpec, ball_region, lipschitz_bump
 from .symbols import (
+    NAMED_SYMBOLS,
     check_elliptic,
     estimate_constants,
     compose_symbols,
@@ -37,6 +38,7 @@ from .operators import (
 )
 from .parametrix import build_parametrix, elliptic_estimate_constant
 from .funcalc import (
+    NAMED_FUNCTIONS,
     chi_resolvent_integral,
     fourier_apply,
     named_function,
@@ -133,7 +135,23 @@ def _validate_config(scenario: str, config: dict) -> dict:
                 f"{base[key]!r}, got {value!r}"
             )
     base.update(config)
-    # bad grid values fail here, before run() touches the output directory
+    # bad names and grid values fail here, before run() writes anything
+    pairs = base.get("pairs", [])
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"config for {scenario}: pairs must be name pairs")
+    names = base.get("families", []) + sum(pairs, [])
+    if "family" in base:
+        names.append(base["family"])
+    for name in names:
+        if name not in NAMED_SYMBOLS:
+            raise ValueError(
+                f"config for {scenario}: unknown symbol family {name!r}")
+    function = base.get("function")
+    if function is not None and function not in NAMED_FUNCTIONS:
+        raise ValueError(f"config for {scenario}: unknown function {function!r}")
+    if function is not None and named_function(function).fhat is None:
+        raise ValueError(f"config for {scenario}: function {function!r} has "
+                         "no closed-form Fourier transform")
     if "L" in base:
         for N in base.get("N_ladder", [base.get("N")]):
             try:
@@ -273,7 +291,6 @@ def _run_funcalc_defect(cfg, out, rng):
     P = quantize(named_symbol(g, cfg["family"]))
     sd = spectral_data(P)
     f = named_function(cfg["function"], {"sigma": cfg["sigma"]})
-    chi = named_function("chi_rational")
     doc = {"spectral_radius": sd.spectral_radius, "fourier": [],
            "resolvent": []}
     checks = [_check("spectral radius", sd.spectral_radius, 20.0)]

@@ -25,13 +25,14 @@ psihat(s) = int psi(x) e^{-isx} dx, matching C = (1/2pi) int |s psihat(s)| ds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 import scipy.special
 
-from .lattice import GridSpec, to_frequency
+from .lattice import from_frequency
 from .operators import (
     DiscreteOperator,
     _kn_matrix,
@@ -87,61 +88,61 @@ def _gate_passes(defect: np.ndarray, a: np.ndarray, x: np.ndarray) -> bool:
 class SpectralData:
     """Eigendecomposition P = V diag(lambda) V* of a self-adjoint operator.
 
-    ``modes``, when set, declares V to be the Fourier basis of
-    lattice.to_frequency with permuted columns: column i is the basis vector
-    of frequency state index modes[i].  apply then builds V f(lambda) V*
-    with the multiplier kernel builder instead of dense products.
+    Exactly one of ``vectors`` (V as a dense matrix, the eigh path) and
+    ``modes`` declares V.  ``modes`` makes V the Fourier basis of
+    lattice.to_frequency with column i at frequency state index modes[i],
+    unitary by construction; apply then runs through the multiplier kernel
+    builder, and ``eigenvectors`` is built only on first read.  Either way
+    the reconstruction V diag(lambda) V* = P is checked here.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    vectors: InitVar[np.ndarray | None]
     source: DiscreteOperator
     modes: np.ndarray | None = None
 
-    def __post_init__(self):
-        v, lam = self.eigenvectors, self.eigenvalues
+    def __post_init__(self, vectors):
+        if (vectors is None) == (self.modes is None):
+            raise ValueError(
+                "exactly one of vectors and modes declares the basis")
+        lam = self.eigenvalues
         a = self.source.matrix
-        n = v.shape[0]
-        if self.modes is not None and not np.array_equal(
-                np.sort(self.modes), np.arange(n)):
-            raise ValueError("modes is not a permutation of the states")
-        recons = [self.apply]
-        if not self._is_declared_fourier_basis():
-            gram_defect = float(np.abs(v.conj().T @ v - np.eye(n)).max())
+        n = a.shape[0]
+        top = int(np.argmax(np.abs(lam)))
+        if self.modes is None:
+            gram_defect = float(
+                np.abs(vectors.conj().T @ vectors - np.eye(n)).max())
             if gram_defect > UNITARY_TOL * n:
                 raise ValueError(
                     f"eigenvector basis not unitary: {gram_defect:.3e}")
-            if self.modes is not None:
-                # apply does not read these eigenvectors; check them too
-                recons.append(lambda vals: (v * vals[None, :]) @ v.conj().T)
-        x = v[:, int(np.argmax(np.abs(lam)))]
-        for recon in recons:
-            d = recon(lam)
-            d -= a
-            if _gate_passes(d, a, x):
-                continue
+            # the instance is frozen: fill the eigenvectors cache directly
+            self.__dict__["eigenvectors"] = vectors
+            x = vectors[:, top]
+        else:
+            if not np.array_equal(np.sort(self.modes), np.arange(n)):
+                raise ValueError("modes is not a permutation of the states")
+            x = np.zeros(n, dtype=complex)
+            x[self.modes[top]] = 1.0
+            x = from_frequency(self.source.grid, x)
+        d = self.apply(lam)
+        d -= a
+        if not _gate_passes(d, a, x):
             scale = float(np.linalg.norm(a, 2)) or 1.0
             defect = float(np.linalg.norm(d, 2))
             if defect > SPECTRAL_REL_TOL * scale:
                 raise ValueError(f"spectral reconstruction defect {defect:.3e}")
 
-    def _is_declared_fourier_basis(self) -> bool:
-        """Whether V is the Fourier basis of ``modes`` to within a margin
-        that makes the dense Gram check max|V*V - I| <= UNITARY_TOL n pass.
-
-        With E = W* V - Pi (Pi the permutation of modes), V*V - I =
-        Pi* E + E* Pi + E* E has entries at most 2e + n e^2, e = max|E|.
-        e <= UNITARY_TOL n / 4 bounds them by
-        UNITARY_TOL n (1/2 + UNITARY_TOL n^2 / 16), just over half the Gram
-        budget below the dense cap; the rest covers the rounding of the
-        transform.
-        """
-        if self.modes is None:
-            return False
-        n = self.eigenvectors.shape[0]
-        e = to_frequency(self.source.grid, self.eigenvectors)
-        e[self.modes, np.arange(n)] -= 1.0
-        return float(np.abs(e).max()) <= UNITARY_TOL * n / 4
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """V as a dense state_dim x state_dim matrix."""
+        g = self.source.grid
+        r = g.fiber_dim
+        order = self.modes
+        # column i is the column of W for mode order[i] // r, placed in
+        # fiber slot order[i] % r
+        w = (fourier_matrix(g)[:, None, order // r]
+             * (np.arange(r)[:, None] == order % r))
+        return w.reshape(g.state_dim, -1)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """V diag(values) V*, with values in eigenvalue order."""
@@ -166,14 +167,14 @@ def spectral_data(P: DiscreteOperator) -> SpectralData:
     """Diagonalize a self-adjoint operator.
 
     Operators that are diagonal in the frequency basis (Fourier multipliers)
-    are recognized and diagonalized exactly by the Fourier matrix, which is
+    are recognized and diagonalized exactly by the Fourier basis, which is
     much cheaper than a dense eigensolve and keeps multiplier calculus exact.
-    The result records the mode order, so its apply runs through the
-    multiplier kernel builder.
+    The result is the eigenvalues and their mode order alone: its apply runs
+    through the multiplier kernel builder, and no dense basis is built
+    unless ``eigenvectors`` is read.
     """
     if not P.self_adjoint:
         raise ValueError("functional calculus requires a self-adjoint operator")
-    g = P.grid
     if P.scalar_symbol:
         rep = _to_fourier_rep(P)
         diag = np.diag(rep).real.copy()
@@ -182,14 +183,8 @@ def spectral_data(P: DiscreteOperator) -> SpectralData:
         del rep
         scale = float(np.abs(diag).max()) or 1.0
         if off <= 1e-12 * scale:
-            r = g.fiber_dim
             order = np.argsort(diag, kind="stable")
-            # column i is the column of W for mode order[i] // r, placed in
-            # fiber slot order[i] % r
-            w = (fourier_matrix(g)[:, None, order // r]
-                 * (np.arange(r)[:, None] == order % r))
-            return SpectralData(diag[order], w.reshape(g.state_dim, -1), P,
-                                modes=order)
+            return SpectralData(diag[order], None, P, modes=order)
     vals, vecs = scipy.linalg.eigh(P.matrix)
     return SpectralData(vals, vecs, P)
 
@@ -403,24 +398,19 @@ def fourier_apply(
     n_quad: int = 2048, tolerance: float | None = None,
     spectral: SpectralData | None = None,
 ) -> FuncalcResult:
-    """Wave route f(P) = (1/sqrt(2 pi)) int fhat(t) e^{itP} dt by trapezoid."""
+    """Wave route f(P) = (1/sqrt(2 pi)) int fhat(t) e^{itP} dt by trapezoid.
+
+    Only f with a closed-form transform ``fhat`` (Schwartz f) is accepted.
+    """
+    if f.fhat is None:
+        raise ValueError(
+            f"fourier_apply needs the closed-form transform of {f.name!r}")
     sd = spectral or spectral_data(P)
     t = np.linspace(-t_max, t_max, n_quad)
     w = np.full(n_quad, t[1] - t[0])
     w[0] *= 0.5
     w[-1] *= 0.5
-    if f.fhat is not None:
-        fh = np.asarray(f.fhat(t), dtype=complex)
-    else:
-        x_grid = np.linspace(-8 * t_max, 8 * t_max, 1 << 16, endpoint=False)
-        samples = np.asarray(f.fn(x_grid), dtype=complex)
-        dx = x_grid[1] - x_grid[0]
-        ks = np.fft.fftfreq(len(x_grid), d=dx) * 2 * np.pi
-        hat = np.fft.fft(samples) * dx * np.exp(-1j * ks * x_grid[0])
-        hat /= np.sqrt(2 * np.pi)
-        order = np.argsort(ks)
-        fh = np.interp(t, ks[order], hat[order].real) + 1j * np.interp(
-            t, ks[order], hat[order].imag)
+    fh = np.asarray(f.fhat(t), dtype=complex)
     phases = np.exp(1j * np.outer(t, sd.eigenvalues))
     vals = (w * fh) @ phases / np.sqrt(2 * np.pi)
     mat = sd.apply(vals)

@@ -341,12 +341,9 @@ def cutoff_eta(region: Region, R: float) -> BumpFunction:
     g = region.grid
     if R < 4 * g.spacing:
         raise ValueError("under-resolved cutoff: R must be >= 4 grid spacings")
-    if region.is_empty():
-        vals = np.zeros(g.n_points)
-    elif (~region.mask).sum() == 0:
-        vals = np.ones(g.n_points)
-    else:
-        vals = smoothstep(region.distance_field() / R)
+    # an empty region has distance inf everywhere and a full one zeros, which
+    # smoothstep maps to exactly 0.0 and 1.0
+    vals = smoothstep(region.distance_field() / R)
     return BumpFunction(
         g, vals, lipschitz_bound=1.875 / R, support_diam=np.inf, sup_norm=1.0
     )
@@ -359,15 +356,10 @@ def restricted_seminorm(
 
     Multiplies u by a cutoff that is 1 on the region and 0 outside
     B_cutoff_width(region), then takes the full Sobolev norm.  Empty
-    regions give 0 by convention.
+    regions give 0 by convention: their cutoff is exactly 0.
     """
-    if region.is_empty():
-        return 0.0
-    g = u.grid
-    if (~region.mask).sum() == 0:
-        return sobolev_norm(u, s)
     eta = cutoff_eta(region, cutoff_width)
-    return sobolev_norm(Section(g, u.values * eta.values[:, None]), s)
+    return sobolev_norm(Section(u.grid, u.values * eta.values[:, None]), s)
 
 
 def translate_section(u: Section, shift_indices) -> Section:

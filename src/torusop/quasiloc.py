@@ -46,12 +46,15 @@ EXACT_ESTIMATOR_CAP = 4608
 # eps-ranks
 
 
+def _count_at_least(sv: np.ndarray, eps: float) -> int:
+    return int((sv >= eps).sum())
+
+
 def eps_rank(T: DiscreteOperator, eps: float) -> int:
     """Minimal rank N with ||T - T_N|| < eps, via singular value counting."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    sv = np.linalg.svd(T.matrix, compute_uv=False)
-    return int((sv >= eps).sum())
+    return _count_at_least(np.linalg.svd(T.matrix, compute_uv=False), eps)
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ def uniform_approx_profile(
                     raise ValueError(f"unknown form {form!r}")
             sv = np.linalg.svd(mat, compute_uv=False)
             for i, eps in enumerate(eps_list):
-                worst[i] = max(worst[i], int((sv >= eps).sum()))
+                worst[i] = max(worst[i], _count_at_least(sv, eps))
         ranks[form] = tuple(worst)
     return EpsRankProfile(tuple(eps_list), ranks, family_label)
 
@@ -401,12 +404,12 @@ def pseudolocality_equivalence_spotcheck(
         crosses.append(cross)
         # family verdicts: commutator vs indicator compressions
         sv_c = np.linalg.svd(comm_f, compute_uv=False)
-        lip_ok = lip_ok and int((sv_c >= eps).sum()) <= rank_cap
+        lip_ok = lip_ok and _count_at_least(sv_c, eps) <= rank_cap
         for i in np.unique(idx):
             chi_i = np.repeat(idx == i, g.fiber_dim).astype(float)
             mat = chi_i[:, None] * T.matrix - T.matrix * chi_i[None, :]
             sv_b = np.linalg.svd(mat, compute_uv=False)
-            borel_ok = borel_ok and int((sv_b >= eps).sum()) <= rank_cap
+            borel_ok = borel_ok and _count_at_least(sv_b, eps) <= rank_cap
     return SpotcheckReport(
         mesh=mesh, step_defects=tuple(defects), direct_bounds=tuple(bounds),
         cross_term_norms=tuple(crosses),

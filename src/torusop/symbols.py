@@ -165,20 +165,16 @@ def _xi_partial(samples: np.ndarray, grid: GridSpec, beta: tuple) -> np.ndarray:
     n_x = samples.shape[0]
     a = samples.reshape((n_x,) + g.grid_shape() + samples.shape[2:])
     dxi = 1.0 / g.period_scale
-    even = g.points_per_axis % 2 == 0
     for ax, order in enumerate(beta):
         axis = 1 + ax
         for _ in range(order):
+            # grids are even: the sorted layout puts the half mode at index 0
             a = np.fft.fftshift(a, axes=axis)
-            if even:
-                # Sorted layout puts the half mode at index 0.
-                interior = np.take(a, range(1, g.points_per_axis), axis=axis)
-                d_int = np.gradient(interior, dxi, axis=axis, edge_order=2)
-                lo = np.take(d_int, [0], axis=axis)
-                hi = np.take(d_int, [d_int.shape[axis] - 1], axis=axis)
-                a = np.concatenate([0.5 * (lo + hi), d_int], axis=axis)
-            else:
-                a = np.gradient(a, dxi, axis=axis, edge_order=2)
+            interior = np.take(a, range(1, g.points_per_axis), axis=axis)
+            d_int = np.gradient(interior, dxi, axis=axis, edge_order=2)
+            lo = np.take(d_int, [0], axis=axis)
+            hi = np.take(d_int, [d_int.shape[axis] - 1], axis=axis)
+            a = np.concatenate([0.5 * (lo + hi), d_int], axis=axis)
             a = np.fft.ifftshift(a, axes=axis)
     return a.reshape(samples.shape)
 

@@ -157,6 +157,13 @@ def test_main_rejects_mistyped_config_with_one_line(tmp_path, capsys):
     ("symbol-check", {"L": float("inf")}),
     ("compose-check", {"N_ladder": [64, 15]}),
     ("compose-check", {"N_ladder": [64], "L": -2.0}),
+    ("parametrix", {"family": "nope"}),
+    ("symbol-check", {"families": ["laplace+1", "nope"]}),
+    ("compose-check", {"pairs": [["elliptic_x", "nope"]]}),
+    ("compose-check", {"pairs": [["elliptic_x"]]}),
+    ("funcalc-defect", {"function": "nope"}),
+    ("funcalc-defect", {"function": "chi_rational"}),
+    ("funcalc-defect", {"function": "identity"}),
 ])
 def test_bad_grid_values_fail_before_any_output(tmp_path, capsys, scenario,
                                                 bad):
@@ -174,10 +181,26 @@ def test_bad_grid_values_keep_an_earlier_summary(tmp_path):
     out = tmp_path / "run"
     assert run("symbol-check", {"N": 32}, out=str(out)) == 0
     before = _tree_bytes(out)
-    for bad in ({"N": 15}, {"L": -1.0}):
+    for bad in ({"N": 15}, {"L": -1.0}, {"families": ["nope"]}):
         with pytest.raises(ValueError):
             run("symbol-check", bad, out=str(out))
         assert _tree_bytes(out) == before
+    # unknown names in the other scenarios that read them
+    for scenario, good, bads in [
+        ("parametrix", {"N": 32, "J_list": [0]}, [{"family": "nope"}]),
+        ("compose-check", {"N_ladder": [32], "J_list": [0]},
+         [{"pairs": [["nope", "momentum"]]}]),
+        ("funcalc-defect", {"N": 32},
+         [{"function": "nope"}, {"function": "si_normalizing"}]),
+    ]:
+        out = tmp_path / scenario
+        run(scenario, good, out=str(out))
+        before = _tree_bytes(out)
+        assert "summary.json" in before and "manifest.json" in before
+        for bad in bads:
+            with pytest.raises(ValueError):
+                run(scenario, bad, out=str(out))
+            assert _tree_bytes(out) == before
 
 
 def test_int_config_value_accepted_for_float_default(tmp_path):

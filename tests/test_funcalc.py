@@ -3,9 +3,11 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from torusop import funcalc
 from torusop.lattice import GridSpec
 from torusop.operators import (
     DiscreteOperator,
+    fourier_matrix,
     fourier_multiplier,
     multiplication_operator,
     quantize,
@@ -96,24 +98,20 @@ def test_spectral_data_fourier_path_rejects_corruption(grid):
                            order=2)
     sd = spectral_data(P)
     vals, vecs, modes = sd.eigenvalues, sd.eigenvectors, sd.modes
-    SpectralData(vals, vecs, P, modes=modes)
+    SpectralData(vals, None, P, modes=modes)
     bad_vals = vals.copy()
     bad_vals[3] += 1e-6 * np.abs(vals).max()
     with pytest.raises(ValueError, match="reconstruction defect"):
-        SpectralData(bad_vals, vecs, P, modes=modes)
+        SpectralData(bad_vals, None, P, modes=modes)
     swapped = modes.copy()
     swapped[[0, -1]] = swapped[[-1, 0]]
     with pytest.raises(ValueError, match="reconstruction defect"):
-        SpectralData(vals, vecs, P, modes=swapped)
+        SpectralData(vals, None, P, modes=swapped)
     with pytest.raises(ValueError, match="not a permutation"):
-        SpectralData(vals, vecs, P, modes=np.zeros_like(modes))
-    # eigenvectors off the declared basis are checked densely
-    bad_vecs = vecs.copy()
-    bad_vecs[:, 3] *= 1.0 + 1e-6
-    with pytest.raises(ValueError, match="not unitary"):
-        SpectralData(vals, bad_vecs, P, modes=modes)
-    with pytest.raises(ValueError, match="reconstruction defect"):
-        SpectralData(vals, vecs[:, ::-1], P, modes=modes)
+        SpectralData(vals, None, P, modes=np.zeros_like(modes))
+    # modes alone declares the basis: eigenvectors alongside them is an error
+    with pytest.raises(ValueError, match="exactly one"):
+        SpectralData(vals, vecs, P, modes=modes)
 
 
 def test_spectral_gate_passes_on_wave_scan_multiplier():
@@ -121,9 +119,36 @@ def test_spectral_gate_passes_on_wave_scan_multiplier():
     g = GridSpec(1, 1024, 8.0)
     P = fourier_multiplier(g, lambda xi: 1.0 + xi[..., 0] ** 2, order=2)
     sd = spectral_data(P)
-    assert sd._is_declared_fourier_basis()
     x = sd.eigenvectors[:, np.argmax(np.abs(sd.eigenvalues))]
     assert _gate_passes(sd.apply(sd.eigenvalues) - P.matrix, P.matrix, x)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 64, 1.0), GridSpec(2, 8, 1.0, 2)],
+                         ids=["1d-r1", "2d-r2"])
+def test_multiplier_basis_is_built_on_first_read(grid, monkeypatch):
+    P = fourier_multiplier(grid, lambda xi: 1.0 + (xi ** 2).sum(axis=-1),
+                           order=2)
+
+    def no_basis(g):
+        raise AssertionError("dense Fourier basis built")
+
+    monkeypatch.setattr(funcalc, "fourier_matrix", no_basis)
+    sd = spectral_data(P)
+    spectral_apply(P, np.cos, spectral=sd)
+    assert "eigenvectors" not in sd.__dict__
+    monkeypatch.undo()
+    # the dense basis as spectral_data built it before it became lazy
+    r, order = grid.fiber_dim, sd.modes
+    w = (fourier_matrix(grid)[:, None, order // r]
+         * (np.arange(r)[:, None] == order % r))
+    v = sd.eigenvectors
+    assert np.array_equal(v, w.reshape(grid.state_dim, -1))
+    assert sd.__dict__["eigenvectors"] is v
+    with pytest.raises(ValueError, match="exactly one"):
+        SpectralData(sd.eigenvalues, None, P)
+    # on the eigh path the constructor's basis fills the same cache
+    vals, vecs = scipy.linalg.eigh(P.matrix)
+    assert SpectralData(vals, vecs, P).__dict__["eigenvectors"] is vecs
 
 
 def test_spectral_data_multiplier_fast_path():
@@ -158,6 +183,13 @@ def test_fourier_route_matches_oracle():
     res = fourier_apply(P, f, n_quad=512)
     assert res.defect <= 1e-8
     assert not res.flagged
+
+
+def test_fourier_route_needs_a_closed_form_transform():
+    P = _p(N=32, L=2.0, name="sqrt_laplace")
+    for name in ("chi_rational", "si_normalizing", "identity", "one"):
+        with pytest.raises(ValueError, match="closed-form transform"):
+            fourier_apply(P, named_function(name))
 
 
 def test_resolvent_route_matches_oracle():

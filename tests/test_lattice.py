@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from torusop.lattice import (
     GridSpec,
@@ -90,6 +91,42 @@ def test_cutoff_eta_is_one_on_region():
     assert np.allclose(eta.values[reg.mask], 1.0)
     far = reg.ball(8 * g.spacing).complement()
     assert np.abs(eta.values[far.mask]).max() == 0.0
+
+
+def test_cutoff_eta_of_empty_and_full_regions_is_exact():
+    rng = np.random.default_rng(1)
+    for g in (GridSpec(1, 16, 1.0), GridSpec(2, 8, 1.0)):
+        n = g.n_points
+        u = Section(g, rng.standard_normal((n, 1)))
+        for fill, expect in ((False, np.zeros(n)), (True, np.ones(n))):
+            region = Region(g, np.full(n, fill))
+            eta = cutoff_eta(region, 4 * g.spacing)
+            assert np.array_equal(eta.values.view(np.uint64),
+                                  expect.view(np.uint64))
+            # so the restricted seminorm is 0 or the full norm, exactly
+            for s in (0.0, 1.0):
+                got = restricted_seminorm(u, s, region, 4 * g.spacing)
+                assert got == (sobolev_norm(u, s) if fill else 0.0)
+            with pytest.raises(ValueError, match="under-resolved"):
+                restricted_seminorm(u, 0.0, region, 2 * g.spacing)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2]), half_n=st.integers(4, 16),
+       L=st.floats(0.5, 2.0), steps=st.floats(4.0, 12.0),
+       ball=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(dim=1, half_n=16, L=1.0, steps=8.0, ball=True, seed=0)
+def test_cutoff_eta_meets_its_lipschitz_bound(dim, half_n, L, steps, ball,
+                                              seed):
+    g = GridSpec(dim, 2 * half_n, L)
+    rng = np.random.default_rng(seed)
+    if ball:
+        region = ball_region(g, rng.uniform(0.0, g.period, dim),
+                             rng.uniform(0.0, g.period / 4))
+    else:
+        region = Region(g, rng.random(g.n_points) < rng.uniform())
+    eta = cutoff_eta(region, steps * g.spacing)
+    assert eta.measured_lipschitz() <= eta.lipschitz_bound
 
 
 def test_restricted_seminorm_localizes():

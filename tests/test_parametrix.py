@@ -47,6 +47,17 @@ def test_parametrix_residuals_shrink_with_sweeps():
         prev = cur
 
 
+def test_parametrix_reports_divergence():
+    # a = 1.05 leaves a + cos(x) barely positive, and the sweeps blow up
+    g = GridSpec(1, 32, 0.5)
+    p = named_symbol(g, "elliptic_x", {"a": 1.05})
+    res = build_parametrix(quantize(p), p, 3, excision_width=4.0)
+    history = res.defect_history
+    assert len(history) == 3 and history[-1] > 2.0 * history[-2]
+    assert res.diverged
+    assert res.worst_cell and res.worst_cell[3] == history[-1]
+
+
 def test_parametrix_two_sided():
     g = GridSpec(1, 128, 2.0)
     p = named_symbol(g, "elliptic_x")

@@ -3,6 +3,7 @@ import pytest
 
 from torusop import lattice
 from torusop.lattice import (
+    BumpFunction,
     GridSpec,
     Section,
     ball_region,
@@ -50,6 +51,28 @@ def test_eps_rank_geometric_diagonal():
     assert eps_rank(_op(g, mat), 0.3) == 2
     with pytest.raises(ValueError):
         eps_rank(_op(g, mat), 0.0)
+
+
+def test_profile_counts_prescribed_singular_values():
+    # T = U diag(sigma) V*; with f = 1 both fT and Tf are T itself
+    g = GridSpec(1, 16, 1.0)
+    rng = np.random.default_rng(3)
+    sigma = np.array([2.0, 0.7, 0.3, 0.15, 0.07, 0.03, 0.015]
+                     + [1e-3] * 9)
+    u, _ = np.linalg.qr(rng.standard_normal((16, 16))
+                        + 1j * rng.standard_normal((16, 16)))
+    v, _ = np.linalg.qr(rng.standard_normal((16, 16))
+                        + 1j * rng.standard_normal((16, 16)))
+    T = _op(g, (u * sigma) @ v.conj().T)
+    one = BumpFunction(g, np.ones(16), lipschitz_bound=0.0,
+                       support_diam=np.inf)
+    eps_list = (0.5, 0.1, 0.02)
+    expect = tuple(int((sigma >= eps).sum()) for eps in eps_list)
+    assert expect == (2, 4, 6)
+    prof = uniform_approx_profile(T, [one], forms=("fT", "Tf"),
+                                  eps_list=eps_list)
+    assert prof.ranks == {"fT": expect, "Tf": expect}
+    assert tuple(eps_rank(T, eps) for eps in eps_list) == expect
 
 
 def test_uniform_approx_profile_translates_share_ranks():
