@@ -22,7 +22,6 @@ from . import __version__
 from .lattice import GridSpec, ball_region, lipschitz_bump
 from .symbols import (
     NAMED_SYMBOLS,
-    check_elliptic,
     estimate_constants,
     compose_symbols,
     named_symbol,
@@ -181,7 +180,6 @@ def _run_symbol_check(cfg, out, rng):
         gf = GridSpec(1, cfg["N"], cfg["L"], fiber)
         p = named_symbol(gf, fam)
         rep = estimate_constants(p, cfg["alpha_max"], cfg["beta_max"])
-        cert = check_elliptic(p)
         for (a, b), c in sorted(rep.constants.items()):
             rows.append((fam, a[0], b[0], c))
         checks.append(_check(f"{fam}: constants finite",

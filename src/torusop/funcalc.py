@@ -215,22 +215,22 @@ class ScalarFunctionSpec:
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
 
-    def verify(self, x_max: float = 40.0, n_points: int = 8001,
-               n_max: int = 4) -> dict:
+    def verify(self) -> dict:
         """Check the declared class on a sample grid; returns the evidence.
 
-        For "symbol"/"schwartz" the measured constants
-        C_n = sup |f^(n)| (1+|x|)^(n-m) are returned; for "normalizing" the
-        oddness defect, sign condition, and limit defects are returned.
+        The grid is 8001 points on [-40, 40].  For "symbol"/"schwartz" the
+        measured constants C_n = sup |f^(n)| (1+|x|)^(n-m), n = 0..4, are
+        returned; for "normalizing" the oddness defect, sign condition, and
+        limit defects are returned.
         """
-        x = np.linspace(-x_max, x_max, n_points)
+        x = np.linspace(-40.0, 40.0, 8001)
         f = np.asarray(self.fn(x), dtype=float)
         report = {"class": self.declared_class}
         if self.declared_class in ("schwartz", "symbol"):
             m = -np.inf if self.declared_class == "schwartz" else self.m
             d = f
             constants = []
-            for n in range(n_max + 1):
+            for n in range(5):
                 weight = (1.0 + np.abs(x)) ** (n - (self.m if np.isfinite(m)
                                                     else -8))
                 constants.append(float((np.abs(d) * weight).max()))
@@ -348,15 +348,14 @@ def _as_callable(f):
 
 def spectral_apply(
     P: DiscreteOperator, f, spectral: SpectralData | None = None,
-    order: int | None = None, provenance: str = "function_of",
 ) -> DiscreteOperator:
-    """Oracle route: f(P) = V f(lambda) V*."""
+    """Oracle route: f(P) = V f(lambda) V*, declared order 0."""
     sd = spectral or spectral_data(P)
     vals = np.asarray(_as_callable(f)(sd.eigenvalues), dtype=complex)
     mat = sd.apply(vals)
     sa = bool(np.all(np.abs(vals.imag) <= 1e-14 * max(1.0, np.abs(vals).max())))
-    return DiscreteOperator(P.grid, order if order is not None else 0,
-                            mat, provenance=provenance, self_adjoint=sa)
+    return DiscreteOperator(P.grid, 0, mat, provenance="function_of",
+                            self_adjoint=sa)
 
 
 def wave_operator(
@@ -388,15 +387,11 @@ class FuncalcResult:
 
     operator: DiscreteOperator
     defect: float
-    budget: float
-    flagged: bool
-    settings: tuple = ()
 
 
 def fourier_apply(
     P: DiscreteOperator, f: ScalarFunctionSpec, t_max: float = 12.0,
-    n_quad: int = 2048, tolerance: float | None = None,
-    spectral: SpectralData | None = None,
+    n_quad: int = 2048, spectral: SpectralData | None = None,
 ) -> FuncalcResult:
     """Wave route f(P) = (1/sqrt(2 pi)) int fhat(t) e^{itP} dt by trapezoid.
 
@@ -416,27 +411,26 @@ def fourier_apply(
     mat = sd.apply(vals)
     oracle = np.asarray(f.fn(sd.eigenvalues), dtype=complex)
     defect = float(np.abs(vals - oracle).max())
-    budget = tolerance if tolerance is not None else np.inf
     op = DiscreteOperator(P.grid, 0, mat, provenance="function_of",
                           defect=defect)
-    return FuncalcResult(op, defect, budget, flagged=bool(defect > budget),
-                         settings=(("t_max", t_max), ("n_quad", n_quad)))
+    return FuncalcResult(op, defect)
 
 
 def chi_resolvent_integral(
-    P: DiscreteOperator, lam_max: float = 1e3, n_quad: int = 4096,
-    lam_min: float = 1e-6, tolerance: float | None = None,
+    P: DiscreteOperator, n_quad: int = 4096,
     spectral: SpectralData | None = None,
 ) -> FuncalcResult:
     """Resolvent route chi(P) = (2/pi) int_0^inf P (1 + lam^2 + P^2)^{-1} dlam.
 
-    The quadrature covers [lam_min, lam_max] on a log-spaced trapezoid grid;
-    the head [0, lam_min] and the tail beyond lam_max are added in closed
-    form ((2/pi) x / sqrt(1+x^2) times the arctan increments), so the only
-    numerical error is the trapezoid error of the middle segment.
+    The quadrature covers the window [lam_min, lam_max] = [1e-6, 1e3] on a
+    log-spaced trapezoid grid; the head [0, lam_min] and the tail beyond
+    lam_max are added in closed form ((2/pi) x / sqrt(1+x^2) times the
+    arctan increments), so the only numerical error is the trapezoid error
+    of the middle segment.
     """
     sd = spectral or spectral_data(P)
     x = sd.eigenvalues
+    lam_min, lam_max = 1e-6, 1e3
     lam = np.geomspace(lam_min, lam_max, n_quad)
     w = np.zeros(n_quad)
     w[1:] += 0.5 * np.diff(lam)
@@ -451,11 +445,9 @@ def chi_resolvent_integral(
     oracle = x / root
     defect = float(np.abs(vals - oracle).max())
     mat = sd.apply(vals.astype(complex))
-    budget = tolerance if tolerance is not None else np.inf
     op = DiscreteOperator(P.grid, 0, mat, provenance="function_of",
                           self_adjoint=True, defect=defect)
-    return FuncalcResult(op, defect, budget, flagged=bool(defect > budget),
-                         settings=(("lam_max", lam_max), ("n_quad", n_quad)))
+    return FuncalcResult(op, defect)
 
 
 # ---------------------------------------------------------------------------
@@ -474,21 +466,21 @@ class QIntegralResult:
 
 def q_integral(
     q: ScalarFunctionSpec, n: int, P: DiscreteOperator, parametrix,
-    t_max: float = 16.0, n_quad: int = 4096, l_list=(0, 1),
-    spectral: SpectralData | None = None,
 ) -> QIntegralResult:
     """Quadrature of A_0 = int q(t) e^{itP} dt with the order-raising identity.
 
-    Each integration by parts against the parametrix Q of P gives
-    A_j = iQ A_{j+1} + S2 A_j, hence
-    A_0 = (iQ)^n A_n + sum_{j<n} (iQ)^j S2 A_j.  The residual of that matrix
-    identity is reported against a bound driven by the quadrature defects and
-    the parametrix residual S2.
+    The trapezoid rule takes 4096 nodes on [-16, 16].  Each integration by
+    parts against the parametrix Q of P gives A_j = iQ A_{j+1} + S2 A_j,
+    hence A_0 = (iQ)^n A_n + sum_{j<n} (iQ)^j S2 A_j.  The residual of that
+    matrix identity is reported against a bound driven by the quadrature
+    defects and the parametrix residual S2.  The norms of A_0 are recorded
+    as maps H^{l-nk+k-1} -> H^l for l = 0 and 1.
     """
     if q.derivative is None:
         raise ValueError("q_integral needs closed-form derivatives of q")
-    sd = spectral or spectral_data(P)
-    t = np.linspace(-t_max, t_max, n_quad)
+    sd = spectral_data(P)
+    n_quad = 4096
+    t = np.linspace(-16.0, 16.0, n_quad)
     w = np.full(n_quad, t[1] - t[0])
     w[0] *= 0.5
     w[-1] *= 0.5
@@ -521,7 +513,7 @@ def q_integral(
     A = DiscreteOperator(g, -(n * k - k + 1), mats[0],
                          provenance="function_of")
     norms = {}
-    for l in l_list:
+    for l in (0, 1):
         norms[l] = op_norm(A, float(l - n * k + k - 1), float(l))
     return QIntegralResult(operator=A, identity_residual=residual,
                            residual_bound=float(bound) + 1e-12, norms=norms)
@@ -539,14 +531,18 @@ class PsiDifferenceReport:
     slack: float
 
 
-def _c_psi(psi: ScalarFunctionSpec, s_max: float = 200.0,
-           n_s: int = 1 << 18) -> float:
-    """(1/2pi) int |s psihat(s)| ds with psihat the non-unitary transform."""
+def _c_psi(psi: ScalarFunctionSpec) -> float:
+    """(1/2pi) int |s psihat(s)| ds with psihat the non-unitary transform.
+
+    Without a closed form, psi' is sampled at 2^18 points on [-200, 200)
+    and transformed by FFT.
+    """
     if psi.c_psi is not None:
         return float(psi.c_psi)
     # psi itself need not be integrable (normalizing functions tend to +-1),
     # but s psihat(s) = -i FT(psi')(s), and psi' is transformable.
-    x = np.linspace(-s_max, s_max, n_s, endpoint=False)
+    n_s = 1 << 18
+    x = np.linspace(-200.0, 200.0, n_s, endpoint=False)
     dx = x[1] - x[0]
     if psi.derivative is not None:
         dsamples = np.asarray(psi.derivative(1)(x), dtype=complex)
@@ -563,11 +559,11 @@ def psi_difference_bound(
     psi: ScalarFunctionSpec,
     P: DiscreteOperator,
     P_prime: DiscreteOperator,
-    l: float = 0.0,
-    q_order: float = 0.0,
-    tol: float = 0.05,
 ) -> PsiDifferenceReport:
-    """Check op_norm(psi(P) - psi(P'), l, l-q) <= C_psi op_norm(P-P', l, l-q)."""
+    """Check ||psi(P) - psi(P')|| <= C_psi ||P - P'|| in the L^2 operator norm.
+
+    Both sides are op_norm(., 0, 0), the norm as maps L^2 -> L^2.
+    """
     g = P.grid
     c = _c_psi(psi)
     fp = spectral_apply(P, psi)
@@ -576,7 +572,7 @@ def psi_difference_bound(
                             provenance="function_of")
     pdiff = DiscreteOperator(g, P.order, P.matrix - P_prime.matrix,
                              provenance="composed")
-    lhs = op_norm(diff, l, l - q_order)
-    rhs = c * op_norm(pdiff, l, l - q_order)
+    lhs = op_norm(diff, 0.0, 0.0)
+    rhs = c * op_norm(pdiff, 0.0, 0.0)
     slack = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)
     return PsiDifferenceReport(lhs=lhs, rhs=rhs, c_psi=c, slack=slack)

@@ -11,7 +11,7 @@ tracks the norm continuity of these families in the deformation parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +24,12 @@ from .operators import (
 )
 from .funcalc import (
     ScalarFunctionSpec,
-    SpectralData,
     _as_callable,
     _c_psi,
     spectral_data,
     spectral_apply,
 )
-from .quasiloc import EpsRankProfile, uniform_approx_profile
+from .quasiloc import uniform_approx_profile
 
 __all__ = [
     "Multigrading",
@@ -49,6 +48,8 @@ _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 GRADING_TOL = 1e-12
+# largest relative order-k difference homotopy_scan accepts between endpoints
+PRINCIPAL_MISMATCH_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -109,16 +110,15 @@ class Multigrading:
 
 def make_multigrading(
     p: int,
-    base_fiber: int = 1,
     grading: np.ndarray | None = None,
     generators=None,
 ) -> Multigrading:
-    """Clifford-type multigrading of degree p on a 2^m * base_fiber fiber.
+    """Clifford-type multigrading of degree p on a 2^m fiber.
 
-    The default representation uses iterated Pauli tensor blocks: hermitian
-    anticommuting gamma factors with an i prefactor so each generator squares
-    to -1.  Explicit grading/generator matrices may be supplied instead; the
-    constructor then only enforces the relations.
+    m = max(1, ceil(p / 2)).  The default representation uses iterated Pauli
+    tensor blocks: hermitian anticommuting gamma factors with an i prefactor
+    so each generator squares to -1.  Explicit grading/generator matrices may
+    be supplied instead; the constructor then only enforces the relations.
     """
     if p < -1:
         raise ValueError("p must be >= -1")
@@ -130,13 +130,12 @@ def make_multigrading(
         gens = tuple(np.asarray(g, dtype=complex) for g in generators)
         return Multigrading(p, np.asarray(grading, dtype=complex), gens)
     m = max(1, -(-p // 2))  # ceil(p / 2), at least one block for the grading
-    eye_b = np.eye(base_fiber)
 
     def _chain(factors):
         out = np.array([[1.0 + 0.0j]])
         for f in factors:
             out = np.kron(out, f)
-        return np.kron(out, eye_b)
+        return out
 
     eps = _chain([_PAULI_Z] * m)
     gens = []
@@ -183,7 +182,6 @@ def assemble_module(
     mg: Multigrading,
     test_families,
     eps_list=(0.5, 0.1, 0.02),
-    spectral: SpectralData | None = None,
     check_square_exact: bool = False,
 ) -> FredholmModule:
     """Build (H, rho, chi(P)) and verify the module conditions.
@@ -219,8 +217,8 @@ def assemble_module(
                 f"P is not multigraded: defect {graded_defect:.3e}"
             )
 
-    sd = spectral or spectral_data(P)
-    T = spectral_apply(P, chi, spectral=sd, provenance="function_of")
+    sd = spectral_data(P)
+    T = spectral_apply(P, chi, spectral=sd)
     adjoint_defect = float(np.linalg.norm(T.matrix - T.matrix.T.conj(), 2))
 
     tsq = DiscreteOperator(g, 0, T.matrix @ T.matrix - np.eye(g.state_dim),
@@ -271,17 +269,12 @@ class CommutatorIntegralResult:
     first_term_norm: float
     second_term_norm: float
     under_resolved: bool
-    settings: dict
 
 
 def commutator_integral(
     P: DiscreteOperator,
     f: BumpFunction,
-    lam_max: float = 1e8,
     n_quad: int = 4096,
-    lam_min: float = 1e-4,
-    spectral: SpectralData | None = None,
-    tolerance: float = 1e-4,
 ) -> CommutatorIntegralResult:
     """[rho(f), chi(P)] for chi(x) = x / sqrt(1+x^2), by resolvent quadrature.
 
@@ -292,17 +285,18 @@ def commutator_integral(
                     / ((1 + lam^2 + mu_i^2)(1 + lam^2 + mu_j^2)),
 
     whose lambda-integral is the divided difference of chi.  The quadrature
-    is a trapezoid rule on 0 followed by a log-spaced ladder up to lam_max
-    (the integrand decays like lam^-2, so the truncated tail contributes
-    about (2/pi)/lam_max and lam_max must be generous).  The defect against
-    the direct
-    spectral commutator is reported; both summands of the integrand are also
-    integrated separately so their individual finiteness is on record.
+    is a trapezoid rule on 0 followed by n_quad log-spaced nodes on
+    [1e-4, 1e8] (the integrand decays like lam^-2, so the truncated tail
+    contributes about (2/pi) 1e-8).  The defect against the direct spectral
+    commutator is reported, and the result is under-resolved when that
+    defect exceeds 1e-4 times max(1, ||direct||); both summands of the
+    integrand are also integrated separately so their individual finiteness
+    is on record.
     """
     g = P.grid
     if not P.self_adjoint:
         raise ValueError("P must be self-adjoint")
-    sd = spectral or spectral_data(P)
+    sd = spectral_data(P)
     rho = np.repeat(f.values, g.fiber_dim)
     C = sd.eigenvectors.T.conj() @ (
         rho[:, None] * P.matrix - P.matrix * rho[None, :]
@@ -312,7 +306,7 @@ def commutator_integral(
     sq_i = (mu ** 2)[:, None]
     sq_j = (mu ** 2)[None, :]
 
-    lam = np.concatenate([[0.0], np.geomspace(lam_min, lam_max, n_quad)])
+    lam = np.concatenate([[0.0], np.geomspace(1e-4, 1e8, n_quad)])
     k_first = np.zeros_like(outer)
     k_second = np.zeros_like(outer)
     prev_first = prev_second = None
@@ -345,8 +339,7 @@ def commutator_integral(
     return CommutatorIntegralResult(
         operator=op, defect=defect,
         first_term_norm=first_norm, second_term_norm=second_norm,
-        under_resolved=bool(defect > tolerance * scale),
-        settings={"lam_min": lam_min, "lam_max": lam_max, "n_quad": n_quad},
+        under_resolved=bool(defect > 1e-4 * scale),
     )
 
 
@@ -379,7 +372,6 @@ def homotopy_scan(
     chi,
     t_steps,
     test_fs,
-    mismatch_tol: float = 0.1,
 ) -> HomotopyTrace:
     """Track the three module families along the straight-line operator path.
 
@@ -387,7 +379,8 @@ def homotopy_scan(
     decay of the max adjacent-step jump against the step size is fitted to a
     power law, giving the continuity exponent gamma per family.  The leading
     behaviour of P and P' must agree: their difference, measured at the full
-    declared order, has to be small next to the operators themselves.
+    declared order, may be at most PRINCIPAL_MISMATCH_TOL = 0.1 of the
+    operators themselves.
     """
     g = P.grid
     if not (P.self_adjoint and P_prime.self_adjoint):
@@ -411,7 +404,7 @@ def homotopy_scan(
     full = hi_norm(diff_rep)
     ref = max(hi_norm(_to_fourier_rep(P)), hi_norm(_to_fourier_rep(P_prime)))
     principal_defect = full / max(ref, 1e-30)
-    if principal_defect > mismatch_tol:
+    if principal_defect > PRINCIPAL_MISMATCH_TOL:
         raise ValueError(
             "principal symbols differ: relative order-k defect "
             f"{principal_defect:.3e}"

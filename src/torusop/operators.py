@@ -254,14 +254,8 @@ def compose(A: DiscreteOperator, B: DiscreteOperator) -> DiscreteOperator:
 
 
 def adjoint(A: DiscreteOperator) -> DiscreteOperator:
-    return DiscreteOperator(
-        A.grid, A.order, A.matrix.conj().T,
-        provenance="composed",
-        self_adjoint=A.self_adjoint,
-        scalar_symbol=A.scalar_symbol,
-        hermitian_symbol=A.hermitian_symbol,
-        propagation_bound=A.propagation_bound,
-    )
+    """A* with every flag of A kept: order, symbol flags, propagation data."""
+    return replace(A, matrix=A.matrix.conj().T, provenance="composed")
 
 
 def commutator(A: DiscreteOperator, B: DiscreteOperator) -> DiscreteOperator:

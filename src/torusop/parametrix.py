@@ -29,7 +29,6 @@ from .lattice import (
 )
 from .symbols import (
     Symbol,
-    EllipticityCertificate,
     check_elliptic,
     compose_symbols,
     invert_principal,
@@ -148,7 +147,6 @@ def build_parametrix(
     p: Symbol,
     J: int,
     excision_width: float = 1.0,
-    cert: EllipticityCertificate | None = None,
     norm_range: int = 4,
 ) -> ParametrixResult:
     """Iterated symbol-correction parametrix of an elliptic operator.
@@ -160,8 +158,7 @@ def build_parametrix(
     frequency representation of S1, the first read of an ("S2", k, l)
     entry that of S2, and every read of a new entry takes one SVD.
     """
-    if cert is None:
-        cert = check_elliptic(p)
+    cert = check_elliptic(p)
     if not cert.ok:
         raise ValueError(
             f"symbol is not elliptic; worst cell {cert.worst_point}"
@@ -288,26 +285,18 @@ def elliptic_estimate_constant(
     return best
 
 
-def fourier_diagonal_constant(
-    fn, order: int, s: float, dim: int = 1,
-    xi_max: float = 1e8, num: int = 4000,
-) -> float:
-    """Elliptic-estimate constant of a Fourier multiplier, by direct supremum.
+def fourier_diagonal_constant(fn, order: int, s: float) -> float:
+    """Elliptic-estimate constant of a 1D multiplier, by direct supremum.
 
     For plane waves the estimate diagonalizes, and the constant is
-    sup_xi (1+|xi|^2)^{k/2} / (1 + |m(xi)|), evaluated on a logarithmic
-    frequency grid extended far past any lattice (the supremum of interest is
-    often only attained as |xi| -> infinity).
+    sup_xi (1+|xi|^2)^{k/2} / (1 + |m(xi)|), evaluated at xi = 0 and on 4000
+    log-spaced frequencies in [1e-3, 1e8], far past any lattice (the
+    supremum of interest is often only attained as |xi| -> infinity).
     """
-    mags = np.concatenate([[0.0], np.geomspace(1e-3, xi_max, num)])
-    best = 0.0
-    for axis in range(dim):
-        xi = np.zeros((len(mags), dim))
-        xi[:, axis] = mags
-        m = np.abs(np.asarray(fn(xi), dtype=complex).ravel())
-        ratio = (1.0 + mags ** 2) ** (order / 2.0) / (1.0 + m)
-        best = max(best, float(ratio.max()))
-    return best
+    mags = np.concatenate([[0.0], np.geomspace(1e-3, 1e8, 4000)])
+    m = np.abs(np.asarray(fn(mags[:, None]), dtype=complex).ravel())
+    ratio = (1.0 + mags ** 2) ** (order / 2.0) / (1.0 + m)
+    return float(ratio.max())
 
 
 # ---------------------------------------------------------------------------
@@ -338,18 +327,18 @@ def elliptic_regularity_check(
     u: Section,
     J: int = 2,
     excision_width: float = 1.0,
-    levels=None,
-    parametrix: ParametrixResult | None = None,
 ) -> RegularityReport:
     """Verify the parametrix identity on u and tabulate frequency tails.
 
-    At each level F the report compares the Sobolev mass of u above F with
-    the mass of Pu above F; for an elliptic P of order k the former is
-    controlled by the latter at relative order -k, except on the excised
-    band, where Pu can vanish while u does not (flagged, not an error).
+    The levels F are six equal steps up to 0.75 times the largest lattice
+    frequency.  At each level F the report compares the Sobolev mass of u
+    above F with the mass of Pu above F; for an elliptic P of order k the
+    former is controlled by the latter at relative order -k, except on the
+    excised band, where Pu can vanish while u does not (flagged, not an
+    error).
     """
     g = P.grid
-    par = parametrix or build_parametrix(P, p, J, excision_width, norm_range=1)
+    par = build_parametrix(P, p, J, excision_width, norm_range=1)
     pu = apply_operator(P, u)
     recon = apply_operator(par.Q, pu).values + apply_operator(par.S2, u).values
     scale = sobolev_norm(u, 0.0) or 1.0
@@ -358,9 +347,8 @@ def elliptic_regularity_check(
         * np.linalg.norm((u.values - recon).ravel())
     ) / scale
 
-    if levels is None:
-        top = float(g.frequency_magnitude.max())
-        levels = np.linspace(0.0, 0.75 * top, 7)[1:]
+    top = float(g.frequency_magnitude.max())
+    levels = np.linspace(0.0, 0.75 * top, 7)[1:]
     rows = []
     for level in levels:
         tu = _tail_mass(u, level)
@@ -395,10 +383,12 @@ class ModifiedInnerProduct:
 
 
 def modified_inner_product(
-    P: DiscreteOperator, k: float = 0.0, l: float = 0.0,
-    probes: int = 20, seed: int = 0,
+    P: DiscreteOperator, k: float = 0.0, l: float = 0.0, probes: int = 20,
 ) -> ModifiedInnerProduct:
-    """Check that P is symmetric for <u,v> = <u,v>_{H^k} + <Pu,Pv>_{H^l}."""
+    """Check that P is symmetric for <u,v> = <u,v>_{H^k} + <Pu,Pv>_{H^l}.
+
+    The probes are drawn from the generator seeded with 0.
+    """
     if not P.self_adjoint:
         raise ValueError("modified inner product requires a self-adjoint P")
     g = P.grid
@@ -409,7 +399,7 @@ def modified_inner_product(
     gram = gk + lp.conj().T @ lp
     gram *= g.quadrature_weight ** 2
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
     n, r = g.n_points, g.fiber_dim
     pnorm = np.linalg.norm(P.matrix, 2)

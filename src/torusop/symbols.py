@@ -239,10 +239,12 @@ class EllipticityCertificate:
     worst_point: tuple = ()
 
 
-def check_elliptic(
-    p: Symbol, eps_guard: float = 1e-12, max_candidates: int = 24
-) -> EllipticityCertificate:
-    """Find the smallest lattice radius R past which the symbol is invertible."""
+def check_elliptic(p: Symbol) -> EllipticityCertificate:
+    """Find the smallest lattice radius R past which the symbol is invertible.
+
+    A block counts as invertible when its smallest singular value exceeds
+    1e-12 max(1, largest); at most 24 radii (and 0) are tried.
+    """
     g = p.grid
     a = p.samples
     sv_max = _block_norms(a)
@@ -251,12 +253,12 @@ def check_elliptic(
     else:
         sv_min = np.linalg.svd(a, compute_uv=False)[..., -1]
     absxi = g.frequency_magnitude
-    invertible = sv_min > eps_guard * np.maximum(sv_max, 1.0)
+    invertible = sv_min > 1e-12 * np.maximum(sv_max, 1.0)
     bad = ~invertible.all(axis=0)  # per xi point: any x fails
 
     uniq = np.unique(absxi)
-    if len(uniq) > max_candidates:
-        idx = np.linspace(0, len(uniq) - 1, max_candidates).astype(int)
+    if len(uniq) > 24:
+        idx = np.linspace(0, len(uniq) - 1, 24).astype(int)
         uniq = uniq[idx]
     candidates = np.concatenate([[0.0], uniq])
     for radius in np.unique(candidates):

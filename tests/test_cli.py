@@ -230,3 +230,17 @@ def test_crashed_run_leaves_no_old_pass(tmp_path, monkeypatch, crashing):
     with pytest.raises(RuntimeError):
         main(["--scenario", scenario, "--out", out])
     assert main(["--summary", "--out", out]) != 0
+
+
+def test_quasiloc_scan_with_a_skipped_radius_passes(tmp_path):
+    # no exterior is left at R = 100, so that radius is skipped (NaN)
+    out = tmp_path / "run"
+    cfg = {"R_list": [0.5, 1.0, 2.0, 100.0]}
+    assert run("quasiloc-scan", cfg, out=str(out)) == 0
+
+    def no_constant(name):
+        raise ValueError(f"summary.json holds {name}")
+
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=no_constant)
+    assert summary["passed"]

@@ -1,5 +1,8 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusop.lattice import GridSpec, Section
 from torusop.operators import (
@@ -141,3 +144,36 @@ def test_quantize_self_adjoint_flag_follows_kernel_defect(dim, N):
         assert P.self_adjoint == flag, name
         expect = (raw + raw.conj().T) / 2.0 if flag else raw
         assert np.array_equal(P.matrix, expect), name
+
+
+def _random_multiplier(dim, N, seed, real):
+    g = GridSpec(dim, N, 1.0)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(g.n_points)
+    if not real:
+        vals = vals + 1j * rng.standard_normal(g.n_points)
+    return g, vals, fourier_multiplier(g, lambda xi: vals, order=1,
+                                       propagation_speed=1.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(grid=st.sampled_from(((1, 16), (1, 32), (2, 4), (2, 8))),
+       seed=st.integers(0, 2 ** 32 - 1), real=st.booleans())
+def test_adjoint_is_an_involution(grid, seed, real):
+    _g, _vals, A = _random_multiplier(*grid, seed, real)
+    B = adjoint(adjoint(A))
+    assert np.array_equal(B.matrix, A.matrix)
+    for f in fields(A):
+        if f.name not in ("matrix", "provenance"):
+            assert getattr(B, f.name) == getattr(A, f.name), f.name
+
+
+@settings(max_examples=20, deadline=None)
+@given(grid=st.sampled_from(((1, 16), (1, 32), (2, 4), (2, 8))),
+       seed=st.integers(0, 2 ** 32 - 1), real=st.booleans(),
+       s=st.floats(-2.0, 2.0), t=st.floats(-2.0, 2.0))
+def test_op_norm_of_a_multiplier_is_its_weighted_sup(grid, seed, real, s, t):
+    g, vals, A = _random_multiplier(*grid, seed, real)
+    weight = lambda r: (1.0 + (g.frequencies ** 2).sum(axis=-1)) ** (r / 2.0)
+    expect = float((np.abs(vals) * weight(t) / weight(s)).max())
+    assert op_norm(A, s, t) == pytest.approx(expect, rel=1e-12)

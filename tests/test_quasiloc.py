@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusop import lattice
 from torusop.lattice import (
@@ -280,3 +283,29 @@ def test_dominating_function_matches_per_radius_loop(grid, name, radii,
                               seed=7, cutoff_width=width)
     assert len(calls) == len(regions) * (1 + len(radii) - 1)
     assert res.mu_hat == mu[:-1]
+
+
+def test_isotonic_defect_leaves_out_skipped_radii():
+    g = GridSpec(1, 64, 1.0)
+    A = quantize(named_symbol(g, "schwartz_xi"))
+    region = ball_region(g, np.zeros(1), 0.5)
+    est = dominating_function(A, 0.0, 0.0, (0.5, 1.0, 100.0), [region],
+                              probes=1)
+    assert est.estimator[-1] == "skipped"
+    measured = replace(est, R_list=est.R_list[:-1], mu_hat=est.mu_hat[:-1])
+    assert est.isotonic_defect() == measured.isotonic_defect()
+    # a rise from 0.5 to 1.0 across a skipped radius is half the max
+    assert replace(est, mu_hat=(0.5, np.nan, 1.0)).isotonic_defect() == 0.5
+    assert replace(est, mu_hat=(np.nan,) * 3).isotonic_defect() == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from((8, 16, 32)), seed=st.integers(0, 2 ** 32 - 1),
+       eps=st.lists(st.floats(1e-3, 10.0), min_size=2, max_size=6))
+def test_eps_rank_does_not_increase_with_eps(n, seed, eps):
+    rng = np.random.default_rng(seed)
+    g = GridSpec(1, n, 1.0)
+    T = _op(g, rng.standard_normal((n, n))
+            + 1j * rng.standard_normal((n, n)))
+    ranks = [eps_rank(T, e) for e in sorted(eps)]
+    assert all(a >= b for a, b in zip(ranks, ranks[1:]))
