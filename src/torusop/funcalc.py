@@ -406,8 +406,12 @@ def fourier_apply(
     w[0] *= 0.5
     w[-1] *= 0.5
     fh = np.asarray(f.fhat(t), dtype=complex)
-    phases = np.exp(1j * np.outer(t, sd.eigenvalues))
+    # the n_quad x n phase table is built in place and freed before f(P)
+    # is: it would otherwise stay live through the operator's construction
+    phases = np.outer(t, sd.eigenvalues) * 1j
+    np.exp(phases, out=phases)
     vals = (w * fh) @ phases / np.sqrt(2 * np.pi)
+    del phases
     mat = sd.apply(vals)
     oracle = np.asarray(f.fn(sd.eigenvalues), dtype=complex)
     defect = float(np.abs(vals - oracle).max())
@@ -435,9 +439,12 @@ def chi_resolvent_integral(
     w = np.zeros(n_quad)
     w[1:] += 0.5 * np.diff(lam)
     w[:-1] += 0.5 * np.diff(lam)
-    body = (2.0 / np.pi) * (
-        w[:, None] * (x[None, :] / (1.0 + lam[:, None] ** 2 + x[None, :] ** 2))
-    ).sum(axis=0)
+    # one n_quad x n table, updated in place and freed before chi(P) is built
+    q = 1.0 + lam[:, None] ** 2 + x[None, :] ** 2
+    np.divide(x[None, :], q, out=q)
+    q *= w[:, None]
+    body = (2.0 / np.pi) * q.sum(axis=0)
+    del q
     root = np.sqrt(1.0 + x ** 2)
     head = (2.0 / np.pi) * (x / root) * np.arctan(lam_min / root)
     tail = (2.0 / np.pi) * (x / root) * (np.pi / 2 - np.arctan(lam_max / root))

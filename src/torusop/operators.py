@@ -121,22 +121,36 @@ def _kn_matrix(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     ``a`` has shape (m, n_points, r, r), indexed (x, xi, fiber, fiber) with
     xi in FFT order; m = 1 stands for a symbol that does not depend on x.
     The xi-sum is one inverse FFT per sampled x; the kernel entry (j, k)
-    then reads it at the lattice offset (j - k) mod N, at x_j (or at the
-    single sample, which makes the matrix translation invariant).
+    then reads it at the lattice offset (j - k) mod N, at x_j.  With a
+    single sample the matrix is translation invariant (circulant): its
+    entries are read through a strided view of the kernel wrap-padded to
+    2N per axis, strides (+s, -s) for (j, k), so no offset index array is
+    built.  The x-dependent kernel is gathered with offset index arrays,
+    since padding it would cost 2^d times its size.
     """
     d, N = grid.dim, grid.points_per_axis
     n, r = grid.n_points, grid.fiber_dim
     shape = grid.grid_shape()
-    m = a.shape[0]
-    x_shape = shape if m == n else (1,) * d
-    b = np.fft.ifftn(a.reshape(x_shape + shape + (r, r)),
-                     axes=tuple(range(d, 2 * d)))
-    # open index grids over the axes (j_1..j_d, k_1..k_d)
-    ix = np.ix_(*[np.arange(N)] * (2 * d))
-    j, k = ix[:d], ix[d:]
-    x = j if m == n else (0,) * d
-    kern = b[x + tuple((ji - ki) % N for ji, ki in zip(j, k))]
-    return kern.reshape(n, n, r, r).transpose(0, 2, 1, 3).reshape(n * r, n * r)
+    if a.shape[0] == n:
+        b = np.fft.ifftn(a.reshape(shape + shape + (r, r)),
+                         axes=tuple(range(d, 2 * d)))
+        # open index grids over the axes (j_1..j_d, k_1..k_d)
+        ix = np.ix_(*[np.arange(N)] * (2 * d))
+        j, k = ix[:d], ix[d:]
+        kern = b[j + tuple((ji - ki) % N for ji, ki in zip(j, k))]
+        return (kern.reshape(n, n, r, r).transpose(0, 2, 1, 3)
+                .reshape(n * r, n * r))
+    b = np.fft.ifftn(a.reshape(shape + (r, r)), axes=tuple(range(d)))
+    # entry N + j - k of a padded axis is b at (j - k) mod N
+    padded = np.tile(b, (2,) * d + (1, 1))
+    s = padded.strides
+    view = np.lib.stride_tricks.as_strided(
+        padded[(N,) * d],
+        shape=shape + (r,) + shape + (r,),
+        strides=s[:d] + s[d:d + 1] + tuple(-x for x in s[:d]) + s[d + 1:],
+        writeable=False,
+    )
+    return np.ascontiguousarray(view).reshape(n * r, n * r)
 
 
 def _kn_operator(grid: GridSpec, order: int, a: np.ndarray,

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .lattice import (
     Region,
@@ -144,7 +145,11 @@ class DominatingFunctionEstimate:
 
 
 def _embedding_r_factor(region: Region, r: float) -> np.ndarray:
-    """R factor of the H^r embedding of sections supported in the region."""
+    """R factor of the H^r embedding of sections supported in the region.
+
+    Taken by QR of the n x m embedding: a Cholesky factor of its m x m Gram
+    matrix would be cheaper but squares the conditioning.
+    """
     g = region.grid
     fdim = g.fiber_dim
     mask = np.repeat(region.mask, fdim)
@@ -156,13 +161,26 @@ def _embedding_r_factor(region: Region, r: float) -> np.ndarray:
     return np.linalg.qr(den)[1]
 
 
+def _sup_ratio(num: np.ndarray, rr: np.ndarray) -> float:
+    """sup over v of ||num v|| / ||rr v|| for an upper-triangular ``rr``.
+
+    That is ||X||_2 for X = num rr^{-1}, which takes one triangular solve;
+    ||X||_2^2 is the top eigenvalue of the m x m Gram matrix X^H X.  The
+    clamp at 0 keeps an all-zero ``num`` exactly 0.
+    """
+    x = scipy.linalg.solve_triangular(rr, num.T, trans="T").T
+    top = scipy.linalg.eigh(x.conj().T @ x, eigvals_only=True)[-1]
+    return float(np.sqrt(top)) if top > 0 else 0.0
+
+
 def _restricted_sup(
     A: DiscreteOperator, region: Region, eta, rr: np.ndarray, s: float,
 ) -> float:
     """Exact sup over u supported in the region of the cutoff seminorm ratio.
 
     ``eta`` is the cutoff of the exterior and ``rr`` the region's
-    ``_embedding_r_factor``.
+    ``_embedding_r_factor``.  With num the H^s image of the cut-off columns
+    of A on the region, the sup is ``_sup_ratio(num, rr)``.
     """
     g = A.grid
     fdim = g.fiber_dim
@@ -171,9 +189,7 @@ def _restricted_sup(
     cols = cols * np.repeat(eta.values, fdim)[:, None]
     num = to_frequency(g, cols)
     num *= np.repeat(g.sobolev_weights(s), fdim)[:, None]
-    # sup ||num v|| / ||den v|| = ||num rr^{-1}||
-    mat = np.linalg.solve(rr.T.conj(), num.T.conj()).T.conj()
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+    return _sup_ratio(num, rr)
 
 
 def dominating_function(
@@ -192,7 +208,9 @@ def dominating_function(
     at radius R is the set where that distance exceeds R; the cutoff of
     each exterior is built once per (R, region) and serves the exact
     estimator and every probe; the QR factor of a region's H^r embedding
-    is taken once per call.
+    is taken once per call.  Each exact sup is then one triangular solve
+    against that factor and the top eigenvalue of an m x m Gram matrix,
+    m the region's state count (``_sup_ratio``).
     """
     g = A.grid
     if probes < 1:
@@ -304,10 +322,10 @@ def wave_quasilocality_scan(
                             probes, seed))
             table[(t, R)] = m
         if U.propagation_bound is not None:
-            for R in est.R_list:
-                if R > U.propagation_bound + cutoff_width:
-                    prop_rows.append((float(t), float(R),
-                                      table[(t, R)] == 0.0))
+            # a skipped radius (NaN, no exterior left) measured nothing
+            for R, m in zip(est.R_list, est.mu_hat):
+                if R > U.propagation_bound + cutoff_width and np.isfinite(m):
+                    prop_rows.append((float(t), float(R), m == 0.0))
 
     def _fit(xs, ys):
         xs, ys = np.asarray(xs), np.asarray(ys)

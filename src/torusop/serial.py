@@ -4,12 +4,14 @@ Sections and regions serialize as {schema, kind, dim, N, L, r, data};
 symbols and operators additionally carry {k, flags}.  Complex arrays are
 stored as paired real/imaginary nested lists.  All writers sort keys and
 format floats through a fixed %.17g so identical inputs produce identical
-bytes.
+bytes.  JSON output is strict (RFC 8259): a non-finite float is written as
+the string "inf", "-inf" or "nan".
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -52,9 +54,14 @@ def _pack(arr: np.ndarray):
 
 def _unpack(doc) -> np.ndarray:
     real = np.asarray(doc["real"], dtype=float)
-    if "imag" in doc:
-        return real + 1j * np.asarray(doc["imag"], dtype=float)
-    return real
+    if "imag" not in doc:
+        return real
+    # set the parts, not real + 1j * imag, which turns a -0.0 real part
+    # into +0.0 wherever the imaginary part has no sign bit
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
+    out.imag = doc["imag"]
+    return out
 
 
 def to_container(obj) -> dict:
@@ -128,16 +135,27 @@ class _FloatEncoder(json.JSONEncoder):
             return int(o)
         if isinstance(o, (np.floating,)):
             return float(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
         if isinstance(o, (np.bool_,)):
             return bool(o)
         return super().default(o)
 
 
+def _finite_only(o):
+    """``o`` with every non-finite float replaced by its name as a string."""
+    if isinstance(o, (float, np.floating)):
+        return o if math.isfinite(o) else repr(float(o))
+    if isinstance(o, dict):
+        return {k: _finite_only(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_finite_only(v) for v in o]
+    if isinstance(o, np.ndarray):
+        return _finite_only(o.tolist())
+    return o
+
+
 def json_bytes(doc: dict) -> bytes:
-    return json.dumps(doc, sort_keys=True, indent=1,
-                      cls=_FloatEncoder).encode() + b"\n"
+    return json.dumps(_finite_only(doc), sort_keys=True, indent=1,
+                      allow_nan=False, cls=_FloatEncoder).encode() + b"\n"
 
 
 def save(obj, path) -> None:

@@ -244,3 +244,37 @@ def test_quasiloc_scan_with_a_skipped_radius_passes(tmp_path):
     summary = json.loads((out / "summary.json").read_text(),
                          parse_constant=no_constant)
     assert summary["passed"]
+
+
+def test_waveprop_skipped_radius_is_not_a_propagation_row(tmp_path):
+    # no exterior is left at R = 100, so its mu_hat is NaN: it measured
+    # nothing and must not count as a row beyond the propagation cone
+    base = default_config("waveprop")["R_list"]
+    rows = []
+    for name, radii in (("base", base), ("far", base + [100.0])):
+        out = tmp_path / name
+        assert run("waveprop", {"R_list": radii}, out=str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        rows.append({c["name"]: c["value"] for c in summary["checks"]}
+                    ["rows beyond |t| + cutoff recorded"])
+    assert rows[0] == rows[1] > 0
+    scan = (tmp_path / "far" / "scan.csv").read_text().splitlines()[1:]
+    far = [line for line in scan if line.split(",")[1] == "100"]
+    assert far and all(line.split(",")[3:5] == ["nan", "skipped"]
+                       for line in far)
+
+
+def test_full_suite_writes_strict_json(tmp_path):
+    def no_constant(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    out = tmp_path / "suite"
+    assert run("full-suite", out=str(out), seed=0) == 0
+    tree = _tree_bytes(out)
+    names = [name for name in tree if name.endswith(".json")]
+    assert len(names) > 10
+    for name in names:
+        json.loads(tree[name], parse_constant=no_constant)
+    # the identically-zero adjoint track has an infinite exponent
+    trace = json.loads(tree[os.path.join("homotopy-scan", "trace.json")])
+    assert trace["gamma"]["adjoint"] == "inf"

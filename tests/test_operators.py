@@ -177,3 +177,33 @@ def test_op_norm_of_a_multiplier_is_its_weighted_sup(grid, seed, real, s, t):
     weight = lambda r: (1.0 + (g.frequencies ** 2).sum(axis=-1)) ** (r / 2.0)
     expect = float((np.abs(vals) * weight(t) / weight(s)).max())
     assert op_norm(A, s, t) == pytest.approx(expect, rel=1e-12)
+
+
+def _gathered_kn_matrix(grid, a):
+    """The kernel matrix read through (j - k) mod N index arrays: the
+    oracle for the circulant view of _kn_matrix."""
+    d, N = grid.dim, grid.points_per_axis
+    n, r = grid.n_points, grid.fiber_dim
+    shape = grid.grid_shape()
+    m = a.shape[0]
+    x_shape = shape if m == n else (1,) * d
+    b = np.fft.ifftn(a.reshape(x_shape + shape + (r, r)),
+                     axes=tuple(range(d, 2 * d)))
+    ix = np.ix_(*[np.arange(N)] * (2 * d))
+    j, k = ix[:d], ix[d:]
+    x = j if m == n else (0,) * d
+    kern = b[x + tuple((ji - ki) % N for ji, ki in zip(j, k))]
+    return kern.reshape(n, n, r, r).transpose(0, 2, 1, 3).reshape(n * r, n * r)
+
+
+@pytest.mark.parametrize("dim,N", [(1, 32), (2, 8)])
+@pytest.mark.parametrize("fiber", [1, 2])
+@pytest.mark.parametrize("x_dependent", [False, True])
+def test_kn_matrix_equals_offset_gather(dim, N, fiber, x_dependent):
+    g = GridSpec(dim, N, 1.0, fiber)
+    rng = np.random.default_rng([dim, N, fiber])
+    shape = (g.n_points if x_dependent else 1, g.n_points, fiber, fiber)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = _kn_matrix(g, a)
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert np.array_equal(got, _gathered_kn_matrix(g, a))

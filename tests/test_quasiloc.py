@@ -26,6 +26,9 @@ from torusop.operators import (
     quantize,
 )
 from torusop.quasiloc import (
+    _embedding_r_factor,
+    _restricted_sup,
+    _sup_ratio,
     dominating_function,
     eps_rank,
     pseudolocality_equivalence_spotcheck,
@@ -194,7 +197,8 @@ def _per_r_reference(A, r, s, R_list, region_list, probes, seed,
                      cutoff_width):
     """The dominating-function loop that rebuilds every exterior, cutoff
     and QR factor per radius: the reference the shared-work loop must
-    reproduce bit for bit."""
+    reproduce bit for bit.  It shares the last step, ``_sup_ratio``, whose
+    own oracle is ``_qr_svd_sup``."""
     g = A.grid
     fdim = g.fiber_dim
 
@@ -212,8 +216,7 @@ def _per_r_reference(A, r, s, R_list, region_list, probes, seed,
         den = to_frequency(g, emb)
         den *= np.repeat(g.sobolev_weights(r), fdim)[:, None]
         _q, rr = np.linalg.qr(den)
-        mat = np.linalg.solve(rr.T.conj(), num.T.conj()).T.conj()
-        return float(np.linalg.svd(mat, compute_uv=False)[0])
+        return _sup_ratio(num, rr)
 
     rng = np.random.default_rng(seed)
     mu, estimators, skipped = [], [], []
@@ -309,3 +312,53 @@ def test_eps_rank_does_not_increase_with_eps(n, seed, eps):
             + 1j * rng.standard_normal((n, n)))
     ranks = [eps_rank(T, e) for e in sorted(eps)]
     assert all(a >= b for a, b in zip(ranks, ranks[1:]))
+
+
+def _qr_svd_sup(A, region, eta, r, s):
+    """The exact restricted sup by QR, general solve and SVD: the oracle."""
+    g = A.grid
+    fdim = g.fiber_dim
+    mask = np.repeat(region.mask, fdim)
+    m = int(mask.sum())
+    num = to_frequency(g, A.matrix[:, mask]
+                       * np.repeat(eta.values, fdim)[:, None])
+    num *= np.repeat(g.sobolev_weights(s), fdim)[:, None]
+    emb = np.zeros((g.state_dim, m))
+    emb[np.where(mask)[0], np.arange(m)] = 1.0
+    den = to_frequency(g, emb)
+    den *= np.repeat(g.sobolev_weights(r), fdim)[:, None]
+    rr = np.linalg.qr(den)[1]
+    mat = np.linalg.solve(rr.T.conj(), num.T.conj()).T.conj()
+    return float(np.linalg.svd(mat, compute_uv=False)[0])
+
+
+SUP_CASES = [
+    # (grid, symbol, region radius, exterior radius)
+    (GridSpec(1, 128, 1.0), "elliptic_x", 0.5, 0.5),
+    (GridSpec(1, 128, 1.0), "schwartz_xi", 0.5, 0.5),
+    (GridSpec(2, 12, 1.0, 2), "dirac", 1.2, 0.6),
+]
+
+
+@pytest.mark.parametrize("grid, name, radius, R", SUP_CASES,
+                         ids=["elliptic_x", "schwartz_xi", "dirac-2d"])
+def test_restricted_sup_matches_qr_svd_oracle(grid, name, radius, R):
+    A = quantize(named_symbol(grid, name))
+    region = ball_region(grid, grid.points[grid.n_points // 3], radius)
+    outside = lattice.Region(grid, region.distance_field() > R)
+    eta = cutoff_eta(outside, 4.0 * grid.spacing)
+    for r in (0, 1, 2, 3, 4):
+        rr = _embedding_r_factor(region, r)
+        for s in (-1, 0, 1):
+            want = _qr_svd_sup(A, region, eta, r, s)
+            got = _restricted_sup(A, region, eta, rr, s)
+            assert want > 0
+            assert abs(got - want) <= 1e-12 * want, (r, s, got, want)
+
+
+def test_sup_ratio_of_zero_columns_is_exactly_zero():
+    g = GridSpec(2, 12, 1.0, 2)
+    region = ball_region(g, g.points[0], 0.6)
+    rr = _embedding_r_factor(region, 1.0)
+    got = _sup_ratio(np.zeros((g.state_dim, rr.shape[0]), dtype=complex), rr)
+    assert got == 0.0 and np.copysign(1.0, got) == 1.0

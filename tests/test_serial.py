@@ -1,10 +1,13 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from torusop.lattice import GridSpec, Section, ball_region
-from torusop.operators import fourier_multiplier, quantize
+from torusop.lattice import GridSpec, Region, Section, ball_region
+from torusop.operators import DiscreteOperator, fourier_multiplier, quantize
 from torusop.serial import (
     from_container,
     json_bytes,
@@ -13,7 +16,7 @@ from torusop.serial import (
     to_container,
     write_csv,
 )
-from torusop.symbols import named_symbol
+from torusop.symbols import Symbol, named_symbol
 
 
 def test_section_round_trip(tmp_path):
@@ -89,11 +92,95 @@ def test_json_bytes_deterministic():
 
 
 def test_json_bytes_handles_numpy_scalars():
+    # strict JSON: a non-finite float is written as its name, a string
     doc = json.loads(json_bytes({
         "i": np.int64(3), "f": np.float64(0.5),
         "b": np.bool_(True), "a": np.arange(3),
-    }))
-    assert doc == {"i": 3, "f": 0.5, "b": True, "a": [0, 1, 2]}
+        "n": np.float64(np.nan), "x": np.array([np.inf, 0.0]),
+        "t": (-float("inf"),),
+    }), parse_constant=lambda name: pytest.fail(name))
+    assert doc == {"i": 3, "f": 0.5, "b": True, "a": [0, 1, 2],
+                   "n": "nan", "x": ["inf", 0.0], "t": ["-inf"]}
+
+
+def _hermitian(a):
+    """(a + a^H) / 2 over the last two axes: exactly Hermitian."""
+    return (a + np.conj(np.swapaxes(a, -1, -2))) / 2.0
+
+
+def _container_object(kind, grid, rng, special, flags):
+    """A random object of ``kind`` holding the ``special`` floats in slots
+    that (a + a^H) / 2 keeps as they are: the fiber diagonal of a symbol,
+    the diagonal of an operator.  They are at most 1e300 in size, so the
+    average stays finite."""
+    n, r = grid.n_points, grid.fiber_dim
+
+    def values(shape, slots):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        view = slots(a)
+        view[:len(special)] = special[:view.size]
+        return a
+
+    if kind == "section":
+        return Section(grid, values((n, r), np.ravel))
+    if kind == "region":
+        return Region(grid, rng.random(n) < 0.5)
+    if kind == "symbol":
+        a = values((1 if flags[0] else n, n, r, r),
+                   lambda a: a.reshape(-1, r, r)[:, 0, 0])
+        return Symbol(grid, int(rng.integers(-2, 3)),
+                      _hermitian(a) if flags[1] else a,
+                      hermitian_valued=flags[1], x_independent=flags[0])
+    dim = grid.state_dim
+    a = values((dim, dim), lambda a: a.reshape(-1)[::dim + 1])
+    # a propagation bound past the grid's diameter zeroes nothing
+    return DiscreteOperator(
+        grid, int(rng.integers(-2, 3)), _hermitian(a) if flags[0] else a,
+        provenance="composed", self_adjoint=flags[0],
+        scalar_symbol=flags[1], hermitian_symbol=flags[2],
+        propagation_bound=(10.0 * grid.period_scale if flags[3] else None),
+        propagation_speed=(float(rng.uniform(0.5, 2.0)) if flags[3]
+                           else None),
+    )
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+# signed zero, the least subnormal and the widest values allowed
+SPECIAL = [-0.0, 5e-324, -1e300, 1e300]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(("section", "region", "symbol", "operator")),
+       shape=st.sampled_from(((1, 4, 1), (1, 8, 2), (2, 4, 1), (2, 4, 2))),
+       seed=st.integers(0, 2 ** 32 - 1),
+       special=st.lists(st.floats(-1e300, 1e300), max_size=4),
+       flags=st.tuples(*[st.booleans()] * 4))
+@example(kind="section", shape=(1, 4, 1), seed=0, special=SPECIAL,
+         flags=(False,) * 4)
+@example(kind="symbol", shape=(2, 4, 2), seed=0, special=SPECIAL,
+         flags=(False, True, False, False))
+@example(kind="operator", shape=(2, 4, 2), seed=0, special=SPECIAL,
+         flags=(True,) * 4)
+def test_save_load_round_trip_is_bit_exact(kind, shape, seed, special,
+                                           flags):
+    dim, N, fiber = shape
+    grid = GridSpec(dim, N, 1.5, fiber)
+    obj = _container_object(kind, grid, np.random.default_rng(seed),
+                            special, flags)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "obj.json")
+        save(obj, path)
+        back = load(path)
+    assert type(back) is type(obj) and back.grid == grid
+    for name, value in vars(obj).items():
+        if isinstance(value, np.ndarray):
+            assert _bits(getattr(back, name)) == _bits(value), name
+        else:
+            assert getattr(back, name) == value, name
 
 
 def test_write_csv_format(tmp_path):
