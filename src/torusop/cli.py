@@ -12,6 +12,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import numbers
 import os
 import sys
@@ -499,8 +500,8 @@ def run(scenario: str, config: dict | None = None, out: str = ".",
     return 0 if all(c["passed"] for c in checks) else 1
 
 
-def report(artifact_dir: str) -> tuple:
-    """Aggregate pass/fail over the summaries found under a directory."""
+def _read_summaries(artifact_dir: str) -> list:
+    """(directory, parsed summary.json) for every summary under a directory."""
     summaries = []
     for root, _dirs, files in os.walk(artifact_dir):
         if "summary.json" in files:
@@ -508,9 +509,14 @@ def report(artifact_dir: str) -> tuple:
                 summaries.append((root, json.load(fh)))
     if not summaries:
         raise FileNotFoundError(f"no summaries under {artifact_dir}")
+    return sorted(summaries)
+
+
+def report(artifact_dir: str) -> tuple:
+    """Aggregate pass/fail over the summaries found under a directory."""
     lines, failures = [], []
     total = passed = 0
-    for root, doc in sorted(summaries):
+    for root, doc in _read_summaries(artifact_dir):
         for c in doc["checks"]:
             total += 1
             passed += bool(c["passed"])
@@ -520,6 +526,30 @@ def report(artifact_dir: str) -> tuple:
     lines.append(f"{passed}/{total} pass")
     lines.extend(failures)
     return (0 if passed == total else 1), lines
+
+
+def tightest_margins(artifact_dir: str, count: int = 5) -> list:
+    """The ``count`` checks under a directory with the largest value/budget.
+
+    Checks whose value or budget is a string (a non-finite float in strict
+    JSON) or whose budget is not positive have no margin and are skipped.
+    """
+    rows = []
+    for root, doc in _read_summaries(artifact_dir):
+        for c in doc["checks"]:
+            value, budget = c["value"], c["budget"]
+            if isinstance(value, str) or isinstance(budget, str):
+                continue
+            if 0 < budget < math.inf:
+                rows.append((value / budget, root, c["name"]))
+    rows.sort(key=lambda row: -row[0])
+    return [f"margin {m:.3g} {root}: {name}" for m, root, name in rows[:count]]
+
+
+def _print_summary(artifact_dir: str) -> int:
+    code, lines = report(artifact_dir)
+    print("\n".join(lines + tightest_margins(artifact_dir)))
+    return code
 
 
 def main(argv=None) -> int:
@@ -534,17 +564,16 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--summary", action="store_true",
-                        help="print a pass/fail table for --out and exit")
+                        help="print a pass/fail table and the 5 tightest "
+                        "margins (value/budget) for --out and exit")
     args = parser.parse_args(argv)
 
     if args.summary and args.scenario is None:
         try:
-            code, lines = report(args.out)
+            return _print_summary(args.out)
         except FileNotFoundError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        print("\n".join(lines))
-        return code
 
     if args.scenario is None:
         parser.error("--scenario is required unless --summary is given")
@@ -558,8 +587,7 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     if args.summary:
-        _code, lines = report(args.out)
-        print("\n".join(lines))
+        _print_summary(args.out)
     return code
 
 

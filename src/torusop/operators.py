@@ -39,6 +39,7 @@ __all__ = [
 STATE_DIM_CAP = 4608
 SELF_ADJOINT_TOL = 1e-10
 PROPAGATION_DUST_TOL = 1e-10
+_PANEL_ROWS = 64
 
 
 @lru_cache(maxsize=4)
@@ -64,9 +65,33 @@ def _distance_mask_beyond(grid: GridSpec, rho: float) -> np.ndarray:
     return mask
 
 
+def _hermitian_part(a: np.ndarray) -> tuple:
+    """max|A - A*| and (A + A*) / 2 of a square matrix, one row panel at a time.
+
+    Each block of rows is paired with the conjugate transpose of the same
+    block of columns.  Every entry gets the arithmetic of the full-matrix
+    expressions, so both results are bitwise equal to theirs, and the
+    memory beyond the output is a few panels.
+    """
+    out = np.empty_like(a)
+    defect = 0.0
+    for i in range(0, a.shape[0], _PANEL_ROWS):
+        rows = slice(i, i + _PANEL_ROWS)
+        ct = a[:, rows].conj().T
+        defect = max(defect, float(np.abs(a[rows] - ct).max()))
+        np.add(a[rows], ct, out=out[rows])
+        out[rows] /= 2.0
+    return defect, out
+
+
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Dense operator on sections with declared order and provenance."""
+    """Dense operator on sections with declared order and provenance.
+
+    With ``self_adjoint=True`` the matrix must satisfy
+    max|A - A*| <= SELF_ADJOINT_TOL max|A|, and (A + A*) / 2 is stored;
+    the check and the symmetrization share one panelled pass over A.
+    """
 
     grid: GridSpec
     order: int
@@ -88,14 +113,16 @@ class DiscreteOperator:
             )
         if not np.all(np.isfinite(a)):
             raise ValueError("non-finite operator entries")
-        scale = float(np.abs(a).max()) or 1.0
+        if self.self_adjoint or self.propagation_bound is not None:
+            # before the symmetrized copy, so the abs temporary is freed
+            scale = float(np.abs(a).max()) or 1.0
         if self.self_adjoint:
-            defect = float(np.abs(a - a.conj().T).max())
+            defect, a_h = _hermitian_part(a)
             if defect > SELF_ADJOINT_TOL * scale:
                 raise ValueError(
                     f"operator flagged self_adjoint but defect {defect:.3e}"
                 )
-            a = (a + a.conj().T) / 2.0
+            a = a_h
         if self.propagation_bound is not None:
             beyond = _distance_mask_beyond(g, float(self.propagation_bound))
             dust = float(np.abs(a[beyond]).max()) if beyond.any() else 0.0
@@ -164,11 +191,11 @@ def _kn_operator(grid: GridSpec, order: int, a: np.ndarray,
     mat = _kn_matrix(grid, a)
     op = DiscreteOperator(grid, order, mat, provenance="quantized", **flags)
     # flag and symmetrize as __post_init__ does for self_adjoint=True,
-    # scanning A - A* once instead of once here and once there
-    mat = op.matrix
+    # with one scan of A instead of one here and one there
     scale = float(np.abs(mat).max()) or 1.0
-    if np.abs(mat - mat.conj().T).max() <= SELF_ADJOINT_TOL * scale:
-        object.__setattr__(op, "matrix", (mat + mat.conj().T) / 2.0)
+    defect, herm = _hermitian_part(mat)
+    if defect <= SELF_ADJOINT_TOL * scale:
+        object.__setattr__(op, "matrix", herm)
         object.__setattr__(op, "self_adjoint", True)
     return op
 

@@ -62,9 +62,13 @@ class Symbol:
         if not np.all(np.isfinite(a)):
             raise ValueError("non-finite symbol samples")
         if self.hermitian_valued:
-            defect = np.abs(a - np.conj(np.swapaxes(a, -1, -2))).max()
-            scale = max(np.abs(a).max(), 1.0)
-            if defect > HERMITIAN_TOL * scale:
+            if r == 1:
+                # |a - conj(a)| = |2i Im a|: the same float in one pass
+                defect = 2.0 * np.abs(a.imag).max()
+            else:
+                defect = np.abs(a - np.conj(np.swapaxes(a, -1, -2))).max()
+            if defect > 0 and defect > HERMITIAN_TOL * max(np.abs(a).max(),
+                                                           1.0):
                 raise ValueError(
                     f"symbol flagged hermitian_valued but defect {defect:.3e}"
                 )
@@ -92,38 +96,46 @@ def symbol_from_callable(
     ``fn(x, xi)`` receives broadcastable coordinate arrays of shape
     (n_x, 1, dim) and (1, n_xi, dim) and must return an array broadcastable
     to (n_x, n_xi) for scalar symbols or (n_x, n_xi, r, r) for matrix ones.
+    It must act on each frequency independently of the others.
 
     Nyquist frequency entries are symmetrized over the two aliases
     m = +-N/2 per axis (evaluate on every sign choice and average), which
     keeps real symbols quantizing to Hermitian-symmetrizable operators.
+    ``fn`` is evaluated once on the whole lattice, and again on the
+    Nyquist columns only (the modes with some axis index -N/2) for each of
+    the 2^dim sign choices; those are averaged in a fixed sign order.  Off
+    the Nyquist columns every sign choice would give the same sample a,
+    and their running sum from 0 is exactly 2^dim a, so the average there
+    is a + 0 (a with -0.0 read as +0.0), which is what is stored.
     """
     g = grid
     r = g.fiber_dim
     xs = (np.zeros((1, g.dim)) if x_independent else g.points)[:, None, :]
-    xi_base = g.frequencies
-    nyq_val = (g.points_per_axis // 2) / g.period_scale
-    nyq_axes = [
-        ax for ax in range(g.dim)
-        if np.any(np.isclose(np.abs(xi_base[:, ax]), nyq_val))
-    ]
     n_x = xs.shape[0]
-    target = (n_x, g.n_points, r, r)
 
     def eval_on(xi_lattice):
-        out = np.asarray(fn(xs, xi_lattice[None, :, :]), dtype=complex)
+        out = np.asarray(fn(xs, xi_lattice[None, :, :]))
         if r == 1 and out.ndim == 2:
             out = out[:, :, None, None]
-        return np.broadcast_to(out, target)
+        return np.broadcast_to(out, (n_x, len(xi_lattice), r, r))
 
-    acc = np.zeros(target, dtype=complex)
-    combos = list(itertools.product((1.0, -1.0), repeat=len(nyq_axes)))
+    samples = np.empty((n_x, g.n_points, r, r), dtype=complex)
+    np.add(eval_on(g.frequencies), 0.0, out=samples)
+
+    half = g.points_per_axis // 2
+    mesh = np.meshgrid(*([g.axis_modes] * g.dim), indexing="ij")
+    at_nyq = np.stack([m.ravel() == -half for m in mesh], axis=-1)
+    cols = np.flatnonzero(at_nyq.any(axis=1))
+    at_nyq = at_nyq[cols]
+    nyq_val = half / g.period_scale
+    acc = np.zeros((n_x, len(cols), r, r), dtype=complex)
+    combos = list(itertools.product((1.0, -1.0), repeat=g.dim))
     for signs in combos:
-        xi = xi_base.copy()
-        for sgn, ax in zip(signs, nyq_axes):
-            at_nyq = np.isclose(np.abs(xi[:, ax]), nyq_val)
-            xi[at_nyq, ax] = sgn * nyq_val
+        xi = g.frequencies[cols]
+        for ax, sgn in enumerate(signs):
+            xi[at_nyq[:, ax], ax] = sgn * nyq_val
         acc = acc + eval_on(xi)
-    samples = acc / len(combos)
+    samples[:, cols] = acc / len(combos)
     return Symbol(
         grid, order, samples,
         hermitian_valued=hermitian_valued, x_independent=x_independent,

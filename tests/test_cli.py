@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -278,3 +279,23 @@ def test_full_suite_writes_strict_json(tmp_path):
     # the identically-zero adjoint track has an infinite exponent
     trace = json.loads(tree[os.path.join("homotopy-scan", "trace.json")])
     assert trace["gamma"]["adjoint"] == "inf"
+
+
+def test_summary_prints_the_five_tightest_margins_on_a_pass(tmp_path, capsys):
+    checks = [cli._check(f"ratio {v}", v, 1.0) for v in (0.1, 0.9, 0.3, 0.5)]
+    checks += [
+        cli._check("quarter of two", 0.5, 2.0),
+        cli._check("count", 0, 0),                      # budget 0: no margin
+        # written as the strings "inf" and "-inf" in strict JSON
+        cli._check("finite", 1e300, math.inf),
+        cli._check("exponent", -math.inf, 0.0, ok=True),
+        cli._check("negative budget", -3.0, -1.0, ok=True),
+        cli._check("tiny", 1e-20, 1e-10),
+    ]
+    cli._write_summary(str(tmp_path), "stub", {}, checks)
+    assert main(["--summary", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{len(checks)}/{len(checks)} pass"
+    assert lines[1:] == [f"margin {m} {tmp_path}: {name}" for m, name in (
+        ("0.9", "ratio 0.9"), ("0.5", "ratio 0.5"), ("0.3", "ratio 0.3"),
+        ("0.25", "quarter of two"), ("0.1", "ratio 0.1"))]

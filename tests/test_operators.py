@@ -1,12 +1,17 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torusop.funcalc import wave_operator
 from torusop.lattice import GridSpec, Section
 from torusop.operators import (
     SELF_ADJOINT_TOL,
+    _PANEL_ROWS,
+    DiscreteOperator,
+    _hermitian_part,
     _kn_matrix,
     adjoint,
     apply_operator,
@@ -207,3 +212,92 @@ def test_kn_matrix_equals_offset_gather(dim, N, fiber, x_dependent):
     got = _kn_matrix(g, a)
     assert got.flags.c_contiguous and got.flags.writeable
     assert np.array_equal(got, _gathered_kn_matrix(g, a))
+
+
+def _random_matrix(n, seed, hermitian):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if hermitian:
+        a = a + a.conj().T
+        a[1, 2] += 1e-13  # a defect at roundoff level
+    return a
+
+
+@pytest.mark.parametrize("grid", [GridSpec(2, 20, 1.0), GridSpec(1, 36, 1.0, 2)],
+                         ids=["2d-N20", "1d-fiber2-N36"])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_hermitian_part_equals_full_matrix_expressions(grid, hermitian):
+    n = grid.state_dim
+    assert n % _PANEL_ROWS != 0
+    a = _random_matrix(n, n, hermitian)
+    defect, herm = _hermitian_part(a)
+    assert defect == np.abs(a - a.conj().T).max()
+    assert np.array_equal(herm.view(np.int64),
+                          ((a + a.conj().T) / 2.0).view(np.int64))
+
+
+def test_self_adjoint_flag_keeps_its_check():
+    g = GridSpec(2, 20, 1.0)
+    a = _random_matrix(g.state_dim, 7, True)
+    A = DiscreteOperator(g, 0, a, self_adjoint=True)
+    assert np.array_equal(A.matrix, (a + a.conj().T) / 2.0)
+    assert A.self_adjoint
+    a[3, 5] += 1e-6
+    with pytest.raises(ValueError, match="operator flagged self_adjoint but "
+                       f"defect {np.abs(a - a.conj().T).max():.3e}"):
+        DiscreteOperator(g, 0, a, self_adjoint=True)
+
+
+def test_self_adjoint_check_allocates_one_output():
+    g = GridSpec(1, 1024, 1.0)
+    a = _random_matrix(g.state_dim, 0, True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        A = DiscreteOperator(g, 0, a, self_adjoint=True)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * A.matrix.nbytes
+
+
+def _random_operator(g, seed, kind):
+    """A quantized symbol, a multiplication operator, a multiplier with a
+    propagation speed, or a translation by 1 or 2 steps (a propagation
+    bound of that length), by kind."""
+    rng = np.random.default_rng(seed)
+    if kind == "symbol":
+        name = ("laplace+1", "elliptic_x", "drift", "momentum")[seed % 4]
+        return quantize(named_symbol(g, name, {"a": rng.uniform(1.5, 3.0)}))
+    if kind == "multiplication":
+        return multiplication_operator(g, rng.standard_normal(g.n_points))
+    if kind == "translation":
+        P = fourier_multiplier(g, lambda xi: xi[..., 0], order=1,
+                               propagation_speed=1.0)
+        return wave_operator(P, (1 + seed % 2) * g.spacing)
+    vals = rng.standard_normal(g.n_points)
+    return fourier_multiplier(g, lambda xi: vals, order=int(seed % 3) - 1,
+                              propagation_speed=1.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(grid=st.sampled_from(((1, 16), (1, 32), (2, 4), (2, 8))),
+       seeds=st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1)),
+       kinds=st.tuples(*[st.sampled_from(("symbol", "multiplication",
+                                          "multiplier", "translation"))] * 2))
+def test_compose_and_commutator_keep_their_bookkeeping(grid, seeds, kinds):
+    g = GridSpec(*grid, 1.0)
+    A, B = (_random_operator(g, s, k) for s, k in zip(seeds, kinds))
+    C, K = compose(A, B), commutator(A, B)
+    both_scalar = A.scalar_symbol and B.scalar_symbol
+    if A.propagation_bound is None or B.propagation_bound is None:
+        bound = None
+    else:
+        bound = A.propagation_bound + B.propagation_bound
+    assert C.order == A.order + B.order
+    assert K.order == A.order + B.order - (1 if both_scalar else 0)
+    for op in (C, K):
+        assert op.scalar_symbol == both_scalar
+        assert op.propagation_bound == bound
+    assert np.array_equal(C.matrix, A.matrix @ B.matrix)
+    assert np.array_equal(K.matrix, A.matrix @ B.matrix - B.matrix @ A.matrix)

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from torusop.lattice import GridSpec
 from torusop.symbols import (
     NAMED_SYMBOLS,
+    Symbol,
     check_elliptic,
     compose_symbols,
     estimate_constants,
@@ -96,3 +99,72 @@ def test_matrix_valued_symbol_hermitian():
     p = named_symbol(g, "dirac_mass", {"m": 0.5})
     s = p.samples
     assert np.abs(s - s.swapaxes(-1, -2).conj()).max() <= 1e-14
+
+
+def _looped_samples(grid, fn, x_independent):
+    """The Nyquist average by one evaluation of ``fn`` per sign choice on
+    the whole lattice, with Nyquist entries found by a float test: the
+    oracle for the one-pass sampling of symbol_from_callable."""
+    g = grid
+    r = g.fiber_dim
+    xs = (np.zeros((1, g.dim)) if x_independent else g.points)[:, None, :]
+    xi_base = g.frequencies
+    nyq_val = (g.points_per_axis // 2) / g.period_scale
+    nyq_axes = [ax for ax in range(g.dim)
+                if np.any(np.isclose(np.abs(xi_base[:, ax]), nyq_val))]
+    target = (xs.shape[0], g.n_points, r, r)
+    acc = np.zeros(target, dtype=complex)
+    combos = list(itertools.product((1.0, -1.0), repeat=len(nyq_axes)))
+    for signs in combos:
+        xi = xi_base.copy()
+        for sgn, ax in zip(signs, nyq_axes):
+            at_nyq = np.isclose(np.abs(xi[:, ax]), nyq_val)
+            xi[at_nyq, ax] = sgn * nyq_val
+        out = np.asarray(fn(xs, xi[None, :, :]), dtype=complex)
+        if r == 1 and out.ndim == 2:
+            out = out[:, :, None, None]
+        acc = acc + np.broadcast_to(out, target)
+    return acc / len(combos)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("dim,N", [(1, 8), (1, 64), (2, 8), (2, 20)])
+@pytest.mark.parametrize("L", [0.7, 2.0])
+def test_sampling_equals_per_sign_loop(dim, N, L):
+    # bit for bit, signed zeros included
+    for name, build in sorted(NAMED_SYMBOLS.items()):
+        fn, order, herm, x_indep = build({})
+        g = GridSpec(dim, N, L, 2 if name.startswith("dirac") else 1)
+        p = symbol_from_callable(g, order, fn, hermitian_valued=herm,
+                                 x_independent=x_indep)
+        assert np.array_equal(_bits(p.samples),
+                              _bits(_looped_samples(g, fn, x_indep))), name
+
+
+def test_sampling_at_a_huge_period_scale_keeps_the_modes():
+    # mode spacing 1/L = 1e-9 is inside the float test's atol of 1e-8;
+    # only the half-mode slot is a Nyquist mode
+    g = GridSpec(1, 8, 1e9)
+    p = named_symbol(g, "momentum")
+    got = p.samples[0, :, 0, 0]
+    nyq = g.axis_modes == -4
+    assert np.array_equal(got[~nyq], g.axis_modes[~nyq] / 1e9 + 0j)
+    assert got[nyq] == 0.0
+    assert np.count_nonzero(got) == 6
+
+
+def test_scalar_hermitian_defect_is_twice_the_imaginary_sup():
+    g = GridSpec(1, 32, 1.0)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((g.n_points, g.n_points)).astype(complex)
+    a.imag = 1e-13 * rng.standard_normal(a.shape)
+    defect = np.abs(a - np.conj(a)).max()
+    assert defect == 2.0 * np.abs(a.imag).max()
+    Symbol(g, 0, a, hermitian_valued=True)
+    a.imag *= 1e3
+    with pytest.raises(ValueError, match="hermitian_valued but defect "
+                       f"{np.abs(a - np.conj(a)).max():.3e}"):
+        Symbol(g, 0, a, hermitian_valued=True)
