@@ -50,6 +50,9 @@ from .serial import json_bytes, write_csv
 
 __all__ = ["main", "run", "report", "SCENARIOS", "default_config"]
 
+# rows of the tightest-margin table that --summary prints
+_MARGIN_ROWS = 5
+
 
 # ---------------------------------------------------------------------------
 # configs
@@ -512,11 +515,11 @@ def _read_summaries(artifact_dir: str) -> list:
     return sorted(summaries)
 
 
-def report(artifact_dir: str) -> tuple:
-    """Aggregate pass/fail over the summaries found under a directory."""
+def _tally(summaries: list) -> tuple:
+    """Exit code and pass/fail lines of parsed summaries."""
     lines, failures = [], []
     total = passed = 0
-    for root, doc in _read_summaries(artifact_dir):
+    for root, doc in summaries:
         for c in doc["checks"]:
             total += 1
             passed += bool(c["passed"])
@@ -528,14 +531,19 @@ def report(artifact_dir: str) -> tuple:
     return (0 if passed == total else 1), lines
 
 
-def tightest_margins(artifact_dir: str, count: int = 5) -> list:
-    """The ``count`` checks under a directory with the largest value/budget.
+def report(artifact_dir: str) -> tuple:
+    """Aggregate pass/fail over the summaries found under a directory."""
+    return _tally(_read_summaries(artifact_dir))
+
+
+def _tightest_margins(summaries: list) -> list:
+    """The _MARGIN_ROWS checks of parsed summaries with the largest value/budget.
 
     Checks whose value or budget is a string (a non-finite float in strict
     JSON) or whose budget is not positive have no margin and are skipped.
     """
     rows = []
-    for root, doc in _read_summaries(artifact_dir):
+    for root, doc in summaries:
         for c in doc["checks"]:
             value, budget = c["value"], c["budget"]
             if isinstance(value, str) or isinstance(budget, str):
@@ -543,12 +551,14 @@ def tightest_margins(artifact_dir: str, count: int = 5) -> list:
             if 0 < budget < math.inf:
                 rows.append((value / budget, root, c["name"]))
     rows.sort(key=lambda row: -row[0])
-    return [f"margin {m:.3g} {root}: {name}" for m, root, name in rows[:count]]
+    return [f"margin {m:.3g} {root}: {name}"
+            for m, root, name in rows[:_MARGIN_ROWS]]
 
 
 def _print_summary(artifact_dir: str) -> int:
-    code, lines = report(artifact_dir)
-    print("\n".join(lines + tightest_margins(artifact_dir)))
+    summaries = _read_summaries(artifact_dir)
+    code, lines = _tally(summaries)
+    print("\n".join(lines + _tightest_margins(summaries)))
     return code
 
 

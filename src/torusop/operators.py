@@ -65,13 +65,15 @@ def _distance_mask_beyond(grid: GridSpec, rho: float) -> np.ndarray:
     return mask
 
 
-def _hermitian_part(a: np.ndarray) -> tuple:
-    """max|A - A*| and (A + A*) / 2 of a square matrix, one row panel at a time.
+def _hermitian_part(a: np.ndarray, tol: float) -> tuple:
+    """max|A - A*| and, when that is at most ``tol``, (A + A*) / 2, else None.
 
-    Each block of rows is paired with the conjugate transpose of the same
-    block of columns.  Every entry gets the arithmetic of the full-matrix
-    expressions, so both results are bitwise equal to theirs, and the
-    memory beyond the output is a few panels.
+    Works one row panel at a time: each block of rows is paired with the
+    conjugate transpose of the same block of columns.  Every entry gets the
+    arithmetic of the full-matrix expressions, so both results are bitwise
+    equal to theirs, and the memory beyond the output is a few panels.
+    Once the defect is over ``tol`` the remaining panels only add to it,
+    so a matrix that is not Hermitian costs one scan and fills no output.
     """
     out = np.empty_like(a)
     defect = 0.0
@@ -79,9 +81,10 @@ def _hermitian_part(a: np.ndarray) -> tuple:
         rows = slice(i, i + _PANEL_ROWS)
         ct = a[:, rows].conj().T
         defect = max(defect, float(np.abs(a[rows] - ct).max()))
-        np.add(a[rows], ct, out=out[rows])
-        out[rows] /= 2.0
-    return defect, out
+        if defect <= tol:
+            np.add(a[rows], ct, out=out[rows])
+            out[rows] /= 2.0
+    return defect, (out if defect <= tol else None)
 
 
 @dataclass(frozen=True)
@@ -117,8 +120,8 @@ class DiscreteOperator:
             # before the symmetrized copy, so the abs temporary is freed
             scale = float(np.abs(a).max()) or 1.0
         if self.self_adjoint:
-            defect, a_h = _hermitian_part(a)
-            if defect > SELF_ADJOINT_TOL * scale:
+            defect, a_h = _hermitian_part(a, SELF_ADJOINT_TOL * scale)
+            if a_h is None:
                 raise ValueError(
                     f"operator flagged self_adjoint but defect {defect:.3e}"
                 )
@@ -193,8 +196,8 @@ def _kn_operator(grid: GridSpec, order: int, a: np.ndarray,
     # flag and symmetrize as __post_init__ does for self_adjoint=True,
     # with one scan of A instead of one here and one there
     scale = float(np.abs(mat).max()) or 1.0
-    defect, herm = _hermitian_part(mat)
-    if defect <= SELF_ADJOINT_TOL * scale:
+    _defect, herm = _hermitian_part(mat, SELF_ADJOINT_TOL * scale)
+    if herm is not None:
         object.__setattr__(op, "matrix", herm)
         object.__setattr__(op, "self_adjoint", True)
     return op

@@ -281,7 +281,8 @@ def test_full_suite_writes_strict_json(tmp_path):
     assert trace["gamma"]["adjoint"] == "inf"
 
 
-def test_summary_prints_the_five_tightest_margins_on_a_pass(tmp_path, capsys):
+def test_summary_prints_the_five_tightest_margins_on_a_pass(tmp_path, capsys,
+                                                            monkeypatch):
     checks = [cli._check(f"ratio {v}", v, 1.0) for v in (0.1, 0.9, 0.3, 0.5)]
     checks += [
         cli._check("quarter of two", 0.5, 2.0),
@@ -293,7 +294,12 @@ def test_summary_prints_the_five_tightest_margins_on_a_pass(tmp_path, capsys):
         cli._check("tiny", 1e-20, 1e-10),
     ]
     cli._write_summary(str(tmp_path), "stub", {}, checks)
+    reads = []
+    read = cli._read_summaries
+    monkeypatch.setattr(cli, "_read_summaries",
+                        lambda d: reads.append(d) or read(d))
     assert main(["--summary", "--out", str(tmp_path)]) == 0
+    assert reads == [str(tmp_path)]  # one walk for both tables
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"{len(checks)}/{len(checks)} pass"
     assert lines[1:] == [f"margin {m} {tmp_path}: {name}" for m, name in (

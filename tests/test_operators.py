@@ -230,10 +230,13 @@ def test_hermitian_part_equals_full_matrix_expressions(grid, hermitian):
     n = grid.state_dim
     assert n % _PANEL_ROWS != 0
     a = _random_matrix(n, n, hermitian)
-    defect, herm = _hermitian_part(a)
-    assert defect == np.abs(a - a.conj().T).max()
+    full = np.abs(a - a.conj().T).max()
+    defect, herm = _hermitian_part(a, full)
+    assert defect == full
     assert np.array_equal(herm.view(np.int64),
                           ((a + a.conj().T) / 2.0).view(np.int64))
+    # just under the defect: no output, and still the whole defect
+    assert _hermitian_part(a, np.nextafter(full, 0.0)) == (full, None)
 
 
 def test_self_adjoint_flag_keeps_its_check():
