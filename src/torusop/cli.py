@@ -183,12 +183,12 @@ def _run_symbol_check(cfg, out, rng):
         fiber = 2 if fam.startswith("dirac") else 1
         gf = GridSpec(1, cfg["N"], cfg["L"], fiber)
         p = named_symbol(gf, fam)
-        rep = estimate_constants(p, cfg["alpha_max"], cfg["beta_max"])
-        for (a, b), c in sorted(rep.constants.items()):
+        consts = estimate_constants(p, cfg["alpha_max"], cfg["beta_max"])
+        for (a, b), c in sorted(consts.items()):
             rows.append((fam, a[0], b[0], c))
         checks.append(_check(f"{fam}: constants finite",
-                             max(rep.constants.values()), np.inf,
-                             ok=np.isfinite(max(rep.constants.values()))))
+                             max(consts.values()), np.inf,
+                             ok=np.isfinite(max(consts.values()))))
     one = symbol_from_callable(
         g, 0, lambda x, xi: 1.0 + 0.0 * xi[..., 0], hermitian_valued=True,
         x_independent=True)

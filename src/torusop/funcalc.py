@@ -210,7 +210,6 @@ class ScalarFunctionSpec:
     fhat: object = None
     derivative: object = None
     c_psi: float | None = None
-    params: tuple = ()
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -272,8 +271,7 @@ def _gaussian(prm):
         return dj
 
     return ScalarFunctionSpec("gaussian", fn, "schwartz", fhat=fhat,
-                              derivative=derivative,
-                              params=(("sigma", sigma),))
+                              derivative=derivative)
 
 
 def _chi_rational(prm):
@@ -296,8 +294,7 @@ def _schwartz_bump(prm):
         return c * (np.exp(-(b ** 2) * (t - a) ** 2 / 4.0)
                     + np.exp(-(b ** 2) * (t + a) ** 2 / 4.0))
 
-    return ScalarFunctionSpec("schwartz_bump", fn, "schwartz", fhat=fhat,
-                              params=(("a", a), ("b", b)))
+    return ScalarFunctionSpec("schwartz_bump", fn, "schwartz", fhat=fhat)
 
 
 def _si_normalizing(prm):
@@ -381,6 +378,15 @@ def wave_operator(
                             propagation_bound=bound)
 
 
+def _trapezoid(t_max: float, n: int) -> tuple:
+    """Nodes and weights of the n-node trapezoid rule on [-t_max, t_max]."""
+    t = np.linspace(-t_max, t_max, n)
+    w = np.full(n, t[1] - t[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return t, w
+
+
 @dataclass(frozen=True)
 class FuncalcResult:
     """Operator from a quadrature route plus its defect vs the oracle."""
@@ -401,10 +407,7 @@ def fourier_apply(
         raise ValueError(
             f"fourier_apply needs the closed-form transform of {f.name!r}")
     sd = spectral or spectral_data(P)
-    t = np.linspace(-t_max, t_max, n_quad)
-    w = np.full(n_quad, t[1] - t[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    t, w = _trapezoid(t_max, n_quad)
     fh = np.asarray(f.fhat(t), dtype=complex)
     # the n_quad x n phase table is built in place and freed before f(P)
     # is: it would otherwise stay live through the operator's construction
@@ -415,8 +418,7 @@ def fourier_apply(
     mat = sd.apply(vals)
     oracle = np.asarray(f.fn(sd.eigenvalues), dtype=complex)
     defect = float(np.abs(vals - oracle).max())
-    op = DiscreteOperator(P.grid, 0, mat, provenance="function_of",
-                          defect=defect)
+    op = DiscreteOperator(P.grid, 0, mat, provenance="function_of")
     return FuncalcResult(op, defect)
 
 
@@ -453,7 +455,7 @@ def chi_resolvent_integral(
     defect = float(np.abs(vals - oracle).max())
     mat = sd.apply(vals.astype(complex))
     op = DiscreteOperator(P.grid, 0, mat, provenance="function_of",
-                          self_adjoint=True, defect=defect)
+                          self_adjoint=True)
     return FuncalcResult(op, defect)
 
 
@@ -486,11 +488,7 @@ def q_integral(
     if q.derivative is None:
         raise ValueError("q_integral needs closed-form derivatives of q")
     sd = spectral_data(P)
-    n_quad = 4096
-    t = np.linspace(-16.0, 16.0, n_quad)
-    w = np.full(n_quad, t[1] - t[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    t, w = _trapezoid(16.0, 4096)
     phases = np.exp(1j * np.outer(t, sd.eigenvalues))
 
     mats = []
@@ -535,7 +533,6 @@ class PsiDifferenceReport:
     lhs: float
     rhs: float
     c_psi: float
-    slack: float
 
 
 def _c_psi(psi: ScalarFunctionSpec) -> float:
@@ -581,5 +578,4 @@ def psi_difference_bound(
                              provenance="composed")
     lhs = op_norm(diff, 0.0, 0.0)
     rhs = c * op_norm(pdiff, 0.0, 0.0)
-    slack = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)
-    return PsiDifferenceReport(lhs=lhs, rhs=rhs, c_psi=c, slack=slack)
+    return PsiDifferenceReport(lhs=lhs, rhs=rhs, c_psi=c)

@@ -108,27 +108,18 @@ class Multigrading:
         return float(worst)
 
 
-def make_multigrading(
-    p: int,
-    grading: np.ndarray | None = None,
-    generators=None,
-) -> Multigrading:
+def make_multigrading(p: int) -> Multigrading:
     """Clifford-type multigrading of degree p on a 2^m fiber.
 
-    m = max(1, ceil(p / 2)).  The default representation uses iterated Pauli
-    tensor blocks: hermitian anticommuting gamma factors with an i prefactor
-    so each generator squares to -1.  Explicit grading/generator matrices may
-    be supplied instead; the constructor then only enforces the relations.
+    m = max(1, ceil(p / 2)).  The representation uses iterated Pauli tensor
+    blocks: hermitian anticommuting gamma factors with an i prefactor so
+    each generator squares to -1.  For other grading and generator matrices
+    build Multigrading directly; its constructor enforces the relations.
     """
     if p < -1:
         raise ValueError("p must be >= -1")
     if p == -1:
         return Multigrading(-1, None, ())
-    if grading is not None or generators is not None:
-        if grading is None or generators is None:
-            raise ValueError("supply both grading and generators or neither")
-        gens = tuple(np.asarray(g, dtype=complex) for g in generators)
-        return Multigrading(p, np.asarray(grading, dtype=complex), gens)
     m = max(1, -(-p // 2))  # ceil(p / 2), at least one block for the grading
 
     def _chain(factors):
@@ -167,7 +158,6 @@ class VerificationReport:
 @dataclass(frozen=True)
 class FredholmModule:
     grid: GridSpec
-    multigrading: Multigrading
     T: DiscreteOperator
     verification: VerificationReport
 
@@ -226,12 +216,11 @@ def assemble_module(
     profiles = {}
     for label, family in test_families.items():
         profiles[(label, "fT2m1")] = uniform_approx_profile(
-            tsq, family, forms=("fT",), eps_list=eps_list, family_label=label)
+            tsq, family, forms=("fT",), eps_list=eps_list)
         profiles[(label, "T2m1f")] = uniform_approx_profile(
-            tsq, family, forms=("Tf",), eps_list=eps_list, family_label=label)
+            tsq, family, forms=("Tf",), eps_list=eps_list)
         profiles[(label, "comm")] = uniform_approx_profile(
-            T, family, forms=("[T,f]",), eps_list=eps_list,
-            family_label=label)
+            T, family, forms=("[T,f]",), eps_list=eps_list)
 
     square_defect = None
     if check_square_exact:
@@ -255,7 +244,7 @@ def assemble_module(
             and (square_defect is None or square_defect == 0.0)
         ),
     )
-    return FredholmModule(g, mg, T, report)
+    return FredholmModule(g, T, report)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +364,9 @@ def homotopy_scan(
 ) -> HomotopyTrace:
     """Track the three module families along the straight-line operator path.
 
-    t_steps may be an int or a list of step counts; with several counts the
-    decay of the max adjacent-step jump against the step size is fitted to a
-    power law, giving the continuity exponent gamma per family.  The leading
+    t_steps is a list of step counts; with several counts the decay of the
+    max adjacent-step jump against the step size is fitted to a power law,
+    giving the continuity exponent gamma per family.  The leading
     behaviour of P and P' must agree: their difference, measured at the full
     declared order, may be at most PRINCIPAL_MISMATCH_TOL = 0.1 of the
     operators themselves.
@@ -410,8 +399,6 @@ def homotopy_scan(
             f"{principal_defect:.3e}"
         )
 
-    if np.isscalar(t_steps):
-        t_steps = [int(t_steps)]
     step_counts = tuple(int(s) for s in t_steps)
     rhos = [np.repeat(f.values, g.fiber_dim) for f in test_fs]
     eye = np.eye(g.state_dim)

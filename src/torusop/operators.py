@@ -12,6 +12,7 @@ lattice.to_frequency, where the Sobolev weights are diagonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -102,10 +103,8 @@ class DiscreteOperator:
     provenance: str = "quantized"
     self_adjoint: bool = False
     scalar_symbol: bool = False
-    hermitian_symbol: bool = False
     propagation_bound: float | None = None
     propagation_speed: float | None = None
-    defect: float | None = None
 
     def __post_init__(self):
         g = self.grid
@@ -208,7 +207,6 @@ def quantize(p: Symbol) -> DiscreteOperator:
     return _kn_operator(
         p.grid, p.order, p.samples,
         scalar_symbol=(p.grid.fiber_dim == 1),
-        hermitian_symbol=p.hermitian_valued,
     )
 
 
@@ -223,7 +221,6 @@ def multiplication_operator(grid: GridSpec, values) -> DiscreteOperator:
         provenance="multiplication",
         self_adjoint=bool(np.all(np.isreal(f))),
         scalar_symbol=True,
-        hermitian_symbol=bool(np.all(np.isreal(f))),
         propagation_bound=0.0,
     )
 
@@ -242,8 +239,7 @@ def fourier_multiplier(
     vals = np.asarray(fn(grid.frequencies), dtype=complex).ravel()
     return _kn_operator(
         grid, order, vals[None, :, None, None] * np.eye(grid.fiber_dim),
-        scalar_symbol=True, hermitian_symbol=bool(np.all(np.isreal(vals))),
-        propagation_speed=propagation_speed,
+        scalar_symbol=True, propagation_speed=propagation_speed,
     )
 
 
@@ -318,23 +314,10 @@ def commutator(A: DiscreteOperator, B: DiscreteOperator) -> DiscreteOperator:
     )
 
 
-def symmetrize(A: DiscreteOperator, force: bool = False) -> DiscreteOperator:
-    """(A + A*)/2 flagged self-adjoint; the defect ||A - A*|| is recorded.
-
-    Requires the operator to come from a Hermitian-valued symbol (the defect
-    is then lower order); pass force=True to override.
-    """
-    if not (A.hermitian_symbol or force):
-        raise ValueError(
-            "symmetrize requires hermitian_valued symbol provenance"
-        )
-    defect = float(np.linalg.norm(A.matrix - A.matrix.conj().T, 2))
-    return replace(
-        A,
-        matrix=(A.matrix + A.matrix.conj().T) / 2.0,
-        self_adjoint=True,
-        defect=defect,
-    )
+def symmetrize(A: DiscreteOperator) -> DiscreteOperator:
+    """(A + A*)/2 flagged self-adjoint, with every other flag of A kept."""
+    return replace(A, matrix=_hermitian_part(A.matrix, math.inf)[1],
+                   self_adjoint=True)
 
 
 def kernel(A: DiscreteOperator) -> np.ndarray:

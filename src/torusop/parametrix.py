@@ -111,7 +111,6 @@ class ParametrixResult:
     Q: DiscreteOperator
     S1: DiscreteOperator
     S2: DiscreteOperator
-    iterations: int
     excision_radius: float
     excision_width: float
     residual_norms: Mapping = field(default_factory=dict)
@@ -220,7 +219,7 @@ def build_parametrix(
     off_tab = _LazyTable(kl, lambda key: norm("S1", *key, off_cols))
     band_tab = _LazyTable(kl, lambda key: norm("S1", *key, ~off_cols))
     return ParametrixResult(
-        Q=Q, S1=S1, S2=S2, iterations=J,
+        Q=Q, S1=S1, S2=S2,
         excision_radius=cert.radius, excision_width=excision_width,
         residual_norms=residual, off_band_norms=off_tab, band_norms=band_tab,
         defect_history=tuple(history), diverged=diverged, worst_cell=worst,
@@ -309,7 +308,6 @@ class RegularityReport:
 
     identity_defect: float
     rows: tuple  # (level, tail_u, tail_Pu, ratio)
-    low_frequency_residual: bool
 
 
 def _tail_mass(u: Section, level: float) -> float:
@@ -334,8 +332,7 @@ def elliptic_regularity_check(
     frequency.  At each level F the report compares the Sobolev mass of u
     above F with the mass of Pu above F; for an elliptic P of order k the
     former is controlled by the latter at relative order -k, except on the
-    excised band, where Pu can vanish while u does not (flagged, not an
-    error).
+    excised band, where Pu can vanish while u does not.
     """
     g = P.grid
     par = build_parametrix(P, p, J, excision_width, norm_range=1)
@@ -355,18 +352,7 @@ def elliptic_regularity_check(
         tpu = _tail_mass(pu, level)
         ratio = tu / tpu if tpu > 0 else np.inf
         rows.append((float(level), tu, tpu, ratio))
-
-    band = g.frequency_magnitude <= par.excision_radius + par.excision_width
-    hat = fourier(u).coefficients
-    band_mass = float(np.linalg.norm(hat[band]))
-    total = float(np.linalg.norm(hat)) or 1.0
-    low_freq = (
-        sobolev_norm(pu, 0.0) <= 1e-10 * scale and band_mass / total > 0.99
-    )
-    return RegularityReport(
-        identity_defect=defect, rows=tuple(rows),
-        low_frequency_residual=bool(low_freq),
-    )
+    return RegularityReport(identity_defect=defect, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +365,6 @@ class ModifiedInnerProduct:
 
     gram: np.ndarray
     max_asymmetry: float
-    probes: int
 
 
 def modified_inner_product(
@@ -414,5 +399,4 @@ def modified_inner_product(
         norm_u = np.sqrt(abs(np.vdot(u, gram @ u)))
         norm_v = np.sqrt(abs(np.vdot(v, gram @ v)))
         worst = max(worst, abs(lhs - rhs) / (pnorm * norm_u * norm_v))
-    return ModifiedInnerProduct(gram=gram, max_asymmetry=float(worst),
-                                probes=probes)
+    return ModifiedInnerProduct(gram=gram, max_asymmetry=float(worst))

@@ -25,7 +25,7 @@ from .lattice import (
     sobolev_norm,
     to_frequency,
 )
-from .operators import DiscreteOperator, apply_operator
+from .operators import DiscreteOperator, _state_weights, apply_operator
 from .funcalc import SpectralData, spectral_data, wave_operator
 
 __all__ = [
@@ -64,7 +64,6 @@ class EpsRankProfile:
 
     eps_list: tuple
     ranks: dict
-    family: str
 
     def rank(self, form: str, eps: float) -> int:
         return self.ranks[form][self.eps_list.index(eps)]
@@ -75,10 +74,8 @@ def uniform_approx_profile(
     family,
     forms=("fT", "Tf", "[T,f]"),
     eps_list=(0.5, 0.1, 0.02),
-    pairs=None,
-    family_label: str = "bumps",
 ) -> EpsRankProfile:
-    """eps-rank profile of {fT}, {Tf}, {[T,f]} (and optionally {fTg}).
+    """eps-rank profile of {fT}, {Tf} and {[T,f]} over a bump family.
 
     Reports the max rank over the family at each epsilon, which is the
     quantity that must stay finite uniformly for an approximable family.
@@ -89,27 +86,21 @@ def uniform_approx_profile(
     ranks = {}
     for form in forms:
         worst = [0] * len(eps_list)
-        members = pairs if form == "fTg" else family
-        for member in members:
-            if form == "fTg":
-                f, h = member
-                mat = (np.repeat(f.values, r)[:, None] * T.matrix
-                       * np.repeat(h.values, r)[None, :])
+        for f in family:
+            mf = np.repeat(f.values, r)
+            if form == "fT":
+                mat = mf[:, None] * T.matrix
+            elif form == "Tf":
+                mat = T.matrix * mf[None, :]
+            elif form == "[T,f]":
+                mat = T.matrix * mf[None, :] - mf[:, None] * T.matrix
             else:
-                mf = np.repeat(member.values, r)
-                if form == "fT":
-                    mat = mf[:, None] * T.matrix
-                elif form == "Tf":
-                    mat = T.matrix * mf[None, :]
-                elif form == "[T,f]":
-                    mat = T.matrix * mf[None, :] - mf[:, None] * T.matrix
-                else:
-                    raise ValueError(f"unknown form {form!r}")
+                raise ValueError(f"unknown form {form!r}")
             sv = np.linalg.svd(mat, compute_uv=False)
             for i, eps in enumerate(eps_list):
                 worst[i] = max(worst[i], _count_at_least(sv, eps))
         ranks[form] = tuple(worst)
-    return EpsRankProfile(tuple(eps_list), ranks, family_label)
+    return EpsRankProfile(tuple(eps_list), ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +111,9 @@ def uniform_approx_profile(
 class DominatingFunctionEstimate:
     """Probe-based lower-bound estimate of a dominating function."""
 
-    r: float
-    s: float
     R_list: tuple
     mu_hat: tuple
     estimator: tuple
-    probes: int
-    seed: int
-    cutoff_width: float
     skipped: tuple = ()
 
     def isotonic_defect(self) -> float:
@@ -157,7 +143,7 @@ def _embedding_r_factor(region: Region, r: float) -> np.ndarray:
     emb = np.zeros((g.state_dim, m))
     emb[np.where(mask)[0], np.arange(m)] = 1.0
     den = to_frequency(g, emb)
-    den *= np.repeat(g.sobolev_weights(r), fdim)[:, None]
+    den *= _state_weights(g, r)[:, None]
     return np.linalg.qr(den)[1]
 
 
@@ -188,7 +174,7 @@ def _restricted_sup(
     cols = A.matrix[:, mask]
     cols = cols * np.repeat(eta.values, fdim)[:, None]
     num = to_frequency(g, cols)
-    num *= np.repeat(g.sobolev_weights(s), fdim)[:, None]
+    num *= _state_weights(g, s)[:, None]
     return _sup_ratio(num, rr)
 
 
@@ -261,9 +247,8 @@ def dominating_function(
             mu.append(np.nan)
             estimators.append("skipped")
     return DominatingFunctionEstimate(
-        r=r, s=s, R_list=tuple(float(R) for R in R_list),
+        R_list=tuple(float(R) for R in R_list),
         mu_hat=tuple(mu), estimator=tuple(estimators),
-        probes=probes, seed=seed, cutoff_width=float(cutoff_width),
         skipped=tuple(skipped),
     )
 
@@ -276,12 +261,10 @@ def dominating_function(
 class WaveScanReport:
     """mu_hat(R; t) for e^{itP} with log-log fits in R and |t|."""
 
-    l: float
     entries: tuple  # rows (t, R, l, mu_hat, estimator, probes, seed)
     slope_R: float
     growth_t: float
     range_limited: bool
-    cutoff_width: float
     propagation_exact: tuple = ()
 
 
@@ -350,10 +333,10 @@ def wave_quasilocality_scan(
         r_arr.max() / max(r_arr.min(), 1e-12) < 4.0 or not slopes
     )
     return WaveScanReport(
-        l=float(l), entries=tuple(entries),
+        entries=tuple(entries),
         slope_R=float(np.median(slopes)) if slopes else np.nan,
         growth_t=float(np.median(growths)) if growths else np.nan,
-        range_limited=range_limited, cutoff_width=float(cutoff_width),
+        range_limited=range_limited,
         propagation_exact=tuple(prop_rows),
     )
 
@@ -366,10 +349,8 @@ def wave_quasilocality_scan(
 class SpotcheckReport:
     """Step-function approximation bookkeeping for commutators [T, f]."""
 
-    mesh: float
     step_defects: tuple       # ||[T,f] - [T,f']|| per sampled f
     direct_bounds: tuple      # 2 mesh ||T|| per sampled f
-    cross_term_norms: tuple   # assembled off-diagonal chi_i T chi_j mass
     verdict_lipschitz: bool
     verdict_borel: bool
 
@@ -401,7 +382,7 @@ def pseudolocality_equivalence_spotcheck(
     mesh = eps = 0.25
     rank_cap = g.state_dim // 4
 
-    defects, bounds, crosses = [], [], []
+    defects, bounds = [], []
     lip_ok = True
     borel_ok = True
     for _ in range(samples):
@@ -418,13 +399,6 @@ def pseudolocality_equivalence_spotcheck(
         defect = float(np.linalg.norm(comm_f - comm_s, 2))
         defects.append(defect)
         bounds.append(2.0 * mesh * tnorm)
-        # off-diagonal assembly: [T, f'] = sum_{i != j} (c_j - c_i) chi_i T chi_j
-        cross = 0.0
-        for i in np.unique(idx):
-            chi_i = np.repeat(idx == i, g.fiber_dim)
-            block = T.matrix[np.ix_(chi_i, ~chi_i)]
-            cross += float(np.linalg.norm(block, 2))
-        crosses.append(cross)
         # family verdicts: commutator vs indicator compressions
         sv_c = np.linalg.svd(comm_f, compute_uv=False)
         lip_ok = lip_ok and _count_at_least(sv_c, eps) <= rank_cap
@@ -434,7 +408,6 @@ def pseudolocality_equivalence_spotcheck(
             sv_b = np.linalg.svd(mat, compute_uv=False)
             borel_ok = borel_ok and _count_at_least(sv_b, eps) <= rank_cap
     return SpotcheckReport(
-        mesh=mesh, step_defects=tuple(defects), direct_bounds=tuple(bounds),
-        cross_term_norms=tuple(crosses),
+        step_defects=tuple(defects), direct_bounds=tuple(bounds),
         verdict_lipschitz=bool(lip_ok), verdict_borel=bool(borel_ok),
     )

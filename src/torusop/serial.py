@@ -1,7 +1,11 @@
 """Self-describing JSON containers and deterministic CSV emission.
 
 Sections and regions serialize as {schema, kind, dim, N, L, r, data};
-symbols and operators additionally carry {k, flags}.  Complex arrays are
+symbols and operators additionally carry {k, flags}.  A symbol's flags are
+x_independent and hermitian_valued; an operator's are provenance,
+self_adjoint, scalar_symbol and, when set, propagation_bound and
+propagation_speed.  Loading ignores any other flag, such as the
+hermitian_symbol flag that earlier writers stored.  Complex arrays are
 stored as paired real/imaginary nested lists.  All writers sort keys and
 format floats through a fixed %.17g so identical inputs produce identical
 bytes.  JSON output is strict (RFC 8259): a non-finite float is written as
@@ -87,7 +91,6 @@ def to_container(obj) -> dict:
             "provenance": obj.provenance,
             "self_adjoint": bool(obj.self_adjoint),
             "scalar_symbol": bool(obj.scalar_symbol),
-            "hermitian_symbol": bool(obj.hermitian_symbol),
         }
         if obj.propagation_bound is not None:
             flags["propagation_bound"] = float(obj.propagation_bound)
@@ -120,7 +123,6 @@ def from_container(doc: dict):
             provenance=flags["provenance"],
             self_adjoint=flags["self_adjoint"],
             scalar_symbol=flags["scalar_symbol"],
-            hermitian_symbol=flags["hermitian_symbol"],
             propagation_bound=flags.get("propagation_bound"),
             propagation_speed=flags.get("propagation_speed"),
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .lattice import GridSpec, smoothstep
 
 __all__ = [
     "Symbol",
-    "SymbolEstimateReport",
     "EllipticityCertificate",
     "symbol_from_callable",
     "estimate_constants",
@@ -207,20 +206,12 @@ def _block_norms(samples: np.ndarray) -> np.ndarray:
     return np.linalg.norm(samples, ord=2, axis=(-2, -1))
 
 
-@dataclass(frozen=True)
-class SymbolEstimateReport:
-    """Measured uniformity constants C^{alpha beta} for a symbol."""
+def estimate_constants(p: Symbol, alpha_max: int, beta_max: int) -> dict:
+    """Measure C^{ab} = max_(x,xi) ||D_x^a D_xi^b p|| / (1+|xi|)^(k-|b|).
 
-    alpha_max: int
-    beta_max: int
-    order_used: int
-    constants: dict = field(default_factory=dict)
-
-
-def estimate_constants(
-    p: Symbol, alpha_max: int, beta_max: int
-) -> SymbolEstimateReport:
-    """Measure C^{ab} = max_(x,xi) ||D_x^a D_xi^b p|| / (1+|xi|)^(k-|b|)."""
+    Returns {(alpha, beta): C^{ab}} over the multi-indices with
+    |alpha| <= alpha_max and |beta| <= beta_max.
+    """
     g = p.grid
     if beta_max >= g.points_per_axis // 2:
         raise ValueError("beta_max exceeds the frequency lattice extent")
@@ -235,19 +226,15 @@ def estimate_constants(
             norms = _block_norms(dab)
             weight = (1.0 + absxi) ** (p.order - sum(beta))
             constants[(alpha, beta)] = float((norms / weight[None, :]).max())
-    return SymbolEstimateReport(
-        alpha_max=alpha_max, beta_max=beta_max,
-        order_used=p.order, constants=constants,
-    )
+    return constants
 
 
 @dataclass(frozen=True)
 class EllipticityCertificate:
-    """Invertibility of p(x, xi) for |xi| > radius with an order -k bound."""
+    """Invertibility of p(x, xi) for |xi| > radius."""
 
     ok: bool
     radius: float = np.inf
-    inverse_bound: float = np.inf
     worst_point: tuple = ()
 
 
@@ -279,11 +266,7 @@ def check_elliptic(p: Symbol) -> EllipticityCertificate:
             continue
         if bad[outside].any():
             continue
-        with np.errstate(divide="ignore"):
-            inv_norm = 1.0 / sv_min[:, outside]
-        bound = float((inv_norm * (1.0 + absxi[outside]) ** p.order).max())
-        return EllipticityCertificate(ok=True, radius=float(radius),
-                                      inverse_bound=bound)
+        return EllipticityCertificate(ok=True, radius=float(radius))
     flat = sv_min.min(axis=0)
     j = int(np.argmax(absxi * bad)) if bad.any() else int(np.argmin(flat))
     i = int(np.argmin(sv_min[:, j]))

@@ -315,8 +315,8 @@ def test_criterion_09_psi_difference_bound():
         (mult["id"], _plus(mult["id"], 0.3 * np.cos(x))),
         (quantize(named_symbol(g, "sqrt_laplace")),
          _plus(quantize(named_symbol(g, "sqrt_laplace")), 0.2 * np.sin(x))),
-        (symmetrize(quantize(named_symbol(g, "drift")), force=True),
-         _plus(symmetrize(quantize(named_symbol(g, "drift")), force=True),
+        (symmetrize(quantize(named_symbol(g, "drift"))),
+         _plus(symmetrize(quantize(named_symbol(g, "drift"))),
                0.25 * np.cos(2 * x))),
     )
     for P, Pp in noncomm:

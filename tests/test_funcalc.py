@@ -236,7 +236,7 @@ def test_psi_difference_commuting_multipliers():
 def test_psi_difference_noncommuting():
     g = GridSpec(1, 96, 1.0)
     psi = named_function("si_normalizing")
-    P = symmetrize(quantize(named_symbol(g, "drift")), force=True)
+    P = symmetrize(quantize(named_symbol(g, "drift")))
     M = multiplication_operator(g, 0.25 * np.cos(g.points[:, 0]))
     Pp = DiscreteOperator(g, 1, P.matrix + M.matrix,
                           provenance="composed", self_adjoint=True)

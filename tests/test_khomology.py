@@ -47,13 +47,13 @@ def test_multigrading_ungraded_case_carries_no_data():
 def test_multigrading_user_matrices():
     eps = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     gen = 1j * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    mg = make_multigrading(1, grading=eps, generators=(gen,))
+    mg = Multigrading(1, eps, (gen,))
     assert mg.identity_defect() <= 1e-12
     bad = 1j * np.array([[0.0, 2.0], [2.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError):
-        make_multigrading(1, grading=eps, generators=(bad,))
+        Multigrading(1, eps, (bad,))
     with pytest.raises(ValueError):
-        make_multigrading(1, grading=eps)
+        Multigrading(1, eps, ())
 
 
 def test_assemble_dirac_module():
@@ -137,7 +137,7 @@ def test_homotopy_principal_mismatch_rejected():
     Q = fourier_multiplier(g, lambda xi: 2.0 * xi[..., 0], order=1)
     f = lipschitz_bump(g, np.zeros(1), 1.0, 2.0)
     with pytest.raises(ValueError, match="principal"):
-        homotopy_scan(P, Q, named_function("chi_rational"), 4, [f])
+        homotopy_scan(P, Q, named_function("chi_rational"), [4], [f])
 
 
 def test_homotopy_order1_continuity_and_lipschitz():

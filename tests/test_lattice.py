@@ -129,6 +129,22 @@ def test_cutoff_eta_meets_its_lipschitz_bound(dim, half_n, L, steps, ball,
     assert eta.measured_lipschitz() <= eta.lipschitz_bound
 
 
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2]), half_n=st.integers(4, 16),
+       steps=st.floats(4.0, 32.0), lip=st.sampled_from([0.5, 1.0, 2.0, 8.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(dim=1, half_n=16, steps=8.0, lip=2.0, seed=0)
+def test_lipschitz_bump_support_within_declared_diameter(dim, half_n, steps,
+                                                         lip, seed):
+    g = GridSpec(dim, 2 * half_n, 1.0)
+    center = np.random.default_rng(seed).uniform(0.0, g.period, dim)
+    f = lipschitz_bump(g, center, steps * g.spacing, lip)
+    mask = f.support().mask
+    assert mask.any()
+    diam = g.pairwise_distance()[np.ix_(mask, mask)].max()
+    assert diam <= f.support_diam * (1 + 1e-12)
+
+
 def test_restricted_seminorm_localizes():
     g = GridSpec(1, 128, 1.0)
     reg = ball_region(g, np.zeros(1), 1.0)

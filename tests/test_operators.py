@@ -79,10 +79,23 @@ def test_adjoint_and_symmetrize():
     P = quantize(named_symbol(g, "drift"))
     assert not P.self_adjoint
     assert np.allclose(adjoint(P).matrix, P.matrix.T.conj())
-    S = symmetrize(P, force=True)
+    S = symmetrize(P)
     assert S.self_adjoint
+    expected = (P.matrix + P.matrix.conj().T) / 2.0
+    assert S.matrix.tobytes() == expected.tobytes()
+    # a one-step shift: not Hermitian, with propagation data to carry
+    n = g.n_points
+    B = DiscreteOperator(g, 1, np.diag(np.cos(g.points[:, 0]))
+                         + 2.0 * np.roll(np.eye(n), 1, axis=1),
+                         provenance="composed", propagation_bound=g.spacing,
+                         propagation_speed=1.0)
+    for A in (P, B):
+        SA = symmetrize(A)
+        assert SA.self_adjoint
+        for name in ("grid", "order", "provenance", "scalar_symbol",
+                     "propagation_bound", "propagation_speed"):
+            assert getattr(SA, name) == getattr(A, name), name
     # symmetrization perturbs P by a bounded (order-zero) correction
-    from torusop.operators import DiscreteOperator
     D = DiscreteOperator(g, 0, S.matrix - P.matrix, provenance="composed")
     assert np.isfinite(op_norm(D, 0.0, 0.0))
 

@@ -101,17 +101,6 @@ def test_uniform_approx_profile_translates_share_ranks():
     assert prof.rank("fT", 0.1) == prof.ranks["fT"][1]
 
 
-def test_uniform_approx_profile_pair_form():
-    g = GridSpec(1, 64, 1.0)
-    T = quantize(named_symbol(g, "order_minus1"))
-    f = lipschitz_bump(g, np.zeros(1), 1.0, 2.0)
-    h = f.translated((32,))
-    prof = uniform_approx_profile(
-        T, [f], forms=("fTg",), eps_list=(0.1,), pairs=[(f, h)]
-    )
-    assert prof.ranks["fTg"][0] >= 0
-
-
 def test_dominating_function_multiplication_operator_vanishes():
     g = GridSpec(1, 128, 1.0)
     A = multiplication_operator(g, 2.0 + np.cos(g.points[:, 0]))

@@ -66,6 +66,20 @@ def test_operator_round_trip_keeps_flags(tmp_path):
     assert np.abs(Q.matrix - P.matrix).max() == 0.0
 
 
+def test_operator_container_with_extra_flag_loads_unchanged():
+    # earlier writers stored a "hermitian_symbol" flag; loading ignores it
+    g = GridSpec(1, 16, 1.0)
+    P = fourier_multiplier(g, lambda xi: xi[..., 0], order=1,
+                           propagation_speed=1.0)
+    doc = to_container(P)
+    assert "hermitian_symbol" not in doc["flags"]
+    old = json.loads(json_bytes(doc))
+    old["flags"]["hermitian_symbol"] = True
+    Q = from_container(old)
+    assert to_container(Q)["flags"] == doc["flags"]
+    assert Q.matrix.tobytes() == P.matrix.tobytes()
+
+
 def test_container_schema_enforced():
     g = GridSpec(1, 32, 1.0)
     doc = to_container(ball_region(g, np.zeros(1), 1.0))
@@ -137,9 +151,9 @@ def _container_object(kind, grid, rng, special, flags):
     return DiscreteOperator(
         grid, int(rng.integers(-2, 3)), _hermitian(a) if flags[0] else a,
         provenance="composed", self_adjoint=flags[0],
-        scalar_symbol=flags[1], hermitian_symbol=flags[2],
-        propagation_bound=(10.0 * grid.period_scale if flags[3] else None),
-        propagation_speed=(float(rng.uniform(0.5, 2.0)) if flags[3]
+        scalar_symbol=flags[1],
+        propagation_bound=(10.0 * grid.period_scale if flags[2] else None),
+        propagation_speed=(float(rng.uniform(0.5, 2.0)) if flags[2]
                            else None),
     )
 
@@ -158,13 +172,13 @@ SPECIAL = [-0.0, 5e-324, -1e300, 1e300]
        shape=st.sampled_from(((1, 4, 1), (1, 8, 2), (2, 4, 1), (2, 4, 2))),
        seed=st.integers(0, 2 ** 32 - 1),
        special=st.lists(st.floats(-1e300, 1e300), max_size=4),
-       flags=st.tuples(*[st.booleans()] * 4))
+       flags=st.tuples(*[st.booleans()] * 3))
 @example(kind="section", shape=(1, 4, 1), seed=0, special=SPECIAL,
-         flags=(False,) * 4)
+         flags=(False,) * 3)
 @example(kind="symbol", shape=(2, 4, 2), seed=0, special=SPECIAL,
-         flags=(False, True, False, False))
+         flags=(False, True, False))
 @example(kind="operator", shape=(2, 4, 2), seed=0, special=SPECIAL,
-         flags=(True,) * 4)
+         flags=(True,) * 3)
 def test_save_load_round_trip_is_bit_exact(kind, shape, seed, special,
                                            flags):
     dim, N, fiber = shape

@@ -38,17 +38,17 @@ def test_constant_estimates_match_hand_values():
     # p = 1 + xi^2 at order 2: C^{00} = sup (1+xi^2)/(1+|xi|)^2 = 1 at xi = 0
     g = GridSpec(1, 128, 1.0)
     p = named_symbol(g, "laplace+1")
-    rep = estimate_constants(p, 1, 1)
-    assert rep.constants[((0,), (0,))] == pytest.approx(1.0, rel=1e-9)
+    consts = estimate_constants(p, 1, 1)
+    assert consts[((0,), (0,))] == pytest.approx(1.0, rel=1e-9)
     # x-derivative of an x-independent symbol vanishes
-    assert rep.constants[((1,), (0,))] <= 1e-10
+    assert consts[((1,), (0,))] <= 1e-10
 
 
 def test_estimate_constants_scale_with_order():
     g = GridSpec(1, 128, 1.0)
     p = named_symbol(g, "schwartz_xi")
-    rep = estimate_constants(p, 2, 2)
-    assert max(rep.constants.values()) <= 4.0
+    consts = estimate_constants(p, 2, 2)
+    assert max(consts.values()) <= 4.0
 
 
 def test_ellipticity_certificates():
