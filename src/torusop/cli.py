@@ -175,7 +175,7 @@ def _check(name, value, budget, ok=None) -> dict:
 # scenarios
 
 
-def _run_symbol_check(cfg, out, rng):
+def _run_symbol_check(cfg, out):
     g = GridSpec(1, cfg["N"], cfg["L"])
     checks = []
     rows = []
@@ -201,7 +201,7 @@ def _run_symbol_check(cfg, out, rng):
     return checks, ["constants.csv"]
 
 
-def _run_compose_check(cfg, out, rng):
+def _run_compose_check(cfg, out):
     checks, rows = [], []
     for N in cfg["N_ladder"]:
         g = GridSpec(1, int(N), cfg["L"])
@@ -228,7 +228,7 @@ def _run_compose_check(cfg, out, rng):
     return checks, ["remainders.csv"]
 
 
-def _run_parametrix(cfg, out, rng):
+def _run_parametrix(cfg, out):
     g = GridSpec(1, cfg["N"], cfg["L"])
     p = named_symbol(g, cfg["family"])
     P = quantize(p)
@@ -252,7 +252,7 @@ def _run_parametrix(cfg, out, rng):
     return checks, ["residuals.csv"]
 
 
-def _run_elliptic_estimate(cfg, out, rng):
+def _run_elliptic_estimate(cfg, out):
     checks = []
     doc = {}
     for fam in cfg["families"]:
@@ -269,7 +269,7 @@ def _run_elliptic_estimate(cfg, out, rng):
     return checks, ["constants.json"]
 
 
-def _run_waveprop(cfg, out, rng):
+def _run_waveprop(cfg, out):
     g = GridSpec(1, cfg["N"], cfg["L"])
     P = fourier_multiplier(g, lambda xi: xi[..., 0], order=1,
                            propagation_speed=1.0)
@@ -288,7 +288,7 @@ def _run_waveprop(cfg, out, rng):
     return checks, ["scan.csv"]
 
 
-def _run_funcalc_defect(cfg, out, rng):
+def _run_funcalc_defect(cfg, out):
     g = GridSpec(1, cfg["N"], cfg["L"])
     P = quantize(named_symbol(g, cfg["family"]))
     sd = spectral_data(P)
@@ -321,7 +321,7 @@ def _run_funcalc_defect(cfg, out, rng):
     return checks, ["defects.json"]
 
 
-def _run_quasiloc_scan(cfg, out, rng):
+def _run_quasiloc_scan(cfg, out):
     g = GridSpec(1, cfg["N"], cfg["L"])
     T = quantize(named_symbol(g, cfg["family"]))
     region = ball_region(g, np.zeros(1), cfg["center_radius"])
@@ -337,7 +337,7 @@ def _run_quasiloc_scan(cfg, out, rng):
     return checks, ["scan.csv"]
 
 
-def _run_fredholm_check(cfg, out, rng):
+def _run_fredholm_check(cfg, out):
     g = GridSpec(1, cfg["N"], cfg["L"], fiber_dim=2)
     fam = [lipschitz_bump(g, np.array([c]), cfg["bump_R"], cfg["bump_L"])
            for c in cfg["centers"]]
@@ -374,7 +374,7 @@ def _run_fredholm_check(cfg, out, rng):
     return checks, ["module.json"]
 
 
-def _run_homotopy_scan(cfg, out, rng):
+def _run_homotopy_scan(cfg, out):
     g = GridSpec(1, cfg["N"], cfg["L"])
     f = lipschitz_bump(g, np.zeros(1), cfg["bump_R"], cfg["bump_L"])
     chi = named_function("chi_rational")
@@ -407,14 +407,14 @@ def _sub_scenarios():
     return [s for s in sorted(_DEFAULTS) if s != "full-suite"]
 
 
-def _run_full_suite(cfg, out, rng):
+def _run_full_suite(cfg, out):
     checks, artifacts, summaries = [], [], []
     for scenario in _sub_scenarios():
         sub = os.path.join(out, scenario)
         os.makedirs(sub, exist_ok=True)
         sub_cfg = default_config(scenario)
         sub_cfg["seed"] = cfg["seed"]
-        sub_checks, files = SCENARIOS[scenario](sub_cfg, sub, rng)
+        sub_checks, files = SCENARIOS[scenario](sub_cfg, sub)
         # one rollup row per scenario; its checks stay in its own summary
         checks.append(_check(f"{scenario} all rows pass",
                              sum(0 if c["passed"] else 1
@@ -482,8 +482,7 @@ def run(scenario: str, config: dict | None = None, out: str = ".",
         cfg["seed"] = int(seed)
     os.makedirs(out, exist_ok=True)
     _remove_previous_results(out)
-    rng = np.random.default_rng(cfg["seed"])
-    checks, artifacts = SCENARIOS[scenario](cfg, out, rng)
+    checks, artifacts = SCENARIOS[scenario](cfg, out)
     _write_summary(out, scenario, cfg, checks)
     manifest = {
         "scenario": scenario,

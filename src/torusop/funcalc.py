@@ -274,7 +274,7 @@ def _gaussian(prm):
                               derivative=derivative)
 
 
-def _chi_rational(prm):
+def _chi_rational(_prm):
     fn = lambda x: np.asarray(x) / np.sqrt(1.0 + np.asarray(x) ** 2)
     return ScalarFunctionSpec("chi_rational", fn, "normalizing", m=0)
 
@@ -297,7 +297,7 @@ def _schwartz_bump(prm):
     return ScalarFunctionSpec("schwartz_bump", fn, "schwartz", fhat=fhat)
 
 
-def _si_normalizing(prm):
+def _si_normalizing(_prm):
     def fn(x):
         si, _ = scipy.special.sici(np.asarray(x, dtype=float))
         return (2.0 / np.pi) * si
@@ -308,12 +308,12 @@ def _si_normalizing(prm):
                               c_psi=2.0 / np.pi)
 
 
-def _identity_fn(prm):
+def _identity_fn(_prm):
     return ScalarFunctionSpec("identity", lambda x: np.asarray(x, dtype=float),
                               "symbol", m=1)
 
 
-def _one_fn(prm):
+def _one_fn(_prm):
     return ScalarFunctionSpec(
         "one", lambda x: np.ones_like(np.asarray(x, dtype=float)),
         "symbol", m=0)
@@ -339,16 +339,12 @@ def named_function(name: str, params: dict | None = None) -> ScalarFunctionSpec:
 # calculus routes
 
 
-def _as_callable(f):
-    return f.fn if isinstance(f, ScalarFunctionSpec) else f
-
-
 def spectral_apply(
     P: DiscreteOperator, f, spectral: SpectralData | None = None,
 ) -> DiscreteOperator:
     """Oracle route: f(P) = V f(lambda) V*, declared order 0."""
     sd = spectral or spectral_data(P)
-    vals = np.asarray(_as_callable(f)(sd.eigenvalues), dtype=complex)
+    vals = np.asarray(f(sd.eigenvalues), dtype=complex)
     mat = sd.apply(vals)
     sa = bool(np.all(np.abs(vals.imag) <= 1e-14 * max(1.0, np.abs(vals).max())))
     return DiscreteOperator(P.grid, 0, mat, provenance="function_of",

@@ -24,12 +24,11 @@ from .operators import (
 )
 from .funcalc import (
     ScalarFunctionSpec,
-    _as_callable,
     _c_psi,
     spectral_data,
     spectral_apply,
 )
-from .quasiloc import uniform_approx_profile
+from .quasiloc import _loglog_slope, uniform_approx_profile
 
 __all__ = [
     "Multigrading",
@@ -228,7 +227,7 @@ def assemble_module(
             raise ValueError("exact square check needs a spectral gap at 0")
         # T^2 - 1 = (chi^2 - 1)(P); checking on the spectrum keeps the
         # exactness claim free of matrix-product roundoff
-        chi_vals = np.asarray(_as_callable(chi)(sd.eigenvalues))
+        chi_vals = np.asarray(chi(sd.eigenvalues))
         square_defect = float(np.abs(chi_vals * chi_vals - 1.0).max())
 
     report = VerificationReport(
@@ -402,7 +401,6 @@ def homotopy_scan(
     step_counts = tuple(int(s) for s in t_steps)
     rhos = [np.repeat(f.values, g.fiber_dim) for f in test_fs]
     eye = np.eye(g.state_dim)
-    chi_fn = _as_callable(chi)
     order1 = (k == 1)
     c_chi = None
     if order1:
@@ -420,7 +418,7 @@ def homotopy_scan(
                                   (1.0 - t) * P.matrix + t * P_prime.matrix,
                                   provenance="composed", self_adjoint=True)
             sd = spectral_data(Pt)
-            T = sd.apply(np.asarray(chi_fn(sd.eigenvalues), dtype=complex))
+            T = sd.apply(np.asarray(chi(sd.eigenvalues), dtype=complex))
             chi_at[t] = T
         tsq = T @ T - eye
         tad = T - T.T.conj()
@@ -459,19 +457,16 @@ def homotopy_scan(
             max_jumps[(fam, steps)] = max(per_family[fam])
 
     gamma = {}
+    hs = np.array([1.0 / s for s in step_counts])
     for fam in FAMILIES:
+        js = np.array([max_jumps[(fam, s)] for s in step_counts])
         if len(step_counts) < 2:
             gamma[fam] = float("nan")
-            continue
-        hs = np.array([1.0 / s for s in step_counts])
-        js = np.array([max_jumps[(fam, s)] for s in step_counts])
-        good = js > 0
-        if good.sum() < 2:
+        elif not js.any():
             # identically zero track: continuity holds trivially
-            gamma[fam] = float("inf") if not js.any() else float("nan")
-            continue
-        gamma[fam] = float(np.polyfit(np.log(hs[good]), np.log(js[good]),
-                                      1)[0])
+            gamma[fam] = float("inf")
+        else:
+            gamma[fam] = _loglog_slope(hs, js)
     return HomotopyTrace(
         step_counts=step_counts, jumps=jumps, max_jumps=max_jumps,
         gamma=gamma, lipschitz=tuple(lipschitz), c_chi=c_chi,

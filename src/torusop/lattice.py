@@ -286,7 +286,6 @@ class BumpFunction:
     values: np.ndarray
     lipschitz_bound: float
     support_diam: float
-    sup_norm: float = 1.0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).ravel()
@@ -344,9 +343,8 @@ def cutoff_eta(region: Region, R: float) -> BumpFunction:
     # an empty region has distance inf everywhere and a full one zeros, which
     # smoothstep maps to exactly 0.0 and 1.0
     vals = smoothstep(region.distance_field() / R)
-    return BumpFunction(
-        g, vals, lipschitz_bound=1.875 / R, support_diam=np.inf, sup_norm=1.0
-    )
+    return BumpFunction(g, vals, lipschitz_bound=1.875 / R,
+                        support_diam=np.inf)
 
 
 def restricted_seminorm(

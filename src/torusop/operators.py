@@ -136,13 +136,6 @@ class DiscreteOperator:
             a = np.where(beyond, 0.0, a)
         object.__setattr__(self, "matrix", a)
 
-    @property
-    def state_dim(self) -> int:
-        return self.grid.state_dim
-
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
-
 
 def _kn_matrix(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     """Dense matrix of sum_xi e^{i (x_j - x_k).xi} a(x_j, xi) / n_points.

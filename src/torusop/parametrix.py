@@ -284,13 +284,14 @@ def elliptic_estimate_constant(
     return best
 
 
-def fourier_diagonal_constant(fn, order: int, s: float) -> float:
+def fourier_diagonal_constant(fn, order: int) -> float:
     """Elliptic-estimate constant of a 1D multiplier, by direct supremum.
 
     For plane waves the estimate diagonalizes, and the constant is
-    sup_xi (1+|xi|^2)^{k/2} / (1 + |m(xi)|), evaluated at xi = 0 and on 4000
-    log-spaced frequencies in [1e-3, 1e8], far past any lattice (the
-    supremum of interest is often only attained as |xi| -> infinity).
+    sup_xi (1+|xi|^2)^{k/2} / (1 + |m(xi)|) at every Sobolev index s,
+    evaluated at xi = 0 and on 4000 log-spaced frequencies in [1e-3, 1e8],
+    far past any lattice (the supremum of interest is often only attained
+    as |xi| -> infinity).
     """
     mags = np.concatenate([[0.0], np.geomspace(1e-3, 1e8, 4000)])
     m = np.abs(np.asarray(fn(mags[:, None]), dtype=complex).ravel())

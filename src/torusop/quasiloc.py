@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 EXACT_ESTIMATOR_CAP = 4608
+# width of every exterior cutoff, in grid spacings
+CUTOFF_SPACINGS = 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +188,6 @@ def dominating_function(
     region_list,
     probes: int = 8,
     seed: int = 0,
-    cutoff_width: float | None = None,
 ) -> DominatingFunctionEstimate:
     """Estimate mu(R): mass of Au beyond B_R(L) relative to ||u||_{H^r}.
 
@@ -196,15 +197,15 @@ def dominating_function(
     estimator and every probe; the QR factor of a region's H^r embedding
     is taken once per call.  Each exact sup is then one triangular solve
     against that factor and the top eigenvalue of an m x m Gram matrix,
-    m the region's state count (``_sup_ratio``).
+    m the region's state count (``_sup_ratio``).  Each exterior cutoff is
+    CUTOFF_SPACINGS grid spacings wide.
     """
     g = A.grid
     if probes < 1:
         raise ValueError("at least one probe required")
     if any(R < 0 for R in R_list):
         raise ValueError("radius must be nonnegative")
-    if cutoff_width is None:
-        cutoff_width = 4.0 * g.spacing
+    cutoff_width = CUTOFF_SPACINGS * g.spacing
     rng = np.random.default_rng(seed)
     dists = [region.distance_field() for region in region_list]
     factors = {}  # region index -> R factor, taken on first use
@@ -220,8 +221,8 @@ def dominating_function(
                 continue
             usable = True
             eta = cutoff_eta(outside, cutoff_width)
-            m = int(region.mask.sum()) * g.fiber_dim
-            if m <= EXACT_ESTIMATOR_CAP and g.state_dim <= EXACT_ESTIMATOR_CAP:
+            # a region holds at most state_dim states
+            if g.state_dim <= EXACT_ESTIMATOR_CAP:
                 if i not in factors:
                     factors[i] = _embedding_r_factor(region, r)
                 best = max(best, _restricted_sup(A, region, eta, factors[i],
@@ -257,6 +258,18 @@ def dominating_function(
 # wave scans
 
 
+def _loglog_slope(xs, ys) -> float:
+    """Least-squares slope of log ys against log xs over the entries ys > 0.
+
+    NaN when fewer than two entries are positive.
+    """
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    good = ys > 0
+    if good.sum() < 2:
+        return np.nan
+    return float(np.polyfit(np.log(xs[good]), np.log(ys[good]), 1)[0])
+
+
 @dataclass(frozen=True)
 class WaveScanReport:
     """mu_hat(R; t) for e^{itP} with log-log fits in R and |t|."""
@@ -281,10 +294,10 @@ def wave_quasilocality_scan(
 ) -> WaveScanReport:
     """Scan mu_hat(R; t) of the wave operators as H^l -> H^{l-(k-1)} maps.
 
-    Each exterior cutoff is 4 grid spacings wide.
+    Each exterior cutoff is CUTOFF_SPACINGS grid spacings wide.
     """
     g = P.grid
-    cutoff_width = 4.0 * g.spacing
+    cutoff_width = CUTOFF_SPACINGS * g.spacing
     if region is None:
         center = g.points[g.n_points // 2]
         region = ball_region(g, center, 2.0 * g.spacing)
@@ -296,10 +309,8 @@ def wave_quasilocality_scan(
     prop_rows = []
     for t in t_list:
         U = wave_operator(P, t, spectral=sd)
-        est = dominating_function(
-            U, l, s_out, R_list, [region], probes=probes,
-            seed=seed, cutoff_width=cutoff_width,
-        )
+        est = dominating_function(U, l, s_out, R_list, [region],
+                                  probes=probes, seed=seed)
         for R, m, e in zip(est.R_list, est.mu_hat, est.estimator):
             entries.append((float(t), float(R), float(l), float(m), e,
                             probes, seed))
@@ -309,21 +320,13 @@ def wave_quasilocality_scan(
             for R, m in zip(est.R_list, est.mu_hat):
                 if R > U.propagation_bound + cutoff_width and np.isfinite(m):
                     prop_rows.append((float(t), float(R), m == 0.0))
-
-    def _fit(xs, ys):
-        xs, ys = np.asarray(xs), np.asarray(ys)
-        good = ys > 0
-        if good.sum() < 2:
-            return np.nan
-        return float(np.polyfit(np.log(xs[good]), np.log(ys[good]), 1)[0])
-
     slopes = [
-        _fit(list(R_list), [table[(t, R)] for R in R_list])
+        _loglog_slope(list(R_list), [table[(t, R)] for R in R_list])
         for t in t_list if t != 0
     ]
     growths = [
-        _fit([abs(t) for t in t_list if t != 0],
-             [table[(t, R)] for t in t_list if t != 0])
+        _loglog_slope([abs(t) for t in t_list if t != 0],
+                      [table[(t, R)] for t in t_list if t != 0])
         for R in R_list
     ]
     slopes = [x for x in slopes if np.isfinite(x)]
@@ -353,10 +356,6 @@ class SpotcheckReport:
     direct_bounds: tuple      # 2 mesh ||T|| per sampled f
     verdict_lipschitz: bool
     verdict_borel: bool
-
-    @property
-    def verdicts_agree(self) -> bool:
-        return self.verdict_lipschitz == self.verdict_borel
 
 
 def pseudolocality_equivalence_spotcheck(

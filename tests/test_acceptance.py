@@ -198,7 +198,7 @@ def test_criterion_04_parametrix():
 
 def test_criterion_05_elliptic_estimate():
     ok = True
-    c = fourier_diagonal_constant(lambda xi: 1.0 + xi[..., 0] ** 2, 2, 2.0)
+    c = fourier_diagonal_constant(lambda xi: 1.0 + xi[..., 0] ** 2, 2)
     ok &= abs(c - 1.0) <= 1e-9
     series = []
     for N in (128, 256):

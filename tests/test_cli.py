@@ -13,7 +13,8 @@ def _tree_bytes(root):
     for base, _dirs, files in os.walk(root):
         for name in files:
             path = os.path.join(base, name)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
     return out
 
 
@@ -102,7 +103,7 @@ def test_full_suite_summary_counts_each_check_once(tmp_path, monkeypatch):
     assert len(names) == 9
 
     def stub(fail):
-        def scenario(cfg, out, rng):
+        def scenario(cfg, out):
             checks = [cli._check("ok row", 0, 0)]
             if fail:
                 checks.append(cli._check("broken row", 1, 0))
@@ -213,7 +214,7 @@ def test_crashed_run_leaves_no_old_pass(tmp_path, monkeypatch, crashing):
     # a passing full-suite, then a run into the same directory whose
     # scenario raises: neither the old summaries nor the sub-scenarios
     # finished before the crash may read as a pass
-    def passing(cfg, out, rng):
+    def passing(cfg, out):
         return [cli._check("ok row", 0, 0)], []
 
     for name in cli.SCENARIOS:
@@ -223,7 +224,7 @@ def test_crashed_run_leaves_no_old_pass(tmp_path, monkeypatch, crashing):
     assert run("full-suite", out=out) == 0
     assert main(["--summary", "--out", out]) == 0
 
-    def crash(cfg, out, rng):
+    def crash(cfg, out):
         raise RuntimeError("scenario crashed")
 
     monkeypatch.setitem(cli.SCENARIOS, crashing, crash)

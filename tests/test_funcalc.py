@@ -17,6 +17,7 @@ from torusop.funcalc import (
     NAMED_FUNCTIONS,
     SPECTRAL_REL_TOL,
     SpectralData,
+    _c_psi,
     _gate_passes,
     chi_resolvent_integral,
     fourier_apply,
@@ -161,8 +162,8 @@ def test_spectral_data_multiplier_fast_path():
 
 def test_named_function_specs_verify():
     for name in NAMED_FUNCTIONS:
-        spec = named_function(name)
-        spec.verify()
+        report = named_function(name).verify()
+        assert report["ok"], (name, report)
 
 
 def test_wave_operator_unitary_group():
@@ -247,3 +248,25 @@ def test_psi_difference_noncommuting():
 def test_si_normalizing_constant_closed_form():
     psi = named_function("si_normalizing")
     assert psi.c_psi == pytest.approx(2.0 / np.pi)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+def test_c_psi_from_closed_form_derivative(sigma):
+    # gaussian has no closed-form C_psi, so its derivative is transformed;
+    # (1/2pi) int |s| sigma sqrt(2pi) e^{-sigma^2 s^2/2} ds = sqrt(2/pi)/sigma
+    psi = named_function("gaussian", {"sigma": sigma})
+    assert psi.c_psi is None and psi.derivative is not None
+    assert _c_psi(psi) == pytest.approx(np.sqrt(2.0 / np.pi) / sigma,
+                                        rel=2e-4)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 0.5), (0.5, 3.0)])
+def test_schwartz_bump_transform_matches_riemann_sum(a, b):
+    # the unitary transform (1/sqrt(2pi)) int f(x) e^{-itx} dx, by a Riemann
+    # sum that is spectrally accurate for this Schwartz f
+    f = named_function("schwartz_bump", {"a": a, "b": b})
+    x = np.linspace(-60.0, 60.0, 1 << 16, endpoint=False)
+    fx = f(x) * (x[1] - x[0]) / np.sqrt(2.0 * np.pi)
+    t = np.linspace(-8.0, 8.0, 33)
+    riemann = np.array([np.dot(fx, np.exp(-1j * tv * x)) for tv in t])
+    assert np.abs(riemann - f.fhat(t)).max() <= 1e-12

@@ -78,7 +78,6 @@ def test_region_ball_and_complement():
 def test_lipschitz_bump_certificates():
     g = GridSpec(1, 128, 1.0)
     f = lipschitz_bump(g, np.zeros(1), 1.0, 2.0)
-    assert f.sup_norm == pytest.approx(1.0)
     assert f.measured_lipschitz() <= f.lipschitz_bound * (1 + 1e-9)
     shifted = f.translated((7,))
     assert np.allclose(np.roll(f.values, 7), shifted.values)

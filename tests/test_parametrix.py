@@ -77,9 +77,9 @@ def test_exact_inverse_multiplier_case():
 
 
 def test_fourier_diagonal_constant_identity():
-    assert fourier_diagonal_constant(lambda xi: 0.0 * xi[..., 0], 0, 0.0) \
+    assert fourier_diagonal_constant(lambda xi: 0.0 * xi[..., 0], 0) \
         == pytest.approx(1.0, rel=1e-9)
-    c = fourier_diagonal_constant(lambda xi: 1 + xi[..., 0] ** 2, 2, 2.0)
+    c = fourier_diagonal_constant(lambda xi: 1 + xi[..., 0] ** 2, 2)
     assert c == pytest.approx(1.0, abs=1e-9)
 
 
