@@ -1,9 +1,11 @@
 """Configuration-driven experiment harness.
 
 Each scenario builds small torus models, measures the advertised quantities,
-and writes deterministic CSV/JSON artifacts plus a run manifest.  Re-running
-a scenario with the same config and seed reproduces every artifact byte for
-byte; only the manifest timestamp differs.
+and returns its checks and deterministic CSV/JSON artifacts without writing
+anything.  ``run`` then writes them with a summary and a run manifest, so a
+run that raises leaves no new file.  Re-running a scenario with the same
+config and seed reproduces every artifact byte for byte; only the manifest
+timestamp differs.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ __all__ = ["main", "run", "report", "SCENARIOS", "default_config"]
 
 # rows of the tightest-margin table that --summary prints
 _MARGIN_ROWS = 5
+# columns of the scan.csv that waveprop and quasiloc-scan write
+_SCAN_HEADER = ("t", "R", "l", "mu_hat", "estimator", "probes", "seed")
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +130,8 @@ def _fits(value, default) -> bool:
 
 def _validate_config(scenario: str, config: dict) -> dict:
     base = default_config(scenario)
+    if not isinstance(config, dict):
+        raise ValueError(f"config for {scenario} must be a JSON object")
     unknown = sorted(set(config) - set(base))
     if unknown:
         raise ValueError(
@@ -175,10 +181,9 @@ def _check(name, value, budget, ok=None) -> dict:
 # scenarios
 
 
-def _run_symbol_check(cfg, out):
+def _run_symbol_check(cfg):
     g = GridSpec(1, cfg["N"], cfg["L"])
-    checks = []
-    rows = []
+    checks, rows = [], []
     for fam in cfg["families"]:
         fiber = 2 if fam.startswith("dirac") else 1
         gf = GridSpec(1, cfg["N"], cfg["L"], fiber)
@@ -196,12 +201,11 @@ def _run_symbol_check(cfg, out):
     checks.append(_check("quantize(1) = identity",
                          float(np.abs(ident.matrix - np.eye(g.state_dim)).max()),
                          1e-12))
-    write_csv(os.path.join(out, "constants.csv"),
-              ("family", "alpha", "beta", "constant"), rows)
-    return checks, ["constants.csv"]
+    header = ("family", "alpha", "beta", "constant")
+    return checks, {"constants.csv": (header, rows)}
 
 
-def _run_compose_check(cfg, out):
+def _run_compose_check(cfg):
     checks, rows = [], []
     for N in cfg["N_ladder"]:
         g = GridSpec(1, int(N), cfg["L"])
@@ -223,12 +227,11 @@ def _run_compose_check(cfg, out):
                     checks.append(_check(
                         f"{pname}*{qname} J={J} s={s} N={N} finite",
                         norm, np.inf, ok=np.isfinite(norm)))
-    write_csv(os.path.join(out, "remainders.csv"),
-              ("p", "q", "N", "J", "s", "norm"), rows)
-    return checks, ["remainders.csv"]
+    header = ("p", "q", "N", "J", "s", "norm")
+    return checks, {"remainders.csv": (header, rows)}
 
 
-def _run_parametrix(cfg, out):
+def _run_parametrix(cfg):
     g = GridSpec(1, cfg["N"], cfg["L"])
     p = named_symbol(g, cfg["family"])
     P = quantize(p)
@@ -247,14 +250,12 @@ def _run_parametrix(cfg, out):
                     res.off_band_norms[key], np.inf,
                     ok=np.isfinite(res.off_band_norms[key])))
         checks.append(_check(f"J={J} converged", int(res.diverged), 0))
-    write_csv(os.path.join(out, "residuals.csv"),
-              ("term", "k", "l", "norm", "J", "N", "L"), rows)
-    return checks, ["residuals.csv"]
+    header = ("term", "k", "l", "norm", "J", "N", "L")
+    return checks, {"residuals.csv": (header, rows)}
 
 
-def _run_elliptic_estimate(cfg, out):
-    checks = []
-    doc = {}
+def _run_elliptic_estimate(cfg):
+    checks, doc = [], {}
     for fam in cfg["families"]:
         g = GridSpec(1, cfg["N"], cfg["L"])
         p = named_symbol(g, fam)
@@ -264,31 +265,26 @@ def _run_elliptic_estimate(cfg, out):
         doc[fam] = c
         checks.append(_check(f"{fam}: estimate constant finite", c, np.inf,
                              ok=np.isfinite(c)))
-    with open(os.path.join(out, "constants.json"), "wb") as fh:
-        fh.write(json_bytes(doc))
-    return checks, ["constants.json"]
+    return checks, {"constants.json": doc}
 
 
-def _run_waveprop(cfg, out):
+def _run_waveprop(cfg):
     g = GridSpec(1, cfg["N"], cfg["L"])
     P = fourier_multiplier(g, lambda xi: xi[..., 0], order=1,
                            propagation_speed=1.0)
     t_list = [k * g.spacing for k in cfg["t_spacings"]]
     rep = wave_quasilocality_scan(P, 1, t_list, cfg["R_list"], cfg["l"],
                                   probes=cfg["probes"], seed=cfg["seed"])
-    write_csv(os.path.join(out, "scan.csv"),
-              ("t", "R", "l", "mu_hat", "estimator", "probes", "seed"),
-              rep.entries)
     checks = []
     beyond = [row for row in rep.propagation_exact]
     checks.append(_check("rows beyond |t| + cutoff recorded",
                          len(beyond), np.inf, ok=len(beyond) > 0))
     checks.append(_check("exact zeros beyond propagation cone",
                          sum(0 if row[2] else 1 for row in beyond), 0))
-    return checks, ["scan.csv"]
+    return checks, {"scan.csv": (_SCAN_HEADER, rep.entries)}
 
 
-def _run_funcalc_defect(cfg, out):
+def _run_funcalc_defect(cfg):
     g = GridSpec(1, cfg["N"], cfg["L"])
     P = quantize(named_symbol(g, cfg["family"]))
     sd = spectral_data(P)
@@ -316,12 +312,10 @@ def _run_funcalc_defect(cfg, out):
                                  res.defect, max(prev, 1e-12)))
         prev = res.defect
     checks.append(_check("resolvent-route final defect", prev, 1e-5))
-    with open(os.path.join(out, "defects.json"), "wb") as fh:
-        fh.write(json_bytes(doc))
-    return checks, ["defects.json"]
+    return checks, {"defects.json": doc}
 
 
-def _run_quasiloc_scan(cfg, out):
+def _run_quasiloc_scan(cfg):
     g = GridSpec(1, cfg["N"], cfg["L"])
     T = quantize(named_symbol(g, cfg["family"]))
     region = ball_region(g, np.zeros(1), cfg["center_radius"])
@@ -331,13 +325,11 @@ def _run_quasiloc_scan(cfg, out):
         (0.0, R, cfg["s"], mu, estimator, cfg["probes"], cfg["seed"])
         for R, mu, estimator in zip(est.R_list, est.mu_hat, est.estimator)
     ]
-    write_csv(os.path.join(out, "scan.csv"),
-              ("t", "R", "l", "mu_hat", "estimator", "probes", "seed"), rows)
     checks = [_check("mu_hat isotonic defect", est.isotonic_defect(), 0.10)]
-    return checks, ["scan.csv"]
+    return checks, {"scan.csv": (_SCAN_HEADER, rows)}
 
 
-def _run_fredholm_check(cfg, out):
+def _run_fredholm_check(cfg):
     g = GridSpec(1, cfg["N"], cfg["L"], fiber_dim=2)
     fam = [lipschitz_bump(g, np.array([c]), cfg["bump_R"], cfg["bump_L"])
            for c in cfg["centers"]]
@@ -369,12 +361,10 @@ def _run_fredholm_check(cfg, out):
             for (label, kind), prof in rep.profiles.items()
         },
     }
-    with open(os.path.join(out, "module.json"), "wb") as fh:
-        fh.write(json_bytes(doc))
-    return checks, ["module.json"]
+    return checks, {"module.json": doc}
 
 
-def _run_homotopy_scan(cfg, out):
+def _run_homotopy_scan(cfg):
     g = GridSpec(1, cfg["N"], cfg["L"])
     f = lipschitz_bump(g, np.zeros(1), cfg["bump_R"], cfg["bump_L"])
     chi = named_function("chi_rational")
@@ -397,9 +387,7 @@ def _run_homotopy_scan(cfg, out):
                       for (fam, steps), v in sorted(tr.max_jumps.items())},
         "lipschitz": tr.lipschitz,
     }
-    with open(os.path.join(out, "trace.json"), "wb") as fh:
-        fh.write(json_bytes(doc))
-    return checks, ["trace.json"]
+    return checks, {"trace.json": doc}
 
 
 def _sub_scenarios():
@@ -407,24 +395,19 @@ def _sub_scenarios():
     return [s for s in sorted(_DEFAULTS) if s != "full-suite"]
 
 
-def _run_full_suite(cfg, out):
-    checks, artifacts, summaries = [], [], []
+def _run_full_suite(cfg):
+    checks, artifacts = [], {}
     for scenario in _sub_scenarios():
-        sub = os.path.join(out, scenario)
-        os.makedirs(sub, exist_ok=True)
         sub_cfg = default_config(scenario)
         sub_cfg["seed"] = cfg["seed"]
-        sub_checks, files = SCENARIOS[scenario](sub_cfg, sub)
+        sub_checks, files = SCENARIOS[scenario](sub_cfg)
         # one rollup row per scenario; its checks stay in its own summary
         checks.append(_check(f"{scenario} all rows pass",
                              sum(0 if c["passed"] else 1
                                  for c in sub_checks), 0))
-        artifacts.extend(f"{scenario}/{f}" for f in files)
-        summaries.append((sub, scenario, sub_cfg, sub_checks))
-    # written once every sub-scenario has finished, so a crash part way
-    # leaves no partial set of summaries for --summary to read as a pass
-    for summary in summaries:
-        _write_summary(*summary)
+        files["summary.json"] = _summary(scenario, sub_cfg, sub_checks)
+        artifacts.update((f"{scenario}/{name}", payload)
+                         for name, payload in files.items())
     return checks, artifacts
 
 
@@ -446,15 +429,21 @@ SCENARIOS = {
 # harness
 
 
-def _write_summary(out, scenario, cfg, checks):
-    summary = {
-        "scenario": scenario,
-        "config": cfg,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
-    with open(os.path.join(out, "summary.json"), "wb") as fh:
-        fh.write(json_bytes(summary))
+def _summary(scenario, cfg, checks) -> dict:
+    return {"scenario": scenario, "config": cfg, "checks": checks,
+            "passed": all(c["passed"] for c in checks)}
+
+
+def _write_artifacts(out, artifacts) -> None:
+    """Write each artifact under out: CSV from (header, rows), else JSON."""
+    for name, payload in artifacts.items():
+        path = os.path.join(out, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        if name.endswith(".csv"):
+            write_csv(path, *payload)
+        else:
+            with open(path, "wb") as fh:
+                fh.write(json_bytes(payload))
 
 
 def _remove_previous_results(out):
@@ -480,11 +469,12 @@ def run(scenario: str, config: dict | None = None, out: str = ".",
     cfg = _validate_config(scenario, config or {})
     if seed is not None:
         cfg["seed"] = int(seed)
-    os.makedirs(out, exist_ok=True)
     _remove_previous_results(out)
-    checks, artifacts = SCENARIOS[scenario](cfg, out)
-    _write_summary(out, scenario, cfg, checks)
-    manifest = {
+    # the scenario computes everything before the first file is written,
+    # so a run that raises leaves no new file behind
+    checks, artifacts = SCENARIOS[scenario](cfg)
+    artifacts["summary.json"] = _summary(scenario, cfg, checks)
+    artifacts["manifest.json"] = {
         "scenario": scenario,
         "config_hash": hashlib.sha256(
             json_bytes({"scenario": scenario, "config": cfg})).hexdigest(),
@@ -493,12 +483,11 @@ def run(scenario: str, config: dict | None = None, out: str = ".",
             "torusop": __version__,
             "numpy": np.__version__,
         },
-        "artifacts": sorted(artifacts) + ["summary.json"],
+        "artifacts": sorted(artifacts),
         "timestamp": datetime.datetime.now(
             datetime.timezone.utc).isoformat(),
     }
-    with open(os.path.join(out, "manifest.json"), "wb") as fh:
-        fh.write(json_bytes(manifest))
+    _write_artifacts(out, artifacts)
     return 0 if all(c["passed"] for c in checks) else 1
 
 
@@ -561,6 +550,15 @@ def _print_summary(artifact_dir: str) -> int:
     return code
 
 
+def _read_config(path: str):
+    """The JSON document in a --config file; a malformed one names the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"config file {path}: {exc}") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="torusop",
@@ -586,13 +584,10 @@ def main(argv=None) -> int:
 
     if args.scenario is None:
         parser.error("--scenario is required unless --summary is given")
-    config = {}
-    if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
     try:
+        config = _read_config(args.config) if args.config else {}
         code = run(args.scenario, config, out=args.out, seed=args.seed)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     if args.summary:

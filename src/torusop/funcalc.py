@@ -483,11 +483,9 @@ def q_integral(
     """
     if q.derivative is None:
         raise ValueError("q_integral needs closed-form derivatives of q")
-    sd = spectral_data(P)
     t, w = _trapezoid(16.0, 4096)
-    phases = np.exp(1j * np.outer(t, sd.eigenvalues))
-
-    mats = []
+    # every q^(j) is checked before P's spectral data is taken
+    weights = []
     for j in range(n + 1):
         qj = np.asarray(q.derivative(j)(t), dtype=complex)
         tail = float(np.abs(qj[0] * t[0]) + np.abs(qj[-1] * t[-1]))
@@ -495,7 +493,10 @@ def q_integral(
             raise ValueError(
                 f"q^({j})(t) |t| not integrable on the grid: tail {tail:.3e}"
             )
-        mats.append(sd.apply((w * qj) @ phases))
+        weights.append(w * qj)
+    sd = spectral_data(P)
+    phases = np.exp(1j * np.outer(t, sd.eigenvalues))
+    mats = [sd.apply(wq @ phases) for wq in weights]
 
     g = P.grid
     iq = 1j * parametrix.Q.matrix

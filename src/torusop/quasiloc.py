@@ -4,7 +4,7 @@ A dominating function estimate mu_hat(R) is the measured sup, over regions L
 and sections u supported in L, of the Sobolev mass of Au outside the
 R-neighbourhood of L, relative to the norm of u.  The sup over u (for a fixed
 smooth cutoff) is a generalized singular value problem and is computed
-exactly when feasible; random probes provide an independent lower bound.
+exactly; random probes provide an independent lower bound.
 Every estimate is a lower bound for the true dominating function, so tests
 assert decay laws rather than exact values.
 """
@@ -40,7 +40,6 @@ __all__ = [
     "pseudolocality_equivalence_spotcheck",
 ]
 
-EXACT_ESTIMATOR_CAP = 4608
 # width of every exterior cutoff, in grid spacings
 CUTOFF_SPACINGS = 4.0
 
@@ -211,9 +210,7 @@ def dominating_function(
     factors = {}  # region index -> R factor, taken on first use
     mu, estimators, skipped = [], [], []
     for R in R_list:
-        best = 0.0
-        estimator = "probe"
-        usable = False
+        best, usable = 0.0, False
         for i, (region, dist) in enumerate(zip(region_list, dists)):
             outside = Region(g, dist > R)
             if outside.is_empty():
@@ -221,13 +218,9 @@ def dominating_function(
                 continue
             usable = True
             eta = cutoff_eta(outside, cutoff_width)
-            # a region holds at most state_dim states
-            if g.state_dim <= EXACT_ESTIMATOR_CAP:
-                if i not in factors:
-                    factors[i] = _embedding_r_factor(region, r)
-                best = max(best, _restricted_sup(A, region, eta, factors[i],
-                                                 s))
-                estimator = "svd"
+            if i not in factors:
+                factors[i] = _embedding_r_factor(region, r)
+            best = max(best, _restricted_sup(A, region, eta, factors[i], s))
             for _ in range(probes):
                 vals = (rng.standard_normal((g.n_points, g.fiber_dim))
                         + 1j * rng.standard_normal((g.n_points, g.fiber_dim)))
@@ -243,7 +236,7 @@ def dominating_function(
                 best = max(best, num / denom)
         if usable:
             mu.append(best)
-            estimators.append(estimator)
+            estimators.append("svd")
         else:
             mu.append(np.nan)
             estimators.append("skipped")

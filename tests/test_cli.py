@@ -103,11 +103,11 @@ def test_full_suite_summary_counts_each_check_once(tmp_path, monkeypatch):
     assert len(names) == 9
 
     def stub(fail):
-        def scenario(cfg, out):
+        def scenario(cfg):
             checks = [cli._check("ok row", 0, 0)]
             if fail:
                 checks.append(cli._check("broken row", 1, 0))
-            return checks, []
+            return checks, {}
         return scenario
 
     for name in names:
@@ -138,6 +138,23 @@ def test_config_types_checked_before_any_output(tmp_path, bad):
     with pytest.raises(ValueError) as err:
         run("symbol-check", bad, out=str(out))
     assert "\n" not in str(err.value)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ['{"N": 32,', "[1, 2]", None],
+                         ids=["malformed", "array", "missing"])
+def test_unreadable_config_file_is_a_one_line_error(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    out = tmp_path / "run"
+    code = main(["--scenario", "symbol-check", "--config", str(cfg_path),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    if text != "[1, 2]":
+        assert str(cfg_path) in err[0]
     assert not out.exists()
 
 
@@ -214,8 +231,8 @@ def test_crashed_run_leaves_no_old_pass(tmp_path, monkeypatch, crashing):
     # a passing full-suite, then a run into the same directory whose
     # scenario raises: neither the old summaries nor the sub-scenarios
     # finished before the crash may read as a pass
-    def passing(cfg, out):
-        return [cli._check("ok row", 0, 0)], []
+    def passing(cfg):
+        return [cli._check("ok row", 0, 0)], {}
 
     for name in cli.SCENARIOS:
         if name != "full-suite":
@@ -224,7 +241,7 @@ def test_crashed_run_leaves_no_old_pass(tmp_path, monkeypatch, crashing):
     assert run("full-suite", out=out) == 0
     assert main(["--summary", "--out", out]) == 0
 
-    def crash(cfg, out):
+    def crash(cfg):
         raise RuntimeError("scenario crashed")
 
     monkeypatch.setitem(cli.SCENARIOS, crashing, crash)
@@ -232,6 +249,19 @@ def test_crashed_run_leaves_no_old_pass(tmp_path, monkeypatch, crashing):
     with pytest.raises(RuntimeError):
         main(["--scenario", scenario, "--out", out])
     assert main(["--summary", "--out", out]) != 0
+
+
+def test_crashed_full_suite_writes_no_file(tmp_path, monkeypatch):
+    # compose-check runs for real and finishes before elliptic-estimate
+    # raises: its remainders must not reach the disk either
+    def crash(cfg):
+        raise RuntimeError("scenario crashed")
+
+    monkeypatch.setitem(cli.SCENARIOS, "elliptic-estimate", crash)
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError):
+        run("full-suite", out=str(out))
+    assert _tree_bytes(out) == {}
 
 
 def test_quasiloc_scan_with_a_skipped_radius_passes(tmp_path):
@@ -294,7 +324,8 @@ def test_summary_prints_the_five_tightest_margins_on_a_pass(tmp_path, capsys,
         cli._check("negative budget", -3.0, -1.0, ok=True),
         cli._check("tiny", 1e-20, 1e-10),
     ]
-    cli._write_summary(str(tmp_path), "stub", {}, checks)
+    cli._write_artifacts(str(tmp_path), {
+        "summary.json": cli._summary("stub", {}, checks)})
     reads = []
     read = cli._read_summaries
     monkeypatch.setattr(cli, "_read_summaries",

@@ -8,7 +8,7 @@ command-line run can print it as its single line of error output.
 import numpy as np
 import pytest
 
-from torusop import cli, serial
+from torusop import cli, funcalc, serial
 from torusop.funcalc import named_function, q_integral, spectral_data
 from torusop.khomology import (
     Multigrading,
@@ -213,6 +213,15 @@ def test_input_guard_rejects_bad_input(call, exc, fragment):
     with pytest.raises(exc, match=fragment) as err:
         call()
     assert "\n" not in str(err.value)
+
+
+def test_q_integral_checks_q_before_spectral_data(monkeypatch):
+    def never(P):
+        raise AssertionError("spectral data taken before q was checked")
+
+    monkeypatch.setattr(funcalc, "spectral_data", never)
+    with pytest.raises(ValueError, match="not integrable on the grid"):
+        q_integral(named_function("gaussian", {"sigma": 10.0}), 1, _P(), None)
 
 
 def test_cli_needs_a_scenario_or_summary(capsys):
