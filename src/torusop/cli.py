@@ -123,8 +123,8 @@ def _fits(value, default) -> bool:
     if isinstance(default, int):
         return isinstance(value, numbers.Integral)
     if isinstance(default, list):
-        return isinstance(value, list) and (
-            not default or all(_fits(v, default[0]) for v in value))
+        return isinstance(value, list) and all(
+            _fits(v, default[0]) for v in value)
     return isinstance(value, type(default))
 
 
@@ -138,6 +138,8 @@ def _validate_config(scenario: str, config: dict) -> dict:
             f"unknown config keys for {scenario}: {', '.join(unknown)}"
         )
     for key, value in sorted(config.items()):
+        if value == []:  # every list default is non-empty
+            raise ValueError(f"config key {key!r} for {scenario} is empty")
         if not _fits(value, base[key]):
             raise ValueError(
                 f"config key {key!r} for {scenario} must be like "
@@ -401,11 +403,12 @@ def _run_full_suite(cfg):
         sub_cfg = default_config(scenario)
         sub_cfg["seed"] = cfg["seed"]
         sub_checks, files = SCENARIOS[scenario](sub_cfg)
+        files["summary.json"] = _summary(scenario, sub_cfg, sub_checks)
         # one rollup row per scenario; its checks stay in its own summary
         checks.append(_check(f"{scenario} all rows pass",
                              sum(0 if c["passed"] else 1
-                                 for c in sub_checks), 0))
-        files["summary.json"] = _summary(scenario, sub_cfg, sub_checks)
+                                 for c in sub_checks), 0,
+                             ok=files["summary.json"]["passed"]))
         artifacts.update((f"{scenario}/{name}", payload)
                          for name, payload in files.items())
     return checks, artifacts
@@ -430,8 +433,9 @@ SCENARIOS = {
 
 
 def _summary(scenario, cfg, checks) -> dict:
+    """The summary document; a run with no check is not a pass."""
     return {"scenario": scenario, "config": cfg, "checks": checks,
-            "passed": all(c["passed"] for c in checks)}
+            "passed": bool(checks) and all(c["passed"] for c in checks)}
 
 
 def _write_artifacts(out, artifacts) -> None:
@@ -488,7 +492,7 @@ def run(scenario: str, config: dict | None = None, out: str = ".",
             datetime.timezone.utc).isoformat(),
     }
     _write_artifacts(out, artifacts)
-    return 0 if all(c["passed"] for c in checks) else 1
+    return 0 if artifacts["summary.json"]["passed"] else 1
 
 
 def _read_summaries(artifact_dir: str) -> list:
@@ -516,7 +520,7 @@ def _tally(summaries: list) -> tuple:
                                 f"(value {c['value']!r})")
     lines.append(f"{passed}/{total} pass")
     lines.extend(failures)
-    return (0 if passed == total else 1), lines
+    return (0 if 0 < passed == total else 1), lines
 
 
 def report(artifact_dir: str) -> tuple:

@@ -197,10 +197,11 @@ def spectral_data(P: DiscreteOperator) -> SpectralData:
 class ScalarFunctionSpec:
     """Closed-form scalar function with a declared class and verification.
 
-    declared_class is one of "schwartz", "symbol" (with growth order m),
-    "normalizing", or "borel".  fhat, when present, is the unitary Fourier
-    transform of fn; derivative(j) returns the j-th derivative as a callable;
-    c_psi, when present, is the closed form of (1/2pi) int |s psihat| ds.
+    declared_class is one of "schwartz", "symbol" (with growth order m) or
+    "normalizing"; any other is rejected.  fhat, when present, is the
+    unitary Fourier transform of fn; derivative(j) returns the j-th
+    derivative as a callable; c_psi, when present, is the closed form of
+    (1/2pi) int |s psihat| ds.
     """
 
     name: str
@@ -211,6 +212,11 @@ class ScalarFunctionSpec:
     derivative: object = None
     c_psi: float | None = None
 
+    def __post_init__(self):
+        if self.declared_class not in ("schwartz", "symbol", "normalizing"):
+            raise ValueError(
+                f"unknown function class {self.declared_class!r}")
+
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
 
@@ -219,24 +225,23 @@ class ScalarFunctionSpec:
 
         The grid is 8001 points on [-40, 40].  For "symbol"/"schwartz" the
         measured constants C_n = sup |f^(n)| (1+|x|)^(n-m), n = 0..4, are
-        returned; for "normalizing" the oddness defect, sign condition, and
-        limit defects are returned.
+        returned, with m = -8 for "schwartz"; for "normalizing" the oddness
+        defect, sign condition, and limit defects are returned.
         """
         x = np.linspace(-40.0, 40.0, 8001)
         f = np.asarray(self.fn(x), dtype=float)
         report = {"class": self.declared_class}
         if self.declared_class in ("schwartz", "symbol"):
-            m = -np.inf if self.declared_class == "schwartz" else self.m
+            m = -8 if self.declared_class == "schwartz" else self.m
             d = f
             constants = []
             for n in range(5):
-                weight = (1.0 + np.abs(x)) ** (n - (self.m if np.isfinite(m)
-                                                    else -8))
+                weight = (1.0 + np.abs(x)) ** (n - m)
                 constants.append(float((np.abs(d) * weight).max()))
                 d = np.gradient(d, x, edge_order=2)
             report["constants"] = tuple(constants)
             report["ok"] = all(np.isfinite(c) for c in constants)
-        elif self.declared_class == "normalizing":
+        else:
             odd = float(np.abs(f + self.fn(-x)).max())
             pos = bool((f[x > 0] > 0).all())
             big = np.array([1e4, 1e5, 1e6])
@@ -244,8 +249,6 @@ class ScalarFunctionSpec:
             report.update(odd_defect=odd, positive_on_positives=pos,
                           limit_defect=limit)
             report["ok"] = odd <= 1e-10 and pos and limit <= 1e-3
-        else:
-            report["ok"] = True
         return report
 
 
@@ -402,6 +405,8 @@ def fourier_apply(
     if f.fhat is None:
         raise ValueError(
             f"fourier_apply needs the closed-form transform of {f.name!r}")
+    if n_quad < 2:
+        raise ValueError(f"the wave route needs n_quad >= 2: {n_quad}")
     sd = spectral or spectral_data(P)
     t, w = _trapezoid(t_max, n_quad)
     fh = np.asarray(f.fhat(t), dtype=complex)
@@ -430,6 +435,8 @@ def chi_resolvent_integral(
     arctan increments), so the only numerical error is the trapezoid error
     of the middle segment.
     """
+    if n_quad < 2:
+        raise ValueError(f"the resolvent route needs n_quad >= 2: {n_quad}")
     sd = spectral or spectral_data(P)
     x = sd.eigenvalues
     lam_min, lam_max = 1e-6, 1e3

@@ -11,6 +11,7 @@ tracks the norm continuity of these families in the deformation parameter.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +19,8 @@ import numpy as np
 from .lattice import BumpFunction, GridSpec
 from .operators import (
     DiscreteOperator,
-    _to_fourier_rep,
-    _weighted_rep,
     multiplication_operator,
+    op_norm,
 )
 from .funcalc import (
     ScalarFunctionSpec,
@@ -295,22 +295,18 @@ def commutator_integral(
     sq_j = (mu ** 2)[None, :]
 
     lam = np.concatenate([[0.0], np.geomspace(1e-4, 1e8, n_quad)])
+    w = np.zeros(lam.size)
+    w[1:] += 0.5 * np.diff(lam)
+    w[:-1] += 0.5 * np.diff(lam)
     k_first = np.zeros_like(outer)
     k_second = np.zeros_like(outer)
-    prev_first = prev_second = None
-    prev_lam = None
-    for lv in lam:
+    for lv, wv in zip(lam, w):
         u = 1.0 + lv * lv
-        denom = (u + sq_i) * (u + sq_j)
-        cur_first = u / denom
-        cur_second = -outer / denom
-        if prev_lam is not None:
-            h = 0.5 * (lv - prev_lam)
-            k_first += h * (cur_first + prev_first)
-            k_second += h * (cur_second + prev_second)
-        prev_first, prev_second, prev_lam = cur_first, cur_second, lv
+        scaled = wv / ((u + sq_i) * (u + sq_j))
+        k_first += u * scaled
+        k_second += outer * scaled
     k_first *= 2.0 / np.pi
-    k_second *= 2.0 / np.pi
+    k_second *= -2.0 / np.pi
 
     mat = sd.eigenvectors @ ((k_first + k_second) * C) @ sd.eigenvectors.T.conj()
     op = DiscreteOperator(g, 0, mat, provenance="composed")
@@ -381,80 +377,62 @@ def homotopy_scan(
     # compare at full order k on the upper half of the frequency range,
     # where a genuine leading-order discrepancy stays O(1) relative to P
     # while lower-order differences are suppressed like 1/|xi|
-    # composing with the projector onto that half removes the columns of
-    # the frequency representation below it
-    hi = np.repeat(
-        g.frequency_magnitude > 0.5 * float(np.max(g.frequency_magnitude)),
-        g.fiber_dim)
-    diff_rep = _to_fourier_rep(diff)
-    hi_norm = lambda rep: float(np.linalg.norm(
-        _weighted_rep(rep, g, 0.0, -float(k))[:, hi], 2))
-    full = hi_norm(diff_rep)
-    ref = max(hi_norm(_to_fourier_rep(P)), hi_norm(_to_fourier_rep(P_prime)))
-    principal_defect = full / max(ref, 1e-30)
+    hi = g.frequency_magnitude > 0.5 * float(np.max(g.frequency_magnitude))
+    hi_norm = lambda A: op_norm(A, 0.0, -float(k), hi)
+    principal_defect = (hi_norm(diff)
+                        / max(hi_norm(P), hi_norm(P_prime), 1e-30))
     if principal_defect > PRINCIPAL_MISMATCH_TOL:
-        raise ValueError(
-            "principal symbols differ: relative order-k defect "
-            f"{principal_defect:.3e}"
-        )
+        raise ValueError("principal symbols differ: relative order-k "
+                         f"defect {principal_defect:.3e}")
 
     step_counts = tuple(int(s) for s in t_steps)
     rhos = [np.repeat(f.values, g.fiber_dim) for f in test_fs]
     eye = np.eye(g.state_dim)
-    order1 = (k == 1)
     c_chi = None
-    if order1:
-        if isinstance(chi, ScalarFunctionSpec):
-            c_chi = _c_psi(chi)
-    diff_norm = float(np.linalg.norm(diff_rep, 2))
+    if k == 1 and isinstance(chi, ScalarFunctionSpec):
+        c_chi = _c_psi(chi)
+    diff_norm = op_norm(diff, 0.0, 0.0)
 
     # chi(P_t) by t: nested step counts revisit the same t-points
-    chi_at = {}
+    @functools.cache
+    def chi_at(t):
+        Pt = DiscreteOperator(g, k, (1.0 - t) * P.matrix + t * P_prime.matrix,
+                              provenance="composed", self_adjoint=True)
+        sd = spectral_data(Pt)
+        return sd.apply(np.asarray(chi(sd.eigenvalues), dtype=complex))
 
-    def _tracks(t):
-        T = chi_at.get(t)
-        if T is None:
-            Pt = DiscreteOperator(g, k,
-                                  (1.0 - t) * P.matrix + t * P_prime.matrix,
-                                  provenance="composed", self_adjoint=True)
-            sd = spectral_data(Pt)
-            T = sd.apply(np.asarray(chi(sd.eigenvalues), dtype=complex))
-            chi_at[t] = T
+    def tracks(T):
         tsq = T @ T - eye
         tad = T - T.T.conj()
-        return (
-            T,
-            [rho[:, None] * T - T * rho[None, :] for rho in rhos],
-            [tsq * rho[None, :] for rho in rhos],
-            [tad * rho[None, :] for rho in rhos],
-        )
+        return {
+            "commutator": [rho[:, None] * T - T * rho[None, :]
+                           for rho in rhos],
+            "locally_compact": [tsq * rho[None, :] for rho in rhos],
+            "adjoint": [tad * rho[None, :] for rho in rhos],
+        }
 
-    jumps, max_jumps = {}, {}
+    jumps = {}
     lipschitz = []
     for steps in step_counts:
         grid_t = np.linspace(0.0, 1.0, steps + 1)
-        prev = _tracks(grid_t[0])
+        prev = tracks(chi_at(grid_t[0]))
         per_family = {fam: [] for fam in FAMILIES}
         for a, b in zip(grid_t[:-1], grid_t[1:]):
-            cur = _tracks(b)
-            for fam, idx in zip(FAMILIES, (1, 2, 3)):
-                jump = max(
-                    float(np.linalg.norm(x - y, 2))
-                    for x, y in zip(cur[idx], prev[idx])
-                )
+            cur = tracks(chi_at(b))
+            for fam in FAMILIES:
+                jump = max(float(np.linalg.norm(x - y, 2))
+                           for x, y in zip(cur[fam], prev[fam]))
                 # tracks that vanish identically (e.g. chi - chi* for
                 # hermitian paths) only show eigensolver roundoff
-                if jump <= 1e-12:
-                    jump = 0.0
-                per_family[fam].append(jump)
-            if order1 and c_chi is not None and steps == step_counts[-1]:
-                lhs = float(np.linalg.norm(cur[0] - prev[0], 2))
+                per_family[fam].append(0.0 if jump <= 1e-12 else jump)
+            if c_chi is not None and steps == step_counts[-1]:
+                lhs = float(np.linalg.norm(chi_at(b) - chi_at(a), 2))
                 rhs = c_chi * (b - a) * diff_norm
                 lipschitz.append((float(a), float(b), lhs, rhs))
             prev = cur
         for fam in FAMILIES:
             jumps[(fam, steps)] = tuple(per_family[fam])
-            max_jumps[(fam, steps)] = max(per_family[fam])
+    max_jumps = {key: max(js) for key, js in jumps.items()}
 
     gamma = {}
     hs = np.array([1.0 / s for s in step_counts])

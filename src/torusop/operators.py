@@ -7,14 +7,15 @@ depend on x takes a single inverse FFT, and its kernel depends on x - y
 only; Fourier multipliers are built the same way, so quantization and
 multipliers share one kernel builder, FFT mode order and state layout.
 Operator norms between Sobolev spaces are taken in the frequency basis of
-lattice.to_frequency, where the Sobolev weights are diagonal.
+lattice.to_frequency, where the Sobolev weights are diagonal, by op_norm
+alone; it reads the representation each operator keeps as frequency_rep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -136,6 +137,13 @@ class DiscreteOperator:
             a = np.where(beyond, 0.0, a)
         object.__setattr__(self, "matrix", a)
 
+    @cached_property
+    def frequency_rep(self) -> np.ndarray:
+        """Read-only W* A W, taken on first read: A on Fourier coefficients."""
+        rep = _to_fourier_rep(self)
+        rep.flags.writeable = False
+        return rep
+
 
 def _kn_matrix(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     """Dense matrix of sum_xi e^{i (x_j - x_k).xi} a(x_j, xi) / n_points.
@@ -251,21 +259,18 @@ def _to_fourier_rep(A: DiscreteOperator) -> np.ndarray:
     return from_frequency(g, to_frequency(g, A.matrix).T).T
 
 
-def _weighted_rep(rep: np.ndarray, grid: GridSpec, s: float,
-                  t: float) -> np.ndarray:
-    """A frequency representation conjugated to a map H^s -> H^t on l2."""
-    return rep * (_state_weights(grid, t)[:, None]
-                  / _state_weights(grid, s)[None, :])
-
-
-def op_norm(A: DiscreteOperator, s: float, t: float) -> float:
+def op_norm(A: DiscreteOperator, s: float, t: float, modes=None) -> float:
     """Operator norm of A : H^s -> H^t (norm of W_t A W_s^{-1} on l2).
 
     Exact: the largest singular value of the weighted frequency
-    representation.
+    representation.  With ``modes``, a boolean mask over the lattice
+    frequencies, it is the norm of A composed with the spectral projector
+    onto them: the representation loses the columns outside the mask.
     """
-    return float(np.linalg.norm(
-        _weighted_rep(_to_fourier_rep(A), A.grid, s, t), 2))
+    g = A.grid
+    cols = slice(None) if modes is None else np.repeat(modes, g.fiber_dim)
+    weights = _state_weights(g, t)[:, None] / _state_weights(g, s)[None, cols]
+    return float(np.linalg.norm(A.frequency_rep[:, cols] * weights, 2))
 
 
 def _combine_propagation(a, b):
@@ -342,10 +347,6 @@ def decay_profile(
         sel = (d >= lo) & (d < hi)
         rows.append((float(lo), float(hi),
                      float(mags[sel].max()) if sel.any() else 0.0))
-    rep = _to_fourier_rep(A)
-    norms = {
-        (kk, ll): float(np.linalg.norm(_weighted_rep(rep, g, -kk, ll), 2))
-        for kk in range(norm_range + 1)
-        for ll in range(norm_range + 1)
-    }
+    kls = range(norm_range + 1)
+    norms = {(kk, ll): op_norm(A, -kk, ll) for kk in kls for ll in kls}
     return DecayProfile(shells=tuple(rows), norms=norms)

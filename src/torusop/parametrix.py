@@ -6,15 +6,15 @@ composition defect, q_{j+1} = q_j - q_0 o (p o q_j - 1).  The residuals
 S1 = I - PQ and S2 = I - QP are defined by exact subtraction, so the matrix
 identities hold to rounding.  Because the excision zeroes the inverse on a
 low-frequency band, S1 acts as the identity there; residual norms are
-therefore reported both on and off that band.  Each norm is one SVD, taken
-on the first read of its table entry.
+therefore reported both on and off that band.  Each norm is one
+operators.op_norm call, taken on the first read of its table entry; the
+band tables pass op_norm the band as a frequency mask.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 import scipy.linalg
@@ -37,10 +37,9 @@ from .operators import (
     DiscreteOperator,
     apply_operator,
     fourier_multiplier,
+    op_norm,
     quantize,
     _state_weights,
-    _to_fourier_rep,
-    _weighted_rep,
 )
 
 __all__ = [
@@ -155,7 +154,8 @@ def build_parametrix(
     the keys k, l in range(norm_range); no norm is computed here.  The
     first read of an S1 entry (residual, off-band or band) takes the
     frequency representation of S1, the first read of an ("S2", k, l)
-    entry that of S2, and every read of a new entry takes one SVD.
+    entry that of S2 (each kept as the operator's ``frequency_rep``), and
+    every read of a new entry takes one SVD.
     """
     cert = check_elliptic(p)
     if not cert.ok:
@@ -203,21 +203,15 @@ def build_parametrix(
     S2 = DiscreteOperator(g, -1000, eye - Q.matrix @ P.matrix,
                           provenance="smoothing")
 
-    # S1 composed with the band projector (or its complement) is S1 with
-    # the frequency columns outside the band (or inside it) removed
-    reps = {"S1": cache(lambda: _to_fourier_rep(S1)),
-            "S2": cache(lambda: _to_fourier_rep(S2))}
-    off_cols = np.repeat(offband, g.fiber_dim)
-
-    def norm(tag, k, l, cols=slice(None)):
-        b = _weighted_rep(reps[tag](), g, -float(k), float(l))
-        return float(np.linalg.norm(b[:, cols], 2))
-
+    S = {"S1": S1, "S2": S2}
     kl = [(k, l) for k in range(norm_range) for l in range(norm_range)]
-    residual = _LazyTable([(tag, k, l) for k, l in kl for tag in reps],
-                          lambda key: norm(*key))
-    off_tab = _LazyTable(kl, lambda key: norm("S1", *key, off_cols))
-    band_tab = _LazyTable(kl, lambda key: norm("S1", *key, ~off_cols))
+    residual = _LazyTable(
+        [(tag, k, l) for k, l in kl for tag in S],
+        lambda key: op_norm(S[key[0]], -float(key[1]), float(key[2])))
+    off_tab = _LazyTable(
+        kl, lambda key: op_norm(S1, -float(key[0]), float(key[1]), offband))
+    band_tab = _LazyTable(
+        kl, lambda key: op_norm(S1, -float(key[0]), float(key[1]), ~offband))
     return ParametrixResult(
         Q=Q, S1=S1, S2=S2,
         excision_radius=cert.radius, excision_width=excision_width,
@@ -274,7 +268,7 @@ def elliptic_estimate_constant(
         k = P.order
         ws = _state_weights(g, s)
         wsk = _state_weights(g, s - k)
-        lp = wsk[:, None] * _to_fourier_rep(P)
+        lp = wsk[:, None] * P.frequency_rep
         gram_den = np.diag(wsk ** 2) + lp.conj().T @ lp
         gram_den = (gram_den + gram_den.conj().T) / 2
         vals_, vecs = scipy.linalg.eigh(np.diag(ws ** 2), gram_den,

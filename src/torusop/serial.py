@@ -129,23 +129,13 @@ def from_container(doc: dict):
     raise ValueError(f"unknown container kind {kind!r}")
 
 
-class _FloatEncoder(json.JSONEncoder):
-    """repr-stable float rendering for byte-identical reruns."""
-
-    def default(self, o):
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        if isinstance(o, (np.bool_,)):
-            return bool(o)
-        return super().default(o)
-
-
 def _finite_only(o):
-    """``o`` with every non-finite float replaced by its name as a string."""
+    """``o`` with numpy scalars made Python ones and every non-finite float
+    replaced by its name as a string."""
+    if isinstance(o, (np.bool_, np.integer)):
+        return o.item()
     if isinstance(o, (float, np.floating)):
-        return o if math.isfinite(o) else repr(float(o))
+        return float(o) if math.isfinite(o) else repr(float(o))
     if isinstance(o, dict):
         return {k: _finite_only(v) for k, v in o.items()}
     if isinstance(o, (list, tuple)):
@@ -157,7 +147,7 @@ def _finite_only(o):
 
 def json_bytes(doc: dict) -> bytes:
     return json.dumps(_finite_only(doc), sort_keys=True, indent=1,
-                      allow_nan=False, cls=_FloatEncoder).encode() + b"\n"
+                      allow_nan=False).encode() + b"\n"
 
 
 def save(obj, path) -> None:

@@ -121,6 +121,34 @@ def test_full_suite_summary_counts_each_check_once(tmp_path, monkeypatch):
     assert len([line for line in lines if "broken row" in line]) == 1
 
 
+def test_every_list_default_is_nonempty():
+    for scenario in cli.SCENARIOS:
+        for key, value in default_config(scenario).items():
+            if isinstance(value, list):
+                assert value, f"{scenario}: {key}"
+
+
+def test_a_run_with_no_checks_is_not_a_pass(tmp_path, monkeypatch):
+    def passing(cfg):
+        return [cli._check("ok row", 0, 0)], {}
+
+    for name in cli.SCENARIOS:
+        if name != "full-suite":
+            monkeypatch.setitem(cli.SCENARIOS, name, passing)
+    monkeypatch.setitem(cli.SCENARIOS, "parametrix", lambda cfg: ([], {}))
+    out = tmp_path / "one"
+    assert run("parametrix", out=str(out)) == 1
+    assert json.loads((out / "summary.json").read_text())["passed"] is False
+    assert report(str(out)) == (1, ["0/0 pass"])
+    # full-suite's rollup row for the empty scenario fails too
+    out = tmp_path / "all"
+    assert run("full-suite", out=str(out)) == 1
+    code, lines = report(str(out))
+    assert code == 1
+    assert lines[0] == "16/17 pass"
+    assert "parametrix all rows pass" in lines[1]
+
+
 def test_main_config_file_and_bad_key(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"nonsense": True}))
@@ -183,6 +211,12 @@ def test_main_rejects_mistyped_config_with_one_line(tmp_path, capsys):
     ("funcalc-defect", {"function": "nope"}),
     ("funcalc-defect", {"function": "chi_rational"}),
     ("funcalc-defect", {"function": "identity"}),
+    # an empty list would run no check; one quadrature node is no rule
+    ("compose-check", {"N_ladder": []}),
+    ("parametrix", {"J_list": []}),
+    ("quasiloc-scan", {"R_list": []}),
+    ("funcalc-defect", {"n_quad": []}),
+    ("funcalc-defect", {"n_quad": [1]}),
 ])
 def test_bad_grid_values_fail_before_any_output(tmp_path, capsys, scenario,
                                                 bad):

@@ -1,6 +1,7 @@
 """Static guard against state nothing uses.
 
-The package source is scanned with ``ast`` for five kinds of dead state:
+The package source is scanned with ``ast`` for five kinds of dead state,
+and for one kind of coupling:
 
 - an optional parameter (one with a default) of a module-level function
   or a method that no call in ``src``, ``tests`` or ``bench`` passes, by
@@ -16,7 +17,9 @@ The package source is scanned with ``ast`` for five kinds of dead state:
 - a module-level function or class, or a method or property, with no
   reference outside its own body: no Name or Attribute load, no import
   and no ``getattr`` string.  Dunders are exempt, and a name listed in
-  ``__all__`` is not thereby referenced.
+  ``__all__`` is not thereby referenced;
+- a private name (``_``-prefixed, not a dunder) that one package module
+  imports from another, unless ``PRIVATE_IMPORTS`` lists it with its reason.
 
 Calls, reads and references are matched to definitions by name alone, and
 a call that splats ``*args`` or ``**kwargs`` counts as passing every
@@ -33,6 +36,22 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "torusop"
 SCANNED = (ROOT / "src", ROOT / "tests", ROOT / "bench")
+
+# "importing module: private name" -> why the name crosses a module line
+PRIVATE_IMPORTS = {
+    "funcalc: _kn_matrix":
+        "a multiplier's f(P) is built by the kernel builder of quantize",
+    "funcalc: _to_fourier_rep":
+        "spectral_data overwrites the diagonal of its own uncached copy",
+    "khomology: _c_psi":
+        "homotopy_scan's order-1 Lipschitz bound uses the psi constant",
+    "khomology: _loglog_slope":
+        "the continuity exponent is quasiloc's log-log slope fit",
+    "parametrix: _state_weights":
+        "the elliptic-estimate and inner-product Gram matrices weigh states",
+    "quasiloc: _state_weights":
+        "the restricted seminorm weighs states as op_norm does",
+}
 
 
 @functools.cache
@@ -377,3 +396,47 @@ def test_every_definition_is_referenced():
     unused = unreferenced_definitions(_trees(SRC), _trees(*SCANNED))
     assert not unused, "definitions nothing references: " + ", ".join(
         unused)
+
+
+def private_imports(defs: list) -> list:
+    """'module: name' for each private name a module imports from a sibling.
+
+    A sibling import is ``from .mod import ...``; a private name starts
+    with an underscore and is not a dunder.
+    """
+    out = []
+    for path, tree in defs:
+        module = pathlib.PurePosixPath(path).stem
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                out += [f"{module}: {alias.name}" for alias in node.names
+                        if alias.name.startswith("_")
+                        and not _is_dunder(alias.name)]
+    return out
+
+
+def test_scan_reports_private_imports():
+    code = '''
+import numpy as np
+from numpy import _private_but_external
+from . import __version__
+from .ops import public, _private
+from ..pkg.sub import _deeper
+
+def f():
+    from .ops import _inner
+    return _inner
+'''
+    trees = [("pkg/mod.py", ast.parse(code))]
+    assert private_imports(trees) == [
+        "mod: _private", "mod: _deeper", "mod: _inner"]
+
+
+def test_private_imports_are_the_listed_ones():
+    found = private_imports(_trees(SRC))
+    unlisted = sorted(set(found) - set(PRIVATE_IMPORTS))
+    assert not unlisted, "private names imported across modules: " + (
+        ", ".join(unlisted))
+    stale = sorted(set(PRIVATE_IMPORTS) - set(found))
+    assert not stale, "allow-list entries no module imports: " + ", ".join(
+        stale)

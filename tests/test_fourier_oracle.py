@@ -119,6 +119,23 @@ def test_op_norm_matches_dense_w(grid):
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_op_norm_on_modes_matches_dense_projector_composition(grid):
+    # the norm of A composed with the spectral projector onto the masked
+    # frequencies, without and with the projector as an operator
+    name = "dirac" if grid.fiber_dim > 1 else "elliptic_x"
+    A = quantize(named_symbol(grid, name))
+    radius = 0.5 * float(grid.frequency_magnitude.max())
+    for off_band in (False, True):
+        modes = grid.frequency_magnitude <= radius
+        if off_band:
+            modes = ~modes
+        AP = compose(A, band_projector(grid, radius, off_band=off_band))
+        for s, t in ((0.0, 0.0), (1.0, 0.0), (0.0, -2.0), (-1.0, 2.0)):
+            expect = _dense_op_norm(AP, s, t)
+            assert abs(op_norm(A, s, t, modes) - expect) <= REL * expect
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
 def test_fourier_multiplier_matches_dense_w(grid):
     fn = lambda xi: 1.0 + np.exp(1j * xi[..., 0]) + (xi ** 2).sum(axis=-1)
     M = fourier_multiplier(grid, fn, order=2)

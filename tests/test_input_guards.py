@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from torusop import cli, funcalc, serial
-from torusop.funcalc import named_function, q_integral, spectral_data
+from torusop.funcalc import (
+    ScalarFunctionSpec,
+    chi_resolvent_integral,
+    fourier_apply,
+    named_function,
+    q_integral,
+    spectral_data,
+)
 from torusop.khomology import (
     Multigrading,
     assemble_module,
@@ -147,6 +154,15 @@ GUARDS = [
      ValueError, "requires a self-adjoint operator"),
     ("function-name", lambda: named_function("no-such-function"),
      KeyError, "unknown function spec"),
+    ("function-class",
+     lambda: ScalarFunctionSpec("f", np.exp, "schwarz"),
+     ValueError, "unknown function class 'schwarz'"),
+    ("fourier-quadrature",
+     lambda: fourier_apply(_P(), named_function("gaussian"), n_quad=1),
+     ValueError, "needs n_quad >= 2"),
+    ("resolvent-quadrature",
+     lambda: chi_resolvent_integral(_P(), n_quad=1),
+     ValueError, "needs n_quad >= 2"),
     ("q-derivatives",
      lambda: q_integral(named_function("chi_rational"), 1, _P(), None),
      ValueError, "needs closed-form derivatives"),

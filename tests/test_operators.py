@@ -1,11 +1,12 @@
 import tracemalloc
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusop.funcalc import wave_operator
+from torusop import operators
+from torusop.funcalc import spectral_data, wave_operator
 from torusop.lattice import GridSpec, Section
 from torusop.operators import (
     SELF_ADJOINT_TOL,
@@ -127,6 +128,51 @@ def test_op_norm_oracle_on_sobolev_weights():
     P = fourier_multiplier(g, lambda xi: np.sqrt(1 + xi[..., 0] ** 2),
                            order=1)
     assert op_norm(P, 1.0, 0.0) == pytest.approx(1.0, rel=1e-9)
+
+
+def _counting_representations(monkeypatch):
+    """A list that grows by one per frequency representation taken."""
+    calls, to_rep = [], operators._to_fourier_rep
+
+    def counting(A):
+        calls.append(A)
+        return to_rep(A)
+
+    monkeypatch.setattr(operators, "_to_fourier_rep", counting)
+    return calls
+
+
+def test_op_norm_takes_one_representation_per_operator(monkeypatch):
+    g = GridSpec(1, 32, 1.0)
+    P = quantize(named_symbol(g, "elliptic_x"))
+    calls = _counting_representations(monkeypatch)
+    first = op_norm(P, 0.0, -2.0)
+    op_norm(P, 1.0, 0.0, g.frequency_magnitude > 4.0)
+    assert op_norm(P, 0.0, -2.0) == first
+    assert calls == [P]
+    decay_profile(P, num_shells=4, norm_range=1)
+    assert calls == [P]
+
+
+def test_frequency_rep_is_read_only():
+    g = GridSpec(1, 32, 1.0)
+    P = quantize(named_symbol(g, "drift"))
+    rep = P.frequency_rep
+    assert rep is P.frequency_rep
+    with pytest.raises(ValueError, match="read-only"):
+        rep[0, 0] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        P.frequency_rep = rep.copy()
+    assert np.array_equal(P.frequency_rep, operators._to_fourier_rep(P))
+
+
+def test_spectral_data_leaves_the_representation_unset():
+    # the multiplier fast path takes its own representation and overwrites
+    # its diagonal; keeping it on the operator would pin n^2 entries
+    g = GridSpec(1, 32, 1.0)
+    P = fourier_multiplier(g, lambda xi: xi[..., 0], order=1)
+    assert spectral_data(P).modes is not None
+    assert "frequency_rep" not in vars(P)
 
 
 def test_decay_profile_shells_cover_grid():

@@ -117,6 +117,16 @@ def test_json_bytes_handles_numpy_scalars():
                    "n": "nan", "x": ["inf", 0.0], "t": ["-inf"]}
 
 
+def test_json_bytes_of_numpy_scalars_equal_their_python_twins():
+    doc = {"f": np.float32(0.1), "i": np.int64(-7), "b": np.bool_(False),
+           "x": [np.float32(np.inf), np.float64(2.5)],
+           "nested": {"t": (np.int64(1), np.bool_(True))}}
+    twin = {"f": float(np.float32(0.1)), "i": -7, "b": False,
+            "x": [float("inf"), 2.5], "nested": {"t": (1, True)}}
+    assert json_bytes(doc) == json_bytes(twin)
+    assert b"inf" in json_bytes(doc)
+
+
 def _hermitian(a):
     """(a + a^H) / 2 over the last two axes: exactly Hermitian."""
     return (a + np.conj(np.swapaxes(a, -1, -2))) / 2.0
