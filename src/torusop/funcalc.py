@@ -201,7 +201,8 @@ class ScalarFunctionSpec:
     "normalizing"; any other is rejected.  fhat, when present, is the
     unitary Fourier transform of fn; derivative(j) returns the j-th
     derivative as a callable; c_psi, when present, is the closed form of
-    (1/2pi) int |s psihat| ds.
+    (1/2pi) int |s psihat| ds, which the Lipschitz bounds of
+    psi_difference_bound and homotopy_scan need.
     """
 
     name: str
@@ -279,7 +280,10 @@ def _gaussian(prm):
 
 def _chi_rational(_prm):
     fn = lambda x: np.asarray(x) / np.sqrt(1.0 + np.asarray(x) ** 2)
-    return ScalarFunctionSpec("chi_rational", fn, "normalizing", m=0)
+    # chi'(x) = (1+x^2)^{-3/2}; its non-unitary transform 2|s|K_1(|s|) is
+    # nonnegative, so (1/2pi) int |s chihat(s)| ds = chi'(0) = 1 exactly.
+    return ScalarFunctionSpec("chi_rational", fn, "normalizing", m=0,
+                              c_psi=1.0)
 
 
 def _schwartz_bump(prm):
@@ -508,14 +512,14 @@ def q_integral(
     g = P.grid
     iq = 1j * parametrix.Q.matrix
     s2 = parametrix.S2.matrix
-    rhs = np.linalg.matrix_power(iq, n) @ mats[n]
-    bound = 0.0
+    # the right side by Horner: S2 A_0 + iQ (S2 A_1 + iQ (... + iQ A_n))
+    rhs = mats[n]
+    for j in reversed(range(n)):
+        rhs = iq @ rhs + s2 @ mats[j]
+    q_norm = np.linalg.norm(parametrix.Q.matrix, 2)
     s2_norm = np.linalg.norm(s2, 2)
-    for j in range(n):
-        term = np.linalg.matrix_power(iq, j) @ (s2 @ mats[j])
-        rhs = rhs + term
-        bound += (np.linalg.norm(parametrix.Q.matrix, 2) ** j
-                  * s2_norm * np.linalg.norm(mats[j], 2))
+    bound = sum(q_norm ** j * s2_norm * np.linalg.norm(mats[j], 2)
+                for j in range(n))
     residual = float(np.linalg.norm(mats[0] - rhs, 2))
 
     k = P.order
@@ -539,30 +543,6 @@ class PsiDifferenceReport:
     c_psi: float
 
 
-def _c_psi(psi: ScalarFunctionSpec) -> float:
-    """(1/2pi) int |s psihat(s)| ds with psihat the non-unitary transform.
-
-    Without a closed form, psi' is sampled at 2^18 points on [-200, 200)
-    and transformed by FFT.
-    """
-    if psi.c_psi is not None:
-        return float(psi.c_psi)
-    # psi itself need not be integrable (normalizing functions tend to +-1),
-    # but s psihat(s) = -i FT(psi')(s), and psi' is transformable.
-    n_s = 1 << 18
-    x = np.linspace(-200.0, 200.0, n_s, endpoint=False)
-    dx = x[1] - x[0]
-    if psi.derivative is not None:
-        dsamples = np.asarray(psi.derivative(1)(x), dtype=complex)
-    else:
-        dsamples = np.gradient(np.asarray(psi.fn(x), dtype=complex), dx,
-                               edge_order=2)
-    s = np.fft.fftfreq(n_s, d=dx) * 2 * np.pi
-    hat = np.fft.fft(dsamples) * dx * np.exp(-1j * s * x[0])
-    ds = 2 * np.pi / (n_s * dx)
-    return float(np.abs(hat).sum() * ds / (2 * np.pi))
-
-
 def psi_difference_bound(
     psi: ScalarFunctionSpec,
     P: DiscreteOperator,
@@ -572,8 +552,9 @@ def psi_difference_bound(
 
     Both sides are op_norm(., 0, 0), the norm as maps L^2 -> L^2.
     """
+    if psi.c_psi is None:
+        raise ValueError(f"{psi.name} declares no closed-form C_psi")
     g = P.grid
-    c = _c_psi(psi)
     fp = spectral_apply(P, psi)
     fpp = spectral_apply(P_prime, psi)
     diff = DiscreteOperator(g, 0, fp.matrix - fpp.matrix,
@@ -581,5 +562,5 @@ def psi_difference_bound(
     pdiff = DiscreteOperator(g, P.order, P.matrix - P_prime.matrix,
                              provenance="composed")
     lhs = op_norm(diff, 0.0, 0.0)
-    rhs = c * op_norm(pdiff, 0.0, 0.0)
-    return PsiDifferenceReport(lhs=lhs, rhs=rhs, c_psi=c)
+    rhs = psi.c_psi * op_norm(pdiff, 0.0, 0.0)
+    return PsiDifferenceReport(lhs=lhs, rhs=rhs, c_psi=psi.c_psi)

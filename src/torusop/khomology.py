@@ -24,7 +24,6 @@ from .operators import (
 )
 from .funcalc import (
     ScalarFunctionSpec,
-    _c_psi,
     spectral_data,
     spectral_apply,
 )
@@ -359,9 +358,12 @@ def homotopy_scan(
 ) -> HomotopyTrace:
     """Track the three module families along the straight-line operator path.
 
-    t_steps is a list of step counts; with several counts the decay of the
-    max adjacent-step jump against the step size is fitted to a power law,
-    giving the continuity exponent gamma per family.  The leading
+    t_steps is a list of step counts, each at least 1; with two or more
+    distinct counts the decay of the max adjacent-step jump against the
+    step size is fitted to a power law, giving the continuity exponent
+    gamma per family.  At order 1 a ScalarFunctionSpec chi must declare
+    c_psi, and each step of the last count is checked against
+    ||chi(P_b) - chi(P_a)|| <= c_psi ||P_b - P_a||.  The leading
     behaviour of P and P' must agree: their difference, measured at the full
     declared order, may be at most PRINCIPAL_MISMATCH_TOL = 0.1 of the
     operators themselves.
@@ -371,7 +373,14 @@ def homotopy_scan(
         raise ValueError("both endpoints must be self-adjoint")
     if P.order != P_prime.order:
         raise ValueError("endpoints must share the declared order")
+    if any(steps < 1 for steps in t_steps):
+        raise ValueError("t_steps must all be at least 1")
     k = P.order
+    c_chi = None
+    if k == 1 and isinstance(chi, ScalarFunctionSpec):
+        if chi.c_psi is None:
+            raise ValueError(f"{chi.name} declares no closed-form C_psi")
+        c_chi = chi.c_psi
     diff = DiscreteOperator(g, k, P.matrix - P_prime.matrix,
                             provenance="composed")
     # compare at full order k on the upper half of the frequency range,
@@ -388,9 +397,6 @@ def homotopy_scan(
     step_counts = tuple(int(s) for s in t_steps)
     rhos = [np.repeat(f.values, g.fiber_dim) for f in test_fs]
     eye = np.eye(g.state_dim)
-    c_chi = None
-    if k == 1 and isinstance(chi, ScalarFunctionSpec):
-        c_chi = _c_psi(chi)
     diff_norm = op_norm(diff, 0.0, 0.0)
 
     # chi(P_t) by t: nested step counts revisit the same t-points
@@ -438,7 +444,8 @@ def homotopy_scan(
     hs = np.array([1.0 / s for s in step_counts])
     for fam in FAMILIES:
         js = np.array([max_jumps[(fam, s)] for s in step_counts])
-        if len(step_counts) < 2:
+        if len(set(step_counts)) < 2:
+            # one step size fits no exponent
             gamma[fam] = float("nan")
         elif not js.any():
             # identically zero track: continuity holds trivially

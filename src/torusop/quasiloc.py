@@ -4,7 +4,8 @@ A dominating function estimate mu_hat(R) is the measured sup, over regions L
 and sections u supported in L, of the Sobolev mass of Au outside the
 R-neighbourhood of L, relative to the norm of u.  The sup over u (for a fixed
 smooth cutoff) is a generalized singular value problem and is computed
-exactly; random probes provide an independent lower bound.
+exactly; each random probe is a feasible point of that sup, so it never
+raises the estimate.
 Every estimate is a lower bound for the true dominating function, so tests
 assert decay laws rather than exact values.
 """
@@ -83,6 +84,8 @@ def uniform_approx_profile(
     """
     if not family:
         raise ValueError("family must be nonempty")
+    if any(eps <= 0 for eps in eps_list):
+        raise ValueError("eps must be positive")
     r = T.grid.fiber_dim
     ranks = {}
     for form in forms:
@@ -110,7 +113,7 @@ def uniform_approx_profile(
 
 @dataclass(frozen=True)
 class DominatingFunctionEstimate:
-    """Probe-based lower-bound estimate of a dominating function."""
+    """Lower-bound estimate of a dominating function by exact suprema."""
 
     R_list: tuple
     mu_hat: tuple
@@ -204,6 +207,8 @@ def dominating_function(
         raise ValueError("at least one probe required")
     if any(R < 0 for R in R_list):
         raise ValueError("radius must be nonnegative")
+    if any(region.is_empty() for region in region_list):
+        raise ValueError("region must be nonempty")
     cutoff_width = CUTOFF_SPACINGS * g.spacing
     rng = np.random.default_rng(seed)
     dists = [region.distance_field() for region in region_list]
@@ -227,8 +232,6 @@ def dominating_function(
                 vals[~region.mask] = 0.0
                 u = Section(g, vals)
                 denom = sobolev_norm(u, r)
-                if denom == 0.0:
-                    continue
                 au = apply_operator(A, u)
                 # the body of restricted_seminorm, with this exterior's eta
                 num = sobolev_norm(
@@ -254,11 +257,11 @@ def dominating_function(
 def _loglog_slope(xs, ys) -> float:
     """Least-squares slope of log ys against log xs over the entries ys > 0.
 
-    NaN when fewer than two entries are positive.
+    NaN when those entries have fewer than two distinct xs.
     """
     xs, ys = np.asarray(xs), np.asarray(ys)
     good = ys > 0
-    if good.sum() < 2:
+    if np.unique(xs[good]).size < 2:
         return np.nan
     return float(np.polyfit(np.log(xs[good]), np.log(ys[good]), 1)[0])
 

@@ -217,6 +217,10 @@ def test_main_rejects_mistyped_config_with_one_line(tmp_path, capsys):
     ("quasiloc-scan", {"R_list": []}),
     ("funcalc-defect", {"n_quad": []}),
     ("funcalc-defect", {"n_quad": [1]}),
+    # no step, a non-positive eps or an empty region measures nothing
+    ("homotopy-scan", {"t_steps": [0]}),
+    ("fredholm-check", {"eps_list": [0.0]}),
+    ("quasiloc-scan", {"center_radius": -1.0}),
 ])
 def test_bad_grid_values_fail_before_any_output(tmp_path, capsys, scenario,
                                                 bad):
@@ -254,6 +258,15 @@ def test_bad_grid_values_keep_an_earlier_summary(tmp_path):
             with pytest.raises(ValueError):
                 run(scenario, bad, out=str(out))
             assert _tree_bytes(out) == before
+
+
+def test_homotopy_scan_with_one_step_size_fits_no_exponent(tmp_path):
+    # [4, 4] has one distinct step size: no continuity exponent is fitted
+    out = tmp_path / "run"
+    assert run("homotopy-scan", {"t_steps": [4, 4]}, out=str(out)) == 1
+    trace = json.loads((out / "trace.json").read_text())
+    assert trace["gamma"] == dict.fromkeys(
+        ("adjoint", "commutator", "locally_compact"), "nan")
 
 
 def test_int_config_value_accepted_for_float_default(tmp_path):

@@ -43,8 +43,6 @@ PRIVATE_IMPORTS = {
         "a multiplier's f(P) is built by the kernel builder of quantize",
     "funcalc: _to_fourier_rep":
         "spectral_data overwrites the diagonal of its own uncached copy",
-    "khomology: _c_psi":
-        "homotopy_scan's order-1 Lipschitz bound uses the psi constant",
     "khomology: _loglog_slope":
         "the continuity exponent is quasiloc's log-log slope fit",
     "parametrix: _state_weights":

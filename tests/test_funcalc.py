@@ -17,7 +17,6 @@ from torusop.funcalc import (
     NAMED_FUNCTIONS,
     SPECTRAL_REL_TOL,
     SpectralData,
-    _c_psi,
     _gate_passes,
     chi_resolvent_integral,
     fourier_apply,
@@ -250,14 +249,22 @@ def test_si_normalizing_constant_closed_form():
     assert psi.c_psi == pytest.approx(2.0 / np.pi)
 
 
-@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
-def test_c_psi_from_closed_form_derivative(sigma):
-    # gaussian has no closed-form C_psi, so its derivative is transformed;
-    # (1/2pi) int |s| sigma sqrt(2pi) e^{-sigma^2 s^2/2} ds = sqrt(2/pi)/sigma
-    psi = named_function("gaussian", {"sigma": sigma})
-    assert psi.c_psi is None and psi.derivative is not None
-    assert _c_psi(psi) == pytest.approx(np.sqrt(2.0 / np.pi) / sigma,
-                                        rel=2e-4)
+def test_chi_rational_constant_matches_fft_oracle():
+    # chi'(x) = (1+x^2)^{-3/2}, checked against a central difference of
+    # chi; (1/2pi) int |s chihat(s)| ds = (1/2pi) int |FT(chi')(s)| ds is
+    # then summed from an FFT of chi' on 2^18 points over [-200, 200)
+    chi = named_function("chi_rational")
+    n_s = 1 << 18
+    x = np.linspace(-200.0, 200.0, n_s, endpoint=False)
+    dx = x[1] - x[0]
+    dchi = (1.0 + x ** 2) ** -1.5
+    h = 1e-5
+    assert np.abs((chi(x + h) - chi(x - h)) / (2 * h) - dchi).max() <= 1e-9
+    hat = np.fft.fft(dchi) * dx
+    ds = 2 * np.pi / (n_s * dx)
+    oracle = np.abs(hat).sum() * ds / (2 * np.pi)
+    assert chi.c_psi == 1.0
+    assert oracle == pytest.approx(chi.c_psi, rel=1e-8)
 
 
 @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 0.5), (0.5, 3.0)])

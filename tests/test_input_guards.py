@@ -14,6 +14,7 @@ from torusop.funcalc import (
     chi_resolvent_integral,
     fourier_apply,
     named_function,
+    psi_difference_bound,
     q_integral,
     spectral_data,
 )
@@ -36,6 +37,7 @@ from torusop.operators import (
     DiscreteOperator,
     commutator,
     compose,
+    fourier_multiplier,
     multiplication_operator,
     quantize,
 )
@@ -67,6 +69,10 @@ def _P(name="laplace+1"):
 def _drift():
     # a quantization that is not self-adjoint
     return _P("drift")
+
+
+def _momentum():
+    return fourier_multiplier(G, lambda xi: xi[..., 0], order=1)
 
 
 def _bump():
@@ -170,18 +176,29 @@ GUARDS = [
      lambda: q_integral(named_function("gaussian", {"sigma": 10.0}), 1,
                         _P(), None),
      ValueError, "not integrable on the grid"),
+    ("psi-constant",
+     lambda: psi_difference_bound(named_function("gaussian"), _momentum(),
+                                  _momentum()),
+     ValueError, "gaussian declares no closed-form C_psi"),
     # quasiloc
     ("profile-family", lambda: uniform_approx_profile(_P(), []),
      ValueError, "family must be nonempty"),
     ("profile-form",
      lambda: uniform_approx_profile(_P(), [_bump()], forms=("fTf",)),
      ValueError, "unknown form"),
+    ("profile-eps",
+     lambda: uniform_approx_profile(_P(), [_bump()], eps_list=(0.5, 0.0)),
+     ValueError, "eps must be positive"),
     ("dominating-probes",
      lambda: dominating_function(_P(), 0.0, 0.0, [0.5], [], probes=0),
      ValueError, "at least one probe required"),
     ("dominating-radius",
      lambda: dominating_function(_P(), 0.0, 0.0, [-0.5], []),
      ValueError, "radius must be nonnegative"),
+    ("dominating-region",
+     lambda: dominating_function(_P(), 0.0, 0.0, [0.5],
+                                 [ball_region(G, np.zeros(1), -1.0)]),
+     ValueError, "region must be nonempty"),
     # khomology
     ("grading-degree", lambda: Multigrading(-2, None, ()),
      ValueError, "degree must be >= -1"),
@@ -216,6 +233,13 @@ GUARDS = [
     ("homotopy-order",
      lambda: homotopy_scan(_zero(0), _zero(1), np.sign, [4], []),
      ValueError, "must share the declared order"),
+    ("homotopy-steps",
+     lambda: homotopy_scan(_zero(), _zero(), np.sign, [4, 0], []),
+     ValueError, "t_steps must all be at least 1"),
+    ("homotopy-constant",
+     lambda: homotopy_scan(_momentum(), _momentum(),
+                           named_function("gaussian"), [4], []),
+     ValueError, "gaussian declares no closed-form C_psi"),
     # serial
     ("container-kind", _unknown_container_kind,
      ValueError, "unknown container kind"),

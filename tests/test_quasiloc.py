@@ -27,6 +27,7 @@ from torusop.operators import (
 )
 from torusop.quasiloc import (
     _embedding_r_factor,
+    _loglog_slope,
     _restricted_sup,
     _sup_ratio,
     dominating_function,
@@ -129,6 +130,13 @@ def test_dominating_function_decays_for_smoothing_operator():
                               probes=2)
     assert est.isotonic_defect() <= 0.05
     assert est.mu_hat[-1] < est.mu_hat[0]
+
+
+def test_loglog_slope_needs_two_distinct_abscissae():
+    assert np.isnan(_loglog_slope([2, 2], [1, 3]))
+    # only the positive entries count
+    assert np.isnan(_loglog_slope([1, 2, 4], [0.0, 5.0, 0.0]))
+    assert _loglog_slope([1, 2, 2], [1, 4, 4]) == pytest.approx(2.0)
 
 
 def test_wave_scan_translation_has_exact_propagation():
