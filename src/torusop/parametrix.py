@@ -39,7 +39,6 @@ from .operators import (
     fourier_multiplier,
     op_norm,
     quantize,
-    _state_weights,
 )
 
 __all__ = [
@@ -266,8 +265,8 @@ def elliptic_estimate_constant(
         # the quadratic surrogate in the frequency basis, where the
         # numerator Gram matrix is the diagonal of squared H^s weights
         k = P.order
-        ws = _state_weights(g, s)
-        wsk = _state_weights(g, s - k)
+        ws = g.sobolev_weights(s)
+        wsk = g.sobolev_weights(s - k)
         lp = wsk[:, None] * P.frequency_rep
         gram_den = np.diag(wsk ** 2) + lp.conj().T @ lp
         gram_den = (gram_den + gram_den.conj().T) / 2
@@ -374,7 +373,7 @@ def modified_inner_product(
     g = P.grid
     gk = fourier_multiplier(
         g, lambda xi: (1.0 + (xi ** 2).sum(axis=-1)) ** k).matrix
-    lp = from_frequency(g, _state_weights(g, l)[:, None]
+    lp = from_frequency(g, g.sobolev_weights(l)[:, None]
                         * to_frequency(g, P.matrix))
     gram = gk + lp.conj().T @ lp
     gram *= g.quadrature_weight ** 2

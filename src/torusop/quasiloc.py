@@ -26,7 +26,7 @@ from .lattice import (
     sobolev_norm,
     to_frequency,
 )
-from .operators import DiscreteOperator, _state_weights, apply_operator
+from .operators import DiscreteOperator, apply_operator
 from .funcalc import SpectralData, spectral_data, wave_operator
 
 __all__ = [
@@ -147,7 +147,7 @@ def _embedding_r_factor(region: Region, r: float) -> np.ndarray:
     emb = np.zeros((g.state_dim, m))
     emb[np.where(mask)[0], np.arange(m)] = 1.0
     den = to_frequency(g, emb)
-    den *= _state_weights(g, r)[:, None]
+    den *= g.sobolev_weights(r)[:, None]
     return np.linalg.qr(den)[1]
 
 
@@ -178,7 +178,7 @@ def _restricted_sup(
     cols = A.matrix[:, mask]
     cols = cols * np.repeat(eta.values, fdim)[:, None]
     num = to_frequency(g, cols)
-    num *= _state_weights(g, s)[:, None]
+    num *= g.sobolev_weights(s)[:, None]
     return _sup_ratio(num, rr)
 
 

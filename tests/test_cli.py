@@ -221,6 +221,11 @@ def test_main_rejects_mistyped_config_with_one_line(tmp_path, capsys):
     ("homotopy-scan", {"t_steps": [0]}),
     ("fredholm-check", {"eps_list": [0.0]}),
     ("quasiloc-scan", {"center_radius": -1.0}),
+    # a bump of slope L <= 0 is no bump: every check would pass vacuously
+    ("fredholm-check", {"bump_L": 0.0}),
+    ("fredholm-check", {"bump_L": -2.0}),
+    ("homotopy-scan", {"bump_L": 0.0}),
+    ("homotopy-scan", {"bump_L": -2.0}),
 ])
 def test_bad_grid_values_fail_before_any_output(tmp_path, capsys, scenario,
                                                 bad):

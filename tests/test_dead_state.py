@@ -39,16 +39,8 @@ SCANNED = (ROOT / "src", ROOT / "tests", ROOT / "bench")
 
 # "importing module: private name" -> why the name crosses a module line
 PRIVATE_IMPORTS = {
-    "funcalc: _kn_matrix":
-        "a multiplier's f(P) is built by the kernel builder of quantize",
-    "funcalc: _to_fourier_rep":
-        "spectral_data overwrites the diagonal of its own uncached copy",
     "khomology: _loglog_slope":
         "the continuity exponent is quasiloc's log-log slope fit",
-    "parametrix: _state_weights":
-        "the elliptic-estimate and inner-product Gram matrices weigh states",
-    "quasiloc: _state_weights":
-        "the restricted seminorm weighs states as op_norm does",
 }
 
 

@@ -13,10 +13,11 @@ from torusop.funcalc import spectral_data
 from torusop.lattice import GridSpec, from_frequency, to_frequency
 from torusop.operators import (
     DiscreteOperator,
-    _state_weights,
     compose,
+    fourier_diagonal,
     fourier_matrix,
     fourier_multiplier,
+    multiplier_matrix,
     op_norm,
     quantize,
 )
@@ -39,6 +40,12 @@ def _w(grid):
     return np.kron(fourier_matrix(grid), np.eye(grid.fiber_dim))
 
 
+def _weights(grid, s):
+    """(1 + |xi|^2)^(s/2) per state of kron(W, I_r), from the frequencies."""
+    mag = np.linalg.norm(grid.frequencies, axis=-1)
+    return np.repeat((1.0 + mag ** 2) ** (s / 2.0), grid.fiber_dim)
+
+
 def _rel(a, b):
     return float(np.abs(a - b).max() / np.abs(b).max())
 
@@ -59,8 +66,7 @@ def _dense_quantize(p):
 
 def _dense_weighted_rep(A, s, t):
     w = _w(A.grid)
-    scale = (_state_weights(A.grid, t)[:, None]
-             / _state_weights(A.grid, s)[None, :])
+    scale = _weights(A.grid, t)[:, None] / _weights(A.grid, s)[None, :]
     return (w.conj().T @ A.matrix @ w) * scale
 
 
@@ -156,11 +162,39 @@ def test_spectral_data_fast_path_matches_dense_w(grid, monkeypatch):
     sd = spectral_data(P)
     w = _w(grid)
     dense_diag = np.diag(w.conj().T @ P.matrix @ w).real
-    assert _rel(sd.eigenvalues, np.sort(dense_diag)) <= REL
-    # the eigenbasis is the lifted W, columns permuted
-    overlap = np.abs(sd.eigenvectors.conj().T @ w)
-    assert np.abs(np.sort(overlap, axis=1)[:, -1] - 1.0).max() <= REL
-    assert np.abs(np.sort(overlap, axis=1)[:, :-1]).max() <= REL
+    # position by position: eigenvalue i belongs to frequency state i
+    assert _rel(sd.eigenvalues, dense_diag) <= REL
+    # and the eigenbasis is the lifted W itself
+    assert _rel(sd.eigenvectors, w) <= REL
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_multiplier_matrix_matches_dense_w(grid):
+    rng = np.random.default_rng(2)
+    vals = (rng.standard_normal(grid.state_dim)
+            + 1j * rng.standard_normal(grid.state_dim))
+    w = _w(grid)
+    assert _rel(multiplier_matrix(grid, vals),
+                (w * vals[None, :]) @ w.conj().T) <= REL
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_fourier_diagonal_matches_dense_w(grid):
+    M = fourier_multiplier(grid, lambda xi: 1.0 + np.cos(xi[..., 0])
+                           + 0.5 * np.sin((xi ** 2).sum(axis=-1)))
+    w = _w(grid)
+    expect = np.diag(w.conj().T @ M.matrix @ w).real
+    assert _rel(fourier_diagonal(M), expect) <= REL
+    # an x-dependent perturbation far below the multiplier is still seen
+    x = grid.points[:, 0]
+    bump = np.repeat(1e-9 * np.cos(x / grid.period_scale), grid.fiber_dim)
+    perturbed = DiscreteOperator(grid, 0, M.matrix + np.diag(bump),
+                                 provenance="composed")
+    assert fourier_diagonal(perturbed) is None
+
+
+def test_fourier_diagonal_rejects_a_quantized_drift():
+    assert fourier_diagonal(quantize(named_symbol(GRIDS[0], "drift"))) is None
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
@@ -168,7 +202,7 @@ def test_spectral_apply_fourier_basis_matches_dense_products(grid):
     P = fourier_multiplier(grid, lambda xi: 1.0 + (xi ** 2).sum(axis=-1),
                            order=2)
     sd = spectral_data(P)
-    assert sd.modes is not None
+    assert sd.vectors is None
     v, lam = sd.eigenvectors, sd.eigenvalues
     for f in (lam, np.exp(0.3j * lam), lam / np.sqrt(1.0 + lam ** 2)):
         vals = np.asarray(f, dtype=complex)
@@ -215,7 +249,7 @@ def test_modified_inner_product_gram_matches_dense_w(grid):
     P = quantize(named_symbol(grid, name))
     mip = modified_inner_product(P, k=1.0, l=-1.0, probes=2)
     w = _w(grid)
-    gk = (w * _state_weights(grid, 1.0) ** 2) @ w.conj().T
-    lp = ((w * _state_weights(grid, -1.0)) @ w.conj().T) @ P.matrix
+    gk = (w * _weights(grid, 1.0) ** 2) @ w.conj().T
+    lp = ((w * _weights(grid, -1.0)) @ w.conj().T) @ P.matrix
     gram = (gk + lp.conj().T @ lp) * grid.quadrature_weight ** 2
     assert _rel(mip.gram, gram) <= REL

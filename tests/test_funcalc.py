@@ -3,11 +3,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from torusop import funcalc
 from torusop.lattice import GridSpec
 from torusop.operators import (
     DiscreteOperator,
-    fourier_matrix,
     fourier_multiplier,
     multiplication_operator,
     quantize,
@@ -96,22 +94,17 @@ def test_spectral_gate_is_one_sided(half_n, seed, log_size):
 def test_spectral_data_fourier_path_rejects_corruption(grid):
     P = fourier_multiplier(grid, lambda xi: 1.0 + (xi ** 2).sum(axis=-1),
                            order=2)
-    sd = spectral_data(P)
-    vals, vecs, modes = sd.eigenvalues, sd.eigenvectors, sd.modes
-    SpectralData(vals, None, P, modes=modes)
+    vals = spectral_data(P).eigenvalues
+    SpectralData(vals, None, P)
     bad_vals = vals.copy()
     bad_vals[3] += 1e-6 * np.abs(vals).max()
     with pytest.raises(ValueError, match="reconstruction defect"):
-        SpectralData(bad_vals, None, P, modes=modes)
-    swapped = modes.copy()
+        SpectralData(bad_vals, None, P)
+    # eigenvalue i belongs to frequency state i: a swap moves two of them
+    swapped = vals.copy()
     swapped[[0, -1]] = swapped[[-1, 0]]
     with pytest.raises(ValueError, match="reconstruction defect"):
-        SpectralData(vals, None, P, modes=swapped)
-    with pytest.raises(ValueError, match="not a permutation"):
-        SpectralData(vals, None, P, modes=np.zeros_like(modes))
-    # modes alone declares the basis: eigenvectors alongside them is an error
-    with pytest.raises(ValueError, match="exactly one"):
-        SpectralData(vals, vecs, P, modes=modes)
+        SpectralData(swapped, None, P)
 
 
 def test_spectral_gate_passes_on_wave_scan_multiplier():
@@ -125,38 +118,28 @@ def test_spectral_gate_passes_on_wave_scan_multiplier():
 
 @pytest.mark.parametrize("grid", [GridSpec(1, 64, 1.0), GridSpec(2, 8, 1.0, 2)],
                          ids=["1d-r1", "2d-r2"])
-def test_multiplier_basis_is_built_on_first_read(grid, monkeypatch):
+def test_multiplier_basis_is_built_on_first_read(grid):
     P = fourier_multiplier(grid, lambda xi: 1.0 + (xi ** 2).sum(axis=-1),
                            order=2)
-
-    def no_basis(g):
-        raise AssertionError("dense Fourier basis built")
-
-    monkeypatch.setattr(funcalc, "fourier_matrix", no_basis)
     sd = spectral_data(P)
+    assert sd.vectors is None
     spectral_apply(P, np.cos, spectral=sd)
     assert "eigenvectors" not in sd.__dict__
-    monkeypatch.undo()
-    # the dense basis as spectral_data built it before it became lazy
-    r, order = grid.fiber_dim, sd.modes
-    w = (fourier_matrix(grid)[:, None, order // r]
-         * (np.arange(r)[:, None] == order % r))
     v = sd.eigenvectors
-    assert np.array_equal(v, w.reshape(grid.state_dim, -1))
-    assert sd.__dict__["eigenvectors"] is v
-    with pytest.raises(ValueError, match="exactly one"):
-        SpectralData(sd.eigenvalues, None, P)
-    # on the eigh path the constructor's basis fills the same cache
+    assert v.shape == (grid.state_dim,) * 2
+    assert sd.eigenvectors is v
+    # on the eigh path the eigenvectors are the constructor's basis
     vals, vecs = scipy.linalg.eigh(P.matrix)
-    assert SpectralData(vals, vecs, P).__dict__["eigenvectors"] is vecs
+    assert SpectralData(vals, vecs, P).eigenvectors is vecs
 
 
 def test_spectral_data_multiplier_fast_path():
     g = GridSpec(1, 64, 1.0)
     P = fourier_multiplier(g, lambda xi: np.cos(xi[..., 0]), order=0)
     sd = spectral_data(P)
-    assert np.abs(np.sort(sd.eigenvalues)
-                  - np.sort(np.cos(g.frequencies[:, 0]))).max() <= 1e-12
+    # in frequency-state order, with no sort
+    assert np.abs(sd.eigenvalues
+                  - np.cos(g.frequencies[:, 0])).max() <= 1e-12
 
 
 def test_named_function_specs_verify():

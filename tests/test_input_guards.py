@@ -11,6 +11,7 @@ import pytest
 from torusop import cli, funcalc, serial
 from torusop.funcalc import (
     ScalarFunctionSpec,
+    SpectralData,
     chi_resolvent_integral,
     fourier_apply,
     named_function,
@@ -106,6 +107,8 @@ GUARDS = [
      ValueError, "bump values size does not match grid"),
     ("bump-resolution", lambda: lipschitz_bump(G, np.zeros(1), 0.1, 1.0),
      ValueError, "under-resolved bump"),
+    ("bump-slope", lambda: lipschitz_bump(G, np.zeros(1), 2.0, 0.0),
+     ValueError, "bump slope L must be positive and finite"),
     # symbols
     ("symbol-shape", lambda: Symbol(G, 0, np.ones((3, 3))),
      ValueError, "symbol samples shape"),
@@ -144,6 +147,8 @@ GUARDS = [
      ValueError, "exceeds the dense cap"),
     ("multiplier-size", lambda: multiplication_operator(G, np.ones(N + 1)),
      ValueError, "multiplier size does not match grid"),
+    ("fourier-multiplier-size", lambda: fourier_multiplier(G, lambda xi: 1.0),
+     ValueError, f"multiplier needs {N} values, one per frequency state"),
     ("compose-grid-mismatch", lambda: compose(_zero(), _zero(grid=G2)),
      ValueError, "grid mismatch"),
     ("commutator-grid-mismatch", lambda: commutator(_zero(), _zero(grid=G2)),
@@ -158,6 +163,9 @@ GUARDS = [
     # funcalc
     ("spectral-adjoint", lambda: spectral_data(_drift()),
      ValueError, "requires a self-adjoint operator"),
+    ("spectral-fourier-size",
+     lambda: SpectralData(np.ones(N - 1), None, _momentum()),
+     ValueError, f"multiplier needs {N} values, one per frequency state"),
     ("function-name", lambda: named_function("no-such-function"),
      KeyError, "unknown function spec"),
     ("function-class",

@@ -171,7 +171,7 @@ def test_spectral_data_leaves_the_representation_unset():
     # its diagonal; keeping it on the operator would pin n^2 entries
     g = GridSpec(1, 32, 1.0)
     P = fourier_multiplier(g, lambda xi: xi[..., 0], order=1)
-    assert spectral_data(P).modes is not None
+    assert spectral_data(P).vectors is None
     assert "frequency_rep" not in vars(P)
 
 

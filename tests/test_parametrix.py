@@ -9,7 +9,6 @@ except ImportError:  # numpy < 2
 from torusop import operators
 from torusop.lattice import GridSpec, Section
 from torusop.operators import (
-    _state_weights,
     _to_fourier_rep,
     apply_operator,
     fourier_multiplier,
@@ -127,6 +126,12 @@ def _coupled_symbol(g):
     return symbol_from_callable(g, 2, fn, hermitian_valued=True)
 
 
+def _weights(g, s):
+    """(1 + |xi|^2)^(s/2) per frequency state, from the frequencies."""
+    mag = np.linalg.norm(g.frequencies, axis=-1)
+    return np.repeat((1.0 + mag ** 2) ** (s / 2.0), g.fiber_dim)
+
+
 def _eager_tables(res, norm_range):
     """The norm tables as every entry was computed before they became lazy."""
     g = res.S1.grid
@@ -137,8 +142,8 @@ def _eager_tables(res, norm_range):
     residual, off_tab, band_tab = {}, {}, {}
     for k in range(norm_range):
         for l in range(norm_range):
-            weights = (_state_weights(g, float(l))[:, None]
-                       / _state_weights(g, -float(k))[None, :])
+            weights = (_weights(g, float(l))[:, None]
+                       / _weights(g, -float(k))[None, :])
             b1 = rep1 * weights
             residual[("S1", k, l)] = norm(b1)
             residual[("S2", k, l)] = norm(rep2 * weights)

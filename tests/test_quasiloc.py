@@ -43,6 +43,12 @@ def _op(grid, matrix):
     return DiscreteOperator(grid, 0, matrix, provenance="composed")
 
 
+def _weights(g, s):
+    """(1 + |xi|^2)^(s/2) per frequency state, from the frequencies."""
+    mag = np.linalg.norm(g.frequencies, axis=-1)
+    return np.repeat((1.0 + mag ** 2) ** (s / 2.0), g.fiber_dim)
+
+
 def test_eps_rank_projection():
     g = GridSpec(1, 32, 1.0)
     mat = np.zeros((32, 32))
@@ -207,11 +213,11 @@ def _per_r_reference(A, r, s, R_list, region_list, probes, seed,
         mask = np.repeat(region.mask, fdim)
         cols = A.matrix[:, mask] * np.repeat(eta.values, fdim)[:, None]
         num = to_frequency(g, cols)
-        num *= np.repeat(g.sobolev_weights(s), fdim)[:, None]
+        num *= _weights(g, s)[:, None]
         emb = np.zeros((g.state_dim, int(mask.sum())))
         emb[np.where(mask)[0], np.arange(int(mask.sum()))] = 1.0
         den = to_frequency(g, emb)
-        den *= np.repeat(g.sobolev_weights(r), fdim)[:, None]
+        den *= _weights(g, r)[:, None]
         _q, rr = np.linalg.qr(den)
         return _sup_ratio(num, rr)
 
@@ -318,11 +324,11 @@ def _qr_svd_sup(A, region, eta, r, s):
     m = int(mask.sum())
     num = to_frequency(g, A.matrix[:, mask]
                        * np.repeat(eta.values, fdim)[:, None])
-    num *= np.repeat(g.sobolev_weights(s), fdim)[:, None]
+    num *= _weights(g, s)[:, None]
     emb = np.zeros((g.state_dim, m))
     emb[np.where(mask)[0], np.arange(m)] = 1.0
     den = to_frequency(g, emb)
-    den *= np.repeat(g.sobolev_weights(r), fdim)[:, None]
+    den *= _weights(g, r)[:, None]
     rr = np.linalg.qr(den)[1]
     mat = np.linalg.solve(rr.T.conj(), num.T.conj()).T.conj()
     return float(np.linalg.svd(mat, compute_uv=False)[0])
