@@ -7,8 +7,9 @@ conjugated back, which agrees with summing the matrix-valued integrand by
 unitary equivalence and keeps the routes cheap enough to scan.
 
 Every route ends in SpectralData.apply, V f(lambda) V*.  For a Fourier
-multiplier V is the Fourier basis of lattice.to_frequency, and apply builds
-f(P) by operators.multiplier_matrix, as fourier_multiplier does, at
+multiplier V is the Fourier basis of lattice.to_frequency, the eigenvalues
+are the values operators.fourier_diagonal reads from the kernel, and apply
+builds f(P) by operators.multiplier_matrix, as fourier_multiplier does, at
 O(n^2 log n) instead of a dense O(n^3) product.
 The decomposition is checked when SpectralData is built.  The spectral-norm
 checks go through a one-sided gate: the bound
@@ -145,11 +146,11 @@ class SpectralData:
 def spectral_data(P: DiscreteOperator) -> SpectralData:
     """Diagonalize a self-adjoint operator.
 
-    A Fourier multiplier (as operators.fourier_diagonal decides) is
-    diagonalized exactly by the Fourier basis, much cheaper than a dense
-    eigensolve: the result is its eigenvalues alone, in frequency-state
-    order.  Any other operator takes a dense eigensolve, eigenvalues
-    ascending.
+    A Fourier multiplier (as operators.fourier_diagonal decides, from the
+    kernel and with no n x n transform) is diagonalized exactly by the
+    Fourier basis, much cheaper than a dense eigensolve: the result is its
+    eigenvalues alone, in frequency-state order.  Any other operator takes
+    a dense eigensolve, eigenvalues ascending.
     """
     if not P.self_adjoint:
         raise ValueError("functional calculus requires a self-adjoint operator")

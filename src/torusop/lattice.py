@@ -1,8 +1,10 @@
 """Discretized flat torus: grids, sections, regions, Sobolev norms and cutoffs.
 
 The torus has ``dim`` axes of length ``2*pi*L`` sampled at ``N`` points each.
-Sections are complex vector-valued grid functions; the Fourier transform is
-the unitary FFT, so all Sobolev norms are diagonal in the frequency basis.
+Sections are complex vector-valued grid functions.  The one Fourier
+transform of the package is to_frequency / from_frequency, the unitary FFT
+over the grid axes of state vectors, so all Sobolev norms are diagonal in
+the frequency basis.
 """
 
 from __future__ import annotations
@@ -15,13 +17,10 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "Section",
-    "FrequencySection",
     "Region",
     "BumpFunction",
     "to_frequency",
     "from_frequency",
-    "fourier",
-    "inverse_fourier",
     "sobolev_norm",
     "restricted_seminorm",
     "cutoff_eta",
@@ -160,14 +159,6 @@ class Section:
         return self.grid.quadrature_weight * float(np.linalg.norm(self.values))
 
 
-@dataclass(frozen=True)
-class FrequencySection:
-    """Fourier coefficients of a section, in FFT order, shape (n_points, r)."""
-
-    grid: GridSpec
-    coefficients: np.ndarray
-
-
 def _over_grid_axes(grid: GridSpec, cols, transform) -> np.ndarray:
     cols = np.asarray(cols)
     shaped = cols.reshape(grid.grid_shape() + (grid.fiber_dim,) + cols.shape[1:])
@@ -191,19 +182,6 @@ def to_frequency(grid: GridSpec, cols) -> np.ndarray:
 def from_frequency(grid: GridSpec, cols) -> np.ndarray:
     """Inverse of to_frequency: Fourier synthesis W cols, column by column."""
     return _over_grid_axes(grid, cols, np.fft.ifftn)
-
-
-def fourier(u: Section) -> FrequencySection:
-    """Unitary Fourier transform of a section."""
-    g = u.grid
-    hat = to_frequency(g, u.flat())
-    return FrequencySection(g, hat.reshape(g.n_points, g.fiber_dim))
-
-
-def inverse_fourier(uhat: FrequencySection) -> Section:
-    g = uhat.grid
-    vals = from_frequency(g, uhat.coefficients.reshape(-1))
-    return Section(g, vals.reshape(g.n_points, g.fiber_dim))
 
 
 def sobolev_norm(u: Section, s: float) -> float:

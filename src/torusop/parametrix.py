@@ -22,7 +22,6 @@ import scipy.linalg
 from .lattice import (
     GridSpec,
     Section,
-    fourier,
     from_frequency,
     sobolev_norm,
     to_frequency,
@@ -37,6 +36,7 @@ from .operators import (
     DiscreteOperator,
     apply_operator,
     fourier_multiplier,
+    multiplier_matrix,
     op_norm,
     quantize,
 )
@@ -270,8 +270,13 @@ def elliptic_estimate_constant(
         lp = wsk[:, None] * P.frequency_rep
         gram_den = np.diag(wsk ** 2) + lp.conj().T @ lp
         gram_den = (gram_den + gram_den.conj().T) / 2
-        vals_, vecs = scipy.linalg.eigh(np.diag(ws ** 2), gram_den,
-                                        subset_by_index=[g.state_dim - 1] * 2)
+        num = np.diag(ws ** 2)
+        vecs = scipy.linalg.eigh(num, gram_den,
+                                 subset_by_index=[g.state_dim - 1] * 2)[1]
+        if vecs.shape[1] == 0:
+            # the subset solve returns no vector, and raises nothing, when
+            # the top eigenvalue is tied; the full solve still orders them
+            vecs = scipy.linalg.eigh(num, gram_den)[1]
         u = Section(g, from_frequency(g, vecs[:, -1]).reshape(n, r))
         best = max(best, _estimate_ratio(P, u, s))
     return best
@@ -306,7 +311,7 @@ class RegularityReport:
 
 def _tail_mass(u: Section, level: float) -> float:
     g = u.grid
-    hat = fourier(u).coefficients
+    hat = to_frequency(g, u.flat()).reshape(g.n_points, g.fiber_dim)
     outside = g.frequency_magnitude > level
     return float(
         g.quadrature_weight * np.linalg.norm(hat[outside])
@@ -371,8 +376,7 @@ def modified_inner_product(
     if not P.self_adjoint:
         raise ValueError("modified inner product requires a self-adjoint P")
     g = P.grid
-    gk = fourier_multiplier(
-        g, lambda xi: (1.0 + (xi ** 2).sum(axis=-1)) ** k).matrix
+    gk = multiplier_matrix(g, g.sobolev_weights(2 * k))
     lp = from_frequency(g, g.sobolev_weights(l)[:, None]
                         * to_frequency(g, P.matrix))
     gram = gk + lp.conj().T @ lp

@@ -95,7 +95,9 @@ def symbol_from_callable(
     ``fn(x, xi)`` receives broadcastable coordinate arrays of shape
     (n_x, 1, dim) and (1, n_xi, dim) and must return an array broadcastable
     to (n_x, n_xi) for scalar symbols or (n_x, n_xi, r, r) for matrix ones.
-    It must act on each frequency independently of the others.
+    It must act on each frequency independently of the others.  A 2-d
+    result has 1x1 blocks; blocks that are not the grid's r x r fiber are
+    rejected with one line naming both sizes.
 
     Nyquist frequency entries are symmetrized over the two aliases
     m = +-N/2 per axis (evaluate on every sign choice and average), which
@@ -114,8 +116,12 @@ def symbol_from_callable(
 
     def eval_on(xi_lattice):
         out = np.asarray(fn(xs, xi_lattice[None, :, :]))
-        if r == 1 and out.ndim == 2:
+        if out.ndim == 2:
             out = out[:, :, None, None]
+        if out.ndim == 4 and out.shape[2:] != (r, r):
+            raise ValueError(
+                f"symbol blocks are {out.shape[2]}x{out.shape[3]} but the "
+                f"grid's fiber needs {r}x{r}")
         return np.broadcast_to(out, (n_x, len(xi_lattice), r, r))
 
     samples = np.empty((n_x, g.n_points, r, r), dtype=complex)

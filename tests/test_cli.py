@@ -226,6 +226,9 @@ def test_main_rejects_mistyped_config_with_one_line(tmp_path, capsys):
     ("fredholm-check", {"bump_L": -2.0}),
     ("homotopy-scan", {"bump_L": 0.0}),
     ("homotopy-scan", {"bump_L": -2.0}),
+    # a 2x2 symbol on a scalar grid is a fiber mismatch, named in one line
+    ("elliptic-estimate", {"families": ["dirac"]}),
+    ("quasiloc-scan", {"family": "dirac_mass"}),
 ])
 def test_bad_grid_values_fail_before_any_output(tmp_path, capsys, scenario,
                                                 bad):
@@ -237,6 +240,19 @@ def test_bad_grid_values_fail_before_any_output(tmp_path, capsys, scenario,
     assert code == 2
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["schwartz_xi", "schwartz_drift"])
+def test_elliptic_estimate_with_tied_top_eigenvalues_reports(tmp_path, capsys,
+                                                            family):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"families": [family]}))
+    out = tmp_path / "run"
+    code = main(["--scenario", "elliptic-estimate", "--config", str(cfg_path),
+                 "--out", str(out), "--summary"])
+    assert code in (0, 1)
+    assert "pass" in capsys.readouterr().out
+    assert (out / "summary.json").exists()
 
 
 def test_bad_grid_values_keep_an_earlier_summary(tmp_path):

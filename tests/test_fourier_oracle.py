@@ -8,7 +8,10 @@ from_frequency and the FFT quantization replace.
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from torusop import funcalc, operators
 from torusop.funcalc import spectral_data
 from torusop.lattice import GridSpec, from_frequency, to_frequency
 from torusop.operators import (
@@ -72,6 +75,22 @@ def _dense_weighted_rep(A, s, t):
 
 def _dense_op_norm(A, s, t):
     return float(np.linalg.norm(_dense_weighted_rep(A, s, t), 2))
+
+
+def _dense_diagonal(A):
+    """The real diagonal of the dense W* A W, or None when an off-diagonal
+    entry exceeds 1e-12 of its largest diagonal entry."""
+    w = _w(A.grid)
+    rep = w.conj().T @ A.matrix @ w
+    diag = np.diag(rep).real.copy()
+    np.fill_diagonal(rep, 0.0)
+    scale = float(np.abs(diag).max()) or 1.0
+    return diag if float(np.abs(rep).max()) <= 1e-12 * scale else None
+
+
+def _real_multiplier(grid, vals):
+    return DiscreteOperator(grid, 0, multiplier_matrix(grid, vals),
+                            self_adjoint=True)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
@@ -183,8 +202,11 @@ def test_fourier_diagonal_matches_dense_w(grid):
     M = fourier_multiplier(grid, lambda xi: 1.0 + np.cos(xi[..., 0])
                            + 0.5 * np.sin((xi ** 2).sum(axis=-1)))
     w = _w(grid)
-    expect = np.diag(w.conj().T @ M.matrix @ w).real
-    assert _rel(fourier_diagonal(M), expect) <= REL
+    # momentum is odd, so its kernel is not even in x: values read from a
+    # row of A, or at -xi, differ from the oracle's
+    for A in (M, fourier_multiplier(grid, lambda xi: xi[..., 0])):
+        expect = np.diag(w.conj().T @ A.matrix @ w).real
+        assert _rel(fourier_diagonal(A), expect) <= REL
     # an x-dependent perturbation far below the multiplier is still seen
     x = grid.points[:, 0]
     bump = np.repeat(1e-9 * np.cos(x / grid.period_scale), grid.fiber_dim)
@@ -195,6 +217,71 @@ def test_fourier_diagonal_matches_dense_w(grid):
 
 def test_fourier_diagonal_rejects_a_quantized_drift():
     assert fourier_diagonal(quantize(named_symbol(GRIDS[0], "drift"))) is None
+
+
+FIBER2 = [g for g in GRIDS if g.fiber_dim == 2]
+
+
+@pytest.mark.parametrize("grid", FIBER2,
+                         ids=[f"{g.dim}d-N{g.points_per_axis}" for g in FIBER2])
+def test_fourier_diagonal_reads_each_fiber_slot(grid):
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal(grid.state_dim)
+    A = _real_multiplier(grid, vals)
+    got = fourier_diagonal(A)
+    assert _rel(got, _dense_diagonal(A)) <= REL
+    assert _rel(got, vals) <= REL
+
+
+# magnitudes near the underflow threshold lose relative precision in any
+# FFT, the oracle's products included, so the values stay clear of it
+_VALUE = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6))
+
+
+@settings(max_examples=50, deadline=None)
+@given(dim=st.sampled_from([1, 2]), fiber=st.sampled_from([1, 2]),
+       data=st.data())
+def test_fourier_diagonal_matches_dense_w_on_random_values(dim, fiber, data):
+    grid = GridSpec(dim, 16 if dim == 1 else 8, 1.0, fiber)
+    vals = data.draw(arrays(float, grid.state_dim, elements=_VALUE))
+    A = _real_multiplier(grid, vals)
+    expect = _dense_diagonal(A)
+    got = fourier_diagonal(A)
+    assert expect is not None and got is not None
+    assert np.abs(got - expect).max() <= REL * (np.abs(expect).max() or 1.0)
+
+
+NO_REP_GRIDS = [GridSpec(1, 256, 1.0), GridSpec(2, 16, 1.0),
+                GridSpec(1, 64, 1.5, 2)]
+
+
+@pytest.mark.parametrize("grid", NO_REP_GRIDS, ids=[
+    f"{g.dim}d-N{g.points_per_axis}-r{g.fiber_dim}" for g in NO_REP_GRIDS])
+def test_spectral_data_of_a_multiplier_takes_no_dense_transform(grid,
+                                                                monkeypatch):
+    def no_rep(A):
+        raise AssertionError("W* A W taken for a multiplier")
+
+    widest = []
+
+    def spy(transform):
+        def counted(g, cols):
+            widest.append(np.shape(cols)[1] if np.ndim(cols) == 2 else 1)
+            return transform(g, cols)
+        return counted
+
+    monkeypatch.setattr(operators, "_to_fourier_rep", no_rep)
+    monkeypatch.setattr(operators, "to_frequency", spy(to_frequency))
+    monkeypatch.setattr(funcalc, "from_frequency", spy(from_frequency))
+    P = fourier_multiplier(grid, lambda xi: 1.0 + (xi ** 2).sum(axis=-1),
+                           order=2)
+    sd = spectral_data(P)
+    assert sd.vectors is None
+    assert "frequency_rep" not in P.__dict__
+    # the kernel's r columns and the gate's one probe vector, nothing wider
+    assert widest and max(widest) <= grid.fiber_dim
+    expect = np.repeat(1.0 + grid.frequency_magnitude ** 2, grid.fiber_dim)
+    assert _rel(sd.eigenvalues, expect) <= REL
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)

@@ -112,6 +112,8 @@ GUARDS = [
     # symbols
     ("symbol-shape", lambda: Symbol(G, 0, np.ones((3, 3))),
      ValueError, "symbol samples shape"),
+    ("symbol-fiber", lambda: named_symbol(G, "dirac"),
+     ValueError, "symbol blocks are 2x2 but the grid's fiber needs 1x1"),
     ("symbol-nonfinite",
      lambda: Symbol(G, 0, np.full((1, N), np.inf), x_independent=True),
      ValueError, "non-finite symbol samples"),
