@@ -2,10 +2,14 @@
 
 The parametrix is built by Neumann-style symbol correction: starting from the
 excised pointwise inverse q_0 of the symbol, each sweep subtracts the
-composition defect, q_{j+1} = q_j - q_0 o (p o q_j - 1).  The residuals
+composition defect, q_{j+1} = q_j - q_0 o (p o q_j - 1).  The xi-differences
+of p and q_0 are the same in every sweep; each symbol keeps its own (see
+symbols.Symbol.xi_difference), so they are taken once.  The residuals
 S1 = I - PQ and S2 = I - QP are defined by exact subtraction, so the matrix
-identities hold to rounding.  Because the excision zeroes the inverse on a
-low-frequency band, S1 acts as the identity there; residual norms are
+identities hold to rounding.  S1 is formed with Q; the dense product behind
+S2 is formed on its first read, through ``ParametrixResult.S2`` or an
+("S2", k, l) norm, and then kept.  Because the excision zeroes the inverse
+on a low-frequency band, S1 acts as the identity there; residual norms are
 therefore reported both on and off that band.  Each norm is one
 operators.op_norm call, taken on the first read of its table entry; the
 band tables pass op_norm the band as a frequency mask.
@@ -94,9 +98,39 @@ class _LazyTable(Mapping):
         return len(self._keys)
 
 
+class _Once:
+    """The value of ``make()``, computed on the first ``get()`` and kept.
+
+    ``make`` is dropped once it has run, with everything it refers to.
+    """
+
+    def __init__(self, make):
+        self._make = make
+        self._value = None
+
+    def get(self):
+        if self._make is not None:
+            self._value = self._make()
+            self._make = None
+        return self._value
+
+
+def _identity_defect(grid: GridSpec, A: np.ndarray,
+                     B: np.ndarray) -> DiscreteOperator:
+    """I - AB as a smoothing operator."""
+    return DiscreteOperator(grid, -1000, np.eye(grid.state_dim) - A @ B,
+                            provenance="smoothing")
+
+
 @dataclass(frozen=True)
 class ParametrixResult:
     """Approximate inverse Q with residuals S1 = I - PQ and S2 = I - QP.
+
+    S1 is formed with Q.  S2 is formed on its first read, as ``.S2`` or
+    through an ("S2", k, l) entry, and both reads then return the same
+    operator; a result whose S2 is never read never forms it.  Nothing in
+    the result refers back to it, so dropping the result frees S1 and S2
+    without the cycle collector.
 
     The norm tables are read-only mappings whose keys are fixed when the
     result is built; each entry is an exact SVD norm, computed on its first
@@ -108,7 +142,7 @@ class ParametrixResult:
 
     Q: DiscreteOperator
     S1: DiscreteOperator
-    S2: DiscreteOperator
+    _s2: _Once = field(repr=False, compare=False)
     excision_radius: float
     excision_width: float
     residual_norms: Mapping = field(default_factory=dict)
@@ -117,6 +151,11 @@ class ParametrixResult:
     defect_history: tuple = ()
     diverged: bool = False
     worst_cell: tuple = ()
+
+    @property
+    def S2(self) -> DiscreteOperator:
+        """I - QP, formed on the first read and then kept."""
+        return self._s2.get()
 
 
 def _denoise_x_spectrum(samples: np.ndarray, grid: GridSpec,
@@ -150,11 +189,12 @@ def build_parametrix(
 
     J counts the correction sweeps; it is also used as the truncation order
     of the composition expansion inside each sweep.  The norm tables hold
-    the keys k, l in range(norm_range); no norm is computed here.  The
-    first read of an S1 entry (residual, off-band or band) takes the
-    frequency representation of S1, the first read of an ("S2", k, l)
-    entry that of S2 (each kept as the operator's ``frequency_rep``), and
-    every read of a new entry takes one SVD.
+    the keys k, l in range(norm_range); no norm is computed here, and S2
+    is not formed here.  The first read of an S1 entry (residual,
+    off-band or band) takes the frequency representation of S1, the first
+    read of an ("S2", k, l) entry forms S2 (unless ``.S2`` was read) and
+    takes its representation (each kept as the operator's
+    ``frequency_rep``), and every read of a new entry takes one SVD.
     """
     cert = check_elliptic(p)
     if not cert.ok:
@@ -196,23 +236,21 @@ def build_parametrix(
         )
 
     Q = quantize(q)
-    eye = np.eye(g.state_dim)
-    S1 = DiscreteOperator(g, -1000, eye - P.matrix @ Q.matrix,
-                          provenance="smoothing")
-    S2 = DiscreteOperator(g, -1000, eye - Q.matrix @ P.matrix,
-                          provenance="smoothing")
+    S1 = _identity_defect(g, P.matrix, Q.matrix)
+    s2 = _Once(lambda: _identity_defect(g, Q.matrix, P.matrix))
 
-    S = {"S1": S1, "S2": S2}
+    residual_of = {"S1": lambda: S1, "S2": s2.get}
     kl = [(k, l) for k in range(norm_range) for l in range(norm_range)]
     residual = _LazyTable(
-        [(tag, k, l) for k, l in kl for tag in S],
-        lambda key: op_norm(S[key[0]], -float(key[1]), float(key[2])))
+        [(tag, k, l) for k, l in kl for tag in residual_of],
+        lambda key: op_norm(residual_of[key[0]](), -float(key[1]),
+                            float(key[2])))
     off_tab = _LazyTable(
         kl, lambda key: op_norm(S1, -float(key[0]), float(key[1]), offband))
     band_tab = _LazyTable(
         kl, lambda key: op_norm(S1, -float(key[0]), float(key[1]), ~offband))
     return ParametrixResult(
-        Q=Q, S1=S1, S2=S2,
+        Q=Q, S1=S1, _s2=s2,
         excision_radius=cert.radius, excision_width=excision_width,
         residual_norms=residual, off_band_norms=off_tab, band_norms=band_tab,
         defect_history=tuple(history), diverged=diverged, worst_cell=worst,

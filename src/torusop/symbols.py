@@ -3,7 +3,10 @@
 Samples live on the product of the spatial grid and the frequency lattice.
 Derivatives use the convention D = -i * d/d(.) in both x and xi; x-derivatives
 are spectral (the symbol is periodic in x), xi-derivatives are centered lattice
-differences with second-order one-sided stencils at the lattice edges.
+differences with second-order one-sided stencils at the lattice edges.  Each
+symbol keeps its own ladder of xi-differences (``Symbol.xi_difference``),
+built one unit step at a time on first read and read-only, so repeated
+compositions with the same left factor difference it once.
 """
 
 from __future__ import annotations
@@ -72,6 +75,29 @@ class Symbol:
                     f"symbol flagged hermitian_valued but defect {defect:.3e}"
                 )
         object.__setattr__(self, "samples", a)
+        object.__setattr__(self, "_xi_ladder", {})
+
+    def xi_difference(self, beta: tuple) -> np.ndarray:
+        """Lattice difference d^beta/dxi^beta of the samples, kept.
+
+        The samples themselves for beta = 0.  Every other order is built
+        on its first read from the order one below by a single unit step of
+        ``_xi_partial`` along the last axis with a nonzero index, so the
+        axis-0 steps run before the axis-1 steps, as inside
+        ``_xi_partial``; it is kept on this symbol and is read-only.
+        """
+        beta = tuple(beta)
+        if sum(beta) == 0:
+            return self.samples
+        ladder = self._xi_ladder
+        if beta not in ladder:
+            ax = max(i for i, b in enumerate(beta) if b)
+            unit = tuple(int(i == ax) for i in range(len(beta)))
+            below = tuple(b - u for b, u in zip(beta, unit))
+            d = _xi_partial(self.xi_difference(below), self.grid, unit)
+            d.flags.writeable = False
+            ladder[beta] = d
+        return ladder[beta]
 
     def at_full_x(self) -> np.ndarray:
         """Samples broadcast to the full (n_points, n_xi, r, r) shape."""
@@ -281,10 +307,51 @@ def check_elliptic(p: Symbol) -> EllipticityCertificate:
     )
 
 
+def _x_derivatives(sym: Symbol, J: int) -> dict:
+    """``_x_partial(sym, alpha)`` for every |alpha| <= J, keyed by alpha.
+
+    ``_x_partial`` differentiates along axis 0 first and then along axis 1
+    of that result.  Here every order along an axis is taken from a single
+    forward FFT of the array it starts from: the samples are transformed
+    once along axis 0, and each axis-0 result once along axis 1.
+    """
+    g = sym.grid
+    if sym.x_independent:
+        zero = np.zeros_like(sym.samples)
+        return {alpha: sym.samples if sum(alpha) == 0 else zero
+                for alpha in _multi_indices(g.dim, J)}
+    xi_axis = g.axis_modes / g.period_scale
+    layer = {(): sym.samples.reshape(g.grid_shape()
+                                     + sym.samples.shape[1:])}
+    for ax in range(g.dim):
+        shape = [1] * (g.dim + 3)
+        shape[ax] = g.points_per_axis
+        step = 1j * xi_axis.reshape(shape)
+        deeper = {}
+        for alpha, a in layer.items():
+            deeper[alpha + (0,)] = a
+            if sum(alpha) < J:
+                hat = np.fft.fft(a, axis=ax)
+                for order in range(1, J - sum(alpha) + 1):
+                    deeper[alpha + (order,)] = np.fft.ifft(
+                        hat * step ** order, axis=ax)
+        layer = deeper
+    return {alpha: a.reshape(sym.samples.shape)
+            for alpha, a in layer.items()}
+
+
 def compose_symbols(p: Symbol, q: Symbol, J: int) -> Symbol:
     """Truncated composition sum_(|a|<=J) i^|a|/a! (D_xi^a p)(D_x^a q).
 
-    Declared order is order(p) + order(q).
+    Declared order is order(p) + order(q).  The xi-differences of p are
+    read from p's ladder (``Symbol.xi_difference``), which p keeps,
+    read-only, for later compositions; the x-derivatives of q come from
+    one forward FFT per axis.  With D = -i d/d(.) on both sides, a term on
+    1x1 blocks is the product of the plain derivatives times the one
+    coefficient i^|a| (-i)^|a| (-i)^|a| / a! = (-i)^|a| / a!; on larger
+    blocks both operands are rotated by (-i)^|a| before the product.
+    Terms accumulate in place.  The result is bit for bit that of applying
+    the three factors one by one.
     """
     g = p.grid
     if g != q.grid:
@@ -293,15 +360,25 @@ def compose_symbols(p: Symbol, q: Symbol, J: int) -> Symbol:
         raise ValueError("J must be >= 0")
     if J >= g.points_per_axis // 2:
         raise ValueError("J exceeds resolvable lattice differences")
+    dx_q = _x_derivatives(q, J)
     total = None
     for alpha in _multi_indices(g.dim, J):
         n = sum(alpha)
         fact = math.prod(math.factorial(ai) for ai in alpha)
-        # D_xi^a p = (-i d/dxi)^a p ; D_x^a q = (-i d/dx)^a q
-        dxi_p = (-1j) ** n * _xi_partial(p.samples, g, alpha)
-        dx_q = (-1j) ** n * _x_partial(q, alpha)
-        term = (1j ** n / fact) * np.matmul(dxi_p, dx_q)
-        total = term if total is None else total + term
+        dxi_p = p.xi_difference(alpha)
+        if g.fiber_dim == 1:
+            term = np.matmul(dxi_p, dx_q[alpha])
+            term *= (-1j) ** n / fact
+        else:
+            # BLAS sums the r products of a block entry with fused
+            # multiply-adds, which do not commute with a rotation by -i
+            # bit for bit, so the operands are rotated before the product
+            term = np.matmul((-1j) ** n * dxi_p, (-1j) ** n * dx_q[alpha])
+            term *= 1j ** n / fact
+        if total is None:
+            total = term
+        else:
+            total += term
     x_indep = p.x_independent and q.x_independent
     return Symbol(g, p.order + q.order, total, x_independent=x_indep)
 
