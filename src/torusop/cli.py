@@ -128,6 +128,11 @@ def _fits(value, default) -> bool:
     return isinstance(value, type(default))
 
 
+def _config_function(cfg):
+    """The scalar function a funcalc-defect config names, with its sigma."""
+    return named_function(cfg["function"], {"sigma": cfg["sigma"]})
+
+
 def _validate_config(scenario: str, config: dict) -> dict:
     base = default_config(scenario)
     if not isinstance(config, dict):
@@ -160,9 +165,15 @@ def _validate_config(scenario: str, config: dict) -> dict:
     function = base.get("function")
     if function is not None and function not in NAMED_FUNCTIONS:
         raise ValueError(f"config for {scenario}: unknown function {function!r}")
-    if function is not None and named_function(function).fhat is None:
-        raise ValueError(f"config for {scenario}: function {function!r} has "
-                         "no closed-form Fourier transform")
+    if function is not None:
+        # built with the run's own parameters, so a bad scale fails here
+        try:
+            f = _config_function(base)
+        except ValueError as exc:
+            raise ValueError(f"config for {scenario}: {exc}") from None
+        if f.fhat is None:
+            raise ValueError(f"config for {scenario}: function {function!r} "
+                             "has no closed-form Fourier transform")
     if "L" in base:
         for N in base.get("N_ladder", [base.get("N")]):
             try:
@@ -290,7 +301,7 @@ def _run_funcalc_defect(cfg):
     g = GridSpec(1, cfg["N"], cfg["L"])
     P = quantize(named_symbol(g, cfg["family"]))
     sd = spectral_data(P)
-    f = named_function(cfg["function"], {"sigma": cfg["sigma"]})
+    f = _config_function(cfg)
     doc = {"spectral_radius": sd.spectral_radius, "fourier": [],
            "resolvent": []}
     checks = [_check("spectral radius", sd.spectral_radius, 20.0)]

@@ -226,8 +226,16 @@ class ScalarFunctionSpec:
         return report
 
 
+def _positive_scale(prm, key):
+    """prm[key] (default 1.0), which must be a finite number > 0."""
+    value = prm.get(key, 1.0)
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{key} must be finite and > 0, got {value!r}")
+    return value
+
+
 def _gaussian(prm):
-    sigma = prm.get("sigma", 1.0)
+    sigma = _positive_scale(prm, "sigma")
 
     def fn(x):
         return np.exp(-(x ** 2) / (2.0 * sigma ** 2))
@@ -261,7 +269,7 @@ def _chi_rational(_prm):
 
 def _schwartz_bump(prm):
     a = prm.get("a", 1.0)
-    b = prm.get("b", 1.0)
+    b = _positive_scale(prm, "b")
 
     def fn(x):
         x = np.asarray(x, dtype=float)

@@ -196,6 +196,8 @@ def build_parametrix(
     takes its representation (each kept as the operator's
     ``frequency_rep``), and every read of a new entry takes one SVD.
     """
+    if J < 0:
+        raise ValueError("J must be >= 0")
     cert = check_elliptic(p)
     if not cert.ok:
         raise ValueError(
@@ -278,6 +280,8 @@ def elliptic_estimate_constant(
     the maximiser of the quadratic surrogate ratio obtained from a generalized
     eigenproblem.
     """
+    if probes < 0:
+        raise ValueError("probes must be >= 0")
     g = P.grid
     rng = np.random.default_rng(seed)
     best = 0.0

@@ -6,6 +6,10 @@ R-neighbourhood of L, relative to the norm of u.  The sup over u (for a fixed
 smooth cutoff) is a generalized singular value problem and is computed
 exactly; each random probe is a feasible point of that sup, so it never
 raises the estimate.
+What depends only on the regions, r and the radii (distance fields, exterior
+cutoffs, the R factor of each region's H^r embedding) is prepared once and
+then serves every operator: once per ``dominating_function`` call, and once
+per ``wave_quasilocality_scan`` for all its wave operators.
 Every estimate is a lower bound for the true dominating function, so tests
 assert decay laws rather than exact values.
 """
@@ -134,21 +138,25 @@ class DominatingFunctionEstimate:
         return float((mu - running).max() / scale)
 
 
+def _region_states(region: Region) -> np.ndarray:
+    """Flat state indices of the region: its points times every fiber slot."""
+    return np.flatnonzero(np.repeat(region.mask, region.grid.fiber_dim))
+
+
 def _embedding_r_factor(region: Region, r: float) -> np.ndarray:
     """R factor of the H^r embedding of sections supported in the region.
 
-    Taken by QR of the n x m embedding: a Cholesky factor of its m x m Gram
-    matrix would be cheaper but squares the conditioning.
+    Taken by QR of the n x m embedding with ``mode="r"``, which skips
+    forming Q and returns the same R bit for bit.  A Cholesky factor of its
+    m x m Gram matrix would be cheaper but squares the conditioning.
     """
     g = region.grid
-    fdim = g.fiber_dim
-    mask = np.repeat(region.mask, fdim)
-    m = int(mask.sum())
-    emb = np.zeros((g.state_dim, m))
-    emb[np.where(mask)[0], np.arange(m)] = 1.0
+    states = _region_states(region)
+    emb = np.zeros((g.state_dim, states.size))
+    emb[states, np.arange(states.size)] = 1.0
     den = to_frequency(g, emb)
     den *= g.sobolev_weights(r)[:, None]
-    return np.linalg.qr(den)[1]
+    return np.linalg.qr(den, mode="r")
 
 
 def _sup_ratio(num: np.ndarray, rr: np.ndarray) -> float:
@@ -163,73 +171,96 @@ def _sup_ratio(num: np.ndarray, rr: np.ndarray) -> float:
     return float(np.sqrt(top)) if top > 0 else 0.0
 
 
-def _restricted_sup(
-    A: DiscreteOperator, region: Region, eta, rr: np.ndarray, s: float,
-) -> float:
-    """Exact sup over u supported in the region of the cutoff seminorm ratio.
+def _restricted_sup(cols: np.ndarray, eta, rr: np.ndarray, s: float) -> float:
+    """Exact sup over u supported in a region of the cutoff seminorm ratio.
 
-    ``eta`` is the cutoff of the exterior and ``rr`` the region's
-    ``_embedding_r_factor``.  With num the H^s image of the cut-off columns
-    of A on the region, the sup is ``_sup_ratio(num, rr)``.
+    ``cols`` are the region's columns of A (``_region_states``), ``eta`` the
+    cutoff of the exterior and ``rr`` the region's ``_embedding_r_factor``.
+    With num the H^s image of the cut-off columns, the sup is
+    ``_sup_ratio(num, rr)``.
     """
-    g = A.grid
-    fdim = g.fiber_dim
-    mask = np.repeat(region.mask, fdim)
-    cols = A.matrix[:, mask]
-    cols = cols * np.repeat(eta.values, fdim)[:, None]
+    g = eta.grid
+    cols = cols * np.repeat(eta.values, g.fiber_dim)[:, None]
     num = to_frequency(g, cols)
     num *= g.sobolev_weights(s)[:, None]
     return _sup_ratio(num, rr)
 
 
-def dominating_function(
-    A: DiscreteOperator,
-    r: float,
-    s: float,
-    R_list,
-    region_list,
-    probes: int = 8,
-    seed: int = 0,
-) -> DominatingFunctionEstimate:
-    """Estimate mu(R): mass of Au beyond B_R(L) relative to ||u||_{H^r}.
+@dataclass(frozen=True)
+class _PreparedRegion:
+    """What mu_hat needs of one region, whatever the operator.
 
-    Each region's distance field is taken once per call and its exterior
-    at radius R is the set where that distance exceeds R; the cutoff of
-    each exterior is built once per (R, region) and serves the exact
-    estimator and every probe; the QR factor of a region's H^r embedding
-    is taken once per call.  Each exact sup is then one triangular solve
-    against that factor and the top eigenvalue of an m x m Gram matrix,
-    m the region's state count (``_sup_ratio``).  Each exterior cutoff is
-    CUTOFF_SPACINGS grid spacings wide.
+    ``etas[j]`` is the cutoff of the exterior at the j-th radius, None where
+    that exterior is empty; ``factor`` is the ``_embedding_r_factor``, None
+    when every exterior is empty.
     """
-    g = A.grid
+
+    region: Region
+    states: np.ndarray
+    etas: tuple
+    factor: np.ndarray | None
+
+
+def _check_dominating_args(R_list, region_list, probes: int) -> None:
     if probes < 1:
         raise ValueError("at least one probe required")
     if any(R < 0 for R in R_list):
         raise ValueError("radius must be nonnegative")
     if any(region.is_empty() for region in region_list):
         raise ValueError("region must be nonempty")
-    cutoff_width = CUTOFF_SPACINGS * g.spacing
-    rng = np.random.default_rng(seed)
-    dists = [region.distance_field() for region in region_list]
-    factors = {}  # region index -> R factor, taken on first use
-    mu, estimators, skipped = [], [], []
-    for R in R_list:
-        best, usable = 0.0, False
-        for i, (region, dist) in enumerate(zip(region_list, dists)):
+
+
+def _prepare_regions(region_list, r: float, R_list) -> list:
+    """Each region's exterior cutoffs and H^r factor, built once.
+
+    One distance field per region gives every exterior (the points farther
+    than R); each non-empty exterior's cutoff is CUTOFF_SPACINGS grid
+    spacings wide; the QR factor is taken only for a region with some
+    non-empty exterior.
+    """
+    prepared = []
+    for region in region_list:
+        g = region.grid
+        dist = region.distance_field()
+        etas = []
+        for R in R_list:
             outside = Region(g, dist > R)
-            if outside.is_empty():
+            etas.append(None if outside.is_empty()
+                        else cutoff_eta(outside, CUTOFF_SPACINGS * g.spacing))
+        factor = (None if all(eta is None for eta in etas)
+                  else _embedding_r_factor(region, r))
+        prepared.append(_PreparedRegion(region, _region_states(region),
+                                        tuple(etas), factor))
+    return prepared
+
+
+def _evaluate_mu_hat(
+    A: DiscreteOperator, r: float, s: float, R_list, prepared, probes: int,
+    seed: int,
+) -> DominatingFunctionEstimate:
+    """mu_hat(R) of one operator over regions from ``_prepare_regions``.
+
+    A's columns on each region are gathered once; the probes are drawn from
+    a generator seeded with ``seed``, in radius-major, region-minor order.
+    """
+    g = A.grid
+    rng = np.random.default_rng(seed)
+    cols = [None if prep.factor is None
+            else A.matrix.take(prep.states, axis=1) for prep in prepared]
+    mu, estimators, skipped = [], [], []
+    for j, R in enumerate(R_list):
+        best, usable = 0.0, False
+        for prep, region_cols in zip(prepared, cols):
+            eta = prep.etas[j]
+            if eta is None:
                 skipped.append((float(R), "no exterior at this radius"))
                 continue
             usable = True
-            eta = cutoff_eta(outside, cutoff_width)
-            if i not in factors:
-                factors[i] = _embedding_r_factor(region, r)
-            best = max(best, _restricted_sup(A, region, eta, factors[i], s))
+            best = max(best, _restricted_sup(region_cols, eta, prep.factor, s))
             for _ in range(probes):
                 vals = (rng.standard_normal((g.n_points, g.fiber_dim))
                         + 1j * rng.standard_normal((g.n_points, g.fiber_dim)))
-                vals[~region.mask] = 0.0
+                vals[~prep.region.mask] = 0.0
                 u = Section(g, vals)
                 denom = sobolev_norm(u, r)
                 au = apply_operator(A, u)
@@ -248,6 +279,31 @@ def dominating_function(
         mu_hat=tuple(mu), estimator=tuple(estimators),
         skipped=tuple(skipped),
     )
+
+
+def dominating_function(
+    A: DiscreteOperator,
+    r: float,
+    s: float,
+    R_list,
+    region_list,
+    probes: int = 8,
+    seed: int = 0,
+) -> DominatingFunctionEstimate:
+    """Estimate mu(R): mass of Au beyond B_R(L) relative to ||u||_{H^r}.
+
+    The regions are prepared once (``_prepare_regions``): one distance
+    field per region, whose exterior at radius R is the set where that
+    distance exceeds R; one cutoff per (R, region) exterior, which serves
+    the exact estimator and every probe; and one R factor of the region's
+    H^r embedding, taken without forming Q.  Each exact sup is then one
+    triangular solve against that factor and the top eigenvalue of an
+    m x m Gram matrix, m the region's state count (``_sup_ratio``).  Each
+    exterior cutoff is CUTOFF_SPACINGS grid spacings wide.
+    """
+    _check_dominating_args(R_list, region_list, probes)
+    prepared = _prepare_regions(region_list, r, R_list)
+    return _evaluate_mu_hat(A, r, s, R_list, prepared, probes, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -290,23 +346,29 @@ def wave_quasilocality_scan(
 ) -> WaveScanReport:
     """Scan mu_hat(R; t) of the wave operators as H^l -> H^{l-(k-1)} maps.
 
-    Each exterior cutoff is CUTOFF_SPACINGS grid spacings wide.
+    Each row is what ``dominating_function(U_t, l, l-(k-1), R_list,
+    [region], probes, seed)`` returns, bit for bit, but the region is
+    prepared once per scan: one distance field, one cutoff per non-empty
+    exterior (CUTOFF_SPACINGS grid spacings wide) and one R factor of its
+    H^l embedding serve every t.  Only U_t's region columns and the probes
+    are taken per t.
     """
     g = P.grid
     cutoff_width = CUTOFF_SPACINGS * g.spacing
     if region is None:
         center = g.points[g.n_points // 2]
         region = ball_region(g, center, 2.0 * g.spacing)
+    _check_dominating_args(R_list, [region], probes)
     sd = spectral or spectral_data(P)
     s_out = l - (k - 1)
+    prepared = _prepare_regions([region], l, R_list)
 
     entries = []
     table = {}
     prop_rows = []
     for t in t_list:
         U = wave_operator(P, t, spectral=sd)
-        est = dominating_function(U, l, s_out, R_list, [region],
-                                  probes=probes, seed=seed)
+        est = _evaluate_mu_hat(U, l, s_out, R_list, prepared, probes, seed)
         for R, m, e in zip(est.R_list, est.mu_hat, est.estimator):
             entries.append((float(t), float(R), float(l), float(m), e,
                             probes, seed))

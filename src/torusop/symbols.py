@@ -245,6 +245,10 @@ def estimate_constants(p: Symbol, alpha_max: int, beta_max: int) -> dict:
     |alpha| <= alpha_max and |beta| <= beta_max.
     """
     g = p.grid
+    if alpha_max < 0:
+        raise ValueError("alpha_max must be >= 0")
+    if beta_max < 0:
+        raise ValueError("beta_max must be >= 0")
     if beta_max >= g.points_per_axis // 2:
         raise ValueError("beta_max exceeds the frequency lattice extent")
     if alpha_max >= g.points_per_axis // 2:

@@ -229,6 +229,14 @@ def test_main_rejects_mistyped_config_with_one_line(tmp_path, capsys):
     # a 2x2 symbol on a scalar grid is a fiber mismatch, named in one line
     ("elliptic-estimate", {"families": ["dirac"]}),
     ("quasiloc-scan", {"family": "dirac_mass"}),
+    # a function scale must be finite and > 0; counts and orders >= 0
+    ("funcalc-defect", {"sigma": 0.0}),
+    ("funcalc-defect", {"sigma": -1.0}),
+    ("parametrix", {"J_list": [-1]}),
+    ("parametrix", {"J_list": [0, -1]}),
+    ("elliptic-estimate", {"probes": -1}),
+    ("symbol-check", {"alpha_max": -1}),
+    ("symbol-check", {"beta_max": -1}),
 ])
 def test_bad_grid_values_fail_before_any_output(tmp_path, capsys, scenario,
                                                 bad):

@@ -42,7 +42,11 @@ from torusop.operators import (
     multiplication_operator,
     quantize,
 )
-from torusop.parametrix import build_parametrix, modified_inner_product
+from torusop.parametrix import (
+    build_parametrix,
+    elliptic_estimate_constant,
+    modified_inner_product,
+)
 from torusop.quasiloc import dominating_function, uniform_approx_profile
 from torusop.symbols import (
     EllipticityCertificate,
@@ -117,6 +121,10 @@ GUARDS = [
     ("symbol-nonfinite",
      lambda: Symbol(G, 0, np.full((1, N), np.inf), x_independent=True),
      ValueError, "non-finite symbol samples"),
+    ("constants-negative-alpha", lambda: estimate_constants(_p(), -1, 0),
+     ValueError, "alpha_max must be >= 0"),
+    ("constants-negative-beta", lambda: estimate_constants(_p(), 0, -1),
+     ValueError, "beta_max must be >= 0"),
     ("constants-beta", lambda: estimate_constants(_p(), 0, 8),
      ValueError, "beta_max exceeds"),
     ("constants-alpha", lambda: estimate_constants(_p(), 8, 0),
@@ -160,6 +168,11 @@ GUARDS = [
      lambda: build_parametrix(_zero(), Symbol(G, 0, np.zeros((1, N)),
                                               x_independent=True), 1),
      ValueError, "symbol is not elliptic"),
+    ("parametrix-negative-J", lambda: build_parametrix(_P(), _p(), -1),
+     ValueError, "J must be >= 0"),
+    ("estimate-negative-probes",
+     lambda: elliptic_estimate_constant(_P(), 2.0, probes=-1),
+     ValueError, "probes must be >= 0"),
     ("inner-product-adjoint", lambda: modified_inner_product(_drift()),
      ValueError, "requires a self-adjoint P"),
     # funcalc
@@ -170,6 +183,20 @@ GUARDS = [
      ValueError, f"multiplier needs {N} values, one per frequency state"),
     ("function-name", lambda: named_function("no-such-function"),
      KeyError, "unknown function spec"),
+    ("gaussian-zero-sigma",
+     lambda: named_function("gaussian", {"sigma": 0.0}),
+     ValueError, "sigma must be finite and > 0"),
+    ("gaussian-negative-sigma",
+     lambda: named_function("gaussian", {"sigma": -1.0}),
+     ValueError, "sigma must be finite and > 0"),
+    ("gaussian-nan-sigma",
+     lambda: named_function("gaussian", {"sigma": np.nan}),
+     ValueError, "sigma must be finite and > 0"),
+    ("bump-zero-b", lambda: named_function("schwartz_bump", {"b": 0.0}),
+     ValueError, "b must be finite and > 0"),
+    ("bump-infinite-b",
+     lambda: named_function("schwartz_bump", {"b": np.inf}),
+     ValueError, "b must be finite and > 0"),
     ("function-class",
      lambda: ScalarFunctionSpec("f", np.exp, "schwarz"),
      ValueError, "unknown function class 'schwarz'"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusop import lattice
+from torusop.funcalc import spectral_data, wave_operator
 from torusop.lattice import (
     BumpFunction,
     GridSpec,
@@ -28,6 +29,7 @@ from torusop.operators import (
 from torusop.quasiloc import (
     _embedding_r_factor,
     _loglog_slope,
+    _region_states,
     _restricted_sup,
     _sup_ratio,
     dominating_function,
@@ -353,7 +355,8 @@ def test_restricted_sup_matches_qr_svd_oracle(grid, name, radius, R):
         rr = _embedding_r_factor(region, r)
         for s in (-1, 0, 1):
             want = _qr_svd_sup(A, region, eta, r, s)
-            got = _restricted_sup(A, region, eta, rr, s)
+            got = _restricted_sup(A.matrix[:, _region_states(region)], eta,
+                                  rr, s)
             assert want > 0
             assert abs(got - want) <= 1e-12 * want, (r, s, got, want)
 
@@ -364,3 +367,120 @@ def test_sup_ratio_of_zero_columns_is_exactly_zero():
     rr = _embedding_r_factor(region, 1.0)
     got = _sup_ratio(np.zeros((g.state_dim, rr.shape[0]), dtype=complex), rr)
     assert got == 0.0 and np.copysign(1.0, got) == 1.0
+
+
+@pytest.mark.parametrize("dim, n, fiber", [(1, 32, 1), (1, 16, 2),
+                                           (2, 8, 1), (2, 6, 2)])
+def test_embedding_r_factor_matches_full_qr(dim, n, fiber):
+    g = GridSpec(dim, n, 1.0, fiber)
+    region = ball_region(g, g.points[g.n_points // 3], 0.8)
+    mask = np.repeat(region.mask, fiber)
+    m = int(mask.sum())
+    emb = np.zeros((g.state_dim, m))
+    emb[np.where(mask)[0], np.arange(m)] = 1.0
+    for r in (0, 1, 2):
+        den = to_frequency(g, emb) * _weights(g, r)[:, None]
+        want = np.linalg.qr(den)[1]
+        got = _embedding_r_factor(region, r)
+        assert got.shape == want.shape == (m, m)
+        assert np.array_equal(got, want), (r, np.abs(got - want).max())
+
+
+def _per_t_reference(P, k, t_list, R_list, l, region, probes, seed, sd):
+    """The wave scan that calls dominating_function once per t, so every
+    distance field, cutoff and R factor is rebuilt per t: the oracle the
+    once-per-scan preparation must reproduce bit for bit."""
+    width = 4.0 * P.grid.spacing
+    entries, table, prop_rows = [], {}, []
+    for t in t_list:
+        U = wave_operator(P, t, spectral=sd)
+        est = dominating_function(U, l, l - (k - 1), R_list, [region],
+                                  probes, seed)
+        for R, m, e in zip(est.R_list, est.mu_hat, est.estimator):
+            entries.append((float(t), float(R), float(l), float(m), e,
+                            probes, seed))
+            table[(t, R)] = m
+        if U.propagation_bound is not None:
+            for R, m in zip(est.R_list, est.mu_hat):
+                if R > U.propagation_bound + width and np.isfinite(m):
+                    prop_rows.append((float(t), float(R), m == 0.0))
+    moving = [t for t in t_list if t != 0]
+    slopes = [_loglog_slope(list(R_list), [table[(t, R)] for R in R_list])
+              for t in moving]
+    growths = [_loglog_slope([abs(t) for t in moving],
+                             [table[(t, R)] for t in moving])
+               for R in R_list]
+    slopes = [x for x in slopes if np.isfinite(x)]
+    growths = [x for x in growths if np.isfinite(x)]
+    return (tuple(entries),
+            float(np.median(slopes)) if slopes else np.nan,
+            float(np.median(growths)) if growths else np.nan,
+            tuple(prop_rows))
+
+
+def _wave_scan_case():
+    # the wave-scan workload's multiplier and scan, at N=256
+    g = GridSpec(1, 256, 8.0)
+    P = fourier_multiplier(g, lambda xi: 1.3 + xi[..., 0] ** 2, order=2)
+    return P, 2, (0.0625, 0.125, 0.25), (2.0, 4.0, 8.0, 16.0), 1.0, \
+        ball_region(g, np.array([17.0]), 4.0)
+
+
+def _waveprop_case():
+    # the waveprop scenario's finite-speed multiplier and default region
+    g = GridSpec(1, 256, 4.0)
+    P = fourier_multiplier(g, lambda xi: xi[..., 0], order=1,
+                           propagation_speed=1.0)
+    region = ball_region(g, g.points[g.n_points // 2], 2.0 * g.spacing)
+    return P, 1, (16 * g.spacing, 32 * g.spacing), (1.0, 2.0, 3.0), 0.0, \
+        region
+
+
+def _no_exterior_case():
+    # the last radius leaves no exterior, so its rows are skipped
+    P, k, t_list, _radii, l, region = _wave_scan_case()
+    return P, k, t_list, (2.0, 8.0, 100.0), l, region
+
+
+@pytest.mark.parametrize("case", [_wave_scan_case, _waveprop_case,
+                                  _no_exterior_case],
+                         ids=["wave-scan", "waveprop", "no-exterior"])
+def test_wave_scan_matches_per_t_dominating_function(case):
+    P, k, t_list, R_list, l, region = case()
+    sd = spectral_data(P)
+    entries, slope, growth, prop = _per_t_reference(
+        P, k, t_list, R_list, l, region, 2, 11, sd)
+    rep = wave_quasilocality_scan(P, k, t_list, R_list, l, region=region,
+                                  probes=2, seed=11, spectral=sd)
+    # repr round-trips every float, so equal reprs are equal bits (NaN too)
+    assert repr(rep.entries) == repr(entries)
+    assert repr((rep.slope_R, rep.growth_t)) == repr((slope, growth))
+    assert rep.propagation_exact == prop
+    if case is _waveprop_case:
+        assert prop and all(exact for _t, _R, exact in prop)
+    if case is _no_exterior_case:
+        assert [e[4] for e in entries].count("skipped") == len(t_list)
+
+
+def test_wave_scan_prepares_each_region_once(monkeypatch):
+    P, k, t_list, R_list, l, region = _no_exterior_case()
+    counts = {"qr": 0, "distance_field": 0}
+    qr, distance_field = np.linalg.qr, lattice.Region.distance_field
+
+    def counted_qr(*args, **kwargs):
+        counts["qr"] += 1
+        return qr(*args, **kwargs)
+
+    def counted_distance_field(self):
+        counts["distance_field"] += 1
+        return distance_field(self)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(lattice.Region, "distance_field",
+                        counted_distance_field)
+    rep = wave_quasilocality_scan(P, k, t_list, R_list, l, region=region,
+                                  probes=1, spectral=spectral_data(P))
+    assert len(rep.entries) == len(t_list) * len(R_list)
+    # one factor for the region; one field for it and one per non-empty
+    # exterior (the last radius has none), whatever the number of t
+    assert counts == {"qr": 1, "distance_field": 1 + len(R_list) - 1}
