@@ -65,16 +65,16 @@ _DEFAULTS = {
     "symbol-check": {
         "N": 64, "L": 1.0, "families": ["laplace+1", "elliptic_x", "drift",
                                         "schwartz_xi", "dirac"],
-        "alpha_max": 2, "beta_max": 2, "seed": 0,
+        "alpha_max": 2, "beta_max": 2,
     },
     "compose-check": {
         "N_ladder": [64, 128], "L": 1.0,
         "pairs": [["elliptic_x", "laplace+1"], ["mult_cos", "momentum"]],
-        "J_list": [0, 1], "s_list": [0.0, 1.0], "seed": 0,
+        "J_list": [0, 1], "s_list": [0.0, 1.0],
     },
     "parametrix": {
         "N": 128, "L": 2.0, "family": "elliptic_x", "J_list": [0, 1, 2],
-        "excision_width": 4.0, "l_list": [0.0, 1.0, 2.0], "seed": 0,
+        "excision_width": 4.0, "l_list": [0.0, 1.0, 2.0],
     },
     "elliptic-estimate": {
         "N": 64, "L": 1.0, "families": ["laplace+1", "elliptic_x"],
@@ -88,7 +88,7 @@ _DEFAULTS = {
         "N": 64, "L": 2.0, "family": "sqrt_laplace",
         "function": "gaussian", "sigma": 1.0,
         "t_max": 12.0, "n_quad": [1024, 2048],
-        "resolvent_quad": [2048, 4096], "seed": 0,
+        "resolvent_quad": [2048, 4096],
     },
     "quasiloc-scan": {
         "N": 128, "L": 2.0, "family": "schwartz_xi",
@@ -97,11 +97,11 @@ _DEFAULTS = {
     },
     "fredholm-check": {
         "N": 64, "L": 1.0, "mass": 1.0, "eps_list": [0.5, 0.1, 0.02],
-        "bump_R": 1.5, "bump_L": 2.0, "centers": [0.0, 1.0, 3.0], "seed": 0,
+        "bump_R": 1.5, "bump_L": 2.0, "centers": [0.0, 1.0, 3.0],
     },
     "homotopy-scan": {
         "N": 64, "L": 1.0, "perturbation": 0.3, "t_steps": [4, 8, 16],
-        "bump_R": 1.5, "bump_L": 2.0, "seed": 0,
+        "bump_R": 1.5, "bump_L": 2.0,
     },
 }
 
@@ -412,7 +412,8 @@ def _run_full_suite(cfg):
     checks, artifacts = [], {}
     for scenario in _sub_scenarios():
         sub_cfg = default_config(scenario)
-        sub_cfg["seed"] = cfg["seed"]
+        if "seed" in sub_cfg:
+            sub_cfg["seed"] = cfg["seed"]
         sub_checks, files = SCENARIOS[scenario](sub_cfg)
         files["summary.json"] = _summary(scenario, sub_cfg, sub_checks)
         # one rollup row per scenario; its checks stay in its own summary
@@ -478,11 +479,17 @@ def _remove_previous_results(out):
 
 def run(scenario: str, config: dict | None = None, out: str = ".",
         seed: int | None = None) -> int:
-    """Run one scenario; returns 0 iff every recorded check passed."""
+    """Run one scenario; returns 0 iff every recorded check passed.
+
+    ``seed`` overrides the config's seed; a scenario without one (it draws
+    nothing at random) rejects it.
+    """
     if scenario not in SCENARIOS:
         raise KeyError(f"unknown scenario {scenario!r}")
     cfg = _validate_config(scenario, config or {})
     if seed is not None:
+        if "seed" not in cfg:
+            raise ValueError(f"scenario {scenario} takes no seed")
         cfg["seed"] = int(seed)
     _remove_previous_results(out)
     # the scenario computes everything before the first file is written,
@@ -493,7 +500,7 @@ def run(scenario: str, config: dict | None = None, out: str = ".",
         "scenario": scenario,
         "config_hash": hashlib.sha256(
             json_bytes({"scenario": scenario, "config": cfg})).hexdigest(),
-        "seed": cfg["seed"],
+        "seed": cfg.get("seed"),
         "versions": {
             "torusop": __version__,
             "numpy": np.__version__,

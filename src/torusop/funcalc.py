@@ -385,13 +385,17 @@ def fourier_apply(
 ) -> FuncalcResult:
     """Wave route f(P) = (1/sqrt(2 pi)) int fhat(t) e^{itP} dt by trapezoid.
 
-    Only f with a closed-form transform ``fhat`` (Schwartz f) is accepted.
+    Only f with a closed-form transform ``fhat`` (Schwartz f) is accepted,
+    and the window [-t_max, t_max] needs a finite t_max > 0.
     """
     if f.fhat is None:
         raise ValueError(
             f"fourier_apply needs the closed-form transform of {f.name!r}")
     if n_quad < 2:
         raise ValueError(f"the wave route needs n_quad >= 2: {n_quad}")
+    if not (np.isfinite(t_max) and t_max > 0):
+        # a reversed or empty interval would flip or zero the integral
+        raise ValueError(f"the wave route needs a finite t_max > 0: {t_max}")
     sd = spectral or spectral_data(P)
     t, w = _trapezoid(t_max, n_quad)
     fh = np.asarray(f.fhat(t), dtype=complex)

@@ -23,6 +23,7 @@ from .operators import (
     op_norm,
 )
 from .funcalc import (
+    SPECTRAL_REL_TOL,
     ScalarFunctionSpec,
     spectral_data,
     spectral_apply,
@@ -177,7 +178,9 @@ def assemble_module(
     test_families is a dict mapping a label to a list of BumpFunction; the
     eps-rank profiles of (T^2-1) rho(f), rho(f) (T^2-1) and [T, rho(f)] are
     recorded per family.  With check_square_exact the spectrum must avoid 0
-    and chi must be a hard sign there, making T^2 - 1 vanish identically.
+    and chi must be a hard sign there, making T^2 - 1 vanish identically;
+    an eigenvalue within SPECTRAL_REL_TOL times the spectral radius of 0,
+    the accuracy the spectral data certifies, counts as no gap.
     """
     g = P.grid
     if not P.self_adjoint:
@@ -206,6 +209,9 @@ def assemble_module(
             )
 
     sd = spectral_data(P)
+    if check_square_exact and (np.abs(sd.eigenvalues).min()
+                               <= SPECTRAL_REL_TOL * sd.spectral_radius):
+        raise ValueError("exact square check needs a spectral gap at 0")
     T = spectral_apply(P, chi, spectral=sd)
     adjoint_defect = float(np.linalg.norm(T.matrix - T.matrix.T.conj(), 2))
 
@@ -222,8 +228,6 @@ def assemble_module(
 
     square_defect = None
     if check_square_exact:
-        if np.abs(sd.eigenvalues).min() == 0.0:
-            raise ValueError("exact square check needs a spectral gap at 0")
         # T^2 - 1 = (chi^2 - 1)(P); checking on the spectrum keeps the
         # exactness claim free of matrix-product roundoff
         chi_vals = np.asarray(chi(sd.eigenvalues))

@@ -127,12 +127,13 @@ class DominatingFunctionEstimate:
     def isotonic_defect(self) -> float:
         """How far mu_hat is from nonincreasing, relative to its max.
 
-        Skipped radii (NaN) are left out; with none measured it is 0.
+        Skipped radii (NaN) are left out; with none measured it is NaN,
+        so no budget passes a scan that measured nothing.
         """
         mu = np.asarray(self.mu_hat, dtype=float)
         mu = mu[np.isfinite(mu)]
         if not mu.size:
-            return 0.0
+            return np.nan
         running = np.minimum.accumulate(mu)
         scale = mu.max() if mu.max() > 0 else 1.0
         return float((mu - running).max() / scale)

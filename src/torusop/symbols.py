@@ -6,7 +6,11 @@ are spectral (the symbol is periodic in x), xi-derivatives are centered lattice
 differences with second-order one-sided stencils at the lattice edges.  Each
 symbol keeps its own ladder of xi-differences (``Symbol.xi_difference``),
 built one unit step at a time on first read and read-only, so repeated
-compositions with the same left factor difference it once.
+compositions with the same left factor difference it once.  Composition
+and the symbol-class constants take their derivatives the same way: every
+x-derivative from one batch of x-FFTs (``_x_derivatives``), every
+xi-difference from a ladder (for the constants, the ladder of a symbol that
+holds D_x^alpha p, which is p itself for alpha = 0).
 """
 
 from __future__ import annotations
@@ -81,10 +85,9 @@ class Symbol:
         """Lattice difference d^beta/dxi^beta of the samples, kept.
 
         The samples themselves for beta = 0.  Every other order is built
-        on its first read from the order one below by a single unit step of
-        ``_xi_partial`` along the last axis with a nonzero index, so the
-        axis-0 steps run before the axis-1 steps, as inside
-        ``_xi_partial``; it is kept on this symbol and is read-only.
+        on its first read from the order one below by a single ``_xi_step``
+        along the last axis with a nonzero index, so all axis-0 steps run
+        before the axis-1 steps; it is kept on this symbol and is read-only.
         """
         beta = tuple(beta)
         if sum(beta) == 0:
@@ -92,9 +95,8 @@ class Symbol:
         ladder = self._xi_ladder
         if beta not in ladder:
             ax = max(i for i, b in enumerate(beta) if b)
-            unit = tuple(int(i == ax) for i in range(len(beta)))
-            below = tuple(b - u for b, u in zip(beta, unit))
-            d = _xi_partial(self.xi_difference(below), self.grid, unit)
+            below = tuple(b - (i == ax) for i, b in enumerate(beta))
+            d = _xi_step(self.xi_difference(below), self.grid, ax)
             d.flags.writeable = False
             ladder[beta] = d
         return ladder[beta]
@@ -173,53 +175,29 @@ def symbol_from_callable(
     )
 
 
-def _x_partial(sym: Symbol, alpha: tuple) -> np.ndarray:
-    """Spectral partial derivative d^alpha/dx^alpha of the samples."""
-    g = sym.grid
-    if sum(alpha) == 0:
-        return sym.samples
-    if sym.x_independent:
-        return np.zeros_like(sym.samples)
-    a = sym.samples.reshape(g.grid_shape() + sym.samples.shape[1:])
-    xi_axis = g.axis_modes / g.period_scale
-    for ax, order in enumerate(alpha):
-        if order == 0:
-            continue
-        hat = np.fft.fft(a, axis=ax)
-        shape = [1] * a.ndim
-        shape[ax] = g.points_per_axis
-        hat = hat * (1j * xi_axis.reshape(shape)) ** order
-        a = np.fft.ifft(hat, axis=ax)
-    return a.reshape(sym.samples.shape)
+def _xi_step(samples: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
+    """One centered-difference step d/dxi along a lattice axis.
 
-
-def _xi_partial(samples: np.ndarray, grid: GridSpec, beta: tuple) -> np.ndarray:
-    """Centered-difference partial derivative in xi (one-sided at edges).
-
-    On even grids the half-mode slot holds the symmetrized sample, which
-    for symbols with an odd-in-xi part is not a smooth continuation of its
-    neighbours.  The difference stencil therefore runs over the sorted
-    interior modes only, and the half-mode slot receives the symmetric
-    average of the two one-sided edge values.
+    The stencil is one-sided at the lattice edges.  On even grids the
+    half-mode slot holds the symmetrized sample, which for symbols with an
+    odd-in-xi part is not a smooth continuation of its neighbours.  The
+    difference stencil therefore runs over the sorted interior modes only,
+    and the half-mode slot receives the symmetric average of the two
+    one-sided edge values.
     """
-    if sum(beta) == 0:
-        return samples
     g = grid
     n_x = samples.shape[0]
     a = samples.reshape((n_x,) + g.grid_shape() + samples.shape[2:])
-    dxi = 1.0 / g.period_scale
-    for ax, order in enumerate(beta):
-        axis = 1 + ax
-        for _ in range(order):
-            # grids are even: the sorted layout puts the half mode at index 0
-            a = np.fft.fftshift(a, axes=axis)
-            interior = np.take(a, range(1, g.points_per_axis), axis=axis)
-            d_int = np.gradient(interior, dxi, axis=axis, edge_order=2)
-            lo = np.take(d_int, [0], axis=axis)
-            hi = np.take(d_int, [d_int.shape[axis] - 1], axis=axis)
-            a = np.concatenate([0.5 * (lo + hi), d_int], axis=axis)
-            a = np.fft.ifftshift(a, axes=axis)
-    return a.reshape(samples.shape)
+    ax = 1 + axis
+    # grids are even: the sorted layout puts the half mode at index 0
+    a = np.fft.fftshift(a, axes=ax)
+    interior = np.take(a, range(1, g.points_per_axis), axis=ax)
+    d_int = np.gradient(interior, 1.0 / g.period_scale, axis=ax,
+                        edge_order=2)
+    lo = np.take(d_int, [0], axis=ax)
+    hi = np.take(d_int, [d_int.shape[ax] - 1], axis=ax)
+    a = np.concatenate([0.5 * (lo + hi), d_int], axis=ax)
+    return np.fft.ifftshift(a, axes=ax).reshape(samples.shape)
 
 
 def _multi_indices(dim: int, max_total: int):
@@ -254,12 +232,13 @@ def estimate_constants(p: Symbol, alpha_max: int, beta_max: int) -> dict:
     if alpha_max >= g.points_per_axis // 2:
         raise ValueError("alpha_max exceeds spectral resolution")
     absxi = g.frequency_magnitude
+    dx_p = _x_derivatives(p, alpha_max)
     constants = {}
     for alpha in _multi_indices(g.dim, alpha_max):
-        da = _x_partial(p, alpha)
+        da = p if sum(alpha) == 0 else Symbol(
+            g, p.order, dx_p[alpha], x_independent=p.x_independent)
         for beta in _multi_indices(g.dim, beta_max):
-            dab = _xi_partial(da, g, beta)
-            norms = _block_norms(dab)
+            norms = _block_norms(da.xi_difference(beta))
             weight = (1.0 + absxi) ** (p.order - sum(beta))
             constants[(alpha, beta)] = float((norms / weight[None, :]).max())
     return constants
@@ -312,12 +291,12 @@ def check_elliptic(p: Symbol) -> EllipticityCertificate:
 
 
 def _x_derivatives(sym: Symbol, J: int) -> dict:
-    """``_x_partial(sym, alpha)`` for every |alpha| <= J, keyed by alpha.
+    """Spectral d^alpha/dx^alpha of the samples, keyed by alpha, |alpha| <= J.
 
-    ``_x_partial`` differentiates along axis 0 first and then along axis 1
-    of that result.  Here every order along an axis is taken from a single
-    forward FFT of the array it starts from: the samples are transformed
-    once along axis 0, and each axis-0 result once along axis 1.
+    Each derivative is taken along axis 0 first and then along axis 1 of
+    that result, every order along an axis from a single forward FFT of
+    the array it starts from: the samples are transformed once along axis
+    0, and each axis-0 result once along axis 1.
     """
     g = sym.grid
     if sym.x_independent:

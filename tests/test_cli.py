@@ -237,6 +237,12 @@ def test_main_rejects_mistyped_config_with_one_line(tmp_path, capsys):
     ("elliptic-estimate", {"probes": -1}),
     ("symbol-check", {"alpha_max": -1}),
     ("symbol-check", {"beta_max": -1}),
+    # a gapless operator has no exact square; a window t_max <= 0 no route
+    ("fredholm-check", {"mass": 0.0}),
+    ("funcalc-defect", {"t_max": 0.0}),
+    ("funcalc-defect", {"t_max": -12.0}),
+    # only the scenarios that draw at random take a seed
+    ("parametrix", {"seed": 0}),
 ])
 def test_bad_grid_values_fail_before_any_output(tmp_path, capsys, scenario,
                                                 bad):
@@ -352,6 +358,65 @@ def test_quasiloc_scan_with_a_skipped_radius_passes(tmp_path):
     summary = json.loads((out / "summary.json").read_text(),
                          parse_constant=no_constant)
     assert summary["passed"]
+
+
+def test_quasiloc_scan_that_measures_no_radius_fails(tmp_path):
+    # every radius is skipped: a scan that measured nothing is no pass
+    out = tmp_path / "run"
+    assert run("quasiloc-scan", {"R_list": [100.0]}, out=str(out)) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert [c["value"] for c in summary["checks"]] == ["nan"]
+
+
+SEEDED = ("elliptic-estimate", "waveprop", "quasiloc-scan", "full-suite")
+
+
+def test_only_scenarios_that_draw_at_random_take_a_seed():
+    for scenario in cli.SCENARIOS:
+        assert ("seed" in default_config(scenario)) == (scenario in SEEDED)
+
+
+@pytest.mark.parametrize("scenario", sorted(set(cli.SCENARIOS) - set(SEEDED)))
+def test_seed_for_a_seedless_scenario_fails_before_any_output(
+        tmp_path, capsys, scenario):
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=f"scenario {scenario} takes no seed"):
+        run(scenario, out=str(out), seed=0)
+    assert main(["--scenario", scenario, "--out", str(out),
+                 "--seed", "3"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"scenario {scenario} takes no seed")
+    assert not out.exists()
+
+
+def test_full_suite_forwards_its_seed_to_the_seeded_scenarios(tmp_path,
+                                                              monkeypatch):
+    seen = {}
+
+    def recording(name):
+        def runner(cfg):
+            seen[name] = cfg.get("seed")
+            return [cli._check("ok row", 0, 0)], {}
+        return runner
+
+    for name in cli.SCENARIOS:
+        if name != "full-suite":
+            monkeypatch.setitem(cli.SCENARIOS, name, recording(name))
+    out = tmp_path / "suite"
+    assert run("full-suite", out=str(out), seed=5) == 0
+    assert seen == {name: 5 if name in SEEDED else None
+                    for name in cli.SCENARIOS if name != "full-suite"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seed"] == 5
+    for name in seen:
+        summary = json.loads((out / name / "summary.json").read_text())
+        assert ("seed" in summary["config"]) == (name in SEEDED)
+    # a seedless scenario's manifest records no seed
+    monkeypatch.setitem(cli.SCENARIOS, "homotopy-scan",
+                        recording("homotopy-scan"))
+    assert run("homotopy-scan", out=str(tmp_path / "one")) == 0
+    manifest = json.loads((tmp_path / "one" / "manifest.json").read_text())
+    assert manifest["seed"] is None
 
 
 def test_waveprop_skipped_radius_is_not_a_propagation_row(tmp_path):

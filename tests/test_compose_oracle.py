@@ -1,12 +1,14 @@
-"""The composition expansion and the parametrix sweeps against their direct
-formulations, bit for bit.
+"""The composition expansion, the symbol-class constants and the parametrix
+sweeps against their direct formulations, bit for bit.
 
 The oracles below take one ``_xi_partial`` and one ``_x_partial`` per
 multi-index and apply the three scalar factors of each term one by one;
-the parametrix oracle runs the same sweeps on that composition and forms
-S2 = I - QP together with S1.  The library keeps each symbol's
-xi-differences, takes the x-derivatives from one FFT per axis and forms S2
-on its first read; none of that may change a bit of any result.
+the constants oracle differences each ``_x_partial`` in xi per
+multi-index; the parametrix oracle runs the same sweeps on that
+composition and forms S2 = I - QP together with S1.  The library keeps
+each symbol's xi-differences, takes the x-derivatives from one FFT per
+axis and forms S2 on its first read; none of that may change a bit of any
+result.
 """
 
 import gc
@@ -22,16 +24,66 @@ from torusop.lattice import GridSpec
 from torusop.operators import DiscreteOperator, op_norm, quantize
 from torusop.parametrix import _denoise_x_spectrum, build_parametrix
 from torusop.symbols import (
+    NAMED_SYMBOLS,
     Symbol,
+    _block_norms,
     _multi_indices,
-    _x_partial,
-    _xi_partial,
     check_elliptic,
     compose_symbols,
+    estimate_constants,
     invert_principal,
     named_symbol,
     symbol_from_callable,
 )
+
+
+def _x_partial(sym: Symbol, alpha: tuple) -> np.ndarray:
+    """Spectral partial derivative d^alpha/dx^alpha of the samples."""
+    g = sym.grid
+    if sum(alpha) == 0:
+        return sym.samples
+    if sym.x_independent:
+        return np.zeros_like(sym.samples)
+    a = sym.samples.reshape(g.grid_shape() + sym.samples.shape[1:])
+    xi_axis = g.axis_modes / g.period_scale
+    for ax, order in enumerate(alpha):
+        if order == 0:
+            continue
+        hat = np.fft.fft(a, axis=ax)
+        shape = [1] * a.ndim
+        shape[ax] = g.points_per_axis
+        hat = hat * (1j * xi_axis.reshape(shape)) ** order
+        a = np.fft.ifft(hat, axis=ax)
+    return a.reshape(sym.samples.shape)
+
+
+def _xi_partial(samples: np.ndarray, grid: GridSpec, beta: tuple) -> np.ndarray:
+    """Centered-difference partial derivative in xi (one-sided at edges).
+
+    On even grids the half-mode slot holds the symmetrized sample, which
+    for symbols with an odd-in-xi part is not a smooth continuation of its
+    neighbours.  The difference stencil therefore runs over the sorted
+    interior modes only, and the half-mode slot receives the symmetric
+    average of the two one-sided edge values.
+    """
+    if sum(beta) == 0:
+        return samples
+    g = grid
+    n_x = samples.shape[0]
+    a = samples.reshape((n_x,) + g.grid_shape() + samples.shape[2:])
+    dxi = 1.0 / g.period_scale
+    for ax, order in enumerate(beta):
+        axis = 1 + ax
+        for _ in range(order):
+            # grids are even: the sorted layout puts the half mode at index 0
+            a = np.fft.fftshift(a, axes=axis)
+            interior = np.take(a, range(1, g.points_per_axis), axis=axis)
+            d_int = np.gradient(interior, dxi, axis=axis, edge_order=2)
+            lo = np.take(d_int, [0], axis=axis)
+            hi = np.take(d_int, [d_int.shape[axis] - 1], axis=axis)
+            a = np.concatenate([0.5 * (lo + hi), d_int], axis=axis)
+            a = np.fft.ifftshift(a, axes=axis)
+    return a.reshape(samples.shape)
 
 
 def _compose_oracle(p, q, J):
@@ -196,6 +248,57 @@ def test_xi_ladder_is_the_direct_difference_kept_read_only(dim):
             assert not d.flags.writeable
             with pytest.raises(ValueError):
                 d[0, 0, 0, 0] = 1.0
+
+
+def _constants_oracle(p, alpha_max, beta_max):
+    """max ||d_x^a d_xi^b p|| / (1+|xi|)^(k-|b|), one pair (a, b) at a time."""
+    g = p.grid
+    absxi = g.frequency_magnitude
+    constants = {}
+    for alpha in _multi_indices(g.dim, alpha_max):
+        da = _x_partial(p, alpha)
+        for beta in _multi_indices(g.dim, beta_max):
+            norms = _block_norms(_xi_partial(da, g, beta))
+            weight = (1.0 + absxi) ** (p.order - sum(beta))
+            constants[(alpha, beta)] = float((norms / weight[None, :]).max())
+    return constants
+
+
+def _same_constants(got, want):
+    return list(got) == list(want) and _same_bits(
+        np.array(list(got.values())), np.array(list(want.values())))
+
+
+CONSTANTS_CASES = [
+    (GridSpec(dim, n, 1.0, 2 if name.startswith("dirac") else 1), name)
+    for dim, n in ((1, 64), (2, 16)) for name in NAMED_SYMBOLS
+]
+
+
+@pytest.mark.parametrize(
+    "grid, family", CONSTANTS_CASES,
+    ids=[f"{g.dim}d-{f}" for g, f in CONSTANTS_CASES])
+def test_estimate_constants_equal_oracle_bitwise(grid, family):
+    p = named_symbol(grid, family)
+    # later calls read the xi-differences of p that earlier calls kept
+    for alpha_max, beta_max in ((2, 2), (3, 1), (0, 3)):
+        assert _same_constants(estimate_constants(p, alpha_max, beta_max),
+                               _constants_oracle(p, alpha_max, beta_max)), (
+            alpha_max, beta_max)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([1, 2]), fiber=st.sampled_from([1, 2]),
+       order=st.integers(-2, 2), alpha_max=st.integers(0, 2),
+       beta_max=st.integers(0, 2), x_indep=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_estimate_constants_equal_oracle_on_random_samples(
+        dim, fiber, order, alpha_max, beta_max, x_indep, seed):
+    g = GridSpec(dim, 8, 1.0, fiber)
+    p = _random_symbol(g, np.random.default_rng(seed), x_indep, "complex")
+    p = Symbol(g, order, p.samples, x_independent=x_indep)
+    assert _same_constants(estimate_constants(p, alpha_max, beta_max),
+                           _constants_oracle(p, alpha_max, beta_max))
 
 
 PARAMETRIX_CASES = [

@@ -203,6 +203,15 @@ GUARDS = [
     ("fourier-quadrature",
      lambda: fourier_apply(_P(), named_function("gaussian"), n_quad=1),
      ValueError, "needs n_quad >= 2"),
+    ("fourier-zero-window",
+     lambda: fourier_apply(_P(), named_function("gaussian"), t_max=0.0),
+     ValueError, "needs a finite t_max > 0"),
+    ("fourier-reversed-window",
+     lambda: fourier_apply(_P(), named_function("gaussian"), t_max=-12.0),
+     ValueError, "needs a finite t_max > 0"),
+    ("fourier-infinite-window",
+     lambda: fourier_apply(_P(), named_function("gaussian"), t_max=np.inf),
+     ValueError, "needs a finite t_max > 0"),
     ("resolvent-quadrature",
      lambda: chi_resolvent_integral(_P(), n_quad=1),
      ValueError, "needs n_quad >= 2"),
@@ -259,6 +268,13 @@ GUARDS = [
      ValueError, "P is not multigraded"),
     ("module-gap",
      lambda: assemble_module(_zero(), np.sign, make_multigrading(-1), {},
+                             check_square_exact=True),
+     ValueError, "needs a spectral gap at 0"),
+    ("module-gapless",
+     # eigenvalues of order 1e-15 at xi = 0 are a roundoff zero, no gap
+     lambda: assemble_module(quantize(named_symbol(G2, "dirac_mass",
+                                                   {"m": 0.0})),
+                             np.sign, make_multigrading(0), {},
                              check_square_exact=True),
      ValueError, "needs a spectral gap at 0"),
     ("commutator-integral-adjoint",
