@@ -568,7 +568,10 @@ def _tightest_margins(summaries: list) -> list:
 def _print_summary(artifact_dir: str) -> int:
     summaries = _read_summaries(artifact_dir)
     code, lines = _tally(summaries)
-    print("\n".join(lines + _tightest_margins(summaries)))
+    try:
+        print("\n".join(lines + _tightest_margins(summaries)), flush=True)
+    except BrokenPipeError:  # the reader closed early; quiet the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -277,8 +277,12 @@ def elliptic_estimate_constant(
 
     The maximum runs over random sections, the extreme plane waves along each
     axis (which expose symbols degenerating in one frequency direction), and
-    the maximiser of the quadratic surrogate ratio obtained from a generalized
-    eigenproblem.
+    the maximiser of the surrogate ratio u^H D^2 u / u^H G u over frequency
+    coefficients u, D = diag(ws), G = diag(wsk^2) + L^H L, L = diag(wsk) P_hat.
+    D is a positive diagonal, so v = D u turns the pencil exactly into the
+    Hermitian H = D^{-1} G D^{-1}: the maximiser is D^{-1} times the vector of
+    H's smallest eigenvalue.  ?heevr returns one vector for a one-index range
+    even at a tied eigenvalue, so no fallback solve is needed.
     """
     if probes < 0:
         raise ValueError("probes must be >= 0")
@@ -298,28 +302,19 @@ def elliptic_estimate_constant(
         flat_idx = np.ravel_multi_index(idx, g.grid_shape())
         for slot in range(r):
             vals = np.zeros((n, r), dtype=complex)
-            phase = np.exp(
-                1j * g.points @ g.frequencies[flat_idx])
-            vals[:, slot] = phase
+            vals[:, slot] = np.exp(1j * g.points @ g.frequencies[flat_idx])
             best = max(best, _estimate_ratio(P, Section(g, vals), s))
 
     if g.state_dim <= EIGH_DIM_CAP:
-        # the quadratic surrogate in the frequency basis, where the
-        # numerator Gram matrix is the diagonal of squared H^s weights
-        k = P.order
         ws = g.sobolev_weights(s)
-        wsk = g.sobolev_weights(s - k)
-        lp = wsk[:, None] * P.frequency_rep
-        gram_den = np.diag(wsk ** 2) + lp.conj().T @ lp
-        gram_den = (gram_den + gram_den.conj().T) / 2
-        num = np.diag(ws ** 2)
-        vecs = scipy.linalg.eigh(num, gram_den,
-                                 subset_by_index=[g.state_dim - 1] * 2)[1]
-        if vecs.shape[1] == 0:
-            # the subset solve returns no vector, and raises nothing, when
-            # the top eigenvalue is tied; the full solve still orders them
-            vecs = scipy.linalg.eigh(num, gram_den)[1]
-        u = Section(g, from_frequency(g, vecs[:, -1]).reshape(n, r))
+        wsk = g.sobolev_weights(s - P.order)
+        B = (wsk[:, None] * P.frequency_rep) / ws[None, :]
+        # the lower triangle of B^H B; eigh reads only that triangle
+        H = scipy.linalg.blas.zherk(1.0, B, trans=2, lower=1)
+        H[np.diag_indices_from(H)] += (wsk / ws) ** 2
+        v = scipy.linalg.eigh(H, lower=True, subset_by_index=[0, 0],
+                              driver="evr")[1][:, 0]
+        u = Section(g, from_frequency(g, v / ws).reshape(n, r))
         best = max(best, _estimate_ratio(P, u, s))
     return best
 

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import torusop
 from torusop import cli
 from torusop.cli import default_config, main, report, run
 
@@ -96,6 +99,27 @@ def test_main_summary_only_mode(tmp_path, capsys):
     assert main(["--summary", "--out", str(tmp_path)]) == 2
     run("symbol-check", {"N": 32}, out=str(tmp_path))
     assert main(["--summary", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("scenario", [[], ["--scenario", "symbol-check"]])
+def test_summary_into_a_closed_pipe_exits_cleanly(tmp_path, scenario):
+    # the read end is closed before the child writes, so its write to
+    # stdout fails with EPIPE; that is the reader's choice, not a crash
+    run("symbol-check", {"N": 32}, out=str(tmp_path))
+    src = os.path.dirname(os.path.dirname(torusop.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "torusop.cli", "--summary",
+             "--out", str(tmp_path)] + scenario,
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_full_suite_summary_counts_each_check_once(tmp_path, monkeypatch):

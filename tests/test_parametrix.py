@@ -96,9 +96,10 @@ SCALAR_FAMILIES = sorted(n for n in NAMED_SYMBOLS if not n.startswith("dirac"))
 @pytest.mark.parametrize("dim,N", [(1, 64), (2, 16)])
 @pytest.mark.parametrize("name", SCALAR_FAMILIES)
 def test_elliptic_estimate_finite_for_every_scalar_family(name, dim, N):
-    # the Schwartz families tie most generalized eigenvalues at 1.0, where
-    # the one-vector subset solve returns no vector; the probes are off,
-    # since only that solve and the plane waves are under test
+    # the Schwartz families tie most surrogate eigenvalues at 1.0, where a
+    # one-vector subset solve of the generalized problem returns no vector;
+    # the probes are off, since only the surrogate and the plane waves are
+    # under test
     P = quantize(named_symbol(GridSpec(dim, N, 1.0), name))
     for s in (0.0, 1.0, 2.0):
         assert np.isfinite(elliptic_estimate_constant(P, s, probes=0))
