@@ -151,81 +151,114 @@ class DiscreteOperator:
         return rep
 
 
-def _kn_matrix(grid: GridSpec, a: np.ndarray) -> np.ndarray:
-    """Dense matrix of sum_xi e^{i (x_j - x_k).xi} a(x_j, xi) / n_points.
-
-    ``a`` has shape (m, n_points, r, r), indexed (x, xi, fiber, fiber) with
-    xi in FFT order; m = 1 stands for a symbol that does not depend on x.
-    The xi-sum is one inverse FFT per sampled x; the kernel entry (j, k)
-    then reads it at the lattice offset (j - k) mod N, at x_j.  With a
-    single sample the matrix is translation invariant (circulant): its
-    entries are read through a strided view of the kernel wrap-padded to
-    2N per axis, strides (+s, -s) for (j, k), so no offset index array is
-    built.  The x-dependent kernel is gathered with offset index arrays,
-    since padding it would cost 2^d times its size.
-    """
+def _kn_kernel(grid: GridSpec, a: np.ndarray) -> np.ndarray:
+    """Inverse FFT over xi of symbol samples ``a``: the kernel b(x, offset),
+    shape grid_shape [+ grid_shape when a depends on x] + (r, r)."""
     if grid.state_dim > STATE_DIM_CAP:
         raise ValueError(
             f"state dimension {grid.state_dim} exceeds the dense cap "
             f"{STATE_DIM_CAP}"
         )
+    shape, r = grid.grid_shape(), grid.fiber_dim
+    x_shape = shape if a.shape[0] == grid.n_points else ()
+    return np.fft.ifftn(a.reshape(x_shape + shape + (r, r)),
+                        axes=tuple(range(-2 - grid.dim, -2)))
+
+
+def _kn_matrix(grid: GridSpec, a: np.ndarray) -> np.ndarray:
+    """Dense matrix of sum_xi e^{i (x_j - x_k).xi} a(x_j, xi) / n_points.
+
+    ``a`` has shape (m, n_points, r, r), indexed (x, xi, fiber, fiber) with
+    xi in FFT order; m = 1 stands for a symbol that does not depend on x.
+    The xi-sum is one inverse FFT per sampled x (``_kn_kernel``); the
+    kernel entry (j, k) then reads it at the lattice offset (j - k) mod N,
+    at x_j.  With a single sample the matrix is translation invariant
+    (``_circulant_matrix``).  The x-dependent kernel is gathered with
+    offset index arrays, since padding it would cost 2^d times its size.
+    """
     d, N = grid.dim, grid.points_per_axis
     n, r = grid.n_points, grid.fiber_dim
-    shape = grid.grid_shape()
-    if a.shape[0] == n:
-        b = np.fft.ifftn(a.reshape(shape + shape + (r, r)),
-                         axes=tuple(range(d, 2 * d)))
-        # open index grids over the axes (j_1..j_d, k_1..k_d)
-        ix = np.ix_(*[np.arange(N)] * (2 * d))
-        j, k = ix[:d], ix[d:]
-        kern = b[j + tuple((ji - ki) % N for ji, ki in zip(j, k))]
-        return (kern.reshape(n, n, r, r).transpose(0, 2, 1, 3)
-                .reshape(n * r, n * r))
-    b = np.fft.ifftn(a.reshape(shape + (r, r)), axes=tuple(range(d)))
+    b = _kn_kernel(grid, a)
+    if b.ndim == d + 2:
+        return _circulant_matrix(grid, b)
+    # open index grids over the axes (j_1..j_d, k_1..k_d)
+    ix = np.ix_(*[np.arange(N)] * (2 * d))
+    j, k = ix[:d], ix[d:]
+    kern = b[j + tuple((ji - ki) % N for ji, ki in zip(j, k))]
+    return (kern.reshape(n, n, r, r).transpose(0, 2, 1, 3)
+            .reshape(n * r, n * r))
+
+
+def _circulant_matrix(grid: GridSpec, b: np.ndarray) -> np.ndarray:
+    """Dense matrix with fiber block (j, k) = b((j - k) mod N), read through a
+    strided view of b wrap-padded to 2N per axis, strides (+s, -s)."""
+    d, N = grid.dim, grid.points_per_axis
+    n, r = grid.n_points, grid.fiber_dim
     # entry N + j - k of a padded axis is b at (j - k) mod N
     padded = np.tile(b, (2,) * d + (1, 1))
     s = padded.strides
     view = np.lib.stride_tricks.as_strided(
         padded[(N,) * d],
-        shape=shape + (r,) + shape + (r,),
+        shape=grid.grid_shape() + (r,) + grid.grid_shape() + (r,),
         strides=s[:d] + s[d:d + 1] + tuple(-x for x in s[:d]) + s[d + 1:],
         writeable=False,
     )
     return np.ascontiguousarray(view).reshape(n * r, n * r)
 
 
+def _hermitian_kernel(b: np.ndarray, tol: float) -> tuple:
+    """``_hermitian_part`` of ``_circulant_matrix(grid, b)``, taken on b.
+
+    Block (j, k) of its adjoint is b(k - j)*^T, so the defect is
+    max|b(delta) - b(-delta)*^T| and the Hermitian part is the matrix of
+    (b(delta) + b(-delta)*^T) / 2: the panel scan's arithmetic per entry.
+    """
+    axes = tuple(range(b.ndim - 2))
+    adj = np.roll(np.flip(b, axes), 1, axes).conj().swapaxes(-1, -2)
+    defect = float(np.abs(b - adj).max())
+    return defect, ((b + adj) / 2.0 if defect <= tol else None)
+
+
 def multiplier_matrix(grid: GridSpec, values) -> np.ndarray:
     """Dense matrix of u_hat -> values * u_hat, one value per frequency state.
 
     The states are indexed as lattice.to_frequency indexes its output."""
+    return _kn_matrix(grid, _multiplier_samples(grid, values))
+
+
+def _multiplier_samples(grid: GridSpec, values) -> np.ndarray:
     values = np.asarray(values, dtype=complex)
     if values.size != grid.state_dim:
         raise ValueError(f"a multiplier needs {grid.state_dim} values, one "
                          f"per frequency state, got {values.size}")
     r = grid.fiber_dim
     # an x-independent symbol, diagonal over the fiber
-    return _kn_matrix(grid, values.reshape(1, grid.n_points, r, 1)
-                      * np.eye(r))
+    return values.reshape(1, grid.n_points, r, 1) * np.eye(r)
 
 
-def _kn_operator(grid: GridSpec, order: int, mat: np.ndarray,
+def _kn_operator(grid: GridSpec, order: int, a: np.ndarray,
                  **flags) -> DiscreteOperator:
-    """The operator of a kernel matrix, flagged self-adjoint when it is."""
+    """The operator of symbol samples ``a``, flagged self-adjoint when it is:
+    one scan as in __post_init__, on the kernel when a is x-independent."""
+    if a.shape[0] == 1:
+        b = _kn_kernel(grid, a)
+        scale = float(np.abs(b).max()) or 1.0
+        _defect, herm = _hermitian_kernel(b, SELF_ADJOINT_TOL * scale)
+        mat = _circulant_matrix(grid, b if herm is None else herm)
+    else:
+        mat = _kn_matrix(grid, a)
+        scale = float(np.abs(mat).max()) or 1.0
+        _defect, herm = _hermitian_part(mat, SELF_ADJOINT_TOL * scale)
+        mat = mat if herm is None else herm
     op = DiscreteOperator(grid, order, mat, provenance="quantized", **flags)
-    # flag and symmetrize as __post_init__ does for self_adjoint=True,
-    # with one scan of A instead of one here and one there
-    scale = float(np.abs(mat).max()) or 1.0
-    _defect, herm = _hermitian_part(mat, SELF_ADJOINT_TOL * scale)
-    if herm is not None:
-        object.__setattr__(op, "matrix", herm)
-        object.__setattr__(op, "self_adjoint", True)
+    object.__setattr__(op, "self_adjoint", herm is not None)
     return op
 
 
 def quantize(p: Symbol) -> DiscreteOperator:
     """Kohn-Nirenberg quantization of a sampled symbol, exact on the grid."""
     return _kn_operator(
-        p.grid, p.order, _kn_matrix(p.grid, p.samples),
+        p.grid, p.order, p.samples,
         scalar_symbol=(p.grid.fiber_dim == 1),
     )
 
@@ -258,7 +291,8 @@ def fourier_multiplier(
     """
     vals = np.asarray(fn(grid.frequencies), dtype=complex).ravel()
     return _kn_operator(
-        grid, order, multiplier_matrix(grid, np.repeat(vals, grid.fiber_dim)),
+        grid, order,
+        _multiplier_samples(grid, np.repeat(vals, grid.fiber_dim)),
         scalar_symbol=True, propagation_speed=propagation_speed,
     )
 

@@ -198,12 +198,17 @@ def build_parametrix(
     """
     if J < 0:
         raise ValueError("J must be >= 0")
+    g = p.grid
     cert = check_elliptic(p)
     if not cert.ok:
+        modes = g.axis_modes[list(np.unravel_index(cert.worst_point[1],
+                                                   g.grid_shape()))]
         raise ValueError(
             f"symbol is not elliptic; worst cell {cert.worst_point}"
+            + (" is a Nyquist mode: its stored entry is the mean of the "
+               "+-N/2 values, 0 for an odd symbol"
+               if (2 * modes == -g.points_per_axis).any() else "")
         )
-    g = p.grid
     q0 = invert_principal(p, cert, excision_width)
     q = q0
     expansion = max(J, 1)

@@ -9,7 +9,9 @@ raises the estimate.
 What depends only on the regions, r and the radii (distance fields, exterior
 cutoffs, the R factor of each region's H^r embedding) is prepared once and
 then serves every operator: once per ``dominating_function`` call, and once
-per ``wave_quasilocality_scan`` for all its wave operators.
+per ``wave_quasilocality_scan`` for all its wave operators.  What depends on
+the operator and a region but not on the radius, Z = C R^{-1} for the
+operator's region columns C, is solved once and serves every radius.
 Every estimate is a lower bound for the true dominating function, so tests
 assert decay laws rather than exact values.
 """
@@ -160,31 +162,24 @@ def _embedding_r_factor(region: Region, r: float) -> np.ndarray:
     return np.linalg.qr(den, mode="r")
 
 
-def _sup_ratio(num: np.ndarray, rr: np.ndarray) -> float:
-    """sup over v of ||num v|| / ||rr v|| for an upper-triangular ``rr``.
-
-    That is ||X||_2 for X = num rr^{-1}, which takes one triangular solve;
-    ||X||_2^2 is the top eigenvalue of the m x m Gram matrix X^H X.  The
-    clamp at 0 keeps an all-zero ``num`` exactly 0.
-    """
-    x = scipy.linalg.solve_triangular(rr, num.T, trans="T").T
-    top = scipy.linalg.eigh(x.conj().T @ x, eigvals_only=True)[-1]
-    return float(np.sqrt(top)) if top > 0 else 0.0
-
-
-def _restricted_sup(cols: np.ndarray, eta, rr: np.ndarray, s: float) -> float:
+def _cutoff_sup(z: np.ndarray, eta, s: float) -> float:
     """Exact sup over u supported in a region of the cutoff seminorm ratio.
 
-    ``cols`` are the region's columns of A (``_region_states``), ``eta`` the
-    cutoff of the exterior and ``rr`` the region's ``_embedding_r_factor``.
-    With num the H^s image of the cut-off columns, the sup is
-    ``_sup_ratio(num, rr)``.
+    ``z`` is C R^{-1} for the region's columns C of A (``_region_states``)
+    and its ``_embedding_r_factor`` R, ``eta`` the cutoff of the exterior.
+    The cutoff scales rows and W_s F act on the left, so X = W_s F(eta z)
+    is (W_s F(eta C)) R^{-1} and the sup is ||X||_2: the root of the top
+    eigenvalue of X^H X, whose lower triangle is one zherk.  The clamp at 0
+    keeps an all-zero ``z`` exactly 0.
     """
     g = eta.grid
-    cols = cols * np.repeat(eta.values, g.fiber_dim)[:, None]
-    num = to_frequency(g, cols)
-    num *= g.sobolev_weights(s)[:, None]
-    return _sup_ratio(num, rr)
+    x = to_frequency(g, z * np.repeat(eta.values, g.fiber_dim)[:, None])
+    x *= g.sobolev_weights(s)[:, None]
+    gram = scipy.linalg.blas.zherk(1.0, x, trans=2, lower=1)
+    m = gram.shape[0]
+    top = scipy.linalg.eigh(gram, lower=True, eigvals_only=True,
+                            subset_by_index=[m - 1, m - 1], driver="evr")[0]
+    return float(np.sqrt(top)) if top > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -241,23 +236,27 @@ def _evaluate_mu_hat(
 ) -> DominatingFunctionEstimate:
     """mu_hat(R) of one operator over regions from ``_prepare_regions``.
 
-    A's columns on each region are gathered once; the probes are drawn from
-    a generator seeded with ``seed``, in radius-major, region-minor order.
+    A's columns C on each region are gathered and solved against the
+    region's factor R once, Z = C R^{-1} by one triangular solve, and that
+    Z serves every radius; the probes are drawn from a generator seeded
+    with ``seed``, in radius-major, region-minor order.
     """
     g = A.grid
     rng = np.random.default_rng(seed)
-    cols = [None if prep.factor is None
-            else A.matrix.take(prep.states, axis=1) for prep in prepared]
+    zs = [None if prep.factor is None
+          else scipy.linalg.solve_triangular(
+              prep.factor, A.matrix.take(prep.states, axis=1).T, trans="T").T
+          for prep in prepared]
     mu, estimators, skipped = [], [], []
     for j, R in enumerate(R_list):
         best, usable = 0.0, False
-        for prep, region_cols in zip(prepared, cols):
+        for prep, z in zip(prepared, zs):
             eta = prep.etas[j]
             if eta is None:
                 skipped.append((float(R), "no exterior at this radius"))
                 continue
             usable = True
-            best = max(best, _restricted_sup(region_cols, eta, prep.factor, s))
+            best = max(best, _cutoff_sup(z, eta, s))
             for _ in range(probes):
                 vals = (rng.standard_normal((g.n_points, g.fiber_dim))
                         + 1j * rng.standard_normal((g.n_points, g.fiber_dim)))
@@ -297,10 +296,11 @@ def dominating_function(
     field per region, whose exterior at radius R is the set where that
     distance exceeds R; one cutoff per (R, region) exterior, which serves
     the exact estimator and every probe; and one R factor of the region's
-    H^r embedding, taken without forming Q.  Each exact sup is then one
-    triangular solve against that factor and the top eigenvalue of an
-    m x m Gram matrix, m the region's state count (``_sup_ratio``).  Each
-    exterior cutoff is CUTOFF_SPACINGS grid spacings wide.
+    H^r embedding, taken without forming Q.  A's region columns are solved
+    against that factor once per region; each exact sup is then the top
+    eigenvalue of an m x m Gram matrix, m the region's state count
+    (``_cutoff_sup``).  Each exterior cutoff is CUTOFF_SPACINGS grid
+    spacings wide.
     """
     _check_dominating_args(R_list, region_list, probes)
     prepared = _prepare_regions(region_list, r, R_list)
@@ -351,8 +351,9 @@ def wave_quasilocality_scan(
     [region], probes, seed)`` returns, bit for bit, but the region is
     prepared once per scan: one distance field, one cutoff per non-empty
     exterior (CUTOFF_SPACINGS grid spacings wide) and one R factor of its
-    H^l embedding serve every t.  Only U_t's region columns and the probes
-    are taken per t.
+    H^l embedding serve every t.  Only U_t's region columns, their one
+    triangular solve against that factor (shared by every radius) and the
+    probes are taken per t.
     """
     g = P.grid
     cutoff_width = CUTOFF_SPACINGS * g.spacing

@@ -280,6 +280,23 @@ def test_bad_grid_values_fail_before_any_output(tmp_path, capsys, scenario,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family", ["drift", "momentum"])
+def test_parametrix_refusal_names_the_nyquist_cause(tmp_path, capsys,
+                                                    family):
+    # an odd symbol's stored Nyquist entry is the mean of its +-N/2 values,
+    # 0, so drift and momentum are refused at that cell
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"family": family}))
+    out = tmp_path / "run"
+    code = main(["--scenario", "parametrix", "--config", str(cfg_path),
+                 "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and len(err) == 1
+    assert err[0].startswith("symbol is not elliptic; worst cell")
+    assert "is a Nyquist mode" in err[0] and "odd symbol" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("family", ["schwartz_xi", "schwartz_drift"])
 def test_elliptic_estimate_with_tied_top_eigenvalues_reports(tmp_path, capsys,
                                                             family):

@@ -12,8 +12,11 @@ from torusop.operators import (
     SELF_ADJOINT_TOL,
     _PANEL_ROWS,
     DiscreteOperator,
+    _circulant_matrix,
+    _hermitian_kernel,
     _hermitian_part,
     _kn_matrix,
+    _multiplier_samples,
     adjoint,
     apply_operator,
     commutator,
@@ -321,6 +324,79 @@ def test_self_adjoint_check_allocates_one_output():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * A.matrix.nbytes
+
+
+def _adjoint_kernel(b, N, dim):
+    """b(-delta)*^T by explicit (-i) mod N index arrays."""
+    flip = b[np.ix_(*[(-np.arange(N)) % N] * dim)]
+    return flip.conj().swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("dim,N", [(1, 20), (2, 6)])
+@pytest.mark.parametrize("fiber", [1, 2])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_hermitian_kernel_equals_panel_scan(dim, N, fiber, hermitian):
+    # the kernel-level check against the panel scan of the expanded matrix:
+    # the same defect, and bitwise the same Hermitian part, with the
+    # tolerance exactly at the defect and one ulp below it
+    g = GridSpec(dim, N, 1.0, fiber)
+    rng = np.random.default_rng([dim, N, fiber, hermitian])
+    shape = g.grid_shape() + (fiber, fiber)
+    b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if hermitian:
+        b = b + _adjoint_kernel(b, N, dim)
+        b[(1,) * dim + (0, 0)] += 1e-13  # a defect at roundoff level
+    mat = _circulant_matrix(g, b)
+    full = np.abs(mat - mat.conj().T).max()
+    assert full > 0
+    for tol in (full, np.nextafter(full, 0.0)):
+        defect, herm = _hermitian_kernel(b, tol)
+        want_defect, want = _hermitian_part(mat, tol)
+        assert defect == want_defect == full
+        if tol < full:
+            assert herm is None and want is None
+        else:
+            assert np.array_equal(_circulant_matrix(g, herm).view(np.int64),
+                                  want.view(np.int64))
+
+
+def _panel_route(grid, a):
+    """quantize's flag and matrix by the panel scan of the whole matrix."""
+    raw = _kn_matrix(grid, a)
+    scale = float(np.abs(raw).max()) or 1.0
+    _defect, herm = _hermitian_part(raw, SELF_ADJOINT_TOL * scale)
+    return herm is not None, raw if herm is None else herm
+
+
+@pytest.mark.parametrize("dim,N", [(1, 64), (2, 8)])
+def test_x_independent_operators_skip_the_panel_scan(dim, N, monkeypatch):
+    # quantize and fourier_multiplier flag and symmetrize on the kernel,
+    # bitwise as the panel scan would, signed zeros included
+    cases = []
+    for name in sorted(NAMED_SYMBOLS):
+        if NAMED_SYMBOLS[name]({})[3]:
+            fiber = 2 if name.startswith("dirac") else 1
+            p = named_symbol(GridSpec(dim, N, 1.5, fiber), name)
+            cases.append((p.grid, p.samples, lambda p=p: quantize(p)))
+    rng = np.random.default_rng([dim, N])
+    for fiber in (1, 2):
+        g = GridSpec(dim, N, 1.0, fiber)
+        for vals in (rng.standard_normal(g.n_points),
+                     rng.standard_normal(g.n_points) + 1j):
+            cases.append((g, _multiplier_samples(g, np.repeat(vals, fiber)),
+                          lambda g=g, vals=vals: fourier_multiplier(
+                              g, lambda xi: vals, order=1)))
+    want = [_panel_route(g, a) for g, a, _build in cases]
+    assert {flag for flag, _mat in want} == {True, False}
+
+    def no_panel_scan(*_args):
+        raise AssertionError("panel scan on an x-independent operator")
+
+    monkeypatch.setattr(operators, "_hermitian_part", no_panel_scan)
+    for (_g, _a, build), (flag, mat) in zip(cases, want):
+        P = build()
+        assert P.self_adjoint == flag
+        assert np.array_equal(P.matrix.view(np.int64), mat.view(np.int64))
 
 
 def _random_operator(g, seed, kind):

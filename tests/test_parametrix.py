@@ -57,6 +57,23 @@ def test_parametrix_reports_divergence():
     assert res.worst_cell and res.worst_cell[3] == history[-1]
 
 
+def test_parametrix_refusal_off_nyquist_names_no_nyquist_cause():
+    # zero where |xi| > 40 and no axis index is -N/2 = -32: the worst
+    # cell, the largest such |xi| at (31, 31), is no Nyquist mode
+    g = GridSpec(2, 64, 1.0)
+
+    def fn(x, xi):
+        ring = (np.linalg.norm(xi, axis=-1) > 40) & (xi > -32).all(axis=-1)
+        return np.where(ring, 0.0, 1.0 + (xi ** 2).sum(axis=-1))
+
+    p = symbol_from_callable(g, 2, fn, hermitian_valued=True,
+                             x_independent=True)
+    with pytest.raises(ValueError) as err:
+        build_parametrix(None, p, 1)  # refused before the operator is read
+    assert str(err.value) == ("symbol is not elliptic; worst cell "
+                              f"(0, {31 * 64 + 31}, {np.hypot(31, 31)}, 0.0)")
+
+
 def test_parametrix_two_sided():
     g = GridSpec(1, 128, 2.0)
     p = named_symbol(g, "elliptic_x")

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from torusop import lattice
@@ -27,11 +28,10 @@ from torusop.operators import (
     quantize,
 )
 from torusop.quasiloc import (
+    _cutoff_sup,
     _embedding_r_factor,
     _loglog_slope,
     _region_states,
-    _restricted_sup,
-    _sup_ratio,
     dominating_function,
     eps_rank,
     pseudolocality_equivalence_spotcheck,
@@ -198,12 +198,18 @@ def test_spotcheck_verdicts_agree_for_smoothing_operator():
     assert rep.verdict_lipschitz == rep.verdict_borel
 
 
+def _solve(cols, rr):
+    """cols rr^{-1}, the solve the estimator takes once per region."""
+    return scipy.linalg.solve_triangular(rr, cols.T, trans="T").T
+
+
 def _per_r_reference(A, r, s, R_list, region_list, probes, seed,
                      cutoff_width):
     """The dominating-function loop that rebuilds every exterior, cutoff
-    and QR factor per radius: the reference the shared-work loop must
-    reproduce bit for bit.  It shares the last step, ``_sup_ratio``, whose
-    own oracle is ``_qr_svd_sup``."""
+    and QR factor per radius, and solves the region's columns against that
+    factor per radius: the reference the shared-work loop must reproduce
+    bit for bit.  It shares the last step, ``_cutoff_sup``, whose own
+    oracles are ``_restricted_sup`` and ``_qr_svd_sup``."""
     g = A.grid
     fdim = g.fiber_dim
 
@@ -213,15 +219,12 @@ def _per_r_reference(A, r, s, R_list, region_list, probes, seed,
             return 0.0
         eta = cutoff_eta(outside, cutoff_width)
         mask = np.repeat(region.mask, fdim)
-        cols = A.matrix[:, mask] * np.repeat(eta.values, fdim)[:, None]
-        num = to_frequency(g, cols)
-        num *= _weights(g, s)[:, None]
         emb = np.zeros((g.state_dim, int(mask.sum())))
         emb[np.where(mask)[0], np.arange(int(mask.sum()))] = 1.0
         den = to_frequency(g, emb)
         den *= _weights(g, r)[:, None]
         _q, rr = np.linalg.qr(den)
-        return _sup_ratio(num, rr)
+        return _cutoff_sup(_solve(A.matrix[:, mask], rr), eta, s)
 
     rng = np.random.default_rng(seed)
     mu, estimators, skipped = [], [], []
@@ -357,8 +360,8 @@ def test_restricted_sup_matches_qr_svd_oracle(grid, name, radius, R):
         rr = _embedding_r_factor(region, r)
         for s in (-1, 0, 1):
             want = _qr_svd_sup(A, region, eta, r, s)
-            got = _restricted_sup(A.matrix[:, _region_states(region)], eta,
-                                  rr, s)
+            got = _cutoff_sup(
+                _solve(A.matrix[:, _region_states(region)], rr), eta, s)
             assert want > 0
             assert abs(got - want) <= 1e-12 * want, (r, s, got, want)
 
@@ -367,8 +370,92 @@ def test_sup_ratio_of_zero_columns_is_exactly_zero():
     g = GridSpec(2, 12, 1.0, 2)
     region = ball_region(g, g.points[0], 0.6)
     rr = _embedding_r_factor(region, 1.0)
-    got = _sup_ratio(np.zeros((g.state_dim, rr.shape[0]), dtype=complex), rr)
+    eta = cutoff_eta(region.ball(0.6).complement(), 4.0 * g.spacing)
+    got = _cutoff_sup(
+        _solve(np.zeros((g.state_dim, rr.shape[0]), dtype=complex), rr), eta,
+        0.0)
     assert got == 0.0 and np.copysign(1.0, got) == 1.0
+
+
+# The per-radius route that cuts off and transforms the region's columns,
+# then solves against R at every radius: the slow path that the solve
+# once per region and ``_cutoff_sup`` replace, kept as their oracle.
+
+
+def _sup_ratio(num: np.ndarray, rr: np.ndarray) -> float:
+    """sup over v of ||num v|| / ||rr v|| for an upper-triangular ``rr``.
+
+    That is ||X||_2 for X = num rr^{-1}, which takes one triangular solve;
+    ||X||_2^2 is the top eigenvalue of the m x m Gram matrix X^H X.  The
+    clamp at 0 keeps an all-zero ``num`` exactly 0.
+    """
+    x = scipy.linalg.solve_triangular(rr, num.T, trans="T").T
+    top = scipy.linalg.eigh(x.conj().T @ x, eigvals_only=True)[-1]
+    return float(np.sqrt(top)) if top > 0 else 0.0
+
+
+def _restricted_sup(cols: np.ndarray, eta, rr: np.ndarray, s: float) -> float:
+    """Exact sup over u supported in a region of the cutoff seminorm ratio.
+
+    ``cols`` are the region's columns of A (``_region_states``), ``eta`` the
+    cutoff of the exterior and ``rr`` the region's ``_embedding_r_factor``.
+    With num the H^s image of the cut-off columns, the sup is
+    ``_sup_ratio(num, rr)``.
+    """
+    g = eta.grid
+    cols = cols * np.repeat(eta.values, g.fiber_dim)[:, None]
+    num = to_frequency(g, cols)
+    num *= g.sobolev_weights(s)[:, None]
+    return _sup_ratio(num, rr)
+
+
+def _assert_routes_agree(A, region, radii, r_list, s_list):
+    """The solve-once route against the per-radius oracle, within 1e-12
+    relative, at every exterior radius, r and s."""
+    g = A.grid
+    cols = A.matrix[:, _region_states(region)]
+    etas = [cutoff_eta(lattice.Region(g, region.distance_field() > R),
+                       4.0 * g.spacing) for R in radii]
+    for r in r_list:
+        rr = _embedding_r_factor(region, r)
+        z = _solve(cols, rr)
+        for eta in etas:
+            for s in s_list:
+                want = _restricted_sup(cols, eta, rr, s)
+                got = _cutoff_sup(z, eta, s)
+                assert want > 0
+                assert abs(got - want) <= 1e-12 * want, (r, s, got, want)
+
+
+@pytest.mark.parametrize("grid, name", [
+    (GridSpec(1, 64, 1.0), "elliptic_x"),
+    (GridSpec(1, 64, 1.0, 2), "dirac_mass"),
+    (GridSpec(2, 12, 1.0), "elliptic_x"),
+    (GridSpec(2, 10, 1.0, 2), "dirac"),
+], ids=["1d", "1d-fiber2", "2d", "2d-fiber2"])
+def test_cutoff_sup_matches_per_radius_solve(grid, name):
+    A = quantize(named_symbol(grid, name))
+    region = ball_region(grid, grid.points[grid.n_points // 3], 0.7)
+    _assert_routes_agree(A, region, (0.3, 1.0), range(5), (-1, 0, 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from(((1, 16, 1), (1, 12, 2), (2, 6, 1),
+                              (2, 4, 2))),  # (dim, N, fiber)
+       seed=st.integers(0, 2 ** 32 - 1),
+       radius=st.floats(0.0, 1.2), R=st.floats(0.0, 1.5),
+       r=st.floats(0.0, 4.0), s=st.floats(-1.0, 1.0))
+def test_cutoff_sup_matches_per_radius_solve_on_random_operators(
+        shape, seed, radius, R, r, s):
+    dim, N, fiber = shape
+    g = GridSpec(dim, N, 1.0, fiber)
+    rng = np.random.default_rng(seed)
+    n = g.state_dim
+    A = _op(g, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    region = ball_region(g, g.points[rng.integers(g.n_points)], radius)
+    if region.is_empty() or (region.distance_field() <= R).all():
+        return  # no region, or no exterior to measure
+    _assert_routes_agree(A, region, (R,), (r,), (s,))
 
 
 @pytest.mark.parametrize("dim, n, fiber", [(1, 32, 1), (1, 16, 2),

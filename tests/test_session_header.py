@@ -1,0 +1,28 @@
+import importlib.util
+import os
+import re
+
+import numpy as np
+
+_spec = importlib.util.spec_from_file_location(
+    "root_conftest",
+    os.path.join(os.path.dirname(__file__), os.pardir, "conftest.py"))
+root_conftest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(root_conftest)
+
+
+def test_header_names_each_bundled_openblas_thread_count():
+    header = root_conftest.pytest_report_header(None)
+    match = re.fullmatch(r"OpenBLAS threads in effect: numpy (\w+), "
+                         r"scipy (\w+)", header)
+    assert match, header
+    for count in match.groups():
+        assert count == "unknown" or int(count) >= 1
+
+
+def test_thread_count_is_unknown_without_the_library_or_its_query():
+    _np, pattern, symbol = root_conftest.OPENBLAS["numpy"]
+    assert root_conftest.openblas_threads(np, "no-such-lib*.so",
+                                          symbol) == "unknown"
+    assert root_conftest.openblas_threads(np, pattern,
+                                          "no_such_query") == "unknown"
