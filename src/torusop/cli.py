@@ -55,7 +55,7 @@ __all__ = ["main", "run", "report", "SCENARIOS", "default_config"]
 # rows of the tightest-margin table that --summary prints
 _MARGIN_ROWS = 5
 # columns of the scan.csv that waveprop and quasiloc-scan write
-_SCAN_HEADER = ("t", "R", "l", "mu_hat", "estimator", "probes", "seed")
+_SCAN_HEADER = ("t", "R", "l", "mu_hat")
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +304,9 @@ def _run_funcalc_defect(cfg):
     f = _config_function(cfg)
     doc = {"spectral_radius": sd.spectral_radius, "fourier": [],
            "resolvent": []}
-    checks = [_check("spectral radius", sd.spectral_radius, 20.0)]
+    # an order-k spectrum grows like |xi|^k up to the lattice edge N/(2L)
+    budget = 20.0 * (cfg["N"] / (2.0 * cfg["L"])) ** max(P.order - 1, 0)
+    checks = [_check("spectral radius", sd.spectral_radius, budget)]
     prev = None
     for nq in cfg["n_quad"]:
         res = fourier_apply(P, f, t_max=cfg["t_max"], n_quad=int(nq),
@@ -334,10 +336,7 @@ def _run_quasiloc_scan(cfg):
     region = ball_region(g, np.zeros(1), cfg["center_radius"])
     est = dominating_function(T, cfg["r"], cfg["s"], cfg["R_list"], [region],
                               probes=cfg["probes"], seed=cfg["seed"])
-    rows = [
-        (0.0, R, cfg["s"], mu, estimator, cfg["probes"], cfg["seed"])
-        for R, mu, estimator in zip(est.R_list, est.mu_hat, est.estimator)
-    ]
+    rows = [(0.0, R, cfg["s"], mu) for R, mu in zip(est.R_list, est.mu_hat)]
     checks = [_check("mu_hat isotonic defect", est.isotonic_defect(), 0.10)]
     return checks, {"scan.csv": (_SCAN_HEADER, rows)}
 

@@ -146,18 +146,18 @@ class SpectralData:
 def spectral_data(P: DiscreteOperator) -> SpectralData:
     """Diagonalize a self-adjoint operator.
 
-    A Fourier multiplier (as operators.fourier_diagonal decides, from the
-    kernel and with no n x n transform) is diagonalized exactly by the
-    Fourier basis, much cheaper than a dense eigensolve: the result is its
-    eigenvalues alone, in frequency-state order.  Any other operator takes
-    a dense eigensolve, eigenvalues ascending.
+    Every operator is offered to operators.fourier_diagonal, which accepts
+    the values it reads from the kernel only if they rebuild the matrix, so
+    a Fourier multiplier, however built, is diagonalized exactly by the
+    Fourier basis: the result is its eigenvalues alone, in frequency-state
+    order.  Any other operator takes a dense eigensolve, eigenvalues
+    ascending.
     """
     if not P.self_adjoint:
         raise ValueError("functional calculus requires a self-adjoint operator")
-    if P.scalar_symbol:
-        diag = fourier_diagonal(P)
-        if diag is not None:
-            return SpectralData(diag, None, P)
+    diag = fourier_diagonal(P)
+    if diag is not None:
+        return SpectralData(diag, None, P)
     vals, vecs = scipy.linalg.eigh(P.matrix)
     return SpectralData(vals, vecs, P)
 

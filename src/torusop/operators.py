@@ -109,7 +109,6 @@ class DiscreteOperator:
     matrix: np.ndarray
     provenance: str = "quantized"
     self_adjoint: bool = False
-    scalar_symbol: bool = False
     propagation_bound: float | None = None
     propagation_speed: float | None = None
 
@@ -257,10 +256,7 @@ def _kn_operator(grid: GridSpec, order: int, a: np.ndarray,
 
 def quantize(p: Symbol) -> DiscreteOperator:
     """Kohn-Nirenberg quantization of a sampled symbol, exact on the grid."""
-    return _kn_operator(
-        p.grid, p.order, p.samples,
-        scalar_symbol=(p.grid.fiber_dim == 1),
-    )
+    return _kn_operator(p.grid, p.order, p.samples)
 
 
 def multiplication_operator(grid: GridSpec, values) -> DiscreteOperator:
@@ -273,7 +269,6 @@ def multiplication_operator(grid: GridSpec, values) -> DiscreteOperator:
         grid, 0, np.diag(diag),
         provenance="multiplication",
         self_adjoint=bool(np.all(np.isreal(f))),
-        scalar_symbol=True,
         propagation_bound=0.0,
     )
 
@@ -293,7 +288,7 @@ def fourier_multiplier(
     return _kn_operator(
         grid, order,
         _multiplier_samples(grid, np.repeat(vals, grid.fiber_dim)),
-        scalar_symbol=True, propagation_speed=propagation_speed,
+        propagation_speed=propagation_speed,
     )
 
 
@@ -355,28 +350,29 @@ def compose(A: DiscreteOperator, B: DiscreteOperator) -> DiscreteOperator:
     return DiscreteOperator(
         A.grid, A.order + B.order, A.matrix @ B.matrix,
         provenance="composed",
-        scalar_symbol=A.scalar_symbol and B.scalar_symbol,
         propagation_bound=_combine_propagation(
             A.propagation_bound, B.propagation_bound),
     )
 
 
 def adjoint(A: DiscreteOperator) -> DiscreteOperator:
-    """A* with every flag of A kept: order, symbol flags, propagation data."""
+    """A* with every flag of A kept: order, self-adjointness, propagation
+    data."""
     return replace(A, matrix=A.matrix.conj().T, provenance="composed")
 
 
 def commutator(A: DiscreteOperator, B: DiscreteOperator) -> DiscreteOperator:
-    """AB - BA; drops one order when both carry the scalar-symbol flag."""
+    """AB - BA, one order below AB on a scalar bundle (fiber_dim 1).
+
+    There the principal symbols are scalars and commute, so the principal
+    part of the commutator cancels; on a larger fiber they need not.
+    """
     if A.grid != B.grid:
         raise ValueError("grid mismatch")
-    order = A.order + B.order
-    if A.scalar_symbol and B.scalar_symbol:
-        order -= 1
+    order = A.order + B.order - (A.grid.fiber_dim == 1)
     return DiscreteOperator(
         A.grid, order, A.matrix @ B.matrix - B.matrix @ A.matrix,
         provenance="composed",
-        scalar_symbol=A.scalar_symbol and B.scalar_symbol,
         propagation_bound=_combine_propagation(
             A.propagation_bound, B.propagation_bound),
     )

@@ -178,6 +178,17 @@ def _denoise_x_spectrum(samples: np.ndarray, grid: GridSpec,
     return out.reshape(samples.shape)
 
 
+def _only_nyquist_fails(p: Symbol) -> bool:
+    """Whether check_elliptic would certify p if its Nyquist cells (some
+    axis index -N/2) counted as invertible: the identity is put there."""
+    g = p.grid
+    axis_index = np.indices(g.grid_shape()).reshape(g.dim, -1)
+    nyquist = (2 * g.axis_modes[axis_index] == -g.points_per_axis).any(axis=0)
+    excused = p.samples.copy()
+    excused[:, nyquist] = np.eye(g.fiber_dim)
+    return check_elliptic(Symbol(g, p.order, excused)).ok
+
+
 def build_parametrix(
     P: DiscreteOperator,
     p: Symbol,
@@ -201,13 +212,11 @@ def build_parametrix(
     g = p.grid
     cert = check_elliptic(p)
     if not cert.ok:
-        modes = g.axis_modes[list(np.unravel_index(cert.worst_point[1],
-                                                   g.grid_shape()))]
         raise ValueError(
             f"symbol is not elliptic; worst cell {cert.worst_point}"
             + (" is a Nyquist mode: its stored entry is the mean of the "
                "+-N/2 values, 0 for an odd symbol"
-               if (2 * modes == -g.points_per_axis).any() else "")
+               if _only_nyquist_fails(p) else "")
         )
     q0 = invert_principal(p, cert, excision_width)
     q = q0
@@ -221,10 +230,7 @@ def build_parametrix(
     for _ in range(J):
         defect = compose_symbols(p, q, expansion)
         r = defect.samples.shape[-1]
-        defect = Symbol(
-            g, 0, defect.samples - np.eye(r, dtype=complex),
-            x_independent=defect.x_independent,
-        )
+        defect = Symbol(g, 0, defect.samples - np.eye(r, dtype=complex))
         mags = np.linalg.norm(defect.samples, axis=(-2, -1))
         level = float(mags[:, offband].max()) if offband.any() else 0.0
         history.append(level)
@@ -239,7 +245,6 @@ def build_parametrix(
         q = Symbol(
             g, -p.order,
             _denoise_x_spectrum(q.samples - corr.samples, g, threshold),
-            x_independent=q.x_independent and corr.x_independent,
         )
 
     Q = quantize(q)

@@ -90,6 +90,11 @@ def uniform_approx_profile(
     """
     if not family:
         raise ValueError("family must be nonempty")
+    if not forms:
+        raise ValueError("forms must be nonempty")
+    unknown = [form for form in forms if form not in ("fT", "Tf", "[T,f]")]
+    if unknown:
+        raise ValueError(f"unknown form {unknown[0]!r}")
     if any(eps <= 0 for eps in eps_list):
         raise ValueError("eps must be positive")
     r = T.grid.fiber_dim
@@ -102,10 +107,8 @@ def uniform_approx_profile(
                 mat = mf[:, None] * T.matrix
             elif form == "Tf":
                 mat = T.matrix * mf[None, :]
-            elif form == "[T,f]":
-                mat = T.matrix * mf[None, :] - mf[:, None] * T.matrix
             else:
-                raise ValueError(f"unknown form {form!r}")
+                mat = T.matrix * mf[None, :] - mf[:, None] * T.matrix
             sv = np.linalg.svd(mat, compute_uv=False)
             for i, eps in enumerate(eps_list):
                 worst[i] = max(worst[i], _count_at_least(sv, eps))
@@ -119,12 +122,14 @@ def uniform_approx_profile(
 
 @dataclass(frozen=True)
 class DominatingFunctionEstimate:
-    """Lower-bound estimate of a dominating function by exact suprema."""
+    """Lower-bound estimate of a dominating function by exact suprema.
+
+    A radius that leaves no region an exterior measured nothing; its
+    mu_hat is NaN, which is the only record of the skip.
+    """
 
     R_list: tuple
     mu_hat: tuple
-    estimator: tuple
-    skipped: tuple = ()
 
     def isotonic_defect(self) -> float:
         """How far mu_hat is from nonincreasing, relative to its max.
@@ -247,13 +252,12 @@ def _evaluate_mu_hat(
           else scipy.linalg.solve_triangular(
               prep.factor, A.matrix.take(prep.states, axis=1).T, trans="T").T
           for prep in prepared]
-    mu, estimators, skipped = [], [], []
+    mu = []
     for j, R in enumerate(R_list):
         best, usable = 0.0, False
         for prep, z in zip(prepared, zs):
             eta = prep.etas[j]
             if eta is None:
-                skipped.append((float(R), "no exterior at this radius"))
                 continue
             usable = True
             best = max(best, _cutoff_sup(z, eta, s))
@@ -268,17 +272,9 @@ def _evaluate_mu_hat(
                 num = sobolev_norm(
                     Section(g, au.values * eta.values[:, None]), s)
                 best = max(best, num / denom)
-        if usable:
-            mu.append(best)
-            estimators.append("svd")
-        else:
-            mu.append(np.nan)
-            estimators.append("skipped")
+        mu.append(best if usable else np.nan)
     return DominatingFunctionEstimate(
-        R_list=tuple(float(R) for R in R_list),
-        mu_hat=tuple(mu), estimator=tuple(estimators),
-        skipped=tuple(skipped),
-    )
+        R_list=tuple(float(R) for R in R_list), mu_hat=tuple(mu))
 
 
 def dominating_function(
@@ -327,7 +323,7 @@ def _loglog_slope(xs, ys) -> float:
 class WaveScanReport:
     """mu_hat(R; t) for e^{itP} with log-log fits in R and |t|."""
 
-    entries: tuple  # rows (t, R, l, mu_hat, estimator, probes, seed)
+    entries: tuple  # rows (t, R, l, mu_hat)
     slope_R: float
     growth_t: float
     range_limited: bool
@@ -371,9 +367,8 @@ def wave_quasilocality_scan(
     for t in t_list:
         U = wave_operator(P, t, spectral=sd)
         est = _evaluate_mu_hat(U, l, s_out, R_list, prepared, probes, seed)
-        for R, m, e in zip(est.R_list, est.mu_hat, est.estimator):
-            entries.append((float(t), float(R), float(l), float(m), e,
-                            probes, seed))
+        for R, m in zip(est.R_list, est.mu_hat):
+            entries.append((float(t), float(R), float(l), float(m)))
             table[(t, R)] = m
         if U.propagation_bound is not None:
             # a skipped radius (NaN, no exterior left) measured nothing

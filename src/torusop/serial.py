@@ -1,11 +1,12 @@
 """Self-describing JSON containers and deterministic CSV emission.
 
 Sections and regions serialize as {schema, kind, dim, N, L, r, data};
-symbols and operators additionally carry {k, flags}.  A symbol's flags are
-x_independent and hermitian_valued; an operator's are provenance,
-self_adjoint, scalar_symbol and, when set, propagation_bound and
-propagation_speed.  Loading ignores any other flag, such as the
-hermitian_symbol flag that earlier writers stored.  Complex arrays are
+symbols and operators additionally carry {k, flags}.  A symbol's flag is
+hermitian_valued (whether it depends on x is the shape of its data); an
+operator's are provenance, self_adjoint and, when set, propagation_bound
+and propagation_speed.  Loading ignores any other flag, such as the
+hermitian_symbol, x_independent and scalar_symbol flags that earlier
+writers stored.  Complex arrays are
 stored as paired real/imaginary nested lists.  All writers sort keys and
 format floats through a fixed %.17g so identical inputs produce identical
 bytes.  JSON output is strict (RFC 8259): a non-finite float is written as
@@ -81,8 +82,7 @@ def to_container(obj) -> dict:
         doc = _grid_header(obj.grid)
         doc.update(
             kind="symbol", k=obj.order, data=_pack(obj.samples),
-            flags={"x_independent": bool(obj.x_independent),
-                   "hermitian_valued": bool(obj.hermitian_valued)},
+            flags={"hermitian_valued": bool(obj.hermitian_valued)},
         )
         return doc
     if isinstance(obj, DiscreteOperator):
@@ -90,7 +90,6 @@ def to_container(obj) -> dict:
         flags = {
             "provenance": obj.provenance,
             "self_adjoint": bool(obj.self_adjoint),
-            "scalar_symbol": bool(obj.scalar_symbol),
         }
         if obj.propagation_bound is not None:
             flags["propagation_bound"] = float(obj.propagation_bound)
@@ -114,15 +113,13 @@ def from_container(doc: dict):
     if kind == "symbol":
         flags = doc["flags"]
         return Symbol(grid, doc["k"], _unpack(doc["data"]),
-                      hermitian_valued=flags["hermitian_valued"],
-                      x_independent=flags["x_independent"])
+                      hermitian_valued=flags["hermitian_valued"])
     if kind == "operator":
         flags = doc["flags"]
         return DiscreteOperator(
             grid, doc["k"], _unpack(doc["data"]),
             provenance=flags["provenance"],
             self_adjoint=flags["self_adjoint"],
-            scalar_symbol=flags["scalar_symbol"],
             propagation_bound=flags.get("propagation_bound"),
             propagation_speed=flags.get("propagation_speed"),
         )

@@ -43,7 +43,8 @@ class Symbol:
     """Sampled symbol of declared order.
 
     samples has shape (n_x, n_xi, r, r) where n_x is either the full number of
-    grid points or 1 for x-independent symbols.  The xi axis runs over the
+    grid points or 1 for an x-independent symbol; that shape is the only
+    record of x-independence (``x_independent``).  The xi axis runs over the
     flattened frequency lattice in FFT order; the Nyquist entries are stored
     already symmetrized over the +-N/2 aliases.
     """
@@ -52,7 +53,6 @@ class Symbol:
     order: int
     samples: np.ndarray
     hermitian_valued: bool = False
-    x_independent: bool = False
 
     def __post_init__(self):
         g = self.grid
@@ -60,10 +60,11 @@ class Symbol:
         r = g.fiber_dim
         if a.ndim == 2:
             a = a[:, :, None, None]
-        n_x = 1 if self.x_independent else g.n_points
-        if a.shape != (n_x, g.n_points, r, r):
+        if a.shape[0] not in (1, g.n_points) or a.shape[1:] != (g.n_points,
+                                                                r, r):
             raise ValueError(
-                f"symbol samples shape {a.shape}, expected {(n_x, g.n_points, r, r)}"
+                f"symbol samples shape {a.shape}, expected "
+                f"({g.n_points} or 1, {g.n_points}, {r}, {r})"
             )
         if not np.all(np.isfinite(a)):
             raise ValueError("non-finite symbol samples")
@@ -80,6 +81,11 @@ class Symbol:
                 )
         object.__setattr__(self, "samples", a)
         object.__setattr__(self, "_xi_ladder", {})
+
+    @property
+    def x_independent(self) -> bool:
+        """Whether the samples hold one x sample, shared by every point."""
+        return self.samples.shape[0] == 1
 
     def xi_difference(self, beta: tuple) -> np.ndarray:
         """Lattice difference d^beta/dxi^beta of the samples, kept.
@@ -169,10 +175,7 @@ def symbol_from_callable(
             xi[at_nyq[:, ax], ax] = sgn * nyq_val
         acc = acc + eval_on(xi)
     samples[:, cols] = acc / len(combos)
-    return Symbol(
-        grid, order, samples,
-        hermitian_valued=hermitian_valued, x_independent=x_independent,
-    )
+    return Symbol(grid, order, samples, hermitian_valued=hermitian_valued)
 
 
 def _xi_step(samples: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
@@ -235,8 +238,7 @@ def estimate_constants(p: Symbol, alpha_max: int, beta_max: int) -> dict:
     dx_p = _x_derivatives(p, alpha_max)
     constants = {}
     for alpha in _multi_indices(g.dim, alpha_max):
-        da = p if sum(alpha) == 0 else Symbol(
-            g, p.order, dx_p[alpha], x_independent=p.x_independent)
+        da = p if sum(alpha) == 0 else Symbol(g, p.order, dx_p[alpha])
         for beta in _multi_indices(g.dim, beta_max):
             norms = _block_norms(da.xi_difference(beta))
             weight = (1.0 + absxi) ** (p.order - sum(beta))
@@ -362,8 +364,7 @@ def compose_symbols(p: Symbol, q: Symbol, J: int) -> Symbol:
             total = term
         else:
             total += term
-    x_indep = p.x_independent and q.x_independent
-    return Symbol(g, p.order + q.order, total, x_independent=x_indep)
+    return Symbol(g, p.order + q.order, total)
 
 
 def invert_principal(
@@ -384,7 +385,7 @@ def invert_principal(
         out[:, active, 0, 0] = chi[active] / a[:, active, 0, 0]
     else:
         out[:, active] = chi[active, None, None] * np.linalg.inv(a[:, active])
-    return Symbol(g, -p.order, out, x_independent=p.x_independent)
+    return Symbol(g, -p.order, out)
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,57 @@ def test_parametrix_refusal_names_the_nyquist_cause(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("family", ["schwartz_xi", "schwartz_drift"])
+def test_parametrix_refusal_off_nyquist_too_names_no_nyquist_cause(
+        tmp_path, capsys, family):
+    # e^{-xi^2} is below the invertibility floor far from the Nyquist cell
+    # too, so excusing that cell would certify nothing
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"family": family}))
+    out = tmp_path / "run"
+    code = main(["--scenario", "parametrix", "--config", str(cfg_path),
+                 "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and len(err) == 1
+    assert err[0].startswith("symbol is not elliptic; worst cell")
+    assert "Nyquist" not in err[0]
+    assert not out.exists()
+
+
+def _spectral_radius_check(out):
+    summary = json.loads((out / "summary.json").read_text())
+    return next(c for c in summary["checks"] if c["name"] == "spectral radius")
+
+
+@pytest.mark.parametrize("family", ["laplace+1", "elliptic_x", "xi1_squared"])
+def test_funcalc_defect_budget_scales_with_the_order(tmp_path, family):
+    # an order-2 spectrum reaches 1 + 16^2 at the lattice edge N/(2L) = 16
+    out = tmp_path / "run"
+    assert run("funcalc-defect", {"family": family}, out=str(out)) == 0
+    check = _spectral_radius_check(out)
+    assert check["budget"] == 320.0 and 255.0 <= check["value"] <= 259.0
+
+
+@pytest.mark.parametrize("family, budget", [("sqrt_laplace", 20.0),
+                                            ("laplace+1", 320.0)])
+def test_funcalc_defect_budget_catches_a_doubled_operator(tmp_path,
+                                                          monkeypatch,
+                                                          family, budget):
+    quantize = cli.quantize
+
+    def doubled(p):
+        P = quantize(p)
+        return cli.DiscreteOperator(P.grid, P.order, 2.0 * P.matrix,
+                                    self_adjoint=True)
+
+    monkeypatch.setattr(cli, "quantize", doubled)
+    out = tmp_path / "run"
+    assert run("funcalc-defect", {"family": family}, out=str(out)) == 1
+    check = _spectral_radius_check(out)
+    assert check["budget"] == budget and not check["passed"]
+    assert check["value"] > budget
+
+
+@pytest.mark.parametrize("family", ["schwartz_xi", "schwartz_drift"])
 def test_elliptic_estimate_with_tied_top_eigenvalues_reports(tmp_path, capsys,
                                                             family):
     cfg_path = tmp_path / "cfg.json"
@@ -474,8 +525,7 @@ def test_waveprop_skipped_radius_is_not_a_propagation_row(tmp_path):
     assert rows[0] == rows[1] > 0
     scan = (tmp_path / "far" / "scan.csv").read_text().splitlines()[1:]
     far = [line for line in scan if line.split(",")[1] == "100"]
-    assert far and all(line.split(",")[3:5] == ["nan", "skipped"]
-                       for line in far)
+    assert far and all(line.split(",")[3:] == ["nan"] for line in far)
 
 
 def test_full_suite_writes_strict_json(tmp_path):

@@ -112,10 +112,9 @@ def _parametrix_oracle(P, p, J, excision_width):
     offband = g.frequency_magnitude > cert.radius + excision_width
     history, worst, diverged = [], (), False
     for _ in range(J):
-        x_indep = p.x_independent and q.x_independent
         r = g.fiber_dim
         defect = Symbol(g, 0, _compose_oracle(p, q, expansion)
-                        - np.eye(r, dtype=complex), x_independent=x_indep)
+                        - np.eye(r, dtype=complex))
         mags = np.linalg.norm(defect.samples, axis=(-2, -1))
         level = float(mags[:, offband].max()) if offband.any() else 0.0
         history.append(level)
@@ -128,8 +127,7 @@ def _parametrix_oracle(P, p, J, excision_width):
         eps = np.finfo(float).eps
         threshold = max(1e-12, 100.0 * eps * x_max ** expansion)
         q = Symbol(g, -p.order,
-                   _denoise_x_spectrum(q.samples - corr, g, threshold),
-                   x_independent=q.x_independent and defect.x_independent)
+                   _denoise_x_spectrum(q.samples - corr, g, threshold))
     Q = quantize(q).matrix
     eye = np.eye(g.state_dim)
     return dict(Q=Q, S1=eye - P.matrix @ Q, S2=eye - Q @ P.matrix,
@@ -209,7 +207,7 @@ def _random_symbol(g, rng, x_independent, kind):
         a.real[rng.random(shape) < 0.3] = -0.0
         a.imag[rng.random(shape) < 0.3] = 0.0
         a[rng.random(shape) < 0.2] = complex(-0.0, -0.0)
-    return Symbol(g, 0, a, x_independent=x_independent)
+    return Symbol(g, 0, a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -296,7 +294,8 @@ def test_estimate_constants_equal_oracle_on_random_samples(
         dim, fiber, order, alpha_max, beta_max, x_indep, seed):
     g = GridSpec(dim, 8, 1.0, fiber)
     p = _random_symbol(g, np.random.default_rng(seed), x_indep, "complex")
-    p = Symbol(g, order, p.samples, x_independent=x_indep)
+    p = Symbol(g, order, p.samples)
+    assert p.x_independent == x_indep
     assert _same_constants(estimate_constants(p, alpha_max, beta_max),
                            _constants_oracle(p, alpha_max, beta_max))
 

@@ -142,6 +142,26 @@ def test_spectral_data_multiplier_fast_path():
                   - np.cos(g.frequencies[:, 0])).max() <= 1e-12
 
 
+@pytest.mark.parametrize("grid", [GridSpec(1, 64, 1.0), GridSpec(2, 8, 1.0, 2)],
+                         ids=["1d-r1", "2d-r2"])
+def test_plain_operator_holding_a_multiplier_takes_the_fourier_path(
+        grid, monkeypatch):
+    # the path is chosen from the matrix, not from how the operator was built
+    P = fourier_multiplier(grid, lambda xi: 1.0 + (xi ** 2).sum(axis=-1),
+                           order=2)
+    plain = DiscreteOperator(grid, 2, P.matrix, provenance="composed",
+                             self_adjoint=True)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("dense eigensolve on a multiplier")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
+    sd = spectral_data(plain)
+    assert sd.vectors is None and sd.source is plain
+    want = spectral_data(P).eigenvalues
+    assert sd.eigenvalues.tobytes() == want.tobytes()
+
+
 def test_named_function_specs_verify():
     for name in NAMED_FUNCTIONS:
         report = named_function(name).verify()

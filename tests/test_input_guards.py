@@ -119,7 +119,7 @@ GUARDS = [
     ("symbol-fiber", lambda: named_symbol(G, "dirac"),
      ValueError, "symbol blocks are 2x2 but the grid's fiber needs 1x1"),
     ("symbol-nonfinite",
-     lambda: Symbol(G, 0, np.full((1, N), np.inf), x_independent=True),
+     lambda: Symbol(G, 0, np.full((1, N), np.inf)),
      ValueError, "non-finite symbol samples"),
     ("constants-negative-alpha", lambda: estimate_constants(_p(), -1, 0),
      ValueError, "alpha_max must be >= 0"),
@@ -152,8 +152,7 @@ GUARDS = [
      lambda: DiscreteOperator(G, 0, np.ones((N, N)), propagation_bound=0.0),
      ValueError, "declared propagation bound violated"),
     ("quantize-cap",
-     lambda: quantize(Symbol(GridSpec(2, 68, 1.0), 0, np.ones((1, 68 ** 2)),
-                             x_independent=True)),
+     lambda: quantize(Symbol(GridSpec(2, 68, 1.0), 0, np.ones((1, 68 ** 2)))),
      ValueError, "exceeds the dense cap"),
     ("multiplier-size", lambda: multiplication_operator(G, np.ones(N + 1)),
      ValueError, "multiplier size does not match grid"),
@@ -165,8 +164,7 @@ GUARDS = [
      ValueError, "grid mismatch"),
     # parametrix
     ("parametrix-nonelliptic",
-     lambda: build_parametrix(_zero(), Symbol(G, 0, np.zeros((1, N)),
-                                              x_independent=True), 1),
+     lambda: build_parametrix(_zero(), Symbol(G, 0, np.zeros((1, N))), 1),
      ValueError, "symbol is not elliptic"),
     ("parametrix-negative-J", lambda: build_parametrix(_P(), _p(), -1),
      ValueError, "J must be >= 0"),
@@ -232,6 +230,12 @@ GUARDS = [
     ("profile-form",
      lambda: uniform_approx_profile(_P(), [_bump()], forms=("fTf",)),
      ValueError, "unknown form"),
+    ("profile-no-forms",
+     lambda: uniform_approx_profile(_P(), [_bump()], forms=()),
+     ValueError, "forms must be nonempty"),
+    ("profile-late-form",
+     lambda: uniform_approx_profile(_P(), [_bump()], forms=("fT", "bogus")),
+     ValueError, "unknown form 'bogus'"),
     ("profile-eps",
      lambda: uniform_approx_profile(_P(), [_bump()], eps_list=(0.5, 0.0)),
      ValueError, "eps must be positive"),
@@ -315,6 +319,16 @@ def test_q_integral_checks_q_before_spectral_data(monkeypatch):
     monkeypatch.setattr(funcalc, "spectral_data", never)
     with pytest.raises(ValueError, match="not integrable on the grid"):
         q_integral(named_function("gaussian", {"sigma": 10.0}), 1, _P(), None)
+
+
+@pytest.mark.parametrize("forms", [(), ("fT", "bogus")], ids=["empty", "late"])
+def test_profile_checks_forms_before_any_svd(monkeypatch, forms):
+    def never(*args, **kwargs):
+        raise AssertionError("an SVD taken before the forms were checked")
+
+    monkeypatch.setattr(np.linalg, "svd", never)
+    with pytest.raises(ValueError, match="form"):
+        uniform_approx_profile(_P(), [_bump()], forms=forms)
 
 
 def test_cli_needs_a_scenario_or_summary(capsys):

@@ -96,12 +96,34 @@ def test_adjoint_and_symmetrize():
     for A in (P, B):
         SA = symmetrize(A)
         assert SA.self_adjoint
-        for name in ("grid", "order", "provenance", "scalar_symbol",
+        for name in ("grid", "order", "provenance",
                      "propagation_bound", "propagation_speed"):
             assert getattr(SA, name) == getattr(A, name), name
     # symmetrization perturbs P by a bounded (order-zero) correction
     D = DiscreteOperator(g, 0, S.matrix - P.matrix, provenance="composed")
     assert np.isfinite(op_norm(D, 0.0, 0.0))
+
+
+def test_commutator_drops_an_order_exactly_on_a_scalar_bundle():
+    rng = np.random.default_rng(3)
+    # fiber 1: even plain operators, built from bare matrices, drop one
+    g = GridSpec(1, 16, 1.0)
+    A = DiscreteOperator(g, 2, rng.standard_normal((16, 16)),
+                         provenance="composed")
+    B = DiscreteOperator(g, 1, rng.standard_normal((16, 16)),
+                         provenance="composed")
+    assert commutator(A, B).order == 2
+    # fiber 2: matrix principal symbols need not commute, so no order drops,
+    # not even for multipliers and multiplications
+    g2 = GridSpec(1, 16, 1.0, fiber_dim=2)
+    pairs = [
+        (quantize(named_symbol(g2, "dirac")),
+         quantize(named_symbol(g2, "dirac_mass"))),
+        (fourier_multiplier(g2, lambda xi: xi[..., 0], order=1),
+         multiplication_operator(g2, np.cos(g2.points[:, 0]))),
+    ]
+    for P, Q in pairs:
+        assert commutator(P, Q).order == P.order + Q.order
 
 
 def test_commutator_of_commuting_multipliers_vanishes():
@@ -427,15 +449,14 @@ def test_compose_and_commutator_keep_their_bookkeeping(grid, seeds, kinds):
     g = GridSpec(*grid, 1.0)
     A, B = (_random_operator(g, s, k) for s, k in zip(seeds, kinds))
     C, K = compose(A, B), commutator(A, B)
-    both_scalar = A.scalar_symbol and B.scalar_symbol
     if A.propagation_bound is None or B.propagation_bound is None:
         bound = None
     else:
         bound = A.propagation_bound + B.propagation_bound
     assert C.order == A.order + B.order
-    assert K.order == A.order + B.order - (1 if both_scalar else 0)
+    # a scalar bundle: the principal symbols commute
+    assert K.order == A.order + B.order - 1
     for op in (C, K):
-        assert op.scalar_symbol == both_scalar
         assert op.propagation_bound == bound
     assert np.array_equal(C.matrix, A.matrix @ B.matrix)
     assert np.array_equal(K.matrix, A.matrix @ B.matrix - B.matrix @ A.matrix)

@@ -117,7 +117,6 @@ def test_dominating_function_multiplication_operator_vanishes():
     est = dominating_function(A, 0.0, 0.0, (1.0, 2.0), [region], probes=2)
     assert est.mu_hat == (0.0, 0.0)
     assert est.isotonic_defect() == 0.0
-    assert est.estimator == ("svd", "svd")
 
 
 def test_dominating_function_skips_empty_exterior():
@@ -125,9 +124,8 @@ def test_dominating_function_skips_empty_exterior():
     A = multiplication_operator(g, np.ones(64))
     region = ball_region(g, np.zeros(1), 0.5)
     est = dominating_function(A, 0.0, 0.0, (1.0, 100.0), [region], probes=1)
-    assert est.estimator[1] == "skipped"
-    assert np.isnan(est.mu_hat[1])
-    assert est.skipped
+    # the NaN is the whole record of the skip
+    assert est.mu_hat[0] == 0.0 and np.isnan(est.mu_hat[1])
 
 
 def test_dominating_function_decays_for_smoothing_operator():
@@ -227,17 +225,15 @@ def _per_r_reference(A, r, s, R_list, region_list, probes, seed,
         return _cutoff_sup(_solve(A.matrix[:, mask], rr), eta, s)
 
     rng = np.random.default_rng(seed)
-    mu, estimators, skipped = [], [], []
+    mu = []
     for R in R_list:
-        best, estimator, usable = 0.0, "probe", False
+        best, usable = 0.0, False
         for region in region_list:
             outside = region.ball(R).complement()
             if outside.is_empty():
-                skipped.append((float(R), "no exterior at this radius"))
                 continue
             usable = True
             best = max(best, restricted_sup(region, R))
-            estimator = "svd"
             for _ in range(probes):
                 vals = (rng.standard_normal((g.n_points, fdim))
                         + 1j * rng.standard_normal((g.n_points, fdim)))
@@ -250,8 +246,7 @@ def _per_r_reference(A, r, s, R_list, region_list, probes, seed,
                 num = restricted_seminorm(au, s, outside, cutoff_width)
                 best = max(best, num / denom)
         mu.append(best if usable else np.nan)
-        estimators.append(estimator if usable else "skipped")
-    return tuple(mu), tuple(estimators), tuple(skipped)
+    return tuple(mu)
 
 
 DOMINATING_CASES = [
@@ -269,9 +264,8 @@ def test_dominating_function_matches_per_radius_loop(grid, name, radii,
     regions = [ball_region(grid, grid.points[0], 0.3),
                ball_region(grid, grid.points[grid.n_points // 3], 0.6)]
     width = 4.0 * grid.spacing
-    mu, est, skipped = _per_r_reference(A, 1.0, 0.0, radii, regions, 3, 7,
-                                        width)
-    assert skipped and np.isnan(mu[-1])
+    mu = _per_r_reference(A, 1.0, 0.0, radii, regions, 3, 7, width)
+    assert np.isnan(mu[-1]) and not np.isnan(mu[:-1]).any()
 
     calls = []
     original = lattice.Region.distance_field
@@ -283,8 +277,6 @@ def test_dominating_function_matches_per_radius_loop(grid, name, radii,
     monkeypatch.setattr(lattice.Region, "distance_field", counted)
     res = dominating_function(A, 1.0, 0.0, radii, regions, probes=3, seed=7)
     assert np.array_equal(res.mu_hat, mu, equal_nan=True)
-    assert res.estimator == est
-    assert res.skipped == skipped
 
     # without the exterior-free radius: one field per region, plus the
     # cutoff's field of each exterior
@@ -301,7 +293,7 @@ def test_isotonic_defect_leaves_out_skipped_radii():
     region = ball_region(g, np.zeros(1), 0.5)
     est = dominating_function(A, 0.0, 0.0, (0.5, 1.0, 100.0), [region],
                               probes=1)
-    assert est.estimator[-1] == "skipped"
+    assert np.isnan(est.mu_hat[-1])
     measured = replace(est, R_list=est.R_list[:-1], mu_hat=est.mu_hat[:-1])
     assert est.isotonic_defect() == measured.isotonic_defect()
     # a rise from 0.5 to 1.0 across a skipped radius is half the max
@@ -485,9 +477,8 @@ def _per_t_reference(P, k, t_list, R_list, l, region, probes, seed, sd):
         U = wave_operator(P, t, spectral=sd)
         est = dominating_function(U, l, l - (k - 1), R_list, [region],
                                   probes, seed)
-        for R, m, e in zip(est.R_list, est.mu_hat, est.estimator):
-            entries.append((float(t), float(R), float(l), float(m), e,
-                            probes, seed))
+        for R, m in zip(est.R_list, est.mu_hat):
+            entries.append((float(t), float(R), float(l), float(m)))
             table[(t, R)] = m
         if U.propagation_bound is not None:
             for R, m in zip(est.R_list, est.mu_hat):
@@ -548,7 +539,7 @@ def test_wave_scan_matches_per_t_dominating_function(case):
     if case is _waveprop_case:
         assert prop and all(exact for _t, _R, exact in prop)
     if case is _no_exterior_case:
-        assert [e[4] for e in entries].count("skipped") == len(t_list)
+        assert sum(np.isnan(e[3]) for e in entries) == len(t_list)
 
 
 def test_wave_scan_prepares_each_region_once(monkeypatch):

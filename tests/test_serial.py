@@ -67,17 +67,35 @@ def test_operator_round_trip_keeps_flags(tmp_path):
 
 
 def test_operator_container_with_extra_flag_loads_unchanged():
-    # earlier writers stored a "hermitian_symbol" flag; loading ignores it
+    # earlier writers stored "hermitian_symbol" and "scalar_symbol" flags;
+    # loading ignores them
     g = GridSpec(1, 16, 1.0)
     P = fourier_multiplier(g, lambda xi: xi[..., 0], order=1,
                            propagation_speed=1.0)
     doc = to_container(P)
-    assert "hermitian_symbol" not in doc["flags"]
+    assert not {"hermitian_symbol", "scalar_symbol"} & set(doc["flags"])
     old = json.loads(json_bytes(doc))
-    old["flags"]["hermitian_symbol"] = True
+    old["flags"].update(hermitian_symbol=True, scalar_symbol=True)
     Q = from_container(old)
     assert to_container(Q)["flags"] == doc["flags"]
     assert Q.matrix.tobytes() == P.matrix.tobytes()
+
+
+@pytest.mark.parametrize("name, retired", [
+    ("elliptic_x", {"x_independent": False}),
+    ("laplace+1", {"x_independent": True}),
+])
+def test_symbol_container_with_retired_flag_loads_bit_exact(name, retired):
+    # earlier writers stored x_independent, which the samples' shape holds
+    p = named_symbol(GridSpec(1, 16, 1.0), name)
+    doc = to_container(p)
+    assert "x_independent" not in doc["flags"]
+    old = json.loads(json_bytes(doc))
+    old["flags"].update(retired)
+    q = from_container(old)
+    assert q.x_independent == retired["x_independent"]
+    assert to_container(q)["flags"] == doc["flags"]
+    assert _bits(q.samples) == _bits(p.samples)
 
 
 def test_container_schema_enforced():
@@ -154,14 +172,13 @@ def _container_object(kind, grid, rng, special, flags):
                    lambda a: a.reshape(-1, r, r)[:, 0, 0])
         return Symbol(grid, int(rng.integers(-2, 3)),
                       _hermitian(a) if flags[1] else a,
-                      hermitian_valued=flags[1], x_independent=flags[0])
+                      hermitian_valued=flags[1])
     dim = grid.state_dim
     a = values((dim, dim), lambda a: a.reshape(-1)[::dim + 1])
     # a propagation bound past the grid's diameter zeroes nothing
     return DiscreteOperator(
         grid, int(rng.integers(-2, 3)), _hermitian(a) if flags[0] else a,
         provenance="composed", self_adjoint=flags[0],
-        scalar_symbol=flags[1],
         propagation_bound=(10.0 * grid.period_scale if flags[2] else None),
         propagation_speed=(float(rng.uniform(0.5, 2.0)) if flags[2]
                            else None),
