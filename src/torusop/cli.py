@@ -38,7 +38,11 @@ from .operators import (
     op_norm,
     quantize,
 )
-from .parametrix import build_parametrix, elliptic_estimate_constant
+from .parametrix import (
+    NORM_RANGE,
+    build_parametrix,
+    elliptic_estimate_constant,
+)
 from .funcalc import (
     NAMED_FUNCTIONS,
     chi_resolvent_integral,
@@ -162,6 +166,9 @@ def _validate_config(scenario: str, config: dict) -> dict:
         if name not in NAMED_SYMBOLS:
             raise ValueError(
                 f"config for {scenario}: unknown symbol family {name!r}")
+    if any(float(l) not in range(NORM_RANGE) for l in base.get("l_list", [])):
+        raise ValueError(f"config for {scenario}: l_list values must be "
+                         f"whole numbers in [0, {NORM_RANGE - 1}]")
     function = base.get("function")
     if function is not None and function not in NAMED_FUNCTIONS:
         raise ValueError(f"config for {scenario}: unknown function {function!r}")
@@ -256,12 +263,9 @@ def _run_parametrix(cfg):
             rows.append((tag, float(k), float(l), norm, int(J),
                          cfg["N"], cfg["L"]))
         for l in cfg["l_list"]:
-            key = (0.0, float(l))
-            if key in res.off_band_norms:
-                checks.append(_check(
-                    f"off-band S1 (0,{l}) finite at J={J}",
-                    res.off_band_norms[key], np.inf,
-                    ok=np.isfinite(res.off_band_norms[key])))
+            norm = res.off_band_norms[(0.0, float(l))]
+            checks.append(_check(f"off-band S1 (0,{l}) finite at J={J}",
+                                 norm, np.inf, ok=np.isfinite(norm)))
         checks.append(_check(f"J={J} converged", int(res.diverged), 0))
     header = ("term", "k", "l", "norm", "J", "N", "L")
     return checks, {"residuals.csv": (header, rows)}

@@ -2,14 +2,17 @@
 
 The spectral decomposition is the oracle: every other route (Fourier/wave
 quadrature, resolvent integral) reports its defect against it rather than
-assuming convergence.  Quadratures are applied to the eigenvalues and
-conjugated back, which agrees with summing the matrix-valued integrand by
-unitary equivalence and keeps the routes cheap enough to scan.
+assuming convergence.  Quadratures are applied to the eigenvalues, which
+agrees with summing the matrix-valued integrand by unitary equivalence.
+A route and the oracle are then both diagonal in P's eigenbasis, so
+max |route(lambda) - f(lambda)| over the spectrum is ||route(P) - f(P)||_2:
+the routes report that number and build no operator.
 
-Every route ends in SpectralData.apply, V f(lambda) V*.  For a Fourier
-multiplier V is the Fourier basis of lattice.to_frequency, the eigenvalues
-are the values operators.fourier_diagonal reads from the kernel, and apply
-builds f(P) by operators.multiplier_matrix, as fourier_multiplier does, at
+The operators that are read (spectral_apply, wave_operator, q_integral)
+come from SpectralData.apply, V f(lambda) V*.  For a Fourier multiplier V
+is the Fourier basis of lattice.to_frequency, the eigenvalues are the
+values operators.fourier_diagonal reads from the kernel, and apply builds
+f(P) by operators.multiplier_matrix, as fourier_multiplier does, at
 O(n^2 log n) instead of a dense O(n^3) product.
 The decomposition is checked when SpectralData is built.  The spectral-norm
 checks go through a one-sided gate: the bound
@@ -373,9 +376,13 @@ def _trapezoid(t_max: float, n: int) -> tuple:
 
 @dataclass(frozen=True)
 class FuncalcResult:
-    """Operator from a quadrature route plus its defect vs the oracle."""
+    """Defect of a quadrature route against the spectral oracle.
 
-    operator: DiscreteOperator
+    The route and the oracle are both diagonal in P's eigenbasis, so the
+    defect max |route(lambda) - f(lambda)| over the spectrum is the
+    spectral norm ||route(P) - f(P)||_2; neither operator is built.
+    """
+
     defect: float
 
 
@@ -399,17 +406,11 @@ def fourier_apply(
     sd = spectral or spectral_data(P)
     t, w = _trapezoid(t_max, n_quad)
     fh = np.asarray(f.fhat(t), dtype=complex)
-    # the n_quad x n phase table is built in place and freed before f(P)
-    # is: it would otherwise stay live through the operator's construction
     phases = np.outer(t, sd.eigenvalues) * 1j
     np.exp(phases, out=phases)
     vals = (w * fh) @ phases / np.sqrt(2 * np.pi)
-    del phases
-    mat = sd.apply(vals)
     oracle = np.asarray(f.fn(sd.eigenvalues), dtype=complex)
-    defect = float(np.abs(vals - oracle).max())
-    op = DiscreteOperator(P.grid, 0, mat, provenance="function_of")
-    return FuncalcResult(op, defect)
+    return FuncalcResult(float(np.abs(vals - oracle).max()))
 
 
 def chi_resolvent_integral(
@@ -433,22 +434,15 @@ def chi_resolvent_integral(
     w = np.zeros(n_quad)
     w[1:] += 0.5 * np.diff(lam)
     w[:-1] += 0.5 * np.diff(lam)
-    # one n_quad x n table, updated in place and freed before chi(P) is built
     q = 1.0 + lam[:, None] ** 2 + x[None, :] ** 2
     np.divide(x[None, :], q, out=q)
     q *= w[:, None]
     body = (2.0 / np.pi) * q.sum(axis=0)
-    del q
     root = np.sqrt(1.0 + x ** 2)
     head = (2.0 / np.pi) * (x / root) * np.arctan(lam_min / root)
     tail = (2.0 / np.pi) * (x / root) * (np.pi / 2 - np.arctan(lam_max / root))
     vals = body + head + tail
-    oracle = x / root
-    defect = float(np.abs(vals - oracle).max())
-    mat = sd.apply(vals.astype(complex))
-    op = DiscreteOperator(P.grid, 0, mat, provenance="function_of",
-                          self_adjoint=True)
-    return FuncalcResult(op, defect)
+    return FuncalcResult(float(np.abs(vals - x / root).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +451,9 @@ def chi_resolvent_integral(
 
 @dataclass(frozen=True)
 class QIntegralResult:
-    """int q(t) e^{itP} dt and its integration-by-parts verification."""
+    """Integration-by-parts check of A_0 = int q(t) e^{itP} dt: the
+    identity's residual, its bound, and the norms of A_0."""
 
-    operator: DiscreteOperator
     identity_residual: float
     residual_bound: float
     norms: dict = field(default_factory=dict)
@@ -513,7 +507,7 @@ def q_integral(
     norms = {}
     for l in (0, 1):
         norms[l] = op_norm(A, float(l - n * k + k - 1), float(l))
-    return QIntegralResult(operator=A, identity_residual=residual,
+    return QIntegralResult(identity_residual=residual,
                            residual_bound=float(bound) + 1e-12, norms=norms)
 
 
@@ -525,7 +519,6 @@ def q_integral(
 class PsiDifferenceReport:
     lhs: float
     rhs: float
-    c_psi: float
 
 
 def psi_difference_bound(
@@ -548,4 +541,4 @@ def psi_difference_bound(
                              provenance="composed")
     lhs = op_norm(diff, 0.0, 0.0)
     rhs = psi.c_psi * op_norm(pdiff, 0.0, 0.0)
-    return PsiDifferenceReport(lhs=lhs, rhs=rhs, c_psi=psi.c_psi)
+    return PsiDifferenceReport(lhs=lhs, rhs=rhs)

@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 EIGH_DIM_CAP = 2000
+# the norm tables of build_parametrix hold keys k, l in range(NORM_RANGE)
+NORM_RANGE = 4
 
 
 def band_projector(grid: GridSpec, radius: float, off_band: bool = False):
@@ -194,7 +196,7 @@ def build_parametrix(
     p: Symbol,
     J: int,
     excision_width: float = 1.0,
-    norm_range: int = 4,
+    norm_range: int = NORM_RANGE,
 ) -> ParametrixResult:
     """Iterated symbol-correction parametrix of an elliptic operator.
 

@@ -259,7 +259,8 @@ def check_elliptic(p: Symbol) -> EllipticityCertificate:
     """Find the smallest lattice radius R past which the symbol is invertible.
 
     A block counts as invertible when its smallest singular value exceeds
-    1e-12 max(1, largest); at most 24 radii (and 0) are tried.
+    1e-12 max(1, largest); at most 24 radii (and 0) are tried, none past
+    half the Nyquist frequency, N/(4L).
     """
     g = p.grid
     a = p.samples
@@ -277,11 +278,11 @@ def check_elliptic(p: Symbol) -> EllipticityCertificate:
         idx = np.linspace(0, len(uniq) - 1, 24).astype(int)
         uniq = uniq[idx]
     candidates = np.concatenate([[0.0], uniq])
-    for radius in np.unique(candidates):
-        outside = absxi > radius
-        if not outside.any():
-            continue
-        if bad[outside].any():
+    # a radius past half the Nyquist frequency leaves as its exterior only a
+    # shell at the lattice edge, too thin to stand for all large |xi|
+    half_nyquist = g.points_per_axis / (4.0 * g.period_scale)
+    for radius in np.unique(candidates[candidates <= half_nyquist]):
+        if bad[absxi > radius].any():
             continue
         return EllipticityCertificate(ok=True, radius=float(radius))
     flat = sv_min.min(axis=0)

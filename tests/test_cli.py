@@ -267,6 +267,10 @@ def test_main_rejects_mistyped_config_with_one_line(tmp_path, capsys):
     ("funcalc-defect", {"t_max": -12.0}),
     # only the scenarios that draw at random take a seed
     ("parametrix", {"seed": 0}),
+    # an l with no off-band table entry would check nothing
+    ("parametrix", {"l_list": [0.5]}),
+    ("parametrix", {"l_list": [7.0]}),
+    ("parametrix", {"l_list": [-1.0]}),
 ])
 def test_bad_grid_values_fail_before_any_output(tmp_path, capsys, scenario,
                                                 bad):

@@ -1,7 +1,7 @@
 """Static guard against state nothing uses.
 
-The package source is scanned with ``ast`` for five kinds of dead state,
-and for one kind of coupling:
+The package source is scanned with ``ast`` for six kinds of dead state
+or of name sharing that would hide it, and for one kind of coupling:
 
 - an optional parameter (one with a default) of a module-level function
   or a method that no call in ``src``, ``tests`` or ``bench`` passes, by
@@ -14,6 +14,8 @@ and for one kind of coupling:
   ``_``-prefixed names are exempt, and lambdas are not scanned;
 - a non-dunder method or property name defined on two classes, which
   would make the name-matched counts of the other scans inexact;
+- a dataclass field name defined on two classes, for the same reason,
+  unless ``SHARED_FIELDS`` lists it with its reason;
 - a module-level function or class, or a method or property, with no
   reference outside its own body: no Name or Attribute load, no import
   and no ``getattr`` string.  Dunders are exempt, and a name listed in
@@ -36,6 +38,24 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "torusop"
 SCANNED = (ROOT / "src", ROOT / "tests", ROOT / "bench")
+
+# dataclass field name on several classes -> why each class keeps it; the
+# unread-field scan matches reads by name, so each listed class's field is
+# read as named here
+SHARED_FIELDS = {
+    "grid": "each object lives on one lattice: Section, Region, "
+            "BumpFunction, Symbol and DiscreteOperator check their arrays "
+            "against it, and FredholmModule.represent builds rho(f) on it",
+    "order": "Symbol.order sets the order of compositions and inverses, "
+             "DiscreteOperator.order that of compose and the Sobolev norms",
+    "values": "Section.values feeds the Sobolev norms; BumpFunction.values "
+              "cuts sections off and FredholmModule.represent multiplies "
+              "by it",
+    "defect": "FuncalcResult.defect is funcalc-defect's and criterion 07's "
+              "check; CommutatorIntegralResult.defect its convergence test",
+    "norms": "QIntegralResult.norms and DecayProfile.norms are the norm "
+             "tables their tests and criterion 08 read",
+}
 
 # "importing module: private name" -> why the name crosses a module line
 PRIVATE_IMPORTS = {
@@ -71,6 +91,21 @@ def _called_name(func: ast.expr):
     return getattr(func, "id", None)
 
 
+def _dataclass_fields(defs: list):
+    """(path, class name, field name) for each non-InitVar dataclass field."""
+    for path, tree in defs:
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d)
+                    for d in cls.decorator_list)):
+                continue
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and "InitVar" not in ast.unparse(stmt.annotation)):
+                    yield path, cls.name, stmt.target.id
+
+
 def unread_fields(defs: list, users: list) -> list:
     """'path: Class.field' for each dataclass field in ``defs`` no code reads.
 
@@ -84,20 +119,19 @@ def unread_fields(defs: list, users: list) -> list:
                 reads.add(node.attr)
             elif _getattr_string(node) is not None:
                 reads.add(_getattr_string(node))
-    out = []
-    for path, tree in defs:
-        for cls in ast.walk(tree):
-            if not (isinstance(cls, ast.ClassDef) and any(
-                    "dataclass" in ast.unparse(d)
-                    for d in cls.decorator_list)):
-                continue
-            for stmt in cls.body:
-                if (isinstance(stmt, ast.AnnAssign)
-                        and isinstance(stmt.target, ast.Name)
-                        and "InitVar" not in ast.unparse(stmt.annotation)
-                        and stmt.target.id not in reads):
-                    out.append(f"{path}: {cls.name}.{stmt.target.id}")
-    return out
+    return [f"{path}: {cls}.{name}"
+            for path, cls, name in _dataclass_fields(defs)
+            if name not in reads]
+
+
+def shared_field_names(defs: list) -> list:
+    """'name: path Class, path Class, ...' for each dataclass field name
+    defined on 2+ classes."""
+    owners = {}
+    for path, cls, name in _dataclass_fields(defs):
+        owners.setdefault(name, []).append(f"{path} {cls}")
+    return [f"{name}: {', '.join(where)}"
+            for name, where in sorted(owners.items()) if len(where) > 1]
 
 
 def unpassed_options(defs: list, users: list) -> list:
@@ -305,6 +339,38 @@ class C:
     assert unread_parameters(trees) == [
         "mod.py: f(b)", "mod.py: f(args)", "mod.py: f(kw)",
         "mod.py: inner(x)", "mod.py: m(unused)", "mod.py: make(n)"]
+
+
+def test_scan_reports_shared_field_names():
+    code = '''
+from dataclasses import InitVar, dataclass
+
+@dataclass
+class A:
+    grid: int
+    only_a: int
+    seed: InitVar[int]
+
+@dataclass(frozen=True)
+class B:
+    grid: int
+    seed: InitVar[int]
+
+class Plain:
+    only_a: int = 0
+'''
+    trees = [("mod.py", ast.parse(code))]
+    assert shared_field_names(trees) == ["grid: mod.py A, mod.py B"]
+
+
+def test_shared_field_names_are_the_listed_ones():
+    shared = shared_field_names(_trees(SRC))
+    unlisted = [e for e in shared if e.split(":")[0] not in SHARED_FIELDS]
+    assert not unlisted, "field names on several dataclasses: " + "; ".join(
+        unlisted)
+    stale = sorted(set(SHARED_FIELDS) - {e.split(":")[0] for e in shared})
+    assert not stale, "allow-list entries on one class only: " + ", ".join(
+        stale)
 
 
 def test_scan_reports_shared_method_names():

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from torusop import funcalc, operators
 from torusop.lattice import GridSpec
 from torusop.operators import (
     DiscreteOperator,
@@ -16,6 +17,7 @@ from torusop.funcalc import (
     SPECTRAL_REL_TOL,
     SpectralData,
     _gate_passes,
+    _trapezoid,
     chi_resolvent_integral,
     fourier_apply,
     named_function,
@@ -198,6 +200,97 @@ def test_resolvent_route_matches_oracle():
     P = _p(N=64, L=2.0, name="sqrt_laplace")
     res = chi_resolvent_integral(P, n_quad=4096)
     assert res.defect <= 1e-5
+
+
+def _wave_route_operator(f, t_max, n_quad, sd):
+    """f(P) by the wave route as a dense operator: the oracle that
+    fourier_apply's defect is checked against."""
+    t, w = _trapezoid(t_max, n_quad)
+    fh = np.asarray(f.fhat(t), dtype=complex)
+    phases = np.outer(t, sd.eigenvalues) * 1j
+    np.exp(phases, out=phases)
+    vals = (w * fh) @ phases / np.sqrt(2 * np.pi)
+    return sd.apply(vals)
+
+
+def _resolvent_route_operator(n_quad, sd):
+    """chi(P) by the resolvent route as a dense operator: the oracle that
+    chi_resolvent_integral's defect is checked against."""
+    x = sd.eigenvalues
+    lam_min, lam_max = 1e-6, 1e3
+    lam = np.geomspace(lam_min, lam_max, n_quad)
+    w = np.zeros(n_quad)
+    w[1:] += 0.5 * np.diff(lam)
+    w[:-1] += 0.5 * np.diff(lam)
+    q = 1.0 + lam[:, None] ** 2 + x[None, :] ** 2
+    np.divide(x[None, :], q, out=q)
+    q *= w[:, None]
+    body = (2.0 / np.pi) * q.sum(axis=0)
+    root = np.sqrt(1.0 + x ** 2)
+    head = (2.0 / np.pi) * (x / root) * np.arctan(lam_min / root)
+    tail = (2.0 / np.pi) * (x / root) * (np.pi / 2 - np.arctan(lam_max / root))
+    return sd.apply((body + head + tail).astype(complex))
+
+
+def _route_test_operator(path):
+    """A self-adjoint P whose spectral data take the Fourier or the eigh
+    path: a multiplier, or a symmetrized x-dependent operator with a
+    spectrum of both signs."""
+    g = GridSpec(1, 64, 2.0)
+    if path == "fourier":
+        P = quantize(named_symbol(g, "sqrt_laplace"))
+    else:
+        P = symmetrize(quantize(named_symbol(g, "drift")))
+    sd = spectral_data(P)
+    assert (sd.vectors is None) == (path == "fourier")
+    return P, sd
+
+
+def _assert_is_dense_norm(defect, route_matrix, oracle_matrix):
+    dense = float(np.linalg.norm(route_matrix - oracle_matrix, 2))
+    assert abs(defect - dense) <= 1e-12 * dense + 1e-13, (defect, dense)
+
+
+@pytest.mark.parametrize("path", ["fourier", "eigh"])
+@pytest.mark.parametrize("n_quad", [48, 128, 512, 2048])
+def test_wave_route_defect_is_the_operator_norm(path, n_quad):
+    # the route and the oracle share P's eigenbasis, so the spectral max of
+    # their difference is the L^2 norm of the dense difference
+    P, sd = _route_test_operator(path)
+    f = named_function("gaussian", {"sigma": 1.0})
+    res = fourier_apply(P, f, n_quad=n_quad, spectral=sd)
+    _assert_is_dense_norm(res.defect,
+                          _wave_route_operator(f, 12.0, n_quad, sd),
+                          spectral_apply(P, f, spectral=sd).matrix)
+
+
+@pytest.mark.parametrize("path", ["fourier", "eigh"])
+@pytest.mark.parametrize("n_quad", [16, 128, 1024, 4096])
+def test_resolvent_route_defect_is_the_operator_norm(path, n_quad):
+    P, sd = _route_test_operator(path)
+    chi = named_function("chi_rational")
+    res = chi_resolvent_integral(P, n_quad=n_quad, spectral=sd)
+    _assert_is_dense_norm(res.defect, _resolvent_route_operator(n_quad, sd),
+                          spectral_apply(P, chi, spectral=sd).matrix)
+
+
+@pytest.mark.parametrize("path", ["fourier", "eigh"])
+def test_routes_build_no_operator(monkeypatch, path):
+    P, sd = _route_test_operator(path)
+    f = named_function("gaussian", {"sigma": 1.0})
+    expected = (fourier_apply(P, f, n_quad=256, spectral=sd).defect,
+                chi_resolvent_integral(P, n_quad=256, spectral=sd).defect)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quadrature route built an operator")
+
+    monkeypatch.setattr(SpectralData, "apply", refuse)
+    monkeypatch.setattr(operators, "multiplier_matrix", refuse)
+    monkeypatch.setattr(funcalc, "multiplier_matrix", refuse)
+    monkeypatch.setattr(DiscreteOperator, "__post_init__", refuse)
+    assert (fourier_apply(P, f, n_quad=256, spectral=sd).defect,
+            chi_resolvent_integral(P, n_quad=256, spectral=sd).defect
+            ) == expected
 
 
 def test_function_of_multiplier_is_multiplier():

@@ -22,7 +22,12 @@ from torusop.parametrix import (
     fourier_diagonal_constant,
     modified_inner_product,
 )
-from torusop.symbols import NAMED_SYMBOLS, named_symbol, symbol_from_callable
+from torusop.symbols import (
+    NAMED_SYMBOLS,
+    check_elliptic,
+    named_symbol,
+    symbol_from_callable,
+)
 
 
 def test_band_projector_partition():
@@ -72,6 +77,27 @@ def test_parametrix_refusal_off_nyquist_names_no_nyquist_cause():
         build_parametrix(None, p, 1)  # refused before the operator is read
     assert str(err.value) == ("symbol is not elliptic; worst cell "
                               f"(0, {31 * 64 + 31}, {np.hypot(31, 31)}, 0.0)")
+
+
+@pytest.mark.parametrize("N", [8, 16, 32])
+@pytest.mark.parametrize("family", ["xi1_squared", "momentum", "drift"])
+def test_2d_symbol_failing_on_a_line_is_refused_without_nyquist_cause(
+        family, N):
+    # each vanishes on the whole line xi_1 = 0, out to the lattice edge, so
+    # excusing the Nyquist cells would certify nothing
+    p = named_symbol(GridSpec(2, N, 1.0), family)
+    assert not check_elliptic(p).ok
+    with pytest.raises(ValueError) as err:
+        build_parametrix(None, p, 1)  # refused before the operator is read
+    assert str(err.value).startswith("symbol is not elliptic; worst cell")
+    assert "Nyquist" not in str(err.value)
+
+
+@pytest.mark.parametrize("N", [8, 16, 32])
+@pytest.mark.parametrize("family", ["elliptic_x", "laplace+1"])
+def test_2d_elliptic_families_are_certified_at_radius_zero(family, N):
+    cert = check_elliptic(named_symbol(GridSpec(2, N, 1.0), family))
+    assert cert.ok and cert.radius == 0.0
 
 
 def test_parametrix_two_sided():

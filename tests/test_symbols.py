@@ -64,6 +64,36 @@ def test_ellipticity_certificates():
     assert not check_elliptic(named_symbol(g, "schwartz_xi")).ok
 
 
+# the named families with a 1D certificate; each has radius 0
+CERTIFIED_1D = ("laplace+1", "sqrt_laplace", "elliptic_x", "magnetic",
+                "mult_cos", "order_minus1", "xi1_squared", "dirac_mass")
+
+
+@pytest.mark.parametrize("N", [64, 128])
+@pytest.mark.parametrize("family", sorted(NAMED_SYMBOLS))
+def test_named_families_keep_their_1d_certificates(family, N):
+    cert = check_elliptic(named_symbol(_grid(family, N), family))
+    expected = (True, 0.0) if family in CERTIFIED_1D else (False, np.inf)
+    assert (cert.ok, cert.radius) == expected
+
+
+@pytest.mark.parametrize("zero_radius, ok", [(3.0, True), (20.0, False)])
+def test_certificate_radius_stops_at_half_nyquist(zero_radius, ok):
+    # N/(4L) = 16 here: a symbol that fails out to |xi| = 20 is invertible
+    # only on the shell 20 < |xi| <= 32 at the lattice edge, and is refused
+    g = GridSpec(1, 64, 1.0)
+
+    def fn(x, xi):
+        return np.where(np.abs(xi[..., 0]) <= zero_radius, 0.0,
+                        1.0 + xi[..., 0] ** 2)
+
+    cert = check_elliptic(symbol_from_callable(
+        g, 2, fn, hermitian_valued=True, x_independent=True))
+    assert cert.ok == ok
+    if ok:
+        assert zero_radius <= cert.radius <= 16.0
+
+
 def test_compose_zeroth_order_is_pointwise_product():
     g = GridSpec(1, 64, 1.0)
     p = named_symbol(g, "laplace+1")
