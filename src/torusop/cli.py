@@ -58,6 +58,8 @@ __all__ = ["main", "run", "report", "SCENARIOS", "default_config"]
 
 # rows of the tightest-margin table that --summary prints
 _MARGIN_ROWS = 5
+# the keys of every check in a summary, as _check writes them
+_CHECK_KEYS = frozenset({"name", "value", "budget", "passed"})
 # columns of the scan.csv that waveprop and quasiloc-scan write
 _SCAN_HEADER = ("t", "R", "l", "mu_hat")
 
@@ -516,13 +518,30 @@ def run(scenario: str, config: dict | None = None, out: str = ".",
     return 0 if artifacts["summary.json"]["passed"] else 1
 
 
+def _read_summary(path: str) -> dict:
+    """The summary document at path.  One that is not JSON, or whose
+    ``checks`` is not a list of checks with a name, value, budget and
+    passed flag, is a one-line error that names the file."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"summary file {path}: {exc}") from None
+    checks = doc.get("checks") if isinstance(doc, dict) else None
+    if not (isinstance(checks, list) and all(
+            isinstance(c, dict) and _CHECK_KEYS <= c.keys() for c in checks)):
+        raise ValueError(f"summary file {path}: 'checks' is not a list of "
+                         f"objects with {', '.join(sorted(_CHECK_KEYS))}")
+    return doc
+
+
 def _read_summaries(artifact_dir: str) -> list:
     """(directory, parsed summary.json) for every summary under a directory."""
     summaries = []
     for root, _dirs, files in os.walk(artifact_dir):
         if "summary.json" in files:
-            with open(os.path.join(root, "summary.json")) as fh:
-                summaries.append((root, json.load(fh)))
+            summaries.append(
+                (root, _read_summary(os.path.join(root, "summary.json"))))
     if not summaries:
         raise FileNotFoundError(f"no summaries under {artifact_dir}")
     return sorted(summaries)
@@ -603,23 +622,18 @@ def main(argv=None) -> int:
                         "margins (value/budget) for --out and exit")
     args = parser.parse_args(argv)
 
-    if args.summary and args.scenario is None:
-        try:
-            return _print_summary(args.out)
-        except FileNotFoundError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
-    if args.scenario is None:
+    if args.scenario is None and not args.summary:
         parser.error("--scenario is required unless --summary is given")
     try:
+        if args.scenario is None:
+            return _print_summary(args.out)
         config = _read_config(args.config) if args.config else {}
         code = run(args.scenario, config, out=args.out, seed=args.seed)
+        if args.summary:
+            _print_summary(args.out)
     except (KeyError, ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.summary:
-        _print_summary(args.out)
     return code
 
 

@@ -413,22 +413,17 @@ def fourier_apply(
     return FuncalcResult(float(np.abs(vals - oracle).max()))
 
 
-def chi_resolvent_integral(
-    P: DiscreteOperator, n_quad: int = 4096,
-    spectral: SpectralData | None = None,
-) -> FuncalcResult:
-    """Resolvent route chi(P) = (2/pi) int_0^inf P (1 + lam^2 + P^2)^{-1} dlam.
+def _resolvent_route(x: np.ndarray, n_quad: int) -> np.ndarray:
+    """The package's one resolvent rule: on x, the values of the route
+    chi(x) = (2/pi) int_0^inf x / (1 + lam^2 + x^2) dlam.
 
-    The quadrature covers the window [lam_min, lam_max] = [1e-6, 1e3] on a
-    log-spaced trapezoid grid; the head [0, lam_min] and the tail beyond
-    lam_max are added in closed form ((2/pi) x / sqrt(1+x^2) times the
-    arctan increments), so the only numerical error is the trapezoid error
-    of the middle segment.
+    The window [lam_min, lam_max] = [1e-6, 1e3] takes a log-spaced
+    trapezoid grid; the head [0, lam_min] and the tail beyond lam_max are
+    added in closed form ((2/pi) x / sqrt(1+x^2) times the arctan
+    increments), so the only numerical error is the window's trapezoid error.
     """
     if n_quad < 2:
         raise ValueError(f"the resolvent route needs n_quad >= 2: {n_quad}")
-    sd = spectral or spectral_data(P)
-    x = sd.eigenvalues
     lam_min, lam_max = 1e-6, 1e3
     lam = np.geomspace(lam_min, lam_max, n_quad)
     w = np.zeros(n_quad)
@@ -441,8 +436,18 @@ def chi_resolvent_integral(
     root = np.sqrt(1.0 + x ** 2)
     head = (2.0 / np.pi) * (x / root) * np.arctan(lam_min / root)
     tail = (2.0 / np.pi) * (x / root) * (np.pi / 2 - np.arctan(lam_max / root))
-    vals = body + head + tail
-    return FuncalcResult(float(np.abs(vals - x / root).max()))
+    return body + head + tail
+
+
+def chi_resolvent_integral(
+    P: DiscreteOperator, n_quad: int = 4096,
+    spectral: SpectralData | None = None,
+) -> FuncalcResult:
+    """Resolvent route chi(P) = (2/pi) int_0^inf P (1 + lam^2 + P^2)^{-1} dlam,
+    which is _resolvent_route on P's eigenvalues."""
+    x = (spectral or spectral_data(P)).eigenvalues
+    vals = _resolvent_route(x, n_quad)
+    return FuncalcResult(float(np.abs(vals - x / np.sqrt(1.0 + x ** 2)).max()))
 
 
 # ---------------------------------------------------------------------------

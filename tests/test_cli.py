@@ -101,6 +101,31 @@ def test_main_summary_only_mode(tmp_path, capsys):
     assert main(["--summary", "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("text", [
+    '{"checks": [',
+    "[1, 2]",
+    '{"scenario": "x"}',
+    '{"checks": [{"name": "n", "budget": 1.0, "passed": true}]}',
+], ids=["truncated", "array", "no-checks", "check-without-value"])
+@pytest.mark.parametrize("scenario", [[], ["--scenario", "symbol-check"]],
+                         ids=["summary-only", "after-run"])
+def test_foreign_summary_file_is_a_one_line_error(tmp_path, capsys, text,
+                                                  scenario):
+    # --summary reads every summary.json under --out, this run's and others
+    out = tmp_path / "run"
+    foreign = out / "other" / "summary.json"
+    foreign.parent.mkdir(parents=True)
+    foreign.write_text(text)
+    run("symbol-check", {"N": 32}, out=str(out))
+    capsys.readouterr()
+    assert main(["--summary", "--out", str(out)] + scenario) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and str(foreign) in err[0], captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("scenario", [[], ["--scenario", "symbol-check"]])
 def test_summary_into_a_closed_pipe_exits_cleanly(tmp_path, scenario):
     # the read end is closed before the child writes, so its write to

@@ -61,6 +61,10 @@ SHARED_FIELDS = {
 PRIVATE_IMPORTS = {
     "khomology: _loglog_slope":
         "the continuity exponent is quasiloc's log-log slope fit",
+    "khomology: _resolvent_route":
+        "[rho(f), chi(P)] by the resolvent route is the commutator with "
+        "funcalc's one resolvent rule on P's spectrum, since the route is "
+        "linear in its scalar integrand",
 }
 
 

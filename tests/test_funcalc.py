@@ -15,6 +15,7 @@ from torusop.operators import (
 from torusop.funcalc import (
     NAMED_FUNCTIONS,
     SPECTRAL_REL_TOL,
+    ScalarFunctionSpec,
     SpectralData,
     _gate_passes,
     _trapezoid,
@@ -291,6 +292,31 @@ def test_routes_build_no_operator(monkeypatch, path):
     assert (fourier_apply(P, f, n_quad=256, spectral=sd).defect,
             chi_resolvent_integral(P, n_quad=256, spectral=sd).defect
             ) == expected
+
+
+def _odd_schwartz():
+    """f(x) = x e^{-x^2/2}, whose unitary transform -i t e^{-t^2/2} is odd
+    and imaginary: unlike the even named functions, it tells e^{itP} from
+    e^{-itP}."""
+    return ScalarFunctionSpec(
+        "odd_gaussian", lambda x: x * np.exp(-x ** 2 / 2.0), "schwartz",
+        fhat=lambda t: -1j * t * np.exp(-t ** 2 / 2.0))
+
+
+@pytest.mark.parametrize("path", ["fourier", "eigh"])
+@pytest.mark.parametrize("n_quad", [1024, 2048])
+def test_wave_route_tells_the_sign_of_t(path, n_quad):
+    # the Fourier path is criterion 07's operator; the symmetrized drift's
+    # spectrum is symmetric (+-84), where an even f cannot tell the
+    # eigenvalues from their reversal
+    if path == "fourier":
+        P = quantize(named_symbol(GridSpec(1, 128, 4.0), "sqrt_laplace"))
+    else:
+        P = symmetrize(quantize(named_symbol(GridSpec(1, 64, 1.0), "drift")))
+    sd = spectral_data(P)
+    assert (sd.vectors is None) == (path == "fourier")
+    assert fourier_apply(P, _odd_schwartz(), n_quad=n_quad,
+                         spectral=sd).defect <= 1e-12
 
 
 def test_function_of_multiplier_is_multiplier():

@@ -284,6 +284,9 @@ GUARDS = [
     ("commutator-integral-adjoint",
      lambda: commutator_integral(_drift(), _bump()),
      ValueError, "P must be self-adjoint"),
+    ("commutator-integral-quadrature",
+     lambda: commutator_integral(_momentum(), _bump(), n_quad=1),
+     ValueError, "needs n_quad >= 2"),
     ("homotopy-adjoint",
      lambda: homotopy_scan(_P(), _drift(), np.sign, [4], []),
      ValueError, "both endpoints must be self-adjoint"),
