@@ -295,7 +295,7 @@ def _run_waveprop(cfg):
     rep = wave_quasilocality_scan(P, 1, t_list, cfg["R_list"], cfg["l"],
                                   probes=cfg["probes"], seed=cfg["seed"])
     checks = []
-    beyond = [row for row in rep.propagation_exact]
+    beyond = rep.propagation_exact
     checks.append(_check("rows beyond |t| + cutoff recorded",
                          len(beyond), np.inf, ok=len(beyond) > 0))
     checks.append(_check("exact zeros beyond propagation cone",
@@ -342,7 +342,7 @@ def _run_quasiloc_scan(cfg):
     region = ball_region(g, np.zeros(1), cfg["center_radius"])
     est = dominating_function(T, cfg["r"], cfg["s"], cfg["R_list"], [region],
                               probes=cfg["probes"], seed=cfg["seed"])
-    rows = [(0.0, R, cfg["s"], mu) for R, mu in zip(est.R_list, est.mu_hat)]
+    rows = [(0.0, R, cfg["r"], mu) for R, mu in zip(est.R_list, est.mu_hat)]
     checks = [_check("mu_hat isotonic defect", est.isotonic_defect(), 0.10)]
     return checks, {"scan.csv": (_SCAN_HEADER, rows)}
 

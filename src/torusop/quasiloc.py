@@ -3,9 +3,10 @@
 A dominating function estimate mu_hat(R) is the measured sup, over regions L
 and sections u supported in L, of the Sobolev mass of Au outside the
 R-neighbourhood of L, relative to the norm of u.  The sup over u (for a fixed
-smooth cutoff) is a generalized singular value problem and is computed
-exactly; each random probe is a feasible point of that sup, so it never
-raises the estimate.
+smooth cutoff) is computed exactly, as ||X||_2 of one matrix X per region
+and radius.  A random probe, read off the same X, is a feasible point of
+that sup: it can raise the estimate only by rounding, where X's top
+singular values tie.
 What depends only on the regions, r and the radii (distance fields, exterior
 cutoffs, the R factor of each region's H^r embedding) is prepared once and
 then serves every operator: once per ``dominating_function`` call, and once
@@ -25,14 +26,12 @@ import scipy.linalg
 
 from .lattice import (
     Region,
-    Section,
     ball_region,
     cutoff_eta,
     lipschitz_bump,
-    sobolev_norm,
     to_frequency,
 )
-from .operators import DiscreteOperator, apply_operator
+from .operators import DiscreteOperator
 from .funcalc import SpectralData, spectral_data, wave_operator
 
 __all__ = [
@@ -132,12 +131,12 @@ class DominatingFunctionEstimate:
     mu_hat: tuple
 
     def isotonic_defect(self) -> float:
-        """How far mu_hat is from nonincreasing, relative to its max.
-
-        Skipped radii (NaN) are left out; with none measured it is NaN,
-        so no budget passes a scan that measured nothing.
+        """How far mu_hat, read by increasing R, is from nonincreasing,
+        relative to its max.  Skipped radii (NaN) are left out; with none
+        measured it is NaN, so no budget passes a scan that measured nothing.
         """
         mu = np.asarray(self.mu_hat, dtype=float)
+        mu = mu[np.argsort(self.R_list, kind="stable")]
         mu = mu[np.isfinite(mu)]
         if not mu.size:
             return np.nan
@@ -167,19 +166,24 @@ def _embedding_r_factor(region: Region, r: float) -> np.ndarray:
     return np.linalg.qr(den, mode="r")
 
 
-def _cutoff_sup(z: np.ndarray, eta, s: float) -> float:
-    """Exact sup over u supported in a region of the cutoff seminorm ratio.
+def _cutoff_matrix(z: np.ndarray, eta, s: float) -> np.ndarray:
+    """X = W_s F(eta z), the H^s image of the region's cut-off columns.
 
     ``z`` is C R^{-1} for the region's columns C of A (``_region_states``)
     and its ``_embedding_r_factor`` R, ``eta`` the cutoff of the exterior.
-    The cutoff scales rows and W_s F act on the left, so X = W_s F(eta z)
-    is (W_s F(eta C)) R^{-1} and the sup is ||X||_2: the root of the top
-    eigenvalue of X^H X, whose lower triangle is one zherk.  The clamp at 0
-    keeps an all-zero ``z`` exactly 0.
+    For u supported in the region, with values u_s on its states,
+    ||X R u_s|| = ||eta A u||_{H^s} and ||R u_s|| = ||u||_{H^r}.
     """
     g = eta.grid
     x = to_frequency(g, z * np.repeat(eta.values, g.fiber_dim)[:, None])
     x *= g.sobolev_weights(s)[:, None]
+    return x
+
+
+def _cutoff_sup(x: np.ndarray) -> float:
+    """||X||_2, the exact sup over u of the cutoff seminorm ratio: the root
+    of the top eigenvalue of X^H X, whose lower triangle is one zherk.  The
+    clamp at 0 keeps an all-zero X exactly 0."""
     gram = scipy.linalg.blas.zherk(1.0, x, trans=2, lower=1)
     m = gram.shape[0]
     top = scipy.linalg.eigh(gram, lower=True, eigvals_only=True,
@@ -196,7 +200,6 @@ class _PreparedRegion:
     when every exterior is empty.
     """
 
-    region: Region
     states: np.ndarray
     etas: tuple
     factor: np.ndarray | None
@@ -230,21 +233,21 @@ def _prepare_regions(region_list, r: float, R_list) -> list:
                         else cutoff_eta(outside, CUTOFF_SPACINGS * g.spacing))
         factor = (None if all(eta is None for eta in etas)
                   else _embedding_r_factor(region, r))
-        prepared.append(_PreparedRegion(region, _region_states(region),
-                                        tuple(etas), factor))
+        prepared.append(_PreparedRegion(_region_states(region), tuple(etas),
+                                        factor))
     return prepared
 
 
 def _evaluate_mu_hat(
-    A: DiscreteOperator, r: float, s: float, R_list, prepared, probes: int,
-    seed: int,
+    A: DiscreteOperator, s: float, R_list, prepared, probes: int, seed: int,
 ) -> DominatingFunctionEstimate:
     """mu_hat(R) of one operator over regions from ``_prepare_regions``.
 
-    A's columns C on each region are gathered and solved against the
-    region's factor R once, Z = C R^{-1} by one triangular solve, and that
-    Z serves every radius; the probes are drawn from a generator seeded
-    with ``seed``, in radius-major, region-minor order.
+    Z = C R^{-1}, A's region columns C solved against the region's factor
+    by one triangular solve, serves every radius; X = ``_cutoff_matrix`` is
+    formed once per (radius, region), and the exact sup and every probe
+    read it.  The probes come from a generator seeded with ``seed``, in
+    radius-major, region-minor order.
     """
     g = A.grid
     rng = np.random.default_rng(seed)
@@ -260,18 +263,13 @@ def _evaluate_mu_hat(
             if eta is None:
                 continue
             usable = True
-            best = max(best, _cutoff_sup(z, eta, s))
-            for _ in range(probes):
-                vals = (rng.standard_normal((g.n_points, g.fiber_dim))
-                        + 1j * rng.standard_normal((g.n_points, g.fiber_dim)))
-                vals[~prep.region.mask] = 0.0
-                u = Section(g, vals)
-                denom = sobolev_norm(u, r)
-                au = apply_operator(A, u)
-                # the body of restricted_seminorm, with this exterior's eta
-                num = sobolev_norm(
-                    Section(g, au.values * eta.values[:, None]), s)
-                best = max(best, num / denom)
+            x = _cutoff_matrix(z, eta, s)
+            draws = rng.standard_normal((probes, 2, g.n_points, g.fiber_dim))
+            u = (draws[:, 0] + 1j * draws[:, 1]).reshape(probes, -1)
+            # one probe per column of w = R u_s: ||X w|| / ||w||
+            w = prep.factor @ u[:, prep.states].T
+            ratios = np.linalg.norm(x @ w, axis=0) / np.linalg.norm(w, axis=0)
+            best = max(best, _cutoff_sup(x), float(ratios.max()))
         mu.append(best if usable else np.nan)
     return DominatingFunctionEstimate(
         R_list=tuple(float(R) for R in R_list), mu_hat=tuple(mu))
@@ -290,17 +288,17 @@ def dominating_function(
 
     The regions are prepared once (``_prepare_regions``): one distance
     field per region, whose exterior at radius R is the set where that
-    distance exceeds R; one cutoff per (R, region) exterior, which serves
-    the exact estimator and every probe; and one R factor of the region's
-    H^r embedding, taken without forming Q.  A's region columns are solved
-    against that factor once per region; each exact sup is then the top
-    eigenvalue of an m x m Gram matrix, m the region's state count
-    (``_cutoff_sup``).  Each exterior cutoff is CUTOFF_SPACINGS grid
-    spacings wide.
+    distance exceeds R, one cutoff per non-empty exterior, CUTOFF_SPACINGS
+    grid spacings wide, and one R factor of the region's H^r embedding.
+    A's region columns are solved against that factor once per region;
+    each exact sup is then the top eigenvalue of an m x m Gram matrix, m
+    the region's state count (``_cutoff_sup``).  The ``probes`` random
+    sections drawn from ``seed`` are feasible points of that sup: they move
+    mu_hat only by rounding, where its top singular values tie.
     """
     _check_dominating_args(R_list, region_list, probes)
     prepared = _prepare_regions(region_list, r, R_list)
-    return _evaluate_mu_hat(A, r, s, R_list, prepared, probes, seed)
+    return _evaluate_mu_hat(A, s, R_list, prepared, probes, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +347,7 @@ def wave_quasilocality_scan(
     exterior (CUTOFF_SPACINGS grid spacings wide) and one R factor of its
     H^l embedding serve every t.  Only U_t's region columns, their one
     triangular solve against that factor (shared by every radius) and the
-    probes are taken per t.
+    probes, which move a row only by rounding, are taken per t.
     """
     g = P.grid
     cutoff_width = CUTOFF_SPACINGS * g.spacing
@@ -366,7 +364,7 @@ def wave_quasilocality_scan(
     prop_rows = []
     for t in t_list:
         U = wave_operator(P, t, spectral=sd)
-        est = _evaluate_mu_hat(U, l, s_out, R_list, prepared, probes, seed)
+        est = _evaluate_mu_hat(U, s_out, R_list, prepared, probes, seed)
         for R, m in zip(est.R_list, est.mu_hat):
             entries.append((float(t), float(R), float(l), float(m)))
             table[(t, R)] = m

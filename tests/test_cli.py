@@ -489,6 +489,32 @@ def test_quasiloc_scan_that_measures_no_radius_fails(tmp_path):
     assert [c["value"] for c in summary["checks"]] == ["nan"]
 
 
+def test_quasiloc_scan_reads_its_radii_in_increasing_order(tmp_path):
+    # the same radii listed from the largest are the same scan: the
+    # isotonic defect reads mu_hat in R order, not in list order
+    defects = []
+    for name, radii in (("up", [0.5, 1.0, 2.0, 3.0]),
+                        ("down", [3.0, 2.0, 1.0, 0.5])):
+        out = tmp_path / name
+        assert run("quasiloc-scan", {"R_list": radii}, out=str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        defects.append(summary["checks"][0]["value"])
+    assert defects[0] == defects[1]
+    out = tmp_path / "cli"
+    (tmp_path / "down.json").write_text('{"R_list": [3.0, 2.0, 1.0, 0.5]}')
+    assert main(["--scenario", "quasiloc-scan", "--config",
+                 str(tmp_path / "down.json"), "--out", str(out)]) == 0
+
+
+def test_quasiloc_scan_writes_the_source_index_in_l(tmp_path):
+    # as in waveprop's scan.csv, l is the source index: r of H^r -> H^s
+    out = tmp_path / "run"
+    assert run("quasiloc-scan", {"r": 1.0, "s": 0.0}, out=str(out)) == 0
+    scan = (out / "scan.csv").read_text().splitlines()
+    assert scan[0] == "t,R,l,mu_hat"
+    assert [line.split(",")[2] for line in scan[1:]] == ["1"] * 4
+
+
 SEEDED = ("elliptic-estimate", "waveprop", "quasiloc-scan", "full-suite")
 
 

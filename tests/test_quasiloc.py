@@ -26,8 +26,11 @@ from torusop.operators import (
     multiplication_operator,
     op_norm,
     quantize,
+    symmetrize,
 )
 from torusop.quasiloc import (
+    DominatingFunctionEstimate,
+    _cutoff_matrix,
     _cutoff_sup,
     _embedding_r_factor,
     _loglog_slope,
@@ -201,20 +204,36 @@ def _solve(cols, rr):
     return scipy.linalg.solve_triangular(rr, cols.T, trans="T").T
 
 
+def _full_grid_probe(A, vals, r, s, outside, cutoff_width):
+    """The probe's ratio on the whole grid: build the section, apply A and
+    take both Sobolev norms, the cut-off one by ``restricted_seminorm``."""
+    u = Section(A.grid, vals)
+    return restricted_seminorm(apply_operator(A, u), s, outside,
+                               cutoff_width) / sobolev_norm(u, r)
+
+
+def _region_probes(x, rr, draws, region):
+    """The probes' ratios the estimator's way: the columns of w = R u_s, u_s
+    each draw's values on the region's states, read ||X w|| / ||w||."""
+    w = rr @ np.stack([vals[region.mask].ravel() for vals in draws], axis=1)
+    return (np.linalg.norm(x @ w, axis=0)
+            / np.linalg.norm(w, axis=0)).tolist()
+
+
 def _per_r_reference(A, r, s, R_list, region_list, probes, seed,
-                     cutoff_width):
+                     cutoff_width, probe_route):
     """The dominating-function loop that rebuilds every exterior, cutoff
     and QR factor per radius, and solves the region's columns against that
     factor per radius: the reference the shared-work loop must reproduce
-    bit for bit.  It shares the last step, ``_cutoff_sup``, whose own
-    oracles are ``_restricted_sup`` and ``_qr_svd_sup``."""
+    bit for bit.  It shares the last steps, ``_cutoff_matrix`` and
+    ``_cutoff_sup``, whose own oracles are ``_restricted_sup`` and
+    ``_qr_svd_sup``.  With ``probe_route="full-grid"`` each probe takes
+    ``_full_grid_probe``; with ``"region"`` they take ``_region_probes``,
+    as the estimator does."""
     g = A.grid
     fdim = g.fiber_dim
 
-    def restricted_sup(region, R):
-        outside = region.ball(R).complement()
-        if outside.is_empty():
-            return 0.0
+    def restricted_matrix(region, outside):
         eta = cutoff_eta(outside, cutoff_width)
         mask = np.repeat(region.mask, fdim)
         emb = np.zeros((g.state_dim, int(mask.sum())))
@@ -222,7 +241,7 @@ def _per_r_reference(A, r, s, R_list, region_list, probes, seed,
         den = to_frequency(g, emb)
         den *= _weights(g, r)[:, None]
         _q, rr = np.linalg.qr(den)
-        return _cutoff_sup(_solve(A.matrix[:, mask], rr), eta, s)
+        return _cutoff_matrix(_solve(A.matrix[:, mask], rr), eta, s), rr
 
     rng = np.random.default_rng(seed)
     mu = []
@@ -233,38 +252,46 @@ def _per_r_reference(A, r, s, R_list, region_list, probes, seed,
             if outside.is_empty():
                 continue
             usable = True
-            best = max(best, restricted_sup(region, R))
+            x, rr = restricted_matrix(region, outside)
+            best = max(best, _cutoff_sup(x))
+            draws = []
             for _ in range(probes):
                 vals = (rng.standard_normal((g.n_points, fdim))
                         + 1j * rng.standard_normal((g.n_points, fdim)))
                 vals[~region.mask] = 0.0
-                u = Section(g, vals)
-                denom = sobolev_norm(u, r)
-                if denom == 0.0:
-                    continue
-                au = apply_operator(A, u)
-                num = restricted_seminorm(au, s, outside, cutoff_width)
-                best = max(best, num / denom)
+                draws.append(vals)
+            if probe_route == "full-grid":
+                ratios = [_full_grid_probe(A, vals, r, s, outside,
+                                           cutoff_width) for vals in draws]
+            else:
+                ratios = _region_probes(x, rr, draws, region)
+            best = max([best, *ratios])
         mu.append(best if usable else np.nan)
     return tuple(mu)
 
 
 DOMINATING_CASES = [
-    # (grid, symbol, radii); the last radius of each leaves no exterior
-    (GridSpec(1, 64, 1.0), "elliptic_x", (0.0, 0.5, 1.0, 2.0, 7.0)),
-    (GridSpec(2, 12, 1.0, 2), "dirac", (0.0, 0.6, 1.2, 2.0, 10.0)),
+    # (grid, symbol, radii, probe route); the last radius of each leaves no
+    # exterior.  In the 2d case the first region is one point with two
+    # states whose top singular values tie, so at R = 2.0 every probe
+    # reaches the sup and the result is rounding: the reference must take
+    # its probes the estimator's way to reproduce it bit for bit
+    (GridSpec(1, 64, 1.0), "elliptic_x", (0.0, 0.5, 1.0, 2.0, 7.0),
+     "full-grid"),
+    (GridSpec(2, 12, 1.0, 2), "dirac", (0.0, 0.6, 1.2, 2.0, 10.0),
+     "region"),
 ]
 
 
-@pytest.mark.parametrize("grid, name, radii", DOMINATING_CASES,
+@pytest.mark.parametrize("grid, name, radii, route", DOMINATING_CASES,
                          ids=["1d", "2d"])
 def test_dominating_function_matches_per_radius_loop(grid, name, radii,
-                                                     monkeypatch):
+                                                     route, monkeypatch):
     A = quantize(named_symbol(grid, name))
     regions = [ball_region(grid, grid.points[0], 0.3),
                ball_region(grid, grid.points[grid.n_points // 3], 0.6)]
     width = 4.0 * grid.spacing
-    mu = _per_r_reference(A, 1.0, 0.0, radii, regions, 3, 7, width)
+    mu = _per_r_reference(A, 1.0, 0.0, radii, regions, 3, 7, width, route)
     assert np.isnan(mu[-1]) and not np.isnan(mu[:-1]).any()
 
     calls = []
@@ -301,6 +328,22 @@ def test_isotonic_defect_leaves_out_skipped_radii():
     # with no radius measured there is no defect to report: NaN passes no
     # budget
     assert np.isnan(replace(est, mu_hat=(np.nan,) * 3).isotonic_defect())
+
+
+def test_isotonic_defect_reads_mu_hat_in_radius_order():
+    # a rise from 0.25 at R = 1 to 0.375 at R = 2 is a quarter of the max,
+    # whatever order R_list lists the radii in
+    est = DominatingFunctionEstimate((0.5, 1.0, 2.0, 3.0),
+                                     (0.5, 0.25, 0.375, 0.125))
+    assert est.isotonic_defect() == 0.25
+    for order in ((3, 2, 1, 0), (2, 0, 3, 1), (1, 3, 0, 2)):
+        shuffled = DominatingFunctionEstimate(
+            tuple(est.R_list[i] for i in order),
+            tuple(est.mu_hat[i] for i in order))
+        assert shuffled.isotonic_defect() == est.isotonic_defect(), order
+    # a decreasing estimate listed from the largest radius has no defect
+    assert DominatingFunctionEstimate(
+        (3.0, 2.0, 1.0, 0.5), (0.1, 0.2, 0.3, 0.4)).isotonic_defect() == 0.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -352,8 +395,8 @@ def test_restricted_sup_matches_qr_svd_oracle(grid, name, radius, R):
         rr = _embedding_r_factor(region, r)
         for s in (-1, 0, 1):
             want = _qr_svd_sup(A, region, eta, r, s)
-            got = _cutoff_sup(
-                _solve(A.matrix[:, _region_states(region)], rr), eta, s)
+            got = _cutoff_sup(_cutoff_matrix(
+                _solve(A.matrix[:, _region_states(region)], rr), eta, s))
             assert want > 0
             assert abs(got - want) <= 1e-12 * want, (r, s, got, want)
 
@@ -363,10 +406,85 @@ def test_sup_ratio_of_zero_columns_is_exactly_zero():
     region = ball_region(g, g.points[0], 0.6)
     rr = _embedding_r_factor(region, 1.0)
     eta = cutoff_eta(region.ball(0.6).complement(), 4.0 * g.spacing)
-    got = _cutoff_sup(
+    got = _cutoff_sup(_cutoff_matrix(
         _solve(np.zeros((g.state_dim, rr.shape[0]), dtype=complex), rr), eta,
-        0.0)
+        0.0))
     assert got == 0.0 and np.copysign(1.0, got) == 1.0
+
+
+PROBE_CASES = [
+    (GridSpec(1, 64, 1.0), "elliptic_x"),
+    (GridSpec(1, 64, 1.0, 2), "dirac_mass"),
+    (GridSpec(2, 12, 1.0), "laplace+1"),
+    (GridSpec(2, 10, 1.0, 2), "dirac"),
+]
+
+
+@pytest.mark.parametrize("grid, name", PROBE_CASES,
+                         ids=["1d", "1d-fiber2", "2d", "2d-fiber2"])
+def test_region_probes_match_full_grid_probes(grid, name):
+    # the estimator reads each probe off X and R; the full-grid route
+    # (section, A u, both Sobolev norms) is the oracle it replaced
+    A = quantize(named_symbol(grid, name))
+    width = 4.0 * grid.spacing
+    rng = np.random.default_rng(5)
+    shape = (grid.n_points, grid.fiber_dim)
+    for radius in (0.0, 0.3, 0.7):
+        region = ball_region(grid, grid.points[grid.n_points // 3], radius)
+        cols = A.matrix[:, _region_states(region)]
+        for r in (0, 1, 2):
+            rr = _embedding_r_factor(region, r)
+            z = _solve(cols, rr)
+            for R in (0.3, 1.0):
+                outside = lattice.Region(grid, region.distance_field() > R)
+                eta = cutoff_eta(outside, width)
+                for s in (-1, 0, 1):
+                    draws = [rng.standard_normal(shape)
+                             + 1j * rng.standard_normal(shape)
+                             for _ in range(4)]
+                    for vals in draws:
+                        vals[~region.mask] = 0.0
+                    got = _region_probes(_cutoff_matrix(z, eta, s), rr,
+                                         draws, region)
+                    for ratio, vals in zip(got, draws):
+                        want = _full_grid_probe(A, vals, r, s, outside, width)
+                        assert want > 0
+                        assert abs(ratio - want) <= 1e-12 * want, \
+                            (radius, r, R, s, ratio, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from(((1, 16, 1), (1, 12, 2), (2, 6, 1),
+                              (2, 4, 2))),  # (dim, N, fiber)
+       seed=st.integers(0, 2 ** 32 - 1), radius=st.floats(0.0, 1.2),
+       radii=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=3),
+       r=st.floats(0.0, 2.0), s=st.floats(-1.0, 1.0),
+       probes=st.integers(1, 8))
+def test_probes_move_mu_hat_only_by_rounding(shape, seed, radius, radii, r,
+                                             s, probes):
+    # a probe is a feasible point of the exact sup: it may lift mu_hat only
+    # where X's top singular values tie, and then only by rounding
+    dim, N, fiber = shape
+    g = GridSpec(dim, N, 1.0, fiber)
+    rng = np.random.default_rng(seed)
+    n = g.state_dim
+    A = _op(g, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    region = ball_region(g, g.points[rng.integers(g.n_points)], radius)
+    if region.is_empty():
+        return
+    est = dominating_function(A, r, s, radii, [region], probes=probes,
+                              seed=seed)
+    rr = _embedding_r_factor(region, r)
+    z = _solve(A.matrix[:, _region_states(region)], rr)
+    for R, mu in zip(radii, est.mu_hat):
+        assert type(mu) is float
+        outside = lattice.Region(g, region.distance_field() > R)
+        if outside.is_empty():
+            assert np.isnan(mu)
+            continue
+        exact = _cutoff_sup(_cutoff_matrix(
+            z, cutoff_eta(outside, 4.0 * g.spacing), s))
+        assert exact <= mu <= exact * (1.0 + 1e-13), (R, exact, mu)
 
 
 # The per-radius route that cuts off and transforms the region's columns,
@@ -414,7 +532,7 @@ def _assert_routes_agree(A, region, radii, r_list, s_list):
         for eta in etas:
             for s in s_list:
                 want = _restricted_sup(cols, eta, rr, s)
-                got = _cutoff_sup(z, eta, s)
+                got = _cutoff_sup(_cutoff_matrix(z, eta, s))
                 assert want > 0
                 assert abs(got - want) <= 1e-12 * want, (r, s, got, want)
 
@@ -516,6 +634,14 @@ def _waveprop_case():
         region
 
 
+def _eigh_case():
+    # not a multiplier, so spectral_data takes the dense eigensolve
+    g = GridSpec(1, 64, 1.0)
+    P = symmetrize(quantize(named_symbol(g, "drift")))
+    return P, 1, (0.1, 0.2, 0.4), (0.5, 1.0, 2.0), 0.0, \
+        ball_region(g, g.points[g.n_points // 2], 0.5)
+
+
 def _no_exterior_case():
     # the last radius leaves no exterior, so its rows are skipped
     P, k, t_list, _radii, l, region = _wave_scan_case()
@@ -523,11 +649,13 @@ def _no_exterior_case():
 
 
 @pytest.mark.parametrize("case", [_wave_scan_case, _waveprop_case,
-                                  _no_exterior_case],
-                         ids=["wave-scan", "waveprop", "no-exterior"])
+                                  _eigh_case, _no_exterior_case],
+                         ids=["wave-scan", "waveprop", "eigh",
+                              "no-exterior"])
 def test_wave_scan_matches_per_t_dominating_function(case):
     P, k, t_list, R_list, l, region = case()
     sd = spectral_data(P)
+    assert (sd.vectors is not None) == (case is _eigh_case)
     entries, slope, growth, prop = _per_t_reference(
         P, k, t_list, R_list, l, region, 2, 11, sd)
     rep = wave_quasilocality_scan(P, k, t_list, R_list, l, region=region,
