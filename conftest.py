@@ -1,20 +1,28 @@
-"""Test-session header: the BLAS thread counts in effect.
+"""Test-session BLAS threads: each test's OpenBLAS thread count is pinned.
 
-numpy and scipy each bundle an OpenBLAS; the count of each is read from
-the library itself with ctypes, or reported as "unknown" when the library
-or its query function is absent.  Nothing is pinned.
+numpy and scipy each bundle an OpenBLAS.  Every test runs with both at one
+thread, where the small dense solves most tests make are fastest; the tests
+in ``TWO_THREAD_TESTS``, whose n = 1024 SVDs gain from a second thread, run
+at two.  Each library is reached with ctypes through its query and setter
+functions; a library or function that is absent is reported as "unknown"
+and left as it is.  The session header prints the counts in effect when the
+session starts and the pin.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import os
 
 import numpy as np
+import pytest
 import scipy
-import scipy.linalg  # loads scipy's OpenBLAS, so the query reads that copy
+import scipy.linalg  # loads scipy's OpenBLAS, so the calls reach that copy
 
+# package -> (package, library file pattern, thread-count query); each
+# library's setter is named like its query, with "set" for "get"
 OPENBLAS = {
     "numpy": (np, "libscipy_openblas64_*.so",
               "scipy_openblas_get_num_threads64_"),
@@ -22,23 +30,54 @@ OPENBLAS = {
               "scipy_openblas_get_num_threads"),
 }
 
+# node ids of the tests that run at two OpenBLAS threads
+TWO_THREAD_TESTS = frozenset({
+    "tests/test_acceptance.py::test_criterion_02_filtered_algebra_orders",
+})
 
-def openblas_threads(package, pattern: str, symbol: str):
-    """Thread count of the OpenBLAS bundled in ``package``'s .libs folder."""
+
+@functools.cache
+def openblas_function(package, pattern: str, symbol: str):
+    """``symbol`` of the OpenBLAS bundled in ``package``'s .libs folder, or
+    None when no such library exports it."""
     libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
                         package.__name__ + ".libs")
     for path in sorted(glob.glob(os.path.join(libs, pattern))):
         try:
-            query = getattr(ctypes.CDLL(path), symbol)
+            return getattr(ctypes.CDLL(path), symbol)
         except (OSError, AttributeError):
             continue
-        query.argtypes = []
-        query.restype = ctypes.c_int
-        return int(query())
-    return "unknown"
+    return None
+
+
+def openblas_threads(package, pattern: str, symbol: str):
+    """Thread count of the OpenBLAS bundled in ``package``, or "unknown"."""
+    query = openblas_function(package, pattern, symbol)
+    if query is None:
+        return "unknown"
+    query.argtypes = []
+    query.restype = ctypes.c_int
+    return int(query())
+
+
+def set_openblas_threads(n: int) -> None:
+    """Set every bundled OpenBLAS that exports its setter to n threads."""
+    for package, pattern, symbol in OPENBLAS.values():
+        assign = openblas_function(package, pattern,
+                                   symbol.replace("_get_", "_set_"))
+        if assign is not None:
+            assign.argtypes = [ctypes.c_int]
+            assign.restype = None
+            assign(n)
+
+
+@pytest.fixture(autouse=True)
+def _pinned_blas_threads(request):
+    set_openblas_threads(2 if request.node.nodeid in TWO_THREAD_TESTS else 1)
 
 
 def pytest_report_header(config):
     counts = ", ".join(f"{name} {openblas_threads(*lib)}"
                        for name, lib in OPENBLAS.items())
-    return f"OpenBLAS threads in effect: {counts}"
+    return (f"OpenBLAS threads in effect: {counts}; each test pinned to 1, "
+            f"and to 2 for {', '.join(sorted(TWO_THREAD_TESTS))}")

@@ -491,7 +491,7 @@ def run(scenario: str, config: dict | None = None, out: str = ".",
     """
     if scenario not in SCENARIOS:
         raise KeyError(f"unknown scenario {scenario!r}")
-    cfg = _validate_config(scenario, config or {})
+    cfg = _validate_config(scenario, {} if config is None else config)
     if seed is not None:
         if "seed" not in cfg:
             raise ValueError(f"scenario {scenario} takes no seed")
@@ -597,13 +597,17 @@ def _print_summary(artifact_dir: str) -> int:
     return code
 
 
-def _read_config(path: str):
-    """The JSON document in a --config file; a malformed one names the file."""
+def _read_config(path: str) -> dict:
+    """The JSON object in a --config file; a malformed document, or one
+    that is not an object, is a one-line error that names the file."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except ValueError as exc:
             raise ValueError(f"config file {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"config file {path}: must hold a JSON object")
+    return doc
 
 
 def main(argv=None) -> int:
@@ -627,7 +631,7 @@ def main(argv=None) -> int:
     try:
         if args.scenario is None:
             return _print_summary(args.out)
-        config = _read_config(args.config) if args.config else {}
+        config = None if args.config is None else _read_config(args.config)
         code = run(args.scenario, config, out=args.out, seed=args.seed)
         if args.summary:
             _print_summary(args.out)

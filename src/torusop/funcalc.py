@@ -171,7 +171,7 @@ def spectral_data(P: DiscreteOperator) -> SpectralData:
 
 @dataclass(frozen=True)
 class ScalarFunctionSpec:
-    """Closed-form scalar function with a declared class and verification.
+    """Closed-form scalar function with a declared class.
 
     declared_class is one of "schwartz", "symbol" (with growth order m) or
     "normalizing"; any other is rejected.  fhat, when present, is the
@@ -196,38 +196,6 @@ class ScalarFunctionSpec:
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
-
-    def verify(self) -> dict:
-        """Check the declared class on a sample grid; returns the evidence.
-
-        The grid is 8001 points on [-40, 40].  For "symbol"/"schwartz" the
-        measured constants C_n = sup |f^(n)| (1+|x|)^(n-m), n = 0..4, are
-        returned, with m = -8 for "schwartz"; for "normalizing" the oddness
-        defect, sign condition, and limit defects are returned.
-        """
-        x = np.linspace(-40.0, 40.0, 8001)
-        f = np.asarray(self.fn(x), dtype=float)
-        report = {"class": self.declared_class}
-        if self.declared_class in ("schwartz", "symbol"):
-            m = -8 if self.declared_class == "schwartz" else self.m
-            d = f
-            constants = []
-            for n in range(5):
-                weight = (1.0 + np.abs(x)) ** (n - m)
-                constants.append(float((np.abs(d) * weight).max()))
-                d = np.gradient(d, x, edge_order=2)
-            report["constants"] = tuple(constants)
-            report["ok"] = all(np.isfinite(c) for c in constants)
-        else:
-            odd = float(np.abs(f + self.fn(-x)).max())
-            pos = bool((f[x > 0] > 0).all())
-            big = np.array([1e4, 1e5, 1e6])
-            limit = float(np.abs(np.asarray(self.fn(big)) - 1.0).max())
-            report.update(odd_defect=odd, positive_on_positives=pos,
-                          limit_defect=limit)
-            report["ok"] = odd <= 1e-10 and pos and limit <= 1e-3
-        return report
-
 
 def _positive_scale(prm, key):
     """prm[key] (default 1.0), which must be a finite number > 0."""

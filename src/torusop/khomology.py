@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BumpFunction, GridSpec
+from .lattice import BumpFunction
 from .operators import (
     DiscreteOperator,
-    multiplication_operator,
     op_norm,
 )
 from .funcalc import (
@@ -157,13 +156,8 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class FredholmModule:
-    grid: GridSpec
     T: DiscreteOperator
     verification: VerificationReport
-
-    def represent(self, f: BumpFunction) -> DiscreteOperator:
-        """rho(f): diagonal multiplication, automatically even and graded."""
-        return multiplication_operator(self.grid, f.values)
 
 
 def assemble_module(
@@ -246,7 +240,7 @@ def assemble_module(
             and (square_defect is None or square_defect == 0.0)
         ),
     )
-    return FredholmModule(g, T, report)
+    return FredholmModule(T, report)
 
 
 # ---------------------------------------------------------------------------

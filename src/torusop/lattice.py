@@ -4,7 +4,9 @@ The torus has ``dim`` axes of length ``2*pi*L`` sampled at ``N`` points each.
 Sections are complex vector-valued grid functions.  The one Fourier
 transform of the package is to_frequency / from_frequency, the unitary FFT
 over the grid axes of state vectors, so all Sobolev norms are diagonal in
-the frequency basis.
+the frequency basis.  A region is a mask of grid points; its distance field
+gives the geodesic ball B_R(region) as ``distance_field() <= R``, and the
+smooth cutoffs of the restricted seminorms are built on it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "lipschitz_bump",
     "smoothstep",
     "ball_region",
-    "translate_section",
 ]
 
 
@@ -211,9 +212,6 @@ class Region:
     def is_empty(self) -> bool:
         return not self.mask.any()
 
-    def complement(self) -> "Region":
-        return Region(self.grid, ~self.mask)
-
     def distance_field(self) -> np.ndarray:
         """Geodesic distance from every grid point to the region (0 inside).
 
@@ -240,14 +238,6 @@ class Region:
             out[outside] = np.sqrt((d ** 2).sum(axis=-1)).min(axis=1)
         return out
 
-    def ball(self, radius: float) -> "Region":
-        """B_R(region) in the torus geodesic metric; B_0 is the region itself."""
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
-        if radius == 0 or self.is_empty():
-            return self
-        return Region(self.grid, self.distance_field() <= radius)
-
 
 def ball_region(grid: GridSpec, center, radius: float) -> Region:
     """Geodesic ball {x : d(x, center) <= radius} as a Region."""
@@ -271,19 +261,6 @@ class BumpFunction:
             raise ValueError("bump values size does not match grid")
         _check_finite(v, "bump values")
         object.__setattr__(self, "values", v)
-
-    def support(self) -> Region:
-        return Region(self.grid, self.values != 0.0)
-
-    def measured_lipschitz(self) -> float:
-        """Largest slope over nearest-neighbour grid pairs."""
-        g = self.grid
-        v = self.values.reshape(g.grid_shape())
-        h = g.spacing
-        worst = 0.0
-        for axis in range(g.dim):
-            worst = max(worst, float(np.abs(np.roll(v, -1, axis) - v).max()) / h)
-        return worst
 
     def translated(self, shift_indices) -> "BumpFunction":
         """Exact array rotation by integer grid offsets per axis."""
@@ -338,12 +315,3 @@ def restricted_seminorm(
     """
     eta = cutoff_eta(region, cutoff_width)
     return sobolev_norm(Section(u.grid, u.values * eta.values[:, None]), s)
-
-
-def translate_section(u: Section, shift_indices) -> Section:
-    g = u.grid
-    shift = np.atleast_1d(np.asarray(shift_indices, dtype=int))
-    v = u.values.reshape(g.grid_shape() + (g.fiber_dim,))
-    for axis, k in enumerate(shift):
-        v = np.roll(v, k, axis=axis)
-    return Section(g, v.reshape(g.n_points, g.fiber_dim))

@@ -34,7 +34,6 @@ __all__ = [
     "fourier_diagonal",
     "op_norm",
     "compose",
-    "adjoint",
     "commutator",
     "symmetrize",
     "apply_operator",
@@ -353,12 +352,6 @@ def compose(A: DiscreteOperator, B: DiscreteOperator) -> DiscreteOperator:
         propagation_bound=_combine_propagation(
             A.propagation_bound, B.propagation_bound),
     )
-
-
-def adjoint(A: DiscreteOperator) -> DiscreteOperator:
-    """A* with every flag of A kept: order, self-adjointness, propagation
-    data."""
-    return replace(A, matrix=A.matrix.conj().T, provenance="composed")
 
 
 def commutator(A: DiscreteOperator, B: DiscreteOperator) -> DiscreteOperator:

@@ -12,7 +12,10 @@ S2 is formed on its first read, through ``ParametrixResult.S2`` or an
 on a low-frequency band, S1 acts as the identity there; residual norms are
 therefore reported both on and off that band.  Each norm is one
 operators.op_norm call, taken on the first read of its table entry; the
-band tables pass op_norm the band as a frequency mask.
+band tables pass op_norm the band as a frequency mask.  Beside the
+parametrix stand the elliptic-estimate constant and the elliptic-regularity
+check, the paper's lemma that Pu smooth makes u smooth, read off the
+high-frequency tails of u and Pu.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .operators import (
     DiscreteOperator,
     apply_operator,
     fourier_multiplier,
-    multiplier_matrix,
     op_norm,
     quantize,
 )
@@ -53,8 +55,6 @@ __all__ = [
     "fourier_diagonal_constant",
     "RegularityReport",
     "elliptic_regularity_check",
-    "ModifiedInnerProduct",
-    "modified_inner_product",
 ]
 
 EIGH_DIM_CAP = 2000
@@ -401,49 +401,3 @@ def elliptic_regularity_check(
         ratio = tu / tpu if tpu > 0 else np.inf
         rows.append((float(level), tu, tpu, ratio))
     return RegularityReport(identity_defect=defect, rows=tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# modified inner product
-
-
-@dataclass(frozen=True)
-class ModifiedInnerProduct:
-    """Gram operator of <u,v>_k + <Pu,Pv>_l and its symmetry defect for P."""
-
-    gram: np.ndarray
-    max_asymmetry: float
-
-
-def modified_inner_product(
-    P: DiscreteOperator, k: float = 0.0, l: float = 0.0, probes: int = 20,
-) -> ModifiedInnerProduct:
-    """Check that P is symmetric for <u,v> = <u,v>_{H^k} + <Pu,Pv>_{H^l}.
-
-    The probes are drawn from the generator seeded with 0.
-    """
-    if not P.self_adjoint:
-        raise ValueError("modified inner product requires a self-adjoint P")
-    g = P.grid
-    gk = multiplier_matrix(g, g.sobolev_weights(2 * k))
-    lp = from_frequency(g, g.sobolev_weights(l)[:, None]
-                        * to_frequency(g, P.matrix))
-    gram = gk + lp.conj().T @ lp
-    gram *= g.quadrature_weight ** 2
-
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    n, r = g.n_points, g.fiber_dim
-    pnorm = np.linalg.norm(P.matrix, 2)
-    for _ in range(probes):
-        u = (rng.standard_normal((n * r,))
-             + 1j * rng.standard_normal((n * r,)))
-        v = (rng.standard_normal((n * r,))
-             + 1j * rng.standard_normal((n * r,)))
-        pu, pv = P.matrix @ u, P.matrix @ v
-        lhs = np.vdot(pu, gram @ v)
-        rhs = np.vdot(u, gram @ pv)
-        norm_u = np.sqrt(abs(np.vdot(u, gram @ u)))
-        norm_v = np.sqrt(abs(np.vdot(v, gram @ v)))
-        worst = max(worst, abs(lhs - rhs) / (pnorm * norm_u * norm_v))
-    return ModifiedInnerProduct(gram=gram, max_asymmetry=float(worst))

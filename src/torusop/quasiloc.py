@@ -67,13 +67,10 @@ def eps_rank(T: DiscreteOperator, eps: float) -> int:
 
 @dataclass(frozen=True)
 class EpsRankProfile:
-    """Max eps-rank over an operator family, per form and epsilon."""
+    """Max eps-rank over an operator family: ``ranks[form]`` has one rank
+    per epsilon, in the order of the eps_list asked for."""
 
-    eps_list: tuple
     ranks: dict
-
-    def rank(self, form: str, eps: float) -> int:
-        return self.ranks[form][self.eps_list.index(eps)]
 
 
 def uniform_approx_profile(
@@ -112,7 +109,7 @@ def uniform_approx_profile(
             for i, eps in enumerate(eps_list):
                 worst[i] = max(worst[i], _count_at_least(sv, eps))
         ranks[form] = tuple(worst)
-    return EpsRankProfile(tuple(eps_list), ranks)
+    return EpsRankProfile(ranks)
 
 
 # ---------------------------------------------------------------------------

@@ -107,15 +107,6 @@ class Symbol:
             ladder[beta] = d
         return ladder[beta]
 
-    def at_full_x(self) -> np.ndarray:
-        """Samples broadcast to the full (n_points, n_xi, r, r) shape."""
-        if self.x_independent:
-            return np.broadcast_to(
-                self.samples,
-                (self.grid.n_points,) + self.samples.shape[1:],
-            )
-        return self.samples
-
 
 def symbol_from_callable(
     grid: GridSpec,

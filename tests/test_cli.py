@@ -209,6 +209,8 @@ def test_main_config_file_and_bad_key(tmp_path):
 @pytest.mark.parametrize("bad", [
     {"N": "64"}, {"N": True}, {"N": 64.0}, {"L": "1.0"}, {"L": False},
     {"families": "laplace+1"}, {"families": ["laplace+1", 3]},
+    # only None stands for the defaults; a falsy non-object is refused
+    [], 0, False, "",
 ])
 def test_config_types_checked_before_any_output(tmp_path, bad):
     out = tmp_path / "run"
@@ -218,8 +220,11 @@ def test_config_types_checked_before_any_output(tmp_path, bad):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", ['{"N": 32,', "[1, 2]", None],
-                         ids=["malformed", "array", "missing"])
+# a falsy document is no object either: it must not run at the defaults
+@pytest.mark.parametrize("text", ['{"N": 32,', "[1, 2]", None, "[]", "null",
+                                  "0", "false", '""'],
+                         ids=["malformed", "array", "missing", "empty-array",
+                              "null", "zero", "false", "empty-string"])
 def test_unreadable_config_file_is_a_one_line_error(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
     if text is not None:
@@ -230,8 +235,7 @@ def test_unreadable_config_file_is_a_one_line_error(tmp_path, capsys, text):
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    if text != "[1, 2]":
-        assert str(cfg_path) in err[0]
+    assert str(cfg_path) in err[0]
     assert not out.exists()
 
 

@@ -1,6 +1,6 @@
 """Static guard against state nothing uses.
 
-The package source is scanned with ``ast`` for six kinds of dead state
+The package source is scanned with ``ast`` for seven kinds of dead state
 or of name sharing that would hide it, and for one kind of coupling:
 
 - an optional parameter (one with a default) of a module-level function
@@ -21,7 +21,13 @@ or of name sharing that would hide it, and for one kind of coupling:
   and no ``getattr`` string.  Dunders are exempt, and a name listed in
   ``__all__`` is not thereby referenced;
 - a private name (``_``-prefixed, not a dunder) that one package module
-  imports from another, unless ``PRIVATE_IMPORTS`` lists it with its reason.
+  imports from another, unless ``PRIVATE_IMPORTS`` lists it with its reason;
+- a definition no run reaches.  The roots are the names the package's
+  module-level code loads (its tables, decorators and fields), ``cli.main``,
+  every name ``tests/test_acceptance.py`` references, every name and string
+  constant in ``bench``, and the entries of ``UNREACHED_ALLOWED``; the scan
+  closes over the names each reached body loads, so a definition only unit
+  tests reach is reported, however long its chain of callers.
 
 Calls, reads and references are matched to definitions by name alone, and
 a call that splats ``*args`` or ``**kwargs`` counts as passing every
@@ -45,12 +51,12 @@ SCANNED = (ROOT / "src", ROOT / "tests", ROOT / "bench")
 SHARED_FIELDS = {
     "grid": "each object lives on one lattice: Section, Region, "
             "BumpFunction, Symbol and DiscreteOperator check their arrays "
-            "against it, and FredholmModule.represent builds rho(f) on it",
+            "against it",
     "order": "Symbol.order sets the order of compositions and inverses, "
              "DiscreteOperator.order that of compose and the Sobolev norms",
     "values": "Section.values feeds the Sobolev norms; BumpFunction.values "
-              "cuts sections off and FredholmModule.represent multiplies "
-              "by it",
+              "cuts sections off and is rho(f) in assemble_module and "
+              "homotopy_scan",
     "defect": "FuncalcResult.defect is funcalc-defect's and criterion 07's "
               "check; CommutatorIntegralResult.defect its convergence test",
     "norms": "QIntegralResult.norms and DecayProfile.norms are the norm "
@@ -65,6 +71,15 @@ PRIVATE_IMPORTS = {
         "[rho(f), chi(P)] by the resolvent route is the commutator with "
         "funcalc's one resolvent rule on P's spectrum, since the route is "
         "linear in its scalar integrand",
+}
+
+_LEMMA = "paper lemma; ROADMAP item 13 turns it into a scenario check"
+# 'module.name' of a definition no run reaches -> why it stays in src
+UNREACHED_ALLOWED = {
+    "khomology.commutator_integral": _LEMMA,
+    "funcalc.q_integral": _LEMMA,
+    "parametrix.elliptic_regularity_check": _LEMMA,
+    "quasiloc.pseudolocality_equivalence_spotcheck": _LEMMA,
 }
 
 
@@ -456,6 +471,178 @@ def test_every_definition_is_referenced():
     unused = unreferenced_definitions(_trees(SRC), _trees(*SCANNED))
     assert not unused, "definitions nothing references: " + ", ".join(
         unused)
+
+
+def _loaded_names(node) -> set:
+    """Every name ``node`` references: Name and Attribute loads, imported
+    names and ``getattr`` string constants."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            names.update(a.name.rsplit(".", 1)[-1] for a in sub.names)
+        elif isinstance(_getattr_string(sub), str):
+            names.add(_getattr_string(sub))
+    return names
+
+
+def _module_level_names(defs: list) -> set:
+    """Names the module-level code of ``defs`` loads when it runs.
+
+    That is each statement outside a function or class, each decorator,
+    and each class's bases and body statements outside its methods (its
+    fields and tables); a function body is not module-level code, and
+    neither is an import, which binds a name without running it.
+    """
+    nodes = []
+    for _, tree in defs:
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                nodes.append(stmt)
+                continue
+            nodes += stmt.decorator_list
+            if isinstance(stmt, ast.ClassDef):
+                nodes += stmt.bases + stmt.keywords
+                for sub in stmt.body:
+                    if isinstance(sub, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef)):
+                        nodes += sub.decorator_list
+                    else:
+                        nodes.append(sub)
+    return set().union(*map(_loaded_names, nodes))
+
+
+def _string_constants(trees: list) -> set:
+    return {node.value for _, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def unreached_definitions(defs: list, roots: set, allowed=()) -> list:
+    """'module.name' for each definition in ``defs`` no root reaches.
+
+    Covers the definitions ``unreferenced_definitions`` covers, labelled
+    by module stem and class.  A definition is reached when its name is a
+    root, when ``allowed`` lists its label, or when a reached body loads
+    its name (as ``_loaded_names`` reads a body); the bodies of a reached
+    class's dunder methods count as reached.  A label in ``allowed`` that
+    names no definition, or one the roots reach without it, is reported as
+    a stale allow-list entry, so the list cannot outlive its reasons.
+    """
+    definitions = []  # (label, name, names its reached body loads)
+    for path, tree in defs:
+        module = pathlib.PurePosixPath(path).stem
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                definitions.append((f"{module}.{stmt.name}", stmt.name,
+                                    _loaded_names(stmt)))
+            elif isinstance(stmt, ast.ClassDef):
+                dunders = [s for s in stmt.body
+                           if isinstance(s, ast.FunctionDef)
+                           and _is_dunder(s.name)]
+                definitions.append((f"{module}.{stmt.name}", stmt.name,
+                                    set().union(*map(_loaded_names,
+                                                     dunders))))
+                definitions += [(f"{module}.{stmt.name}.{s.name}", s.name,
+                                 _loaded_names(s)) for s in _methods(stmt)]
+
+    def closure(extra):
+        names, reached = set(roots), set()
+        grew = True
+        while grew:
+            grew = False
+            for label, name, loads in definitions:
+                if label in reached or not (name in names or label in extra):
+                    continue
+                reached.add(label)
+                names |= loads
+                grew = True
+        return reached
+
+    without = closure(())
+    reached = closure(set(allowed))
+    labels = {label for label, *_ in definitions}
+    out = [label for label, *_ in definitions if label not in reached]
+    out += [f"{label} (allow-listed, but reached or not defined)"
+            for label in allowed if label in without or label not in labels]
+    return out
+
+
+def _run_roots() -> set:
+    """The names a run starts from: the package's module-level code,
+    ``cli.main``, the acceptance criteria and the benchmark."""
+    acceptance = [t for p, t in _trees(ROOT / "tests")
+                  if p == "tests/test_acceptance.py"]
+    bench = _trees(ROOT / "bench")
+    return (_module_level_names(_trees(SRC)) | {"main"}
+            | set().union(*map(_loaded_names, acceptance))
+            | set().union(*(_loaded_names(t) for _, t in bench))
+            | _string_constants(bench))
+
+
+def test_scan_reports_unreached_definitions():
+    code = '''
+import functools
+
+TABLE = {"entry": lambda: entry()}
+
+def a():
+    return b()
+
+def b():
+    return c()
+
+def c():
+    return 0
+
+def entry():
+    return Built(1).value
+
+def _by_name():
+    return 0
+
+@functools.cache
+def lemma():
+    return _lemma_helper()
+
+def _lemma_helper():
+    return 0
+
+class Built:
+    def __init__(self, value):
+        self.value = value
+
+    def __post_init__(self):
+        _post_helper()
+
+def _post_helper():
+    return 0
+'''
+    trees = [("pkg/mod.py", ast.parse(code))]
+    bench = [("bench/run.py", ast.parse('TARGETS = ("_by_name",)'))]
+    roots = _module_level_names(trees) | _string_constants(bench)
+    assert unreached_definitions(trees, roots) == [
+        "mod.a", "mod.b", "mod.c", "mod.lemma", "mod._lemma_helper"]
+    assert unreached_definitions(trees, roots, {"mod.lemma": "kept"}) == [
+        "mod.a", "mod.b", "mod.c"]
+    # an entry that names a reached or a missing definition is stale
+    assert unreached_definitions(
+        trees, roots, {"mod.lemma": "", "mod.entry": "", "mod.gone": ""}) == [
+        "mod.a", "mod.b", "mod.c",
+        "mod.entry (allow-listed, but reached or not defined)",
+        "mod.gone (allow-listed, but reached or not defined)"]
+
+
+def test_every_definition_is_reached():
+    unreached = unreached_definitions(_trees(SRC), _run_roots(),
+                                      UNREACHED_ALLOWED)
+    assert not unreached, "definitions no run reaches: " + ", ".join(
+        unreached)
 
 
 def private_imports(defs: list) -> list:

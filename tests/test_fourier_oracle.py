@@ -27,7 +27,6 @@ from torusop.operators import (
 from torusop.parametrix import (
     band_projector,
     build_parametrix,
-    modified_inner_product,
 )
 from torusop.symbols import NAMED_SYMBOLS, named_symbol
 
@@ -62,7 +61,7 @@ def _random_states(grid, m, seed=0):
 def _dense_quantize(p):
     g = p.grid
     w = fourier_matrix(g)
-    t = w[:, :, None, None] * p.at_full_x()
+    t = w[:, :, None, None] * p.samples
     t = t.transpose(0, 2, 1, 3).reshape(g.state_dim, g.state_dim)
     return t @ np.kron(w.conj().T, np.eye(g.fiber_dim))
 
@@ -125,7 +124,9 @@ def test_quantize_matches_dense_w(name, dim, N):
     for slot in range(fiber):
         u = np.zeros((g.n_points, fiber), dtype=complex)
         u[:, slot] = wave
-        expect = np.einsum("xab,xb->xa", p.at_full_x()[:, m], u)
+        full = np.broadcast_to(p.samples,
+                               (g.n_points,) + p.samples.shape[1:])
+        expect = np.einsum("xab,xb->xa", full[:, m], u)
         got = (P.matrix @ u.ravel()).reshape(g.n_points, fiber)
         assert np.abs(got - expect).max() <= REL * scale
 
@@ -328,15 +329,3 @@ def test_parametrix_masked_norms_on_exact_multiplier_case():
     off = compose(res.S1, band_projector(g, radius, off_band=True))
     assert res.off_band_norms[(0, 0)] <= 1e-10
     assert op_norm(off, 0.0, 0.0) <= 1e-10
-
-
-@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
-def test_modified_inner_product_gram_matches_dense_w(grid):
-    name = "dirac" if grid.fiber_dim > 1 else "laplace+1"
-    P = quantize(named_symbol(grid, name))
-    mip = modified_inner_product(P, k=1.0, l=-1.0, probes=2)
-    w = _w(grid)
-    gk = (w * _weights(grid, 1.0) ** 2) @ w.conj().T
-    lp = ((w * _weights(grid, -1.0)) @ w.conj().T) @ P.matrix
-    gram = (gk + lp.conj().T @ lp) * grid.quadrature_weight ** 2
-    assert _rel(mip.gram, gram) <= REL

@@ -8,7 +8,7 @@ command-line run can print it as its single line of error output.
 import numpy as np
 import pytest
 
-from torusop import cli, funcalc, serial
+from torusop import cli, funcalc
 from torusop.funcalc import (
     ScalarFunctionSpec,
     SpectralData,
@@ -45,7 +45,6 @@ from torusop.operators import (
 from torusop.parametrix import (
     build_parametrix,
     elliptic_estimate_constant,
-    modified_inner_product,
 )
 from torusop.quasiloc import dominating_function, uniform_approx_profile
 from torusop.symbols import (
@@ -89,12 +88,6 @@ def _zero(order=0, grid=G):
                             self_adjoint=True)
 
 
-def _unknown_container_kind():
-    doc = serial.to_container(Section(G, np.ones(N)))
-    doc["kind"] = "bogus"
-    return serial.from_container(doc)
-
-
 GUARDS = [
     # lattice
     ("grid-fiber", lambda: GridSpec(1, 16, 1.0, fiber_dim=0),
@@ -105,8 +98,6 @@ GUARDS = [
      ValueError, "section shape"),
     ("region-mask", lambda: Region(G, np.ones(N + 1, dtype=bool)),
      ValueError, "mask size does not match grid"),
-    ("region-ball", lambda: ball_region(G, np.zeros(1), 0.5).ball(-1.0),
-     ValueError, "radius must be nonnegative"),
     ("bump-size", lambda: BumpFunction(G, np.ones(N + 1), 1.0, 1.0),
      ValueError, "bump values size does not match grid"),
     ("bump-resolution", lambda: lipschitz_bump(G, np.zeros(1), 0.1, 1.0),
@@ -171,8 +162,6 @@ GUARDS = [
     ("estimate-negative-probes",
      lambda: elliptic_estimate_constant(_P(), 2.0, probes=-1),
      ValueError, "probes must be >= 0"),
-    ("inner-product-adjoint", lambda: modified_inner_product(_drift()),
-     ValueError, "requires a self-adjoint P"),
     # funcalc
     ("spectral-adjoint", lambda: spectral_data(_drift()),
      ValueError, "requires a self-adjoint operator"),
@@ -300,9 +289,6 @@ GUARDS = [
      lambda: homotopy_scan(_momentum(), _momentum(),
                            named_function("gaussian"), [4], []),
      ValueError, "gaussian declares no closed-form C_psi"),
-    # serial
-    ("container-kind", _unknown_container_kind,
-     ValueError, "unknown container kind"),
 ]
 
 

@@ -20,7 +20,6 @@ from torusop.parametrix import (
     elliptic_estimate_constant,
     elliptic_regularity_check,
     fourier_diagonal_constant,
-    modified_inner_product,
 )
 from torusop.symbols import (
     NAMED_SYMBOLS,
@@ -160,15 +159,6 @@ def test_regularity_tails_controlled():
     assert rep.identity_defect <= 1e-6
     for _level, tail_u, tail_pu, _ratio in rep.rows:
         assert tail_u <= 10 * (tail_pu + 1e-12)
-
-
-def test_modified_inner_product_symmetric():
-    g = GridSpec(1, 64, 1.0)
-    P = quantize(named_symbol(g, "laplace+1"))
-    mip = modified_inner_product(P, k=1.0, l=0.0)
-    assert mip.max_asymmetry <= 1e-10
-    evals = np.linalg.eigvalsh(mip.gram)
-    assert evals.min() > 0
 
 
 def _coupled_symbol(g):
