@@ -4,7 +4,8 @@ numpy and scipy each bundle an OpenBLAS.  Every test runs with both at one
 thread, where the small dense solves most tests make are fastest; the tests
 in ``TWO_THREAD_TESTS``, whose n = 1024 SVDs gain from a second thread, run
 at two.  Each library is reached with ctypes through its query and setter
-functions; a library or function that is absent is reported as "unknown"
+functions, found by the lookup that torusop's run manifest reads its thread
+counts with; a library or function that is absent is reported as "unknown"
 and left as it is.  The session header prints the counts in effect when the
 session starts and the pin.
 """
@@ -12,23 +13,10 @@ session starts and the pin.
 from __future__ import annotations
 
 import ctypes
-import functools
-import glob
-import os
 
-import numpy as np
 import pytest
-import scipy
-import scipy.linalg  # loads scipy's OpenBLAS, so the calls reach that copy
 
-# package -> (package, library file pattern, thread-count query); each
-# library's setter is named like its query, with "set" for "get"
-OPENBLAS = {
-    "numpy": (np, "libscipy_openblas64_*.so",
-              "scipy_openblas_get_num_threads64_"),
-    "scipy": (scipy, "libscipy_openblas-*.so",
-              "scipy_openblas_get_num_threads"),
-}
+from torusop.cli import OPENBLAS, openblas_function, openblas_threads
 
 # node ids of the tests that run at two OpenBLAS threads
 TWO_THREAD_TESTS = frozenset({
@@ -36,32 +24,11 @@ TWO_THREAD_TESTS = frozenset({
 })
 
 
-@functools.cache
-def openblas_function(package, pattern: str, symbol: str):
-    """``symbol`` of the OpenBLAS bundled in ``package``'s .libs folder, or
-    None when no such library exports it."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
-                        package.__name__ + ".libs")
-    for path in sorted(glob.glob(os.path.join(libs, pattern))):
-        try:
-            return getattr(ctypes.CDLL(path), symbol)
-        except (OSError, AttributeError):
-            continue
-    return None
-
-
-def openblas_threads(package, pattern: str, symbol: str):
-    """Thread count of the OpenBLAS bundled in ``package``, or "unknown"."""
-    query = openblas_function(package, pattern, symbol)
-    if query is None:
-        return "unknown"
-    query.argtypes = []
-    query.restype = ctypes.c_int
-    return int(query())
-
-
 def set_openblas_threads(n: int) -> None:
-    """Set every bundled OpenBLAS that exports its setter to n threads."""
+    """Set every bundled OpenBLAS that exports its setter to n threads.
+
+    Each library's setter is named like its query, with "set" for "get".
+    """
     for package, pattern, symbol in OPENBLAS.values():
         assign = openblas_function(package, pattern,
                                    symbol.replace("_get_", "_set_"))

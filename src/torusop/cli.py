@@ -11,7 +11,10 @@ timestamp differs.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import datetime
+import functools
+import glob
 import hashlib
 import json
 import math
@@ -20,6 +23,7 @@ import os
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .lattice import GridSpec, ball_region, lipschitz_bump
@@ -449,6 +453,40 @@ SCENARIOS = {
 # harness
 
 
+# package -> (package, library file pattern, thread-count query) of the
+# OpenBLAS that numpy and scipy each bundle in their .libs folder
+OPENBLAS = {
+    "numpy": (np, "libscipy_openblas64_*.so",
+              "scipy_openblas_get_num_threads64_"),
+    "scipy": (scipy, "libscipy_openblas-*.so",
+              "scipy_openblas_get_num_threads"),
+}
+
+
+@functools.cache
+def openblas_function(package, pattern: str, symbol: str):
+    """``symbol`` of the OpenBLAS bundled in ``package``'s .libs folder, or
+    None when no such library exports it."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                        package.__name__ + ".libs")
+    for path in sorted(glob.glob(os.path.join(libs, pattern))):
+        try:
+            return getattr(ctypes.CDLL(path), symbol)
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+def openblas_threads(package, pattern: str, symbol: str):
+    """Thread count of the OpenBLAS bundled in ``package``, or "unknown"."""
+    query = openblas_function(package, pattern, symbol)
+    if query is None:
+        return "unknown"
+    query.argtypes = []
+    query.restype = ctypes.c_int
+    return int(query())
+
+
 def _summary(scenario, cfg, checks) -> dict:
     """The summary document; a run with no check is not a pass."""
     return {"scenario": scenario, "config": cfg, "checks": checks,
@@ -509,7 +547,11 @@ def run(scenario: str, config: dict | None = None, out: str = ".",
         "versions": {
             "torusop": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
         },
+        # the last digits of some artifacts depend on the thread count
+        "blas_threads": {name: openblas_threads(*lib)
+                         for name, lib in OPENBLAS.items()},
         "artifacts": sorted(artifacts),
         "timestamp": datetime.datetime.now(
             datetime.timezone.utc).isoformat(),

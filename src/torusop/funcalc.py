@@ -21,7 +21,11 @@ checks go through a one-sided gate: the bound
 the exact SVD norms decide, as before.
 
 Fourier transform convention for the wave route: fhat(t) is the unitary
-transform, f(x) = (1/sqrt(2 pi)) int fhat(t) e^{itx} dt.  The Lipschitz
+transform, f(x) = (1/sqrt(2 pi)) int fhat(t) e^{itx} dt.  Its trapezoid
+sum on the spectrum is taken in two levels (``_wave_route``): each node's
+phase is a giant step at every b-th node times a baby step c h, h the
+linspace's own step 2 t_max / (n_quad - 1), so (a + b) exps per eigenvalue
+replace the n_quad of the full phase table.  The Lipschitz
 constant of the psi-difference bound uses the non-unitary transform
 psihat(s) = int psi(x) e^{-isx} dx, matching C = (1/2pi) int |s psihat(s)| ds.
 """
@@ -354,12 +358,41 @@ class FuncalcResult:
     defect: float
 
 
+def _wave_route(fhat, x: np.ndarray, t_max: float, n_quad: int) -> np.ndarray:
+    """The package's one wave rule: on x, the n_quad-node trapezoid values
+    of (1/sqrt(2 pi)) int_{-t_max}^{t_max} fhat(t) e^{itx} dt.
+
+    The n_quad x len(x) phase table is never formed.  Node j = a b + c
+    splits e^{i t_j x} into a giant step e^{i t_{ab} x}, read at the nodes
+    t[::b], times a baby step e^{i c h x}, c < b (the baby-step/giant-step
+    split of Paterson & Stockmeyer, SIAM J. Comput. 2, 1973).  b is the
+    power of two nearest sqrt(n_quad) and h = 2 t_max / (n_quad - 1) is the
+    linspace's own step; t[1] - t[0] would carry a rounding error that every
+    phase multiplies.  The weights w fhat(t), zero-padded into an a x b
+    matrix C, meet the baby steps in one product C E, so the rule takes
+    (a + b) len(x) exps in place of n_quad len(x).
+    """
+    t, w = _trapezoid(t_max, n_quad)
+    b = 1 << (int(n_quad).bit_length() // 2)
+    a = -(-n_quad // b)
+    coef = np.zeros(a * b, dtype=complex)
+    coef[:n_quad] = w * np.asarray(fhat(t), dtype=complex)
+    h = 2.0 * t_max / (n_quad - 1)
+    baby = np.exp(1j * np.outer(h * np.arange(b), x))
+    giant = np.exp(1j * np.outer(t[::b], x))
+    giant *= coef.reshape(a, b) @ baby
+    return giant.sum(axis=0) / np.sqrt(2 * np.pi)
+
+
 def fourier_apply(
     P: DiscreteOperator, f: ScalarFunctionSpec, t_max: float = 12.0,
     n_quad: int = 2048, spectral: SpectralData | None = None,
 ) -> FuncalcResult:
     """Wave route f(P) = (1/sqrt(2 pi)) int fhat(t) e^{itP} dt by trapezoid.
 
+    The n_quad-node sum is ``_wave_route`` on P's eigenvalues: a two-level
+    sum over giant steps t[::b] and baby steps c h, with b ~ sqrt(n_quad)
+    and h = 2 t_max / (n_quad - 1), which forms no n_quad x n phase table.
     Only f with a closed-form transform ``fhat`` (Schwartz f) is accepted,
     and the window [-t_max, t_max] needs a finite t_max > 0.
     """
@@ -371,13 +404,9 @@ def fourier_apply(
     if not (np.isfinite(t_max) and t_max > 0):
         # a reversed or empty interval would flip or zero the integral
         raise ValueError(f"the wave route needs a finite t_max > 0: {t_max}")
-    sd = spectral or spectral_data(P)
-    t, w = _trapezoid(t_max, n_quad)
-    fh = np.asarray(f.fhat(t), dtype=complex)
-    phases = np.outer(t, sd.eigenvalues) * 1j
-    np.exp(phases, out=phases)
-    vals = (w * fh) @ phases / np.sqrt(2 * np.pi)
-    oracle = np.asarray(f.fn(sd.eigenvalues), dtype=complex)
+    x = (spectral or spectral_data(P)).eigenvalues
+    vals = _wave_route(f.fhat, x, t_max, n_quad)
+    oracle = np.asarray(f.fn(x), dtype=complex)
     return FuncalcResult(float(np.abs(vals - oracle).max()))
 
 

@@ -4,9 +4,12 @@ A dominating function estimate mu_hat(R) is the measured sup, over regions L
 and sections u supported in L, of the Sobolev mass of Au outside the
 R-neighbourhood of L, relative to the norm of u.  The sup over u (for a fixed
 smooth cutoff) is computed exactly, as ||X||_2 of one matrix X per region
-and radius.  A random probe, read off the same X, is a feasible point of
-that sup: it can raise the estimate only by rounding, where X's top
-singular values tie.
+and radius: the H^s image W_s F(eta Z) of the cut-off columns.  At s = 0,
+W_0 = 1 and F is unitary, so by Parseval the rows of eta Z where eta != 0
+have the same ||X||_2 and ||X w||, and X is taken as those rows, with no
+FFT.  A random probe, read off the same X, is a feasible point of that sup:
+it can raise the estimate only by rounding, where X's top singular values
+tie.
 What depends only on the regions, r and the radii (distance fields, exterior
 cutoffs, the R factor of each region's H^r embedding) is prepared once and
 then serves every operator: once per ``dominating_function`` call, and once
@@ -170,9 +173,16 @@ def _cutoff_matrix(z: np.ndarray, eta, s: float) -> np.ndarray:
     and its ``_embedding_r_factor`` R, ``eta`` the cutoff of the exterior.
     For u supported in the region, with values u_s on its states,
     ||X R u_s|| = ||eta A u||_{H^s} and ||R u_s|| = ||u||_{H^r}.
+    At s = 0, W_0 = 1 and F is unitary, so by Parseval ||X v|| = ||eta z v||
+    for every v: X is then taken as the rows of eta z where eta != 0, and no
+    FFT is taken.  Only ||X||_2 and ||X v|| are read, never X's rows.
     """
     g = eta.grid
-    x = to_frequency(g, z * np.repeat(eta.values, g.fiber_dim)[:, None])
+    cut = np.repeat(eta.values, g.fiber_dim)
+    if s == 0:
+        rows = np.flatnonzero(cut)
+        return z[rows] * cut[rows, None]
+    x = to_frequency(g, z * cut[:, None])
     x *= g.sobolev_weights(s)[:, None]
     return x
 

@@ -1,10 +1,13 @@
+import ctypes
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy
 
 import torusop
 from torusop import cli
@@ -568,6 +571,45 @@ def test_full_suite_forwards_its_seed_to_the_seeded_scenarios(tmp_path,
     assert run("homotopy-scan", out=str(tmp_path / "one")) == 0
     manifest = json.loads((tmp_path / "one" / "manifest.json").read_text())
     assert manifest["seed"] is None
+
+
+def _set_openblas_threads(n):
+    """Set each bundled OpenBLAS that exports its setter to n threads; the
+    names of those that do."""
+    done = []
+    for name, (package, pattern, symbol) in cli.OPENBLAS.items():
+        assign = cli.openblas_function(package, pattern,
+                                       symbol.replace("_get_", "_set_"))
+        if assign is not None:
+            assign.argtypes = [ctypes.c_int]
+            assign.restype = None
+            assign(n)
+            done.append(name)
+    return done
+
+
+def test_manifest_records_scipy_and_the_blas_threads_in_effect(
+        tmp_path, monkeypatch):
+    # two runs that differ only in the BLAS thread count can differ in
+    # their last digits; the manifest tells them apart
+    cfg = {"N": 32, "families": ["laplace+1"]}
+    for n in (1, 2):
+        pinned = _set_openblas_threads(n)
+        out = tmp_path / str(n)
+        assert run("symbol-check", dict(cfg), out=str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["versions"]["scipy"] == scipy.__version__
+        assert manifest["versions"]["numpy"] == np.__version__
+        assert manifest["blas_threads"] == {
+            name: n if name in pinned else cli.openblas_threads(*lib)
+            for name, lib in cli.OPENBLAS.items()}
+        assert list(manifest["blas_threads"]) == ["numpy", "scipy"]
+    # a library without the query is recorded as "unknown"
+    monkeypatch.setitem(cli.OPENBLAS, "scipy",
+                        (scipy, "no-such-lib*.so", "no_such_query"))
+    assert run("symbol-check", dict(cfg), out=str(tmp_path / "none")) == 0
+    manifest = json.loads((tmp_path / "none" / "manifest.json").read_text())
+    assert manifest["blas_threads"]["scipy"] == "unknown"
 
 
 def test_waveprop_skipped_radius_is_not_a_propagation_row(tmp_path):

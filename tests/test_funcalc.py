@@ -224,15 +224,22 @@ def test_resolvent_route_matches_oracle():
     assert res.defect <= 1e-5
 
 
+def _direct_wave_values(fhat, x, t_max, n_quad):
+    """The wave route's trapezoid values on x from the full n_quad x len(x)
+    phase table, and the sum of |w fhat(t)| that bounds their rounding: the
+    oracle of the two-level sum."""
+    t, w = _trapezoid(t_max, n_quad)
+    coef = w * np.asarray(fhat(t), dtype=complex)
+    phases = np.outer(t, x) * 1j
+    np.exp(phases, out=phases)
+    return coef @ phases / np.sqrt(2 * np.pi), float(np.abs(coef).sum())
+
+
 def _wave_route_operator(f, t_max, n_quad, sd):
     """f(P) by the wave route as a dense operator: the oracle that
     fourier_apply's defect is checked against."""
-    t, w = _trapezoid(t_max, n_quad)
-    fh = np.asarray(f.fhat(t), dtype=complex)
-    phases = np.outer(t, sd.eigenvalues) * 1j
-    np.exp(phases, out=phases)
-    vals = (w * fh) @ phases / np.sqrt(2 * np.pi)
-    return sd.apply(vals)
+    return sd.apply(_direct_wave_values(f.fhat, sd.eigenvalues, t_max,
+                                        n_quad)[0])
 
 
 def _resolvent_route_operator(n_quad, sd):
@@ -338,6 +345,65 @@ def test_wave_route_tells_the_sign_of_t(path, n_quad):
     assert (sd.vectors is None) == (path == "fourier")
     assert fourier_apply(P, _odd_schwartz(), n_quad=n_quad,
                          spectral=sd).defect <= 1e-12
+
+
+def _assert_two_level_matches_direct(fhat, x, t_max, n_quad):
+    # the tolerance was fixed before measuring: each value is a sum of
+    # n_quad terms of modulus |w_j fhat(t_j)| / sqrt(2 pi)
+    want, scale = _direct_wave_values(fhat, x, t_max, n_quad)
+    got = funcalc._wave_route(fhat, x, t_max, n_quad)
+    assert np.abs(got - want).max() <= 1e-13 * scale, n_quad
+
+
+@pytest.mark.parametrize("path", ["fourier", "eigh"])
+@pytest.mark.parametrize("n_quad", [2, 3, 5, 1000, 2047, 2048, 4097])
+def test_two_level_wave_route_matches_direct_table(path, n_quad):
+    _P, sd = _route_test_operator(path)
+    for f in (named_function("gaussian", {"sigma": 1.0}), _odd_schwartz()):
+        _assert_two_level_matches_direct(f.fhat, sd.eigenvalues, 12.0,
+                                         n_quad)
+
+
+_ROUTE_SPECTRA = {path: _route_test_operator(path)[1].eigenvalues
+                  for path in ("fourier", "eigh")}
+
+
+@settings(max_examples=40, deadline=None)
+@given(path=st.sampled_from(["fourier", "eigh"]),
+       n_quad=st.integers(2, 5000), t_max=st.floats(0.5, 30.0),
+       sigma=st.floats(0.2, 3.0), odd=st.booleans())
+def test_two_level_wave_route_matches_direct_table_on_draws(
+        path, n_quad, t_max, sigma, odd):
+    x = _ROUTE_SPECTRA[path]
+    fhat = (_odd_schwartz() if odd
+            else named_function("gaussian", {"sigma": sigma})).fhat
+    _assert_two_level_matches_direct(fhat, x, t_max, n_quad)
+
+
+@pytest.mark.parametrize("path", ["fourier", "eigh"])
+@pytest.mark.parametrize("n_quad", [1000, 2048, 4097])
+def test_wave_route_exponentiates_no_full_phase_table(monkeypatch, path,
+                                                      n_quad):
+    # a baby step per c < b and a giant step per node t[::b]: no argument
+    # of np.exp may exceed (a + b) n entries, while the direct table has
+    # n_quad n; fhat and the oracle exponentiate n_quad and n entries, both
+    # below that bound for n = 64
+    P, sd = _route_test_operator(path)
+    n = sd.eigenvalues.size
+    b = 1 << (n_quad.bit_length() // 2)
+    a = -(-n_quad // b)
+    assert n == 64 and n_quad <= (a + b) * n < n_quad * n
+    sizes = []
+    exp = np.exp
+
+    def counted(arg, *args, **kwargs):
+        sizes.append(np.size(arg))
+        return exp(arg, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    fourier_apply(P, named_function("gaussian", {"sigma": 1.0}),
+                  n_quad=n_quad, spectral=sd)
+    assert sizes and max(sizes) <= (a + b) * n, (max(sizes), a, b)
 
 
 def test_function_of_multiplier_is_multiplier():

@@ -454,6 +454,61 @@ def test_region_probes_match_full_grid_probes(grid, name):
                             (radius, r, R, s, ratio, want)
 
 
+def _fft_cutoff_matrix(z, eta, s):
+    """X = W_s F(eta z) on every frequency state: the FFT route, which
+    ``_cutoff_matrix`` takes at s != 0, kept as the oracle of its s = 0
+    rows."""
+    g = eta.grid
+    x = to_frequency(g, z * np.repeat(eta.values, g.fiber_dim)[:, None])
+    x *= _weights(g, s)[:, None]
+    return x
+
+
+@pytest.mark.parametrize("grid, name", PROBE_CASES,
+                         ids=["1d", "1d-fiber2", "2d", "2d-fiber2"])
+def test_exterior_rows_match_fft_route_at_s_zero(grid, name):
+    # W_0 = 1 and F is unitary: the rows of eta z where eta != 0 have the
+    # FFT route's ||X||_2 and ||X w|| (Parseval), with no FFT taken
+    A = quantize(named_symbol(grid, name))
+    width = 4.0 * grid.spacing
+    rng = np.random.default_rng(9)
+    region = ball_region(grid, grid.points[grid.n_points // 3], 0.3)
+    cols = A.matrix[:, _region_states(region)]
+    dist = region.distance_field()
+    # at the larger radius the cutoff leaves out every state near the region
+    etas = [cutoff_eta(lattice.Region(grid, dist > R), width)
+            for R in (0.3, 0.6 * dist.max())]
+    assert np.count_nonzero(etas[-1].values) < grid.n_points
+    for r in (0, 1):
+        rr = _embedding_r_factor(region, r)
+        z = _solve(cols, rr)
+        w = rr @ (rng.standard_normal((rr.shape[0], 4))
+                  + 1j * rng.standard_normal((rr.shape[0], 4)))
+        for R, eta in zip((0.3, 0.6 * dist.max()), etas):
+            cut = np.repeat(eta.values, grid.fiber_dim)
+            x = _cutoff_matrix(z, eta, 0.0)
+            # only the exterior's rows: eta != 0 there, and only there
+            assert x.shape[0] == np.count_nonzero(cut) > 0
+            assert np.array_equal(x, z[cut != 0] * cut[cut != 0, None])
+            oracle = _fft_cutoff_matrix(z, eta, 0.0)
+            want = _cutoff_sup(oracle)
+            assert want > 0
+            assert abs(_cutoff_sup(x) - want) <= 1e-13 * want, (r, R)
+            got = np.linalg.norm(x @ w, axis=0)
+            ref = np.linalg.norm(oracle @ w, axis=0)
+            assert np.all(np.abs(got - ref) <= 1e-13 * ref), (r, R)
+            # off s = 0 the FFT route is unchanged, bit for bit
+            for s_out in (-1.0, 1.0):
+                assert np.array_equal(_cutoff_matrix(z, eta, s_out),
+                                      _fft_cutoff_matrix(z, eta, s_out))
+        # an operator that vanishes on the region's columns reads +0.0
+        zero = _cutoff_matrix(np.zeros_like(z), eta, 0.0)
+        for value in (_cutoff_sup(zero),
+                      *(np.linalg.norm(zero @ w, axis=0)
+                        / np.linalg.norm(w, axis=0))):
+            assert value == 0.0 and np.copysign(1.0, value) == 1.0
+
+
 @settings(max_examples=25, deadline=None)
 @given(shape=st.sampled_from(((1, 16, 1), (1, 12, 2), (2, 6, 1),
                               (2, 4, 2))),  # (dim, N, fiber)
