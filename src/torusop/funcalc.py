@@ -13,7 +13,9 @@ come from SpectralData.apply, V f(lambda) V*.  For a Fourier multiplier V
 is the Fourier basis of lattice.to_frequency, the eigenvalues are the
 values operators.fourier_diagonal reads from the kernel, and apply builds
 f(P) by operators.multiplier_matrix, as fourier_multiplier does, at
-O(n^2 log n) instead of a dense O(n^3) product.
+O(n^2 log n) instead of a dense O(n^3) product.  wave_columns reads a set
+of e^{itP}'s columns there with no n x n matrix: the multiplier's kernel
+holds every entry.
 The decomposition is checked when SpectralData is built.  The spectral-norm
 checks go through a one-sided gate: the bound
 ||D||_2 <= sqrt(||D||_1 ||D||_inf) against a Rayleigh quotient |x*Ax| / x*x
@@ -46,6 +48,7 @@ from .operators import (
     fourier_diagonal,
     multiplier_matrix,
     op_norm,
+    propagation_stamp,
 )
 
 __all__ = [
@@ -56,6 +59,7 @@ __all__ = [
     "NAMED_FUNCTIONS",
     "spectral_apply",
     "wave_operator",
+    "wave_columns",
     "FuncalcResult",
     "fourier_apply",
     "chi_resolvent_integral",
@@ -67,6 +71,9 @@ __all__ = [
 
 SPECTRAL_REL_TOL = 1e-9
 UNITARY_TOL = 1e-10
+# bytes of one row block of the resolvent route's table: about one core's
+# L2 cache, so a block is written and summed while it stays there
+_RESOLVENT_BLOCK_BYTES = 1 << 20
 # relative room the cheap gate leaves for rounding in the norms it compares;
 # those carry relative errors of order state_dim * 1e-16
 GATE_MARGIN = 1e-6
@@ -328,19 +335,56 @@ def wave_operator(
     """
     sd = spectral or spectral_data(P)
     mat = sd.apply(np.exp(1j * t * sd.eigenvalues))
-    bound = None
-    if P.propagation_speed is not None:
-        shift = abs(t) * P.propagation_speed / P.grid.spacing
-        if abs(shift - round(shift)) <= 1e-9 * max(1.0, shift):
-            bound = abs(t) * P.propagation_speed
     return DiscreteOperator(P.grid, 0, mat, provenance="function_of",
-                            propagation_bound=bound)
+                            propagation_bound=_propagation_bound(P, t))
+
+
+def _propagation_bound(P: DiscreteOperator, t: float) -> float | None:
+    """|t| times P's propagation speed when that is a whole number of grid
+    spacings, else None: the bound ``wave_operator`` stamps on e^{itP}."""
+    if P.propagation_speed is None:
+        return None
+    shift = abs(t) * P.propagation_speed / P.grid.spacing
+    if abs(shift - round(shift)) <= 1e-9 * max(1.0, shift):
+        return abs(t) * P.propagation_speed
+    return None
+
+
+def wave_columns(
+    P: DiscreteOperator, t: float, states: np.ndarray,
+    spectral: SpectralData | None = None,
+) -> tuple:
+    """(``wave_operator(P, t).matrix[:, states]``, its propagation bound),
+    bit for bit, with no n x n matrix on the Fourier path.
+
+    There e^{itP} is the multiplier of e^{it lambda}, and its columns are
+    read off its kernel (``multiplier_matrix`` with ``states``); the
+    propagation stamp is applied to those columns.  The matrix is
+    translation invariant and ``states`` holds every fiber slot of its
+    points, so those columns hold every entry of the matrix and every
+    entry beyond the bound: the stamp's scale and dust are the full
+    matrix's.  On the eigh path the operator is built and its columns taken.
+    """
+    sd = spectral or spectral_data(P)
+    if sd.vectors is not None:
+        U = wave_operator(P, t, spectral=sd)
+        return U.matrix.take(states, axis=1), U.propagation_bound
+    cols = multiplier_matrix(P.grid, np.exp(1j * t * sd.eigenvalues), states)
+    bound = _propagation_bound(P, t)
+    if bound is not None:
+        cols = propagation_stamp(P.grid, cols, bound,
+                                 float(np.abs(cols).max()) or 1.0, states)
+    return cols, bound
 
 
 def _trapezoid(t_max: float, n: int) -> tuple:
-    """Nodes and weights of the n-node trapezoid rule on [-t_max, t_max]."""
+    """Nodes and weights of the n-node trapezoid rule on [-t_max, t_max].
+
+    The weight is the linspace's own step 2 t_max / (n - 1); t[1] - t[0]
+    carries a rounding error of up to 1e-13 relative.
+    """
     t = np.linspace(-t_max, t_max, n)
-    w = np.full(n, t[1] - t[0])
+    w = np.full(n, 2.0 * t_max / (n - 1))
     w[0] *= 0.5
     w[-1] *= 0.5
     return t, w
@@ -418,6 +462,13 @@ def _resolvent_route(x: np.ndarray, n_quad: int) -> np.ndarray:
     trapezoid grid; the head [0, lam_min] and the tail beyond lam_max are
     added in closed form ((2/pi) x / sqrt(1+x^2) times the arctan
     increments), so the only numerical error is the window's trapezoid error.
+
+    The n_quad x len(x) table of weighted integrands is summed over the
+    nodes in row blocks of about _RESOLVENT_BLOCK_BYTES, never whole.  Each
+    block after the first carries the running sum as its first row, and
+    numpy adds a C-ordered table's rows one after another along axis 0, so
+    the rows meet in the whole table's order and the sum is its sum, bit
+    for bit.
     """
     if n_quad < 2:
         raise ValueError(f"the resolvent route needs n_quad >= 2: {n_quad}")
@@ -426,10 +477,19 @@ def _resolvent_route(x: np.ndarray, n_quad: int) -> np.ndarray:
     w = np.zeros(n_quad)
     w[1:] += 0.5 * np.diff(lam)
     w[:-1] += 0.5 * np.diff(lam)
-    q = 1.0 + lam[:, None] ** 2 + x[None, :] ** 2
-    np.divide(x[None, :], q, out=q)
-    q *= w[:, None]
-    body = (2.0 / np.pi) * q.sum(axis=0)
+    x2 = x[None, :] ** 2
+    rows = max(1, _RESOLVENT_BLOCK_BYTES // (8 * x.size))
+    block = np.empty((rows + 1, x.size))
+    for lo in range(0, n_quad, rows):
+        hi = min(lo + rows, n_quad)
+        q = block[1:hi - lo + 1]
+        np.add(1.0 + lam[lo:hi, None] ** 2, x2, out=q)
+        np.divide(x[None, :], q, out=q)
+        q *= w[lo:hi, None]
+        if lo:
+            block[0] = total
+        total = block[int(lo == 0):hi - lo + 1].sum(axis=0)
+    body = (2.0 / np.pi) * total
     root = np.sqrt(1.0 + x ** 2)
     head = (2.0 / np.pi) * (x / root) * np.arctan(lam_min / root)
     tail = (2.0 / np.pi) * (x / root) * (np.pi / 2 - np.arctan(lam_max / root))

@@ -33,9 +33,13 @@ __all__ = [
 
 
 def smoothstep(u):
-    """C^2 step: 1 for u <= 0, 0 for u >= 1, quintic polynomial in between."""
+    """C^2 step: 1 for u <= 0, 0 for u >= 1, quintic polynomial in between.
+
+    The polynomial rounds to about -1e-15 just below u = 1, so the result
+    is clamped at 0: every value lies in [0, 1].
+    """
     u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-    return 1.0 - u ** 3 * (10.0 - 15.0 * u + 6.0 * u ** 2)
+    return np.maximum(1.0 - u ** 3 * (10.0 - 15.0 * u + 6.0 * u ** 2), 0.0)
 
 
 @dataclass(frozen=True)

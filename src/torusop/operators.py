@@ -5,7 +5,8 @@ u_hat(xi), realized as the kernel k(x, y) = n^{-1} sum_xi e^{i (x-y).xi}
 p(x, xi), one inverse FFT over xi per point x.  A symbol that does not
 depend on x takes a single inverse FFT, and its kernel depends on x - y
 only; multiplier_matrix builds Fourier multipliers the same way, so
-quantization and multipliers share one kernel builder and state layout.
+quantization and multipliers share one kernel routine and state layout,
+and can build a set of a multiplier's columns alone from its kernel.
 fourier_diagonal reads a multiplier's values back from its kernel, the
 first r columns of the matrix, and accepts them only if they rebuild the
 matrix, with no n x n transform.  Operator norms between Sobolev spaces
@@ -32,6 +33,7 @@ __all__ = [
     "fourier_multiplier",
     "multiplier_matrix",
     "fourier_diagonal",
+    "propagation_stamp",
     "op_norm",
     "compose",
     "commutator",
@@ -94,6 +96,26 @@ def _hermitian_part(a: np.ndarray, tol: float) -> tuple:
     return defect, (out if defect <= tol else None)
 
 
+def propagation_stamp(grid: GridSpec, a: np.ndarray, bound: float,
+                      scale: float, states=None) -> np.ndarray:
+    """``a`` with its entries beyond distance ``bound`` zeroed exactly.
+
+    Those entries must already vanish to PROPAGATION_DUST_TOL * ``scale``,
+    else ValueError.  With ``states``, ``a`` holds only those columns of
+    the matrix, and the check reads only them.
+    """
+    beyond = _distance_mask_beyond(grid, float(bound))
+    if states is not None:
+        beyond = beyond[:, states]
+    dust = float(np.abs(a[beyond]).max()) if beyond.any() else 0.0
+    if dust > PROPAGATION_DUST_TOL * scale:
+        raise ValueError(
+            f"declared propagation bound violated: entry {dust:.3e} "
+            f"beyond distance {bound}"
+        )
+    return np.where(beyond, 0.0, a)
+
+
 @dataclass(frozen=True)
 class DiscreteOperator:
     """Dense operator on sections with declared order and provenance.
@@ -131,14 +153,7 @@ class DiscreteOperator:
                 )
             a = a_h
         if self.propagation_bound is not None:
-            beyond = _distance_mask_beyond(g, float(self.propagation_bound))
-            dust = float(np.abs(a[beyond]).max()) if beyond.any() else 0.0
-            if dust > PROPAGATION_DUST_TOL * scale:
-                raise ValueError(
-                    f"declared propagation bound violated: entry {dust:.3e} "
-                    f"beyond distance {self.propagation_bound}"
-                )
-            a = np.where(beyond, 0.0, a)
+            a = propagation_stamp(g, a, self.propagation_bound, scale)
         object.__setattr__(self, "matrix", a)
 
     @cached_property
@@ -217,11 +232,39 @@ def _hermitian_kernel(b: np.ndarray, tol: float) -> tuple:
     return defect, ((b + adj) / 2.0 if defect <= tol else None)
 
 
-def multiplier_matrix(grid: GridSpec, values) -> np.ndarray:
+def _circulant_columns(grid: GridSpec, b: np.ndarray,
+                       states: np.ndarray) -> np.ndarray:
+    """Columns ``states`` of ``_circulant_matrix(grid, b)``, with no n x n
+    matrix formed: entry (j, k) is read, as there, from b wrap-padded to 2N
+    per axis at N + j - k, so the columns are the matrix's bit for bit.
+
+    The flat index of that entry splits into a part of the row (j and its
+    fiber slot) and a part of the column (k and its fiber slot), so one
+    broadcast sum indexes every entry of the columns.
+    """
+    d, N = grid.dim, grid.points_per_axis
+    n, r = grid.n_points, grid.fiber_dim
+    padded = np.tile(b, (2,) * d + (1, 1))
+    # element strides of padded's grid axes
+    place = (2 * N) ** np.arange(d - 1, -1, -1)[:, None] * r * r
+    k, fib = np.divmod(np.asarray(states), r)
+    k = np.array(np.unravel_index(k, grid.grid_shape())).reshape(d, -1)
+    row = (place * np.indices(grid.grid_shape()).reshape(d, n)).sum(axis=0)
+    row = row[:, None] + r * np.arange(r)
+    col = (place * (N - k)).sum(axis=0) + fib
+    return padded.reshape(-1).take(row[:, :, None] + col).reshape(n * r, -1)
+
+
+def multiplier_matrix(grid: GridSpec, values, states=None) -> np.ndarray:
     """Dense matrix of u_hat -> values * u_hat, one value per frequency state.
 
-    The states are indexed as lattice.to_frequency indexes its output."""
-    return _kn_matrix(grid, _multiplier_samples(grid, values))
+    The states are indexed as lattice.to_frequency indexes its output.
+    With ``states``, a flat index array, only the matrix's columns
+    [:, states] are built, from the same kernel."""
+    samples = _multiplier_samples(grid, values)
+    if states is None:
+        return _kn_matrix(grid, samples)
+    return _circulant_columns(grid, _kn_kernel(grid, samples), states)
 
 
 def _multiplier_samples(grid: GridSpec, values) -> np.ndarray:

@@ -7,13 +7,17 @@ smooth cutoff) is computed exactly, as ||X||_2 of one matrix X per region
 and radius: the H^s image W_s F(eta Z) of the cut-off columns.  At s = 0,
 W_0 = 1 and F is unitary, so by Parseval the rows of eta Z where eta != 0
 have the same ||X||_2 and ||X w||, and X is taken as those rows, with no
-FFT.  A random probe, read off the same X, is a feasible point of that sup:
-it can raise the estimate only by rounding, where X's top singular values
-tie.
+FFT.  There the sup no longer reads X: its Gram X^H X is summed from Z's
+rows, the exterior rows (eta = 1, nested in R) once per region into a
+running Gram and each radius's 0 < eta < 1 rows on top of it
+(``_exterior_sups``).  A random probe, read off X, is a feasible point of
+that sup: it can raise the estimate only by rounding, where X's top
+singular values tie.
 What depends only on the regions, r and the radii (distance fields, exterior
 cutoffs, the R factor of each region's H^r embedding) is prepared once and
 then serves every operator: once per ``dominating_function`` call, and once
-per ``wave_quasilocality_scan`` for all its wave operators.  What depends on
+per ``wave_quasilocality_scan`` for all its wave operators, whose region
+columns ``funcalc.wave_columns`` reads without forming U_t.  What depends on
 the operator and a region but not on the radius, Z = C R^{-1} for the
 operator's region columns C, is solved once and serves every radius.
 Every estimate is a lower bound for the true dominating function, so tests
@@ -35,7 +39,7 @@ from .lattice import (
     to_frequency,
 )
 from .operators import DiscreteOperator
-from .funcalc import SpectralData, spectral_data, wave_operator
+from .funcalc import SpectralData, spectral_data, wave_columns
 
 __all__ = [
     "eps_rank",
@@ -181,33 +185,77 @@ def _cutoff_matrix(z: np.ndarray, eta, s: float) -> np.ndarray:
     cut = np.repeat(eta.values, g.fiber_dim)
     if s == 0:
         rows = np.flatnonzero(cut)
-        return z[rows] * cut[rows, None]
+        x = z[rows]
+        x *= cut[rows, None]
+        return x
     x = to_frequency(g, z * cut[:, None])
     x *= g.sobolev_weights(s)[:, None]
     return x
 
 
-def _cutoff_sup(x: np.ndarray) -> float:
-    """||X||_2, the exact sup over u of the cutoff seminorm ratio: the root
-    of the top eigenvalue of X^H X, whose lower triangle is one zherk.  The
-    clamp at 0 keeps an all-zero X exactly 0."""
-    gram = scipy.linalg.blas.zherk(1.0, x, trans=2, lower=1)
+def _gram(x: np.ndarray, running: np.ndarray | None = None) -> np.ndarray:
+    """Lower triangle of X^H X, plus ``running`` when given: one zherk."""
+    return scipy.linalg.blas.zherk(1.0, x, beta=float(running is not None),
+                                   c=running, trans=2, lower=1)
+
+
+def _gram_sup(gram: np.ndarray) -> float:
+    """The root of the top eigenvalue of a Gram matrix given by its lower
+    triangle; the clamp at 0 keeps an all-zero Gram exactly 0."""
     m = gram.shape[0]
     top = scipy.linalg.eigh(gram, lower=True, eigvals_only=True,
                             subset_by_index=[m - 1, m - 1], driver="evr")[0]
     return float(np.sqrt(top)) if top > 0 else 0.0
 
 
+def _cutoff_sup(x: np.ndarray) -> float:
+    """||X||_2, the exact sup over u of the cutoff seminorm ratio: the root
+    of the top eigenvalue of X^H X."""
+    return _gram_sup(_gram(x))
+
+
+def _exterior_sups(z: np.ndarray, prep, R_list) -> list:
+    """``_cutoff_sup(_cutoff_matrix(z, eta, 0))`` at each radius with an
+    exterior (None at the others), with the exterior Grams nested.
+
+    At s = 0, X^H X is the sum of eta_i^2 z_i^H z_i over the rows where
+    eta != 0.  Where the distance to the region exceeds R, eta = 1, and
+    those exterior rows shrink as R grows.  So from the largest R down, one
+    zherk adds to a running Gram the exterior rows not yet in it, and each
+    radius adds that Gram to the Gram of its own 0 < eta < 1 rows.  Each
+    Gram holds only its radius's rows, summed in another order than one
+    zherk over X: the sups agree to rounding, and rows that are exactly
+    zero still give exactly 0.
+    """
+    sups = [None] * len(R_list)
+    running, taken = None, np.zeros(z.shape[0], dtype=bool)
+    for j in sorted((j for j, eta in enumerate(prep.etas) if eta is not None),
+                    key=lambda j: R_list[j], reverse=True):
+        fiber = prep.etas[j].grid.fiber_dim
+        exterior = np.repeat(prep.dist > R_list[j], fiber)
+        new = np.flatnonzero(exterior & ~taken)
+        if new.size:
+            running = _gram(z[new], running)
+        taken = exterior
+        cut = np.repeat(prep.etas[j].values, fiber)
+        edge = np.flatnonzero((cut != 0) & ~exterior)
+        sups[j] = _gram_sup(_gram(z[edge] * cut[edge, None], running)
+                            if edge.size else running)
+    return sups
+
+
 @dataclass(frozen=True)
 class _PreparedRegion:
     """What mu_hat needs of one region, whatever the operator.
 
-    ``etas[j]`` is the cutoff of the exterior at the j-th radius, None where
-    that exterior is empty; ``factor`` is the ``_embedding_r_factor``, None
-    when every exterior is empty.
+    ``dist`` is the region's distance field; ``etas[j]`` is the cutoff of
+    the exterior at the j-th radius (the points where ``dist`` exceeds it),
+    None where that exterior is empty; ``factor`` is the
+    ``_embedding_r_factor``, None when every exterior is empty.
     """
 
     states: np.ndarray
+    dist: np.ndarray
     etas: tuple
     factor: np.ndarray | None
 
@@ -240,32 +288,34 @@ def _prepare_regions(region_list, r: float, R_list) -> list:
                         else cutoff_eta(outside, CUTOFF_SPACINGS * g.spacing))
         factor = (None if all(eta is None for eta in etas)
                   else _embedding_r_factor(region, r))
-        prepared.append(_PreparedRegion(_region_states(region), tuple(etas),
-                                        factor))
+        prepared.append(_PreparedRegion(_region_states(region), dist,
+                                        tuple(etas), factor))
     return prepared
 
 
 def _evaluate_mu_hat(
-    A: DiscreteOperator, s: float, R_list, prepared, probes: int, seed: int,
+    g, columns, s: float, R_list, prepared, probes: int, seed: int,
 ) -> DominatingFunctionEstimate:
     """mu_hat(R) of one operator over regions from ``_prepare_regions``.
 
-    Z = C R^{-1}, A's region columns C solved against the region's factor
-    by one triangular solve, serves every radius; X = ``_cutoff_matrix`` is
-    formed once per (radius, region), and the exact sup and every probe
-    read it.  The probes come from a generator seeded with ``seed``, in
-    radius-major, region-minor order.
+    ``columns[i]`` holds the operator's columns on the i-th region's states.
+    Z = C R^{-1}, those columns C solved against the region's factor by one
+    triangular solve, serves every radius.  X = ``_cutoff_matrix`` is formed
+    once per (radius, region) and every probe reads it; the exact sup reads
+    it too, except at s = 0, where ``_exterior_sups`` takes every radius's
+    sup from nested Grams of Z's rows.  The probes come from a generator
+    seeded with ``seed``, in radius-major, region-minor order.
     """
-    g = A.grid
     rng = np.random.default_rng(seed)
     zs = [None if prep.factor is None
-          else scipy.linalg.solve_triangular(
-              prep.factor, A.matrix.take(prep.states, axis=1).T, trans="T").T
-          for prep in prepared]
+          else scipy.linalg.solve_triangular(prep.factor, cols.T, trans="T").T
+          for prep, cols in zip(prepared, columns)]
+    sups = [_exterior_sups(z, prep, R_list) if s == 0 and z is not None
+            else None for prep, z in zip(prepared, zs)]
     mu = []
     for j, R in enumerate(R_list):
         best, usable = 0.0, False
-        for prep, z in zip(prepared, zs):
+        for prep, z, region_sups in zip(prepared, zs, sups):
             eta = prep.etas[j]
             if eta is None:
                 continue
@@ -276,7 +326,8 @@ def _evaluate_mu_hat(
             # one probe per column of w = R u_s: ||X w|| / ||w||
             w = prep.factor @ u[:, prep.states].T
             ratios = np.linalg.norm(x @ w, axis=0) / np.linalg.norm(w, axis=0)
-            best = max(best, _cutoff_sup(x), float(ratios.max()))
+            sup = _cutoff_sup(x) if region_sups is None else region_sups[j]
+            best = max(best, sup, float(ratios.max()))
         mu.append(best if usable else np.nan)
     return DominatingFunctionEstimate(
         R_list=tuple(float(R) for R in R_list), mu_hat=tuple(mu))
@@ -305,7 +356,9 @@ def dominating_function(
     """
     _check_dominating_args(R_list, region_list, probes)
     prepared = _prepare_regions(region_list, r, R_list)
-    return _evaluate_mu_hat(A, s, R_list, prepared, probes, seed)
+    columns = [A.matrix.take(prep.states, axis=1) for prep in prepared]
+    return _evaluate_mu_hat(A.grid, columns, s, R_list, prepared, probes,
+                            seed)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +407,9 @@ def wave_quasilocality_scan(
     exterior (CUTOFF_SPACINGS grid spacings wide) and one R factor of its
     H^l embedding serve every t.  Only U_t's region columns, their one
     triangular solve against that factor (shared by every radius) and the
-    probes, which move a row only by rounding, are taken per t.
+    probes, which move a row only by rounding, are taken per t.  The
+    columns are ``funcalc.wave_columns``, bitwise U_t's: on the Fourier
+    path they are read off U_t's kernel, and U_t is never formed.
     """
     g = P.grid
     cutoff_width = CUTOFF_SPACINGS * g.spacing
@@ -370,15 +425,16 @@ def wave_quasilocality_scan(
     table = {}
     prop_rows = []
     for t in t_list:
-        U = wave_operator(P, t, spectral=sd)
-        est = _evaluate_mu_hat(U, s_out, R_list, prepared, probes, seed)
+        cols, bound = wave_columns(P, t, prepared[0].states, spectral=sd)
+        est = _evaluate_mu_hat(g, [cols], s_out, R_list, prepared, probes,
+                               seed)
         for R, m in zip(est.R_list, est.mu_hat):
             entries.append((float(t), float(R), float(l), float(m)))
             table[(t, R)] = m
-        if U.propagation_bound is not None:
+        if bound is not None:
             # a skipped radius (NaN, no exterior left) measured nothing
             for R, m in zip(est.R_list, est.mu_hat):
-                if R > U.propagation_bound + cutoff_width and np.isfinite(m):
+                if R > bound + cutoff_width and np.isfinite(m):
                     prop_rows.append((float(t), float(R), m == 0.0))
     slopes = [
         _loglog_slope(list(R_list), [table[(t, R)] for R in R_list])

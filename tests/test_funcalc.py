@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from torusop import funcalc, operators
-from torusop.lattice import GridSpec
+from torusop.lattice import GridSpec, ball_region
 from torusop.operators import (
     DiscreteOperator,
     fourier_multiplier,
@@ -26,6 +28,7 @@ from torusop.funcalc import (
     q_integral,
     spectral_apply,
     spectral_data,
+    wave_columns,
     wave_operator,
 )
 from torusop.parametrix import build_parametrix
@@ -242,10 +245,9 @@ def _wave_route_operator(f, t_max, n_quad, sd):
                                         n_quad)[0])
 
 
-def _resolvent_route_operator(n_quad, sd):
-    """chi(P) by the resolvent route as a dense operator: the oracle that
-    chi_resolvent_integral's defect is checked against."""
-    x = sd.eigenvalues
+def _one_table_resolvent_values(x, n_quad):
+    """The resolvent route's values on x from its whole n_quad x len(x)
+    table, summed at once: the oracle of the row-blocked sum."""
     lam_min, lam_max = 1e-6, 1e3
     lam = np.geomspace(lam_min, lam_max, n_quad)
     w = np.zeros(n_quad)
@@ -258,7 +260,14 @@ def _resolvent_route_operator(n_quad, sd):
     root = np.sqrt(1.0 + x ** 2)
     head = (2.0 / np.pi) * (x / root) * np.arctan(lam_min / root)
     tail = (2.0 / np.pi) * (x / root) * (np.pi / 2 - np.arctan(lam_max / root))
-    return sd.apply((body + head + tail).astype(complex))
+    return body + head + tail
+
+
+def _resolvent_route_operator(n_quad, sd):
+    """chi(P) by the resolvent route as a dense operator: the oracle that
+    chi_resolvent_integral's defect is checked against."""
+    return sd.apply(_one_table_resolvent_values(sd.eigenvalues,
+                                                n_quad).astype(complex))
 
 
 def _route_test_operator(path):
@@ -404,6 +413,125 @@ def test_wave_route_exponentiates_no_full_phase_table(monkeypatch, path,
     fourier_apply(P, named_function("gaussian", {"sigma": 1.0}),
                   n_quad=n_quad, spectral=sd)
     assert sizes and max(sizes) <= (a + b) * n, (max(sizes), a, b)
+
+
+@pytest.mark.parametrize("n", [1, 3, 64, 1024])
+@pytest.mark.parametrize("n_quad", [2, 1000, 4096, 4097])
+def test_blocked_resolvent_route_equals_one_table_sum(n, n_quad):
+    # 128 rows per block at n = 1024 and 2048 at n = 64: 1000 and 4097 end
+    # on a short block; the values, signed zeros included, are the whole
+    # table's bit for bit
+    rng = np.random.default_rng([n, n_quad])
+    x = 30.0 * rng.standard_normal(n)
+    x[0] = -0.0
+    got = funcalc._resolvent_route(x, n_quad)
+    want = _one_table_resolvent_values(x, n_quad)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _wave_scan_multiplier():
+    """The wave-scan workload's operator, 1D N=1024, L=8, 1.2 + xi^2."""
+    g = GridSpec(1, 1024, 8.0)
+    P = fourier_multiplier(g, lambda xi: 1.2 + xi[..., 0] ** 2, order=2)
+    return P, spectral_data(P)
+
+
+def _traced_peak(fn):
+    """Peak traced bytes allocated while fn() runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_resolvent_route_never_holds_its_whole_table():
+    P, sd = _wave_scan_multiplier()
+    n, n_quad = sd.eigenvalues.size, 4096
+    peak = _traced_peak(
+        lambda: chi_resolvent_integral(P, n_quad=n_quad, spectral=sd))
+    assert peak < n_quad * n * 8, peak
+
+
+def test_gaussian_wave_route_defect_is_at_rounding():
+    # the wave-scan Gaussian at width 0.25 of the spectral radius: with
+    # t[1] - t[0] as the weight the defect read 7.4e-14
+    P, sd = _wave_scan_multiplier()
+    sigma = 0.25 * sd.spectral_radius
+    gauss = named_function("gaussian", {"sigma": sigma})
+    res = fourier_apply(P, gauss, t_max=12.0 / sigma, n_quad=2048,
+                        spectral=sd)
+    assert res.defect <= 2e-15
+
+
+def test_trapezoid_weight_is_the_linspace_step():
+    for t_max, n in ((12.0, 2048), (16.0, 4096), (0.3, 2), (1e-3, 7)):
+        t, w = _trapezoid(t_max, n)
+        h = 2.0 * t_max / (n - 1)
+        assert np.all(w[1:-1] == h) and w[0] == w[-1] == h / 2
+        assert t[0] == -t_max and t[-1] == t_max
+
+
+def _column_cases():
+    """(P, t, region) on 1D and 2D grids with fiber 1 and 2: translations
+    with a stamped propagation bound, and multipliers without one."""
+    cases = []
+    for g in (GridSpec(1, 64, 1.0), GridSpec(1, 32, 1.0, 2),
+              GridSpec(2, 12, 1.0), GridSpec(2, 8, 1.0, 2)):
+        region = ball_region(g, g.points[g.n_points // 3], 2.0 * g.spacing)
+        shift = fourier_multiplier(g, lambda xi: xi[..., 0], order=1,
+                                   propagation_speed=1.0)
+        heat = fourier_multiplier(g, lambda xi: 1.0 + (xi ** 2).sum(-1),
+                                  order=2)
+        for t in (2 * g.spacing, 3 * g.spacing, 0.37):
+            cases.append((shift, t, region))
+        cases.append((heat, 0.3, region))
+    return cases
+
+
+def test_wave_columns_equal_wave_operator_columns():
+    stamped = 0
+    for P, t, region in _column_cases():
+        sd = spectral_data(P)
+        assert sd.vectors is None
+        states = np.flatnonzero(np.repeat(region.mask, P.grid.fiber_dim))
+        U = wave_operator(P, t, spectral=sd)
+        cols, bound = wave_columns(P, t, states, spectral=sd)
+        want = np.ascontiguousarray(U.matrix[:, states])
+        assert bound == U.propagation_bound
+        assert np.array_equal(cols.view(np.int64), want.view(np.int64))
+        if bound is not None:
+            stamped += 1
+            # the stamp zeroed whole columns' worth of entries exactly
+            assert np.count_nonzero(cols == 0) > cols.size // 2
+    assert stamped == 8
+
+
+def test_wave_columns_raise_what_wave_operator_raises():
+    # a declared speed that the multiplier does not have
+    for g in (GridSpec(1, 64, 1.0), GridSpec(2, 8, 1.0, 2)):
+        P = fourier_multiplier(g, lambda xi: 1.0 + (xi ** 2).sum(-1),
+                               order=2, propagation_speed=1.0)
+        sd = spectral_data(P)
+        states = np.arange(g.fiber_dim)
+        with pytest.raises(ValueError, match="propagation bound") as full:
+            wave_operator(P, 2 * g.spacing, spectral=sd)
+        with pytest.raises(ValueError, match="propagation bound") as cols:
+            wave_columns(P, 2 * g.spacing, states, spectral=sd)
+        assert str(cols.value) == str(full.value)
+
+
+def test_wave_columns_on_the_eigh_path_are_the_operator_columns():
+    P, sd = _route_test_operator("eigh")
+    states = np.arange(5, 17)
+    cols, bound = wave_columns(P, 0.4, states, spectral=sd)
+    want = np.ascontiguousarray(
+        wave_operator(P, 0.4, spectral=sd).matrix[:, states])
+    assert bound is None
+    assert np.array_equal(cols.view(np.int64), want.view(np.int64))
 
 
 def test_function_of_multiplier_is_multiplier():

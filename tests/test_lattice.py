@@ -11,6 +11,7 @@ from torusop.lattice import (
     from_frequency,
     lipschitz_bump,
     restricted_seminorm,
+    smoothstep,
     sobolev_norm,
     to_frequency,
 )
@@ -86,6 +87,22 @@ def test_cutoff_eta_is_one_on_region():
     assert np.allclose(eta.values[reg.mask], 1.0)
     far = reg.distance_field() > 8 * g.spacing
     assert np.abs(eta.values[far]).max() == 0.0
+
+
+def test_smoothstep_stays_in_the_unit_interval():
+    # the quintic rounds below 0 just under u = 1 (to -1.3e-15)
+    for lo, hi in ((-0.001, 0.001), (0.999, 1.001)):
+        vals = smoothstep(np.linspace(lo, hi, 200001))
+        assert vals.min() >= 0.0 and vals.max() <= 1.0
+        assert not np.signbit(vals).any()
+    assert smoothstep(0.0) == 1.0 and smoothstep(1.0) == 0.0
+    # so no cutoff holds a negative value: here the unclamped quintic gave
+    # two points -2.2e-16, which counted as eta != 0 rows
+    g = GridSpec(2, 12, 1.0)
+    region = ball_region(g, g.points[g.n_points // 3], 0.3)
+    dist = region.distance_field()
+    eta = cutoff_eta(Region(g, dist > 0.6 * dist.max()), 4.0 * g.spacing)
+    assert not np.signbit(eta.values).any()
 
 
 def test_cutoff_eta_of_empty_and_full_regions_is_exact():

@@ -23,6 +23,7 @@ from torusop.operators import (
     decay_profile,
     fourier_multiplier,
     multiplication_operator,
+    multiplier_matrix,
     op_norm,
     quantize,
     symmetrize,
@@ -282,6 +283,25 @@ def test_kn_matrix_equals_offset_gather(dim, N, fiber, x_dependent):
     got = _kn_matrix(g, a)
     assert got.flags.c_contiguous and got.flags.writeable
     assert np.array_equal(got, _gathered_kn_matrix(g, a))
+
+
+@pytest.mark.parametrize("dim,N", [(1, 32), (2, 8)])
+@pytest.mark.parametrize("fiber", [1, 2])
+def test_multiplier_columns_equal_full_matrix_columns(dim, N, fiber):
+    # any states, in any order and with repeats, not only whole points
+    g = GridSpec(dim, N, 1.0, fiber)
+    rng = np.random.default_rng([dim, N, fiber, 1])
+    values = (rng.standard_normal(g.state_dim)
+              + 1j * rng.standard_normal(g.state_dim))
+    full = multiplier_matrix(g, values)
+    for states in (np.arange(g.state_dim), np.array([3]),
+                   rng.choice(g.state_dim, 7, replace=False),
+                   np.array([5, 0, 5, g.state_dim - 1])):
+        got = multiplier_matrix(g, values, states)
+        want = np.ascontiguousarray(full[:, states])
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+            states
 
 
 def _random_matrix(n, seed, hermitian):
