@@ -6,7 +6,10 @@ assuming convergence.  Quadratures are applied to the eigenvalues, which
 agrees with summing the matrix-valued integrand by unitary equivalence.
 A route and the oracle are then both diagonal in P's eigenbasis, so
 max |route(lambda) - f(lambda)| over the spectrum is ||route(P) - f(P)||_2:
-the routes report that number and build no operator.
+the routes report that number and build no operator.  A maximum over the
+spectrum does not see how often a value repeats, so each route is taken
+once per distinct eigenvalue (``np.unique``).  Spectral data passed in must
+be P's own (``SpectralData.source is P``); any other is refused.
 
 The operators that are read (spectral_apply, wave_operator, q_integral)
 come from SpectralData.apply, V f(lambda) V*.  For a Fourier multiplier V
@@ -309,11 +312,25 @@ def named_function(name: str, params: dict | None = None) -> ScalarFunctionSpec:
 # calculus routes
 
 
+def _spectrum_of(P: DiscreteOperator,
+                 spectral: SpectralData | None) -> SpectralData:
+    """``spectral`` when it decomposes P itself, else P's own spectral data.
+
+    Data of any other operator, however alike, is refused: its f(Q) or its
+    defect would be reported as P's.
+    """
+    if spectral is None:
+        return spectral_data(P)
+    if spectral.source is not P:
+        raise ValueError("spectral data of another operator than P")
+    return spectral
+
+
 def spectral_apply(
     P: DiscreteOperator, f, spectral: SpectralData | None = None,
 ) -> DiscreteOperator:
     """Oracle route: f(P) = V f(lambda) V*, declared order 0."""
-    sd = spectral or spectral_data(P)
+    sd = _spectrum_of(P, spectral)
     vals = np.asarray(f(sd.eigenvalues), dtype=complex)
     mat = sd.apply(vals)
     sa = bool(np.all(np.abs(vals.imag) <= 1e-14 * max(1.0, np.abs(vals).max())))
@@ -333,7 +350,7 @@ def wave_operator(
     because the band-limited interpolant of a shifted section has full
     support on the lattice.
     """
-    sd = spectral or spectral_data(P)
+    sd = _spectrum_of(P, spectral)
     mat = sd.apply(np.exp(1j * t * sd.eigenvalues))
     return DiscreteOperator(P.grid, 0, mat, provenance="function_of",
                             propagation_bound=_propagation_bound(P, t))
@@ -365,7 +382,7 @@ def wave_columns(
     entry beyond the bound: the stamp's scale and dust are the full
     matrix's.  On the eigh path the operator is built and its columns taken.
     """
-    sd = spectral or spectral_data(P)
+    sd = _spectrum_of(P, spectral)
     if sd.vectors is not None:
         U = wave_operator(P, t, spectral=sd)
         return U.matrix.take(states, axis=1), U.propagation_bound
@@ -396,7 +413,8 @@ class FuncalcResult:
 
     The route and the oracle are both diagonal in P's eigenbasis, so the
     defect max |route(lambda) - f(lambda)| over the spectrum is the
-    spectral norm ||route(P) - f(P)||_2; neither operator is built.
+    spectral norm ||route(P) - f(P)||_2; neither operator is built.  The
+    maximum runs over the distinct eigenvalues, one route value each.
     """
 
     defect: float
@@ -434,7 +452,8 @@ def fourier_apply(
 ) -> FuncalcResult:
     """Wave route f(P) = (1/sqrt(2 pi)) int fhat(t) e^{itP} dt by trapezoid.
 
-    The n_quad-node sum is ``_wave_route`` on P's eigenvalues: a two-level
+    The n_quad-node sum is ``_wave_route`` on P's distinct eigenvalues
+    (a repeated one adds nothing to the defect's maximum): a two-level
     sum over giant steps t[::b] and baby steps c h, with b ~ sqrt(n_quad)
     and h = 2 t_max / (n_quad - 1), which forms no n_quad x n phase table.
     Only f with a closed-form transform ``fhat`` (Schwartz f) is accepted,
@@ -448,7 +467,7 @@ def fourier_apply(
     if not (np.isfinite(t_max) and t_max > 0):
         # a reversed or empty interval would flip or zero the integral
         raise ValueError(f"the wave route needs a finite t_max > 0: {t_max}")
-    x = (spectral or spectral_data(P)).eigenvalues
+    x = np.unique(_spectrum_of(P, spectral).eigenvalues)
     vals = _wave_route(f.fhat, x, t_max, n_quad)
     oracle = np.asarray(f.fn(x), dtype=complex)
     return FuncalcResult(float(np.abs(vals - oracle).max()))
@@ -501,8 +520,8 @@ def chi_resolvent_integral(
     spectral: SpectralData | None = None,
 ) -> FuncalcResult:
     """Resolvent route chi(P) = (2/pi) int_0^inf P (1 + lam^2 + P^2)^{-1} dlam,
-    which is _resolvent_route on P's eigenvalues."""
-    x = (spectral or spectral_data(P)).eigenvalues
+    which is _resolvent_route on P's distinct eigenvalues."""
+    x = np.unique(_spectrum_of(P, spectral).eigenvalues)
     vals = _resolvent_route(x, n_quad)
     return FuncalcResult(float(np.abs(vals - x / np.sqrt(1.0 + x ** 2)).max()))
 

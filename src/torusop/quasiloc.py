@@ -6,20 +6,21 @@ R-neighbourhood of L, relative to the norm of u.  The sup over u (for a fixed
 smooth cutoff) is computed exactly, as ||X||_2 of one matrix X per region
 and radius: the H^s image W_s F(eta Z) of the cut-off columns.  At s = 0,
 W_0 = 1 and F is unitary, so by Parseval the rows of eta Z where eta != 0
-have the same ||X||_2 and ||X w||, and X is taken as those rows, with no
-FFT.  There the sup no longer reads X: its Gram X^H X is summed from Z's
-rows, the exterior rows (eta = 1, nested in R) once per region into a
-running Gram and each radius's 0 < eta < 1 rows on top of it
-(``_exterior_sups``).  A random probe, read off X, is a feasible point of
-that sup: it can raise the estimate only by rounding, where X's top
-singular values tie.
+have the same ||X||_2 and ||X w||, and X is never formed: Z is solved only
+on the rows some cutoff leaves, its Gram X^H X is summed from those rows,
+the exterior rows (eta = 1, nested in R) once per region into a running
+Gram and each radius's 0 < eta < 1 rows on top of it (``_exterior_sups``),
+and a random probe w reads ||X w|| as ||eta (Z w)||.  At s != 0 the sup
+and the probes read X.  A probe is a feasible point of that sup: it can
+raise the estimate only by rounding, where X's top singular values tie.
 What depends only on the regions, r and the radii (distance fields, exterior
-cutoffs, the R factor of each region's H^r embedding) is prepared once and
-then serves every operator: once per ``dominating_function`` call, and once
-per ``wave_quasilocality_scan`` for all its wave operators, whose region
-columns ``funcalc.wave_columns`` reads without forming U_t.  What depends on
-the operator and a region but not on the radius, Z = C R^{-1} for the
-operator's region columns C, is solved once and serves every radius.
+cutoffs and the rows they leave, the real R factor of each region's H^r
+embedding) is prepared once and then serves every operator: once per
+``dominating_function`` call, and once per ``wave_quasilocality_scan`` for
+all its wave operators, whose region columns ``funcalc.wave_columns`` reads
+without forming U_t.  What depends on the operator and a region but not on
+the radius, Z = C R^{-1} for the operator's region columns C, is solved
+once and serves every radius.
 Every estimate is a lower bound for the true dominating function, so tests
 assert decay laws rather than exact values.
 """
@@ -38,7 +39,7 @@ from .lattice import (
     lipschitz_bump,
     to_frequency,
 )
-from .operators import DiscreteOperator
+from .operators import DiscreteOperator, multiplier_matrix
 from .funcalc import SpectralData, spectral_data, wave_columns
 
 __all__ = [
@@ -157,17 +158,18 @@ def _region_states(region: Region) -> np.ndarray:
 def _embedding_r_factor(region: Region, r: float) -> np.ndarray:
     """R factor of the H^r embedding of sections supported in the region.
 
-    Taken by QR of the n x m embedding with ``mode="r"``, which skips
-    forming Q and returns the same R bit for bit.  A Cholesky factor of its
+    The embedding is diag(w_r) W* E, E the region's columns of the identity.
+    W is unitary, so W diag(w_r) W* E, the region's columns of the
+    multiplier of w_r, has the same Gram matrix, and its R is the
+    embedding's up to a diagonal of unit-modulus entries, which no sup and
+    no probe ratio ||X R u|| / ||R u|| sees.  That matrix is real, since w_r
+    is even in xi: its imaginary part holds only rounding and is dropped
+    before the QR (``mode="r"``, no Q formed).  A Cholesky factor of the
     m x m Gram matrix would be cheaper but squares the conditioning.
     """
     g = region.grid
-    states = _region_states(region)
-    emb = np.zeros((g.state_dim, states.size))
-    emb[states, np.arange(states.size)] = 1.0
-    den = to_frequency(g, emb)
-    den *= g.sobolev_weights(r)[:, None]
-    return np.linalg.qr(den, mode="r")
+    emb = multiplier_matrix(g, g.sobolev_weights(r), _region_states(region))
+    return np.linalg.qr(emb.real, mode="r")
 
 
 def _cutoff_matrix(z: np.ndarray, eta, s: float) -> np.ndarray:
@@ -180,6 +182,8 @@ def _cutoff_matrix(z: np.ndarray, eta, s: float) -> np.ndarray:
     At s = 0, W_0 = 1 and F is unitary, so by Parseval ||X v|| = ||eta z v||
     for every v: X is then taken as the rows of eta z where eta != 0, and no
     FFT is taken.  Only ||X||_2 and ||X v|| are read, never X's rows.
+    ``_evaluate_mu_hat`` forms X only at s != 0; at s = 0 it reads both
+    numbers off z's kept rows, and this X is what they must match.
     """
     g = eta.grid
     cut = np.repeat(eta.values, g.fiber_dim)
@@ -218,26 +222,27 @@ def _exterior_sups(z: np.ndarray, prep, R_list) -> list:
     """``_cutoff_sup(_cutoff_matrix(z, eta, 0))`` at each radius with an
     exterior (None at the others), with the exterior Grams nested.
 
-    At s = 0, X^H X is the sum of eta_i^2 z_i^H z_i over the rows where
-    eta != 0.  Where the distance to the region exceeds R, eta = 1, and
-    those exterior rows shrink as R grows.  So from the largest R down, one
-    zherk adds to a running Gram the exterior rows not yet in it, and each
-    radius adds that Gram to the Gram of its own 0 < eta < 1 rows.  Each
-    Gram holds only its radius's rows, summed in another order than one
-    zherk over X: the sups agree to rounding, and rows that are exactly
-    zero still give exactly 0.
+    ``z`` holds C R^{-1} on the region's kept rows ``prep.kept`` only, the
+    rows where some cutoff is non-zero.  At s = 0, X^H X is the sum of
+    eta_i^2 z_i^H z_i over the rows where eta != 0.  Where the distance to
+    the region exceeds R, eta = 1, and those exterior rows shrink as R
+    grows.  So from the largest R down, one zherk adds to a running Gram
+    the exterior rows not yet in it, and each radius adds that Gram to the
+    Gram of its own 0 < eta < 1 rows.  Each Gram holds only its radius's
+    rows, summed in another order than one zherk over X: the sups agree to
+    rounding, and rows that are exactly zero still give exactly 0.
     """
     sups = [None] * len(R_list)
     running, taken = None, np.zeros(z.shape[0], dtype=bool)
-    for j in sorted((j for j, eta in enumerate(prep.etas) if eta is not None),
+    for j in sorted((j for j, cut in enumerate(prep.cuts) if cut is not None),
                     key=lambda j: R_list[j], reverse=True):
         fiber = prep.etas[j].grid.fiber_dim
-        exterior = np.repeat(prep.dist > R_list[j], fiber)
+        exterior = np.repeat(prep.dist > R_list[j], fiber)[prep.kept]
         new = np.flatnonzero(exterior & ~taken)
         if new.size:
             running = _gram(z[new], running)
         taken = exterior
-        cut = np.repeat(prep.etas[j].values, fiber)
+        cut = prep.cuts[j]
         edge = np.flatnonzero((cut != 0) & ~exterior)
         sups[j] = _gram_sup(_gram(z[edge] * cut[edge, None], running)
                             if edge.size else running)
@@ -251,13 +256,18 @@ class _PreparedRegion:
     ``dist`` is the region's distance field; ``etas[j]`` is the cutoff of
     the exterior at the j-th radius (the points where ``dist`` exceeds it),
     None where that exterior is empty; ``factor`` is the
-    ``_embedding_r_factor``, None when every exterior is empty.
+    ``_embedding_r_factor``, None when every exterior is empty.  ``kept``
+    are the states where some cutoff is non-zero, the only rows an s = 0
+    sup or probe reads; the cutoffs nest, so they are the smallest radius's
+    support.  ``cuts[j]`` is ``etas[j]`` on those rows (None with it).
     """
 
     states: np.ndarray
     dist: np.ndarray
     etas: tuple
     factor: np.ndarray | None
+    kept: np.ndarray
+    cuts: tuple
 
 
 def _check_dominating_args(R_list, region_list, probes: int) -> None:
@@ -275,7 +285,8 @@ def _prepare_regions(region_list, r: float, R_list) -> list:
     One distance field per region gives every exterior (the points farther
     than R); each non-empty exterior's cutoff is CUTOFF_SPACINGS grid
     spacings wide; the QR factor is taken only for a region with some
-    non-empty exterior.
+    non-empty exterior.  The cutoffs are also kept on the rows where some
+    of them is non-zero.
     """
     prepared = []
     for region in region_list:
@@ -286,10 +297,15 @@ def _prepare_regions(region_list, r: float, R_list) -> list:
             outside = Region(g, dist > R)
             etas.append(None if outside.is_empty()
                         else cutoff_eta(outside, CUTOFF_SPACINGS * g.spacing))
+        cuts = [None if eta is None else np.repeat(eta.values, g.fiber_dim)
+                for eta in etas]
+        kept = np.flatnonzero(np.any(
+            [cut != 0 for cut in cuts if cut is not None], axis=0))
         factor = (None if all(eta is None for eta in etas)
                   else _embedding_r_factor(region, r))
-        prepared.append(_PreparedRegion(_region_states(region), dist,
-                                        tuple(etas), factor))
+        prepared.append(_PreparedRegion(
+            _region_states(region), dist, tuple(etas), factor, kept,
+            tuple(None if cut is None else cut[kept] for cut in cuts)))
     return prepared
 
 
@@ -300,15 +316,21 @@ def _evaluate_mu_hat(
 
     ``columns[i]`` holds the operator's columns on the i-th region's states.
     Z = C R^{-1}, those columns C solved against the region's factor by one
-    triangular solve, serves every radius.  X = ``_cutoff_matrix`` is formed
-    once per (radius, region) and every probe reads it; the exact sup reads
-    it too, except at s = 0, where ``_exterior_sups`` takes every radius's
-    sup from nested Grams of Z's rows.  The probes come from a generator
+    triangular solve, serves every radius.  At s = 0 only the region's kept
+    rows ``kept`` of C are solved, the only rows any cutoff leaves: each
+    row of Z is solved on its own, so they are the full solve's rows.
+    There ``_exterior_sups`` takes every radius's sup from nested Grams of
+    Z's rows, and a probe w reads ||X w|| as ||eta (Z w)||, one product
+    Z w per radius and region, with no X formed.  At s != 0 Z is solved on
+    every row, X = ``_cutoff_matrix`` is formed once per (radius, region),
+    and the sup and every probe read it.  The probes come from a generator
     seeded with ``seed``, in radius-major, region-minor order.
     """
     rng = np.random.default_rng(seed)
     zs = [None if prep.factor is None
-          else scipy.linalg.solve_triangular(prep.factor, cols.T, trans="T").T
+          else scipy.linalg.solve_triangular(
+              prep.factor, (cols[prep.kept] if s == 0 else cols).T,
+              trans="T").T
           for prep, cols in zip(prepared, columns)]
     sups = [_exterior_sups(z, prep, R_list) if s == 0 and z is not None
             else None for prep, z in zip(prepared, zs)]
@@ -320,13 +342,17 @@ def _evaluate_mu_hat(
             if eta is None:
                 continue
             usable = True
-            x = _cutoff_matrix(z, eta, s)
             draws = rng.standard_normal((probes, 2, g.n_points, g.fiber_dim))
             u = (draws[:, 0] + 1j * draws[:, 1]).reshape(probes, -1)
             # one probe per column of w = R u_s: ||X w|| / ||w||
             w = prep.factor @ u[:, prep.states].T
-            ratios = np.linalg.norm(x @ w, axis=0) / np.linalg.norm(w, axis=0)
-            sup = _cutoff_sup(x) if region_sups is None else region_sups[j]
+            if s == 0:
+                xw, sup = z @ w, region_sups[j]
+                xw *= prep.cuts[j][:, None]
+            else:
+                x = _cutoff_matrix(z, eta, s)
+                xw, sup = x @ w, _cutoff_sup(x)
+            ratios = np.linalg.norm(xw, axis=0) / np.linalg.norm(w, axis=0)
             best = max(best, sup, float(ratios.max()))
         mu.append(best if usable else np.nan)
     return DominatingFunctionEstimate(

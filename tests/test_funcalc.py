@@ -614,3 +614,78 @@ def test_schwartz_bump_transform_matches_riemann_sum(a, b):
     t = np.linspace(-8.0, 8.0, 33)
     riemann = np.array([np.dot(fx, np.exp(-1j * tv * x)) for tv in t])
     assert np.abs(riemann - f.fhat(t)).max() <= 1e-12
+
+
+# Spectral data passed in must decompose P itself: Q's would report
+# e^{itQ}, f(Q) or Q's defect as P's.
+
+SOURCE_CALLS = {
+    "spectral_apply": lambda P, sd: spectral_apply(P, np.cos, spectral=sd),
+    "wave_operator": lambda P, sd: wave_operator(P, 0.3, spectral=sd),
+    "wave_columns": lambda P, sd: wave_columns(
+        P, 0.3, np.arange(4), spectral=sd),
+    "fourier_apply": lambda P, sd: fourier_apply(
+        P, named_function("gaussian"), n_quad=64, spectral=sd),
+    "chi_resolvent_integral": lambda P, sd: chi_resolvent_integral(
+        P, n_quad=64, spectral=sd),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOURCE_CALLS))
+def test_spectral_data_of_another_operator_is_refused(name):
+    call = SOURCE_CALLS[name]
+    P, Q = _p(name="sqrt_laplace"), _p(name="laplace+1")
+    call(P, spectral_data(P))
+    with pytest.raises(ValueError, match="another operator"):
+        call(P, spectral_data(Q))
+    # an equal operator is still another one: its data is not P's
+    twin = DiscreteOperator(P.grid, P.order, P.matrix.copy(),
+                            provenance=P.provenance,
+                            self_adjoint=P.self_adjoint)
+    with pytest.raises(ValueError, match="another operator"):
+        call(P, spectral_data(twin))
+
+
+def _repeated_spectrum(path):
+    """A P whose spectrum repeats values exactly: a multiplier (Fourier
+    path, +-xi share a value) or a multiplication operator (eigh path,
+    cos x_j = cos x_{N-j} at some j)."""
+    g = GridSpec(1, 64, 2.0 if path == "fourier" else 1.0)
+    P = symmetrize(quantize(named_symbol(
+        g, "sqrt_laplace" if path == "fourier" else "mult_cos")))
+    sd = spectral_data(P)
+    assert (sd.vectors is None) == (path == "fourier")
+    assert np.unique(sd.eigenvalues).size < sd.eigenvalues.size
+    return P, sd
+
+
+@pytest.mark.parametrize("path", ["fourier", "eigh"])
+@pytest.mark.parametrize("n_quad", [64, 2048])
+def test_routes_on_distinct_eigenvalues_keep_the_defect(path, n_quad,
+                                                        monkeypatch):
+    # each route runs once per distinct eigenvalue; on every eigenvalue
+    # (the oracle) the maximum is the same number
+    P, sd = _repeated_spectrum(path)
+    x = sd.eigenvalues
+    f = named_function("gaussian", {"sigma": 0.5 * sd.spectral_radius})
+    t_max = 24.0 / sd.spectral_radius
+    wave = float(np.abs(funcalc._wave_route(f.fhat, x, t_max, n_quad)
+                        - np.asarray(f.fn(x), dtype=complex)).max())
+    resolvent = float(np.abs(funcalc._resolvent_route(x, n_quad)
+                             - x / np.sqrt(1.0 + x ** 2)).max())
+    sizes = {}
+    # (rule, position of its eigenvalue argument)
+    for name, at in (("_wave_route", 1), ("_resolvent_route", 0)):
+        route = getattr(funcalc, name)
+
+        def counted(*args, route=route, name=name, at=at):
+            sizes[name] = np.size(args[at])
+            return route(*args)
+
+        monkeypatch.setattr(funcalc, name, counted)
+    assert fourier_apply(P, f, t_max=t_max, n_quad=n_quad,
+                         spectral=sd).defect == wave
+    assert chi_resolvent_integral(P, n_quad=n_quad,
+                                  spectral=sd).defect == resolvent
+    assert sizes == dict.fromkeys(("_wave_route", "_resolvent_route"),
+                                  np.unique(x).size)

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from torusop import lattice
+from torusop import lattice, quasiloc
 from torusop.funcalc import spectral_data, wave_operator
 from torusop.lattice import (
     BumpFunction,
@@ -636,6 +636,9 @@ def test_cutoff_sup_matches_per_radius_solve_on_random_operators(
 @pytest.mark.parametrize("dim, n, fiber", [(1, 32, 1), (1, 16, 2),
                                            (2, 8, 1), (2, 6, 2)])
 def test_embedding_r_factor_matches_full_qr(dim, n, fiber):
+    # the complex QR of the embedding diag(w_r) W* E is the oracle: the
+    # real factor is its R up to a unit-modulus diagonal, so it has the
+    # same |diag R| and the same Gram R^H R (bounds fixed before measuring)
     g = GridSpec(dim, n, 1.0, fiber)
     region = ball_region(g, g.points[g.n_points // 3], 0.8)
     mask = np.repeat(region.mask, fiber)
@@ -647,7 +650,12 @@ def test_embedding_r_factor_matches_full_qr(dim, n, fiber):
         want = np.linalg.qr(den)[1]
         got = _embedding_r_factor(region, r)
         assert got.shape == want.shape == (m, m)
-        assert np.array_equal(got, want), (r, np.abs(got - want).max())
+        assert got.dtype == np.float64 and np.array_equal(got, np.triu(got))
+        assert np.allclose(np.abs(np.diag(got)), np.abs(np.diag(want)),
+                           rtol=1e-13, atol=0.0), r
+        gram = want.conj().T @ want
+        assert (np.abs(got.T @ got - gram).max()
+                <= 1e-13 * np.abs(gram).max()), r
 
 
 def _per_t_reference(P, k, t_list, R_list, l, region, probes, seed, sd):
@@ -866,3 +874,141 @@ def test_wave_scan_holds_no_dense_wave_operator():
     finally:
         tracemalloc.stop()
     assert peak < g.state_dim ** 2 * 16, peak
+
+
+# At s = 0 the estimator solves Z = C R^{-1} only on the rows some cutoff
+# leaves and reads each probe as ||eta (Z w)||; the full solve, X =
+# ``_cutoff_matrix(z, eta, 0)`` and the complex QR of the embedding are kept
+# here as its oracles.  The bounds were fixed before measuring.
+
+
+KEPT_ROW_CASES = [
+    # (grid, symbol, radii): the smallest radius's cutoff leaves out some
+    # rows near the region; the last 2d radius leaves no exterior
+    (GridSpec(1, 64, 1.0), "elliptic_x", (0.2, 0.5, 1.0, 2.0)),
+    (GridSpec(1, 32, 1.0, 2), "dirac_mass", (1.5, 0.9, 2.5)),
+    (GridSpec(2, 16, 1.0), "laplace+1", (2.0, 2.6, 3.5)),
+    (GridSpec(2, 12, 1.0, 2), "dirac", (3.0, 2.4, 3.6, 10.0)),
+]
+KEPT_ROW_IDS = ["1d", "1d-fiber2", "2d", "2d-fiber2"]
+
+
+def _complex_embedding_r_factor(region, r):
+    """R of the complex QR of the H^r embedding diag(w_r) W* E: the factor
+    the real one replaced, up to a unit-modulus diagonal."""
+    g = region.grid
+    states = _region_states(region)
+    emb = np.zeros((g.state_dim, states.size))
+    emb[states, np.arange(states.size)] = 1.0
+    return np.linalg.qr(to_frequency(g, emb) * _weights(g, r)[:, None],
+                        mode="r")
+
+
+@pytest.mark.parametrize("grid, name, radii", KEPT_ROW_CASES,
+                         ids=KEPT_ROW_IDS)
+def test_kept_row_z_equals_the_full_solve_rows(grid, name, radii,
+                                               monkeypatch):
+    A = quantize(named_symbol(grid, name))
+    region = ball_region(grid, grid.points[grid.n_points // 3], 0.3)
+    prep, = _prepare_regions([region], 1.0, radii)
+    cuts = [np.repeat(eta.values, grid.fiber_dim)
+            for eta in prep.etas if eta is not None]
+    # the kept rows are every row some cutoff leaves, and the cutoffs nest:
+    # they are the smallest radius's support
+    support = np.flatnonzero(cuts[int(np.argmin(
+        [R for R, eta in zip(radii, prep.etas) if eta is not None]))])
+    assert np.array_equal(prep.kept, support)
+    assert np.array_equal(prep.kept, np.flatnonzero(np.any(cuts, axis=0)))
+    assert 0 < prep.kept.size < grid.state_dim
+    seen = []
+    exterior_sups = quasiloc._exterior_sups
+
+    def recorded(z, *args):
+        seen.append(z)
+        return exterior_sups(z, *args)
+
+    monkeypatch.setattr(quasiloc, "_exterior_sups", recorded)
+    dominating_function(A, 1.0, 0.0, radii, [region], probes=1)
+    full = _solve(A.matrix[:, prep.states], prep.factor)
+    z, = seen
+    # trsm solves each row of Z on its own
+    assert np.array_equal(z, full[prep.kept])
+
+
+@pytest.mark.parametrize("grid, name, radii", KEPT_ROW_CASES,
+                         ids=KEPT_ROW_IDS)
+def test_s_zero_probes_read_x_without_forming_it(grid, name, radii,
+                                                 monkeypatch):
+    # with every sup set to 0, mu_hat is the best probe ratio
+    # ||eta (Z w)|| / ||w||; the oracle reads the same draws off X.  Where
+    # the operator vanishes beyond R (the 2d stencils at the largest
+    # radii), both read exactly 0
+    A = quantize(named_symbol(grid, name))
+    region = ball_region(grid, grid.points[grid.n_points // 3], 0.3)
+    monkeypatch.setattr(quasiloc, "_exterior_sups",
+                        lambda z, prep, R_list: [0.0] * len(R_list))
+    positive = 0
+    for r in (0.0, 1.0):
+        est = dominating_function(A, r, 0.0, radii, [region], probes=3,
+                                  seed=4)
+        prep, = _prepare_regions([region], r, radii)
+        z = _solve(A.matrix[:, prep.states], prep.factor)
+        rng = np.random.default_rng(4)
+        for mu, eta in zip(est.mu_hat, prep.etas):
+            if eta is None:
+                assert np.isnan(mu)
+                continue
+            draws = rng.standard_normal((3, 2, grid.n_points,
+                                         grid.fiber_dim))
+            u = (draws[:, 0] + 1j * draws[:, 1]).reshape(3, -1)
+            w = prep.factor @ u[:, prep.states].T
+            want = float((np.linalg.norm(_cutoff_matrix(z, eta, 0.0) @ w,
+                                         axis=0)
+                          / np.linalg.norm(w, axis=0)).max())
+            positive += want > 0
+            assert abs(mu - want) <= 1e-13 * want, (r, mu, want)
+    assert positive >= 2 * 2
+
+
+@pytest.mark.parametrize("grid, name, radii", KEPT_ROW_CASES,
+                         ids=KEPT_ROW_IDS)
+def test_real_factor_mu_hat_matches_the_complex_factor(grid, name, radii,
+                                                       monkeypatch):
+    A = quantize(named_symbol(grid, name))
+    regions = [ball_region(grid, grid.points[grid.n_points // 3], 0.3),
+               ball_region(grid, grid.points[1], 0.5)]
+    cases = [(r, s) for r in (0.0, 1.0, 2.0) for s in (0.0, 1.0)]
+    got = [dominating_function(A, r, s, radii, regions, probes=2).mu_hat
+           for r, s in cases]
+    monkeypatch.setattr(quasiloc, "_embedding_r_factor",
+                        _complex_embedding_r_factor)
+    for (r, s), mu in zip(cases, got):
+        want = dominating_function(A, r, s, radii, regions, probes=2).mu_hat
+        assert np.allclose(mu, want, rtol=1e-12, atol=0.0, equal_nan=True), \
+            (r, s, mu, want)
+
+
+def test_s_zero_solve_receives_only_the_kept_rows(monkeypatch):
+    # the wave-scan workload's shape at N=256: each t's solve reads the
+    # rows the smallest radius's cutoff leaves; off s = 0 it reads them all
+    P, k, t_list, R_list, l, region = _wave_scan_case()
+    prep, = _prepare_regions([region], l, R_list)
+    kept = np.count_nonzero(np.any(
+        [eta.values != 0 for eta in prep.etas if eta is not None], axis=0))
+    shapes = []
+    solve = scipy.linalg.solve_triangular
+
+    def counted(a, b, *args, **kwargs):
+        shapes.append(b.shape)
+        return solve(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", counted)
+    wave_quasilocality_scan(P, k, t_list, R_list, l, region=region,
+                            probes=1, spectral=spectral_data(P))
+    m = prep.states.size
+    assert shapes == [(m, kept)] * len(t_list)
+    assert kept < P.grid.state_dim
+    shapes.clear()
+    wave_quasilocality_scan(P, k + 1, t_list, R_list, l, region=region,
+                            probes=1, spectral=spectral_data(P))
+    assert shapes == [(m, P.grid.state_dim)] * len(t_list)
