@@ -14,13 +14,15 @@ be P's own (``SpectralData.source is P``); any other is refused.
 The operators that are read (spectral_apply, wave_operator, q_integral)
 come from SpectralData.apply, V f(lambda) V*.  For a Fourier multiplier V
 is the Fourier basis of lattice.to_frequency, the eigenvalues are the
-values operators.fourier_diagonal reads from the kernel, and apply builds
-f(P) by operators.multiplier_matrix, as fourier_multiplier does, at
-O(n^2 log n) instead of a dense O(n^3) product.  wave_columns reads a set
-of e^{itP}'s columns there with no n x n matrix: the multiplier's kernel
-holds every entry.
-The decomposition is checked when SpectralData is built.  The spectral-norm
-checks go through a one-sided gate: the bound
+values spectral_data reads from the kernel, and apply builds f(P) by
+operators.multiplier_matrix, as fourier_multiplier does, at O(n^2 log n)
+instead of a dense O(n^3) product.  wave_columns reads a set of e^{itP}'s
+columns there with no n x n matrix: the multiplier's kernel holds every
+entry.
+The decomposition is checked when SpectralData is built, on one defect
+matrix D = V diag(lambda) V* - P; in the Fourier basis that is also the one
+test that P is a multiplier.  The spectral-norm checks go through a
+one-sided gate: the bound
 ||D||_2 <= sqrt(||D||_1 ||D||_inf) against a Rayleigh quotient |x*Ax| / x*x
 <= ||A||_2 can only say "pass" when the exact check would pass; otherwise
 the exact SVD norms decide, as before.
@@ -45,10 +47,9 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from .lattice import from_frequency
+from .lattice import from_frequency, to_frequency
 from .operators import (
     DiscreteOperator,
-    fourier_diagonal,
     multiplier_matrix,
     op_norm,
     propagation_stamp,
@@ -73,6 +74,8 @@ __all__ = [
 ]
 
 SPECTRAL_REL_TOL = 1e-9
+# entrywise Fourier-basis defect, relative to the largest eigenvalue
+MULTIPLIER_ENTRY_TOL = 1e-12
 UNITARY_TOL = 1e-10
 # bytes of one row block of the resolvent route's table: about one core's
 # L2 cache, so a block is written and summed while it stays there
@@ -92,13 +95,20 @@ def _gate_passes(defect: np.ndarray, a: np.ndarray, x: np.ndarray) -> bool:
     sqrt(||D||_1 ||D||_inf) bounds ||D||_2 from above (Golub & Van Loan,
     Matrix Computations, 2.3), and the Rayleigh quotient |x* a x| / x* x
     bounds ||a||_2 from below, so True implies that the exact check passes.
-    False decides nothing: the caller then takes the exact norms.
+    False decides nothing: the caller then takes the exact norms.  A real
+    ``defect`` is taken to hold |D| already, and no second n x n array of
+    magnitudes is made.
     """
-    mag = np.abs(defect)
+    mag = defect if np.isrealobj(defect) else np.abs(defect)
     upper = math.sqrt(float(mag.sum(axis=0).max())
                       * float(mag.sum(axis=1).max()))
     lower = abs(np.vdot(x, a @ x)) / np.vdot(x, x).real
     return upper * (1.0 + GATE_MARGIN) <= SPECTRAL_REL_TOL * lower
+
+
+class _DefectError(ValueError):
+    """A decomposition that does not rebuild its operator: on the Fourier
+    path, the refusal that sends spectral_data to the dense eigensolve."""
 
 
 @dataclass(frozen=True)
@@ -108,7 +118,9 @@ class SpectralData:
     ``vectors`` is V as a dense matrix, or None for the Fourier basis of
     lattice.to_frequency, in which eigenvalue i belongs to frequency state
     i; apply then builds a multiplier matrix, and ``eigenvectors`` is built
-    only on first read.  Either way V diag(lambda) V* = P is checked here.
+    only on first read.  Either way V diag(lambda) V* = P is checked here;
+    in the Fourier basis first entry by entry (MULTIPLIER_ENTRY_TOL), the
+    test that P is that multiplier at all, which takes no norm.
     """
 
     eigenvalues: np.ndarray
@@ -127,17 +139,22 @@ class SpectralData:
                 raise ValueError(
                     f"eigenvector basis not unitary: {gram_defect:.3e}")
             x = v[:, top]
-        else:
+        d = self.apply(lam)
+        d -= a
+        mag = d
+        if self.vectors is None:
+            mag = np.abs(d)
+            off = float(mag.max())
+            if off > MULTIPLIER_ENTRY_TOL * (float(np.abs(lam).max()) or 1.0):
+                raise _DefectError(f"spectral reconstruction defect {off:.3e}")
             x = np.zeros(n, dtype=complex)
             x[top] = 1.0
             x = from_frequency(self.source.grid, x)
-        d = self.apply(lam)
-        d -= a
-        if not _gate_passes(d, a, x):
+        if not _gate_passes(mag, a, x):
             scale = float(np.linalg.norm(a, 2)) or 1.0
             defect = float(np.linalg.norm(d, 2))
             if defect > SPECTRAL_REL_TOL * scale:
-                raise ValueError(f"spectral reconstruction defect {defect:.3e}")
+                raise _DefectError(f"spectral reconstruction defect {defect:.3e}")
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
@@ -163,20 +180,26 @@ class SpectralData:
 def spectral_data(P: DiscreteOperator) -> SpectralData:
     """Diagonalize a self-adjoint operator.
 
-    Every operator is offered to operators.fourier_diagonal, which accepts
-    the values it reads from the kernel only if they rebuild the matrix, so
-    a Fourier multiplier, however built, is diagonalized exactly by the
-    Fourier basis: the result is its eigenvalues alone, in frequency-state
-    order.  Any other operator takes a dense eigensolve, eigenvalues
-    ascending.
+    Every operator is first offered the Fourier basis.  A multiplier is
+    translation invariant, so its kernel at x = 0, the first r columns of
+    P, holds all its values: sqrt(n_points) times their transform, read on
+    the fiber diagonal [m*r + s, s].  SpectralData accepts them only if
+    they rebuild P (its checks), so a Fourier multiplier, however built, is
+    diagonalized exactly by the Fourier basis: the result is its
+    eigenvalues alone, in frequency-state order.  Any other operator takes
+    a dense eigensolve, eigenvalues ascending.
     """
     if not P.self_adjoint:
         raise ValueError("functional calculus requires a self-adjoint operator")
-    diag = fourier_diagonal(P)
-    if diag is not None:
-        return SpectralData(diag, None, P)
-    vals, vecs = scipy.linalg.eigh(P.matrix)
-    return SpectralData(vals, vecs, P)
+    g = P.grid
+    n, r = g.n_points, g.fiber_dim
+    kern = math.sqrt(n) * to_frequency(g, P.matrix[:, :r])
+    values = kern.reshape(n, r, r)[:, np.arange(r), np.arange(r)].ravel()
+    try:
+        return SpectralData(values.real, None, P)
+    except _DefectError:
+        vals, vecs = scipy.linalg.eigh(P.matrix)
+        return SpectralData(vals, vecs, P)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +568,8 @@ def q_integral(
 ) -> QIntegralResult:
     """Quadrature of A_0 = int q(t) e^{itP} dt with the order-raising identity.
 
-    The trapezoid rule takes 4096 nodes on [-16, 16].  Each integration by
+    The trapezoid rule takes 4096 nodes on [-16, 16], summed by the wave
+    rule ``_wave_route`` on P's eigenvalues.  Each integration by
     parts against the parametrix Q of P gives A_j = iQ A_{j+1} + S2 A_j,
     hence A_0 = (iQ)^n A_n + sum_{j<n} (iQ)^j S2 A_j.  The residual of that
     matrix identity is reported against a bound driven by the quadrature
@@ -554,9 +578,9 @@ def q_integral(
     """
     if q.derivative is None:
         raise ValueError("q_integral needs closed-form derivatives of q")
-    t, w = _trapezoid(16.0, 4096)
-    # every q^(j) is checked before P's spectral data is taken
-    weights = []
+    t_max, n_quad = 16.0, 4096
+    t = _trapezoid(t_max, n_quad)[0]
+    # every q^(j) is checked on the nodes before P's spectral data is taken
     for j in range(n + 1):
         qj = np.asarray(q.derivative(j)(t), dtype=complex)
         tail = float(np.abs(qj[0] * t[0]) + np.abs(qj[-1] * t[-1]))
@@ -564,10 +588,11 @@ def q_integral(
             raise ValueError(
                 f"q^({j})(t) |t| not integrable on the grid: tail {tail:.3e}"
             )
-        weights.append(w * qj)
     sd = spectral_data(P)
-    phases = np.exp(1j * np.outer(t, sd.eigenvalues))
-    mats = [sd.apply(wq @ phases) for wq in weights]
+    # int q^(j)(t) e^{itx} dt is sqrt(2 pi) times the wave rule of q^(j)
+    mats = [sd.apply(np.sqrt(2 * np.pi) * _wave_route(
+                q.derivative(j), sd.eigenvalues, t_max, n_quad))
+            for j in range(n + 1)]
 
     g = P.grid
     iq = 1j * parametrix.Q.matrix

@@ -114,9 +114,15 @@ class GridSpec:
         return np.linalg.norm(self.frequencies, axis=-1)
 
     def sobolev_weights(self, s: float) -> np.ndarray:
-        """(1 + |xi|^2)^(s/2) per frequency state, repeated over the fiber."""
-        return np.repeat((1.0 + self.frequency_magnitude ** 2) ** (s / 2.0),
-                         self.fiber_dim)
+        """(1 + |xi|^2)^(s/2) per frequency state, repeated over the fiber.
+
+        A weight that overflows to inf raises ValueError naming s."""
+        with np.errstate(over="ignore"):
+            w = (1.0 + self.frequency_magnitude ** 2) ** (s / 2.0)
+        if not np.all(np.isfinite(w)):
+            raise ValueError(
+                f"Sobolev index s = {s} gives weights that are not finite")
+        return np.repeat(w, self.fiber_dim)
 
     def grid_shape(self) -> tuple:
         return (self.points_per_axis,) * self.dim

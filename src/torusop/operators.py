@@ -7,12 +7,9 @@ depend on x takes a single inverse FFT, and its kernel depends on x - y
 only; multiplier_matrix builds Fourier multipliers the same way, so
 quantization and multipliers share one kernel routine and state layout,
 and can build a set of a multiplier's columns alone from its kernel.
-fourier_diagonal reads a multiplier's values back from its kernel, the
-first r columns of the matrix, and accepts them only if they rebuild the
-matrix, with no n x n transform.  Operator norms between Sobolev spaces
-are taken in the frequency basis of lattice.to_frequency, where the
-Sobolev weights are diagonal, by op_norm alone; it reads the
-representation each operator keeps as frequency_rep.
+Operator norms between Sobolev spaces are taken in the frequency basis of
+lattice.to_frequency, where the Sobolev weights are diagonal, by op_norm
+alone; it reads the representation each operator keeps as frequency_rep.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ __all__ = [
     "multiplication_operator",
     "fourier_multiplier",
     "multiplier_matrix",
-    "fourier_diagonal",
     "propagation_stamp",
     "op_norm",
     "compose",
@@ -343,27 +339,6 @@ def _to_fourier_rep(A: DiscreteOperator) -> np.ndarray:
     g = A.grid
     # W is symmetric, so right-multiplying by W transforms the rows
     return from_frequency(g, to_frequency(g, A.matrix).T).T
-
-
-def fourier_diagonal(A: DiscreteOperator) -> np.ndarray | None:
-    """A's real value per frequency state if A is a Fourier multiplier,
-    else None.
-
-    A multiplier is translation invariant, so its kernel at x = 0, the
-    first r columns of A, holds all its values: sqrt(n_points) times their
-    transform, read on the fiber diagonal [m*r + s, s].  They are accepted
-    only if no entry of A - multiplier_matrix(values) exceeds 1e-12 of the
-    largest value, which tests A itself for translation invariance; no
-    n x n transform is taken."""
-    g = A.grid
-    n, r = g.n_points, g.fiber_dim
-    kern = math.sqrt(n) * to_frequency(g, A.matrix[:, :r])
-    values = kern.reshape(n, r, r)[:, np.arange(r), np.arange(r)].ravel()
-    diff = multiplier_matrix(g, values)
-    diff -= A.matrix
-    off = float(np.abs(diff).max())
-    scale = float(np.abs(values).max()) or 1.0
-    return values.real if off <= 1e-12 * scale else None
 
 
 def op_norm(A: DiscreteOperator, s: float, t: float, modes=None) -> float:

@@ -179,20 +179,12 @@ def _cutoff_matrix(z: np.ndarray, eta, s: float) -> np.ndarray:
     and its ``_embedding_r_factor`` R, ``eta`` the cutoff of the exterior.
     For u supported in the region, with values u_s on its states,
     ||X R u_s|| = ||eta A u||_{H^s} and ||R u_s|| = ||u||_{H^r}.
-    At s = 0, W_0 = 1 and F is unitary, so by Parseval ||X v|| = ||eta z v||
-    for every v: X is then taken as the rows of eta z where eta != 0, and no
-    FFT is taken.  Only ||X||_2 and ||X v|| are read, never X's rows.
-    ``_evaluate_mu_hat`` forms X only at s != 0; at s = 0 it reads both
-    numbers off z's kept rows, and this X is what they must match.
+    ``_evaluate_mu_hat`` forms X only at s != 0: at s = 0, W_0 = 1 and F is
+    unitary, so by Parseval it reads ||X||_2 and ||X v|| off the rows of
+    eta z where eta != 0, with no FFT.
     """
     g = eta.grid
-    cut = np.repeat(eta.values, g.fiber_dim)
-    if s == 0:
-        rows = np.flatnonzero(cut)
-        x = z[rows]
-        x *= cut[rows, None]
-        return x
-    x = to_frequency(g, z * cut[:, None])
+    x = to_frequency(g, z * np.repeat(eta.values, g.fiber_dim)[:, None])
     x *= g.sobolev_weights(s)[:, None]
     return x
 

@@ -2,8 +2,12 @@
 
 Each oracle multiplies by the unitary W = operators.fourier_matrix, lifted
 to the fiber as kron(W, I_r): the slow path that lattice.to_frequency /
-from_frequency and the FFT quantization replace.
+from_frequency and the FFT quantization replace.  The choice of the
+Fourier basis in spectral_data is held to ``_fourier_diagonal``, the
+separate multiplier check it made before SpectralData's own check decided.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -12,17 +16,17 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from torusop import funcalc, operators
-from torusop.funcalc import spectral_data
+from torusop.funcalc import SpectralData, spectral_data
 from torusop.lattice import GridSpec, from_frequency, to_frequency
 from torusop.operators import (
     DiscreteOperator,
     compose,
-    fourier_diagonal,
     fourier_matrix,
     fourier_multiplier,
     multiplier_matrix,
     op_norm,
     quantize,
+    symmetrize,
 )
 from torusop.parametrix import (
     band_projector,
@@ -90,6 +94,46 @@ def _dense_diagonal(A):
 def _real_multiplier(grid, vals):
     return DiscreteOperator(grid, 0, multiplier_matrix(grid, vals),
                             self_adjoint=True)
+
+
+def _kernel_values(A):
+    """A's value per frequency state if A is a Fourier multiplier: its
+    kernel at x = 0, the first r columns of A, is sqrt(n_points) times
+    their transform, read on the fiber diagonal [m*r + s, s]."""
+    g = A.grid
+    n, r = g.n_points, g.fiber_dim
+    kern = math.sqrt(n) * to_frequency(g, A.matrix[:, :r])
+    return kern.reshape(n, r, r)[:, np.arange(r), np.arange(r)].ravel()
+
+
+def _fourier_diagonal(A):
+    """A's real value per frequency state if A is a Fourier multiplier,
+    else None: the multiplier check spectral_data made before SpectralData
+    owned it.  The kernel values are accepted only if no entry of
+    A - multiplier_matrix(values) exceeds 1e-12 of the largest value."""
+    values = _kernel_values(A)
+    diff = multiplier_matrix(A.grid, values)
+    diff -= A.matrix
+    off = float(np.abs(diff).max())
+    scale = float(np.abs(values).max()) or 1.0
+    return values.real if off <= 1e-12 * scale else None
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def _assert_spectral_data_matches_oracle(P):
+    """spectral_data(P) takes the path ``_fourier_diagonal`` chooses, with
+    the eigenvalues it reads or those of the dense eigensolve, bit for bit.
+    Returns whether that path is the Fourier basis."""
+    sd = spectral_data(P)
+    diag = _fourier_diagonal(P)
+    fourier = diag is not None
+    assert (sd.vectors is None) is fourier
+    want = diag if fourier else scipy.linalg.eigh(P.matrix)[0]
+    assert _bits(sd.eigenvalues) == _bits(want)
+    return fourier
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
@@ -207,17 +251,25 @@ def test_fourier_diagonal_matches_dense_w(grid):
     # row of A, or at -xi, differ from the oracle's
     for A in (M, fourier_multiplier(grid, lambda xi: xi[..., 0])):
         expect = np.diag(w.conj().T @ A.matrix @ w).real
-        assert _rel(fourier_diagonal(A), expect) <= REL
+        assert _assert_spectral_data_matches_oracle(A)
+        assert _rel(spectral_data(A).eigenvalues, expect) <= REL
     # an x-dependent perturbation far below the multiplier is still seen
     x = grid.points[:, 0]
     bump = np.repeat(1e-9 * np.cos(x / grid.period_scale), grid.fiber_dim)
     perturbed = DiscreteOperator(grid, 0, M.matrix + np.diag(bump),
-                                 provenance="composed")
-    assert fourier_diagonal(perturbed) is None
+                                 provenance="composed", self_adjoint=True)
+    assert not _assert_spectral_data_matches_oracle(perturbed)
+    # all values zero: the entrywise test's scale is 1
+    assert _assert_spectral_data_matches_oracle(
+        fourier_multiplier(grid, lambda xi: 0.0 * xi[..., 0]))
 
 
 def test_fourier_diagonal_rejects_a_quantized_drift():
-    assert fourier_diagonal(quantize(named_symbol(GRIDS[0], "drift"))) is None
+    drift = quantize(named_symbol(GRIDS[0], "drift"))
+    assert _fourier_diagonal(drift) is None
+    with pytest.raises(ValueError, match="spectral reconstruction defect"):
+        SpectralData(_kernel_values(drift).real, None, drift)
+    assert not _assert_spectral_data_matches_oracle(symmetrize(drift))
 
 
 FIBER2 = [g for g in GRIDS if g.fiber_dim == 2]
@@ -229,7 +281,8 @@ def test_fourier_diagonal_reads_each_fiber_slot(grid):
     rng = np.random.default_rng(3)
     vals = rng.standard_normal(grid.state_dim)
     A = _real_multiplier(grid, vals)
-    got = fourier_diagonal(A)
+    assert _assert_spectral_data_matches_oracle(A)
+    got = spectral_data(A).eigenvalues
     assert _rel(got, _dense_diagonal(A)) <= REL
     assert _rel(got, vals) <= REL
 
@@ -247,9 +300,94 @@ def test_fourier_diagonal_matches_dense_w_on_random_values(dim, fiber, data):
     vals = data.draw(arrays(float, grid.state_dim, elements=_VALUE))
     A = _real_multiplier(grid, vals)
     expect = _dense_diagonal(A)
-    got = fourier_diagonal(A)
-    assert expect is not None and got is not None
+    assert expect is not None
+    assert _assert_spectral_data_matches_oracle(A)
+    got = spectral_data(A).eigenvalues
     assert np.abs(got - expect).max() <= REL * (np.abs(expect).max() or 1.0)
+
+
+# each named family on the grids whose fiber its symbol blocks fit
+FAMILY_CASES = [(g, name) for g in GRIDS for name in sorted(NAMED_SYMBOLS)
+                if g.fiber_dim == (2 if name.startswith("dirac") else 1)]
+
+
+@pytest.mark.parametrize("grid, name", FAMILY_CASES, ids=[
+    f"{g.dim}d-r{g.fiber_dim}-{name}" for g, name in FAMILY_CASES])
+def test_spectral_data_takes_the_oracle_path_on_named_families(grid, name):
+    # symmetrized where the quantization is not self-adjoint.  The scalar
+    # x-independent families are multipliers and take the Fourier basis;
+    # the Dirac families' blocks mix the fiber, so they take the dense
+    # eigensolve, as every x-dependent family does
+    p = named_symbol(grid, name)
+    P = quantize(p)
+    if not P.self_adjoint:
+        P = symmetrize(P)
+    fourier = _assert_spectral_data_matches_oracle(P)
+    assert fourier is (p.x_independent and grid.fiber_dim == 1)
+
+
+SPY_GRIDS = [GridSpec(1, 1024, 8.0), GridSpec(2, 8, 1.0, 2)]
+
+
+@pytest.mark.parametrize("grid", SPY_GRIDS, ids=["wave-scan", "2d-r2"])
+def test_spectral_data_checks_a_multiplier_once(grid, monkeypatch):
+    # a multiplier costs one n x n multiplier matrix and the cheap gate; a
+    # non-multiplier is refused the Fourier basis before the gate, and only
+    # the eigh path's decomposition reaches it
+    events = []
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    def full_matrix(g, values, states=None):
+        if states is None:
+            events.append("multiplier")
+        return multiplier_matrix(g, values, states)
+
+    def norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            # the exact check's spectral norms, one SVD each
+            events.append("svd")
+        return np_norm(x, ord, *args, **kwargs)
+
+    np_norm = np.linalg.norm
+    monkeypatch.setattr(funcalc, "multiplier_matrix", full_matrix)
+    monkeypatch.setattr(funcalc, "_gate_passes",
+                        spy("gate", funcalc._gate_passes))
+    monkeypatch.setattr(scipy.linalg, "eigh", spy("eigh", scipy.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    P = fourier_multiplier(grid, lambda xi: 1.2 + (xi ** 2).sum(axis=-1),
+                           order=2)
+    assert spectral_data(P).vectors is None
+    assert events == ["multiplier", "gate"]
+    events.clear()
+    # an x-dependent perturbation of 1e-9 relative to P's largest entry
+    x = grid.points[:, 0]
+    bump = np.repeat(1e-9 * np.abs(P.matrix).max()
+                     * np.cos(x / grid.period_scale), grid.fiber_dim)
+    perturbed = DiscreteOperator(grid, 0, P.matrix + np.diag(bump),
+                                 provenance="composed", self_adjoint=True)
+    assert spectral_data(perturbed).vectors is not None
+    # the refused Fourier basis took no gate and no SVD
+    assert events[:2] == ["multiplier", "eigh"]
+
+
+def test_spectral_data_takes_no_eigh_past_the_dense_cap(monkeypatch):
+    # only a decomposition that does not rebuild P sends spectral_data to
+    # the dense eigensolve; the cap's refusal of a multiplier matrix
+    # reaches the caller
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("dense eigensolve past the dense cap")
+
+    P = fourier_multiplier(GRIDS[0], lambda xi: 1.0 + xi[..., 0] ** 2,
+                           order=2)
+    monkeypatch.setattr(operators, "STATE_DIM_CAP", GRIDS[0].state_dim - 1)
+    monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
+    with pytest.raises(ValueError, match="exceeds the dense cap"):
+        spectral_data(P)
 
 
 NO_REP_GRIDS = [GridSpec(1, 256, 1.0), GridSpec(2, 16, 1.0),
@@ -273,6 +411,7 @@ def test_spectral_data_of_a_multiplier_takes_no_dense_transform(grid,
 
     monkeypatch.setattr(operators, "_to_fourier_rep", no_rep)
     monkeypatch.setattr(operators, "to_frequency", spy(to_frequency))
+    monkeypatch.setattr(funcalc, "to_frequency", spy(to_frequency))
     monkeypatch.setattr(funcalc, "from_frequency", spy(from_frequency))
     P = fourier_multiplier(grid, lambda xi: 1.0 + (xi ** 2).sum(axis=-1),
                            order=2)

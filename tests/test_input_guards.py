@@ -5,6 +5,8 @@ fragment of its message.  Each message must fit on one line, so that a
 command-line run can print it as its single line of error output.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,8 @@ GUARDS = [
      ValueError, "under-resolved bump"),
     ("bump-slope", lambda: lipschitz_bump(G, np.zeros(1), 2.0, 0.0),
      ValueError, "bump slope L must be positive and finite"),
+    ("sobolev-overflow", lambda: G.sobolev_weights(400),
+     ValueError, "Sobolev index s = 400 gives weights that are not finite"),
     # symbols
     ("symbol-shape", lambda: Symbol(G, 0, np.ones((3, 3))),
      ValueError, "symbol samples shape"),
@@ -299,6 +303,30 @@ def test_input_guard_rejects_bad_input(call, exc, fragment):
     with pytest.raises(exc, match=fragment) as err:
         call()
     assert "\n" not in str(err.value)
+
+
+# configs whose Sobolev index overflows a weight: each run must fail in one
+# line, naming the index, and write nothing
+OVERFLOW_CONFIGS = [
+    ("quasiloc-scan", {"s": 400}),
+    ("compose-check", {"s_list": [400]}),
+    ("elliptic-estimate", {"s": 1e308}),
+    ("waveprop", {"l": 400}),
+]
+
+
+@pytest.mark.parametrize("scenario, config", OVERFLOW_CONFIGS,
+                         ids=[row[0] for row in OVERFLOW_CONFIGS])
+def test_overflowing_sobolev_index_fails_in_one_line(scenario, config,
+                                                     tmp_path):
+    out = tmp_path / "out"
+    # an overflow warning on the way is an error of its own
+    with warnings.catch_warnings(), \
+            pytest.raises(ValueError, match="Sobolev index s = ") as err:
+        warnings.simplefilter("error", RuntimeWarning)
+        cli.run(scenario, config, out=str(out))
+    assert "\n" not in str(err.value)
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_q_integral_checks_q_before_spectral_data(monkeypatch):

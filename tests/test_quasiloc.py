@@ -58,6 +58,20 @@ def _weights(g, s):
     return np.repeat((1.0 + mag ** 2) ** (s / 2.0), g.fiber_dim)
 
 
+def _cutoff_rows(z, eta, s):
+    """X as the estimator reads it.  At s = 0, W_0 = 1 and F is unitary,
+    so by Parseval the rows of eta z where eta != 0 have the FFT route's
+    ||X||_2 and ||X v||: those rows, the oracle of the estimator's kept-row
+    route.  At s != 0, ``_cutoff_matrix``'s FFT route."""
+    if s != 0:
+        return _cutoff_matrix(z, eta, s)
+    cut = np.repeat(eta.values, eta.grid.fiber_dim)
+    rows = np.flatnonzero(cut)
+    x = z[rows]
+    x *= cut[rows, None]
+    return x
+
+
 def test_eps_rank_projection():
     g = GridSpec(1, 32, 1.0)
     mat = np.zeros((32, 32))
@@ -228,7 +242,7 @@ def _per_r_reference(A, r, s, R_list, region_list, probes, seed,
     """The dominating-function loop that rebuilds every exterior, cutoff
     and QR factor per radius, and solves the region's columns against that
     factor per radius: the reference the shared-work loop must reproduce
-    bit for bit.  It shares the last steps, ``_cutoff_matrix`` and
+    bit for bit.  It shares the last steps, ``_cutoff_rows`` and
     ``_cutoff_sup``, whose own oracles are ``_restricted_sup`` and
     ``_qr_svd_sup``.  With ``probe_route="full-grid"`` each probe takes
     ``_full_grid_probe``; with ``"region"`` they take ``_region_probes``,
@@ -244,7 +258,7 @@ def _per_r_reference(A, r, s, R_list, region_list, probes, seed,
         den = to_frequency(g, emb)
         den *= _weights(g, r)[:, None]
         _q, rr = np.linalg.qr(den)
-        return _cutoff_matrix(_solve(A.matrix[:, mask], rr), eta, s), rr
+        return _cutoff_rows(_solve(A.matrix[:, mask], rr), eta, s), rr
 
     rng = np.random.default_rng(seed)
     mu = []
@@ -401,7 +415,7 @@ def test_restricted_sup_matches_qr_svd_oracle(grid, name, radius, R):
         rr = _embedding_r_factor(region, r)
         for s in (-1, 0, 1):
             want = _qr_svd_sup(A, region, eta, r, s)
-            got = _cutoff_sup(_cutoff_matrix(
+            got = _cutoff_sup(_cutoff_rows(
                 _solve(A.matrix[:, _region_states(region)], rr), eta, s))
             assert want > 0
             assert abs(got - want) <= 1e-12 * want, (r, s, got, want)
@@ -413,7 +427,7 @@ def test_sup_ratio_of_zero_columns_is_exactly_zero():
     rr = _embedding_r_factor(region, 1.0)
     eta = cutoff_eta(Region(g, region.distance_field() > 0.6),
                      4.0 * g.spacing)
-    got = _cutoff_sup(_cutoff_matrix(
+    got = _cutoff_sup(_cutoff_rows(
         _solve(np.zeros((g.state_dim, rr.shape[0]), dtype=complex), rr), eta,
         0.0))
     assert got == 0.0 and np.copysign(1.0, got) == 1.0
@@ -451,7 +465,7 @@ def test_region_probes_match_full_grid_probes(grid, name):
                              for _ in range(4)]
                     for vals in draws:
                         vals[~region.mask] = 0.0
-                    got = _region_probes(_cutoff_matrix(z, eta, s), rr,
+                    got = _region_probes(_cutoff_rows(z, eta, s), rr,
                                          draws, region)
                     for ratio, vals in zip(got, draws):
                         want = _full_grid_probe(A, vals, r, s, outside, width)
@@ -461,9 +475,8 @@ def test_region_probes_match_full_grid_probes(grid, name):
 
 
 def _fft_cutoff_matrix(z, eta, s):
-    """X = W_s F(eta z) on every frequency state: the FFT route, which
-    ``_cutoff_matrix`` takes at s != 0, kept as the oracle of its s = 0
-    rows."""
+    """X = W_s F(eta z) on every frequency state, with the weights taken
+    from the frequencies: the oracle of ``_cutoff_matrix``'s FFT route."""
     g = eta.grid
     x = to_frequency(g, z * np.repeat(eta.values, g.fiber_dim)[:, None])
     x *= _weights(g, s)[:, None]
@@ -492,23 +505,24 @@ def test_exterior_rows_match_fft_route_at_s_zero(grid, name):
                   + 1j * rng.standard_normal((rr.shape[0], 4)))
         for R, eta in zip((0.3, 0.6 * dist.max()), etas):
             cut = np.repeat(eta.values, grid.fiber_dim)
-            x = _cutoff_matrix(z, eta, 0.0)
+            x = _cutoff_rows(z, eta, 0.0)
             # only the exterior's rows: eta != 0 there, and only there
             assert x.shape[0] == np.count_nonzero(cut) > 0
             assert np.array_equal(x, z[cut != 0] * cut[cut != 0, None])
-            oracle = _fft_cutoff_matrix(z, eta, 0.0)
+            oracle = _cutoff_matrix(z, eta, 0.0)
             want = _cutoff_sup(oracle)
             assert want > 0
             assert abs(_cutoff_sup(x) - want) <= 1e-13 * want, (r, R)
             got = np.linalg.norm(x @ w, axis=0)
             ref = np.linalg.norm(oracle @ w, axis=0)
             assert np.all(np.abs(got - ref) <= 1e-13 * ref), (r, R)
-            # off s = 0 the FFT route is unchanged, bit for bit
-            for s_out in (-1.0, 1.0):
+            # the FFT route is the FFT of eta z times the weights, bit for
+            # bit, at s = 0 as elsewhere
+            for s_out in (-1.0, 0.0, 1.0):
                 assert np.array_equal(_cutoff_matrix(z, eta, s_out),
                                       _fft_cutoff_matrix(z, eta, s_out))
         # an operator that vanishes on the region's columns reads +0.0
-        zero = _cutoff_matrix(np.zeros_like(z), eta, 0.0)
+        zero = _cutoff_rows(np.zeros_like(z), eta, 0.0)
         for value in (_cutoff_sup(zero),
                       *(np.linalg.norm(zero @ w, axis=0)
                         / np.linalg.norm(w, axis=0))):
@@ -544,7 +558,7 @@ def test_probes_move_mu_hat_only_by_rounding(shape, seed, radius, radii, r,
         if outside.is_empty():
             assert np.isnan(mu)
             continue
-        exact = _cutoff_sup(_cutoff_matrix(
+        exact = _cutoff_sup(_cutoff_rows(
             z, cutoff_eta(outside, 4.0 * g.spacing), s))
         # at s = 0 the estimator's sup sums the same Gram in nested
         # increments, so it may sit below the one-zherk sup by rounding
@@ -597,7 +611,7 @@ def _assert_routes_agree(A, region, radii, r_list, s_list):
         for eta in etas:
             for s in s_list:
                 want = _restricted_sup(cols, eta, rr, s)
-                got = _cutoff_sup(_cutoff_matrix(z, eta, s))
+                got = _cutoff_sup(_cutoff_rows(z, eta, s))
                 assert want > 0
                 assert abs(got - want) <= 1e-12 * want, (r, s, got, want)
 
@@ -768,7 +782,7 @@ def test_wave_scan_prepares_each_region_once(monkeypatch):
 
 
 # The nested exterior Grams of the s = 0 sups, against the one-zherk sup
-# per radius, ``_cutoff_sup(_cutoff_matrix(z, eta, 0))``, kept as their
+# per radius, ``_cutoff_sup(_cutoff_rows(z, eta, 0))``, kept as their
 # oracle: the same Gram, summed in another order, so within 1e-13 relative.
 
 
@@ -796,7 +810,7 @@ def test_nested_exterior_sups_match_per_radius_sups(grid, name, radii):
                 continue
             rr = _embedding_r_factor(region, 1.0)
             z = _solve(A.matrix[:, _region_states(region)], rr)
-            sups.append(_cutoff_sup(_cutoff_matrix(
+            sups.append(_cutoff_sup(_cutoff_rows(
                 z, cutoff_eta(outside, width), 0.0)))
         want[R] = max(sups) if sups else np.nan
     # the probes (one, seeded) stay below every sup here
@@ -878,7 +892,7 @@ def test_wave_scan_holds_no_dense_wave_operator():
 
 # At s = 0 the estimator solves Z = C R^{-1} only on the rows some cutoff
 # leaves and reads each probe as ||eta (Z w)||; the full solve, X =
-# ``_cutoff_matrix(z, eta, 0)`` and the complex QR of the embedding are kept
+# ``_cutoff_rows(z, eta, 0)`` and the complex QR of the embedding are kept
 # here as its oracles.  The bounds were fixed before measuring.
 
 
@@ -962,7 +976,7 @@ def test_s_zero_probes_read_x_without_forming_it(grid, name, radii,
                                          grid.fiber_dim))
             u = (draws[:, 0] + 1j * draws[:, 1]).reshape(3, -1)
             w = prep.factor @ u[:, prep.states].T
-            want = float((np.linalg.norm(_cutoff_matrix(z, eta, 0.0) @ w,
+            want = float((np.linalg.norm(_cutoff_rows(z, eta, 0.0) @ w,
                                          axis=0)
                           / np.linalg.norm(w, axis=0)).max())
             positive += want > 0
