@@ -44,8 +44,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-import scipy.special
+import scipy
 
 from .lattice import from_frequency, to_frequency
 from .operators import (
@@ -235,10 +234,13 @@ class ScalarFunctionSpec:
         return self.fn(np.asarray(x, dtype=float))
 
 def _positive_scale(prm, key):
-    """prm[key] (default 1.0), which must be a finite number > 0."""
+    """prm[key] (default 1.0) in [2^-511, 2^511], where value^2 and
+    value^-2 are finite normal floats; the bounds are compared, not squared.
+    """
     value = prm.get(key, 1.0)
-    if not (np.isfinite(value) and value > 0):
-        raise ValueError(f"{key} must be finite and > 0, got {value!r}")
+    if not 2.0 ** -511 <= value <= 2.0 ** 511:
+        raise ValueError(f"{key} must be finite and > 0, in "
+                         f"[2**-511, 2**511], got {value!r}")
     return value
 
 

@@ -116,12 +116,13 @@ class GridSpec:
     def sobolev_weights(self, s: float) -> np.ndarray:
         """(1 + |xi|^2)^(s/2) per frequency state, repeated over the fiber.
 
-        A weight that overflows to inf raises ValueError naming s."""
+        A weight that overflows to inf or falls below the smallest normal
+        float raises ValueError naming s."""
         with np.errstate(over="ignore"):
             w = (1.0 + self.frequency_magnitude ** 2) ** (s / 2.0)
-        if not np.all(np.isfinite(w)):
-            raise ValueError(
-                f"Sobolev index s = {s} gives weights that are not finite")
+        if not np.all(np.isfinite(w) & (w >= np.finfo(float).tiny)):
+            raise ValueError(f"Sobolev index s = {s} gives weights that "
+                             "are not finite normal floats")
         return np.repeat(w, self.fiber_dim)
 
     def grid_shape(self) -> tuple:

@@ -43,7 +43,7 @@ __all__ = [
 STATE_DIM_CAP = 4608
 SELF_ADJOINT_TOL = 1e-10
 PROPAGATION_DUST_TOL = 1e-10
-_PANEL_ROWS = 64
+_TILE = 64
 
 
 @lru_cache(maxsize=4)
@@ -73,22 +73,23 @@ def _distance_mask_beyond(grid: GridSpec, rho: float) -> np.ndarray:
 def _hermitian_part(a: np.ndarray, tol: float) -> tuple:
     """max|A - A*| and, when that is at most ``tol``, (A + A*) / 2, else None.
 
-    Works one row panel at a time: each block of rows is paired with the
-    conjugate transpose of the same block of columns.  Every entry gets the
-    arithmetic of the full-matrix expressions, so both results are bitwise
-    equal to theirs, and the memory beyond the output is a few panels.
-    Once the defect is over ``tol`` the remaining panels only add to it,
-    so a matrix that is not Hermitian costs one scan and fills no output.
+    Reads tiles (i, j) and (j, i) together and takes each output entry as
+    A_pq + conj(A_qp), never as its mirror's conjugate (which flips the
+    sign of a zero imaginary part): both results are bitwise those of the
+    full-matrix expressions.  Once the defect is over ``tol`` the remaining
+    tiles only add to it, so a matrix that is not Hermitian fills no output.
     """
     out = np.empty_like(a)
     defect = 0.0
-    for i in range(0, a.shape[0], _PANEL_ROWS):
-        rows = slice(i, i + _PANEL_ROWS)
-        ct = a[:, rows].conj().T
-        defect = max(defect, float(np.abs(a[rows] - ct).max()))
-        if defect <= tol:
-            np.add(a[rows], ct, out=out[rows])
-            out[rows] /= 2.0
+    for i in range(0, len(a), _TILE):
+        for j in range(i, len(a), _TILE):
+            rows, cols = slice(i, i + _TILE), slice(j, j + _TILE)
+            upper, lower = a[rows, cols], a[cols, rows]
+            lower_ct = lower.conj().T
+            defect = max(defect, float(np.abs(upper - lower_ct).max()))
+            if defect <= tol:
+                out[rows, cols] = (upper + lower_ct) / 2.0
+                out[cols, rows] = (lower + upper.conj().T) / 2.0
     return defect, (out if defect <= tol else None)
 
 
@@ -118,7 +119,7 @@ class DiscreteOperator:
 
     With ``self_adjoint=True`` the matrix must satisfy
     max|A - A*| <= SELF_ADJOINT_TOL max|A|, and (A + A*) / 2 is stored;
-    the check and the symmetrization share one panelled pass over A.
+    the check and the symmetrization share one tiled pass over A.
     """
 
     grid: GridSpec
@@ -220,7 +221,7 @@ def _hermitian_kernel(b: np.ndarray, tol: float) -> tuple:
 
     Block (j, k) of its adjoint is b(k - j)*^T, so the defect is
     max|b(delta) - b(-delta)*^T| and the Hermitian part is the matrix of
-    (b(delta) + b(-delta)*^T) / 2: the panel scan's arithmetic per entry.
+    (b(delta) + b(-delta)*^T) / 2: the tile scan's arithmetic per entry.
     """
     axes = tuple(range(b.ndim - 2))
     adj = np.roll(np.flip(b, axes), 1, axes).conj().swapaxes(-1, -2)

@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .lattice import (
     GridSpec,

@@ -42,6 +42,7 @@ from torusop.operators import (
     compose,
     fourier_multiplier,
     multiplication_operator,
+    op_norm,
     quantize,
 )
 from torusop.parametrix import (
@@ -62,6 +63,8 @@ G = GridSpec(1, 16, 1.0)
 G2 = GridSpec(1, 16, 1.0, fiber_dim=2)
 N = G.n_points
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+# the range of a function's scale (gaussian sigma, schwartz_bump b)
+LO, HI = 2.0 ** -511, 2.0 ** 511
 
 
 def _p(name="laplace+1"):
@@ -108,6 +111,12 @@ GUARDS = [
      ValueError, "bump slope L must be positive and finite"),
     ("sobolev-overflow", lambda: G.sobolev_weights(400),
      ValueError, "Sobolev index s = 400 gives weights that are not finite"),
+    ("sobolev-underflow", lambda: G.sobolev_weights(-700),
+     ValueError, "Sobolev index s = -700 gives weights that are not finite"),
+    ("op-norm-underflow",
+     lambda: op_norm(quantize(named_symbol(GridSpec(1, 64, 1.0), "laplace+1")),
+                     -700, 0),
+     ValueError, "Sobolev index s = -700 gives weights that are not finite"),
     # symbols
     ("symbol-shape", lambda: Symbol(G, 0, np.ones((3, 3))),
      ValueError, "symbol samples shape"),
@@ -187,6 +196,20 @@ GUARDS = [
      ValueError, "b must be finite and > 0"),
     ("bump-infinite-b",
      lambda: named_function("schwartz_bump", {"b": np.inf}),
+     ValueError, "b must be finite and > 0"),
+    # a scale is squared and inverted: one ulp beyond [2^-511, 2^511]
+    # one of value^2 and value^-2 is no longer a finite normal float
+    ("gaussian-huge-sigma",
+     lambda: named_function("gaussian", {"sigma": np.nextafter(HI, np.inf)}),
+     ValueError, r"sigma must be finite and > 0, in \[2\*\*-511, 2\*\*511\]"),
+    ("gaussian-tiny-sigma",
+     lambda: named_function("gaussian", {"sigma": np.nextafter(LO, 0.0)}),
+     ValueError, "sigma must be finite and > 0"),
+    ("bump-huge-b",
+     lambda: named_function("schwartz_bump", {"b": np.nextafter(HI, np.inf)}),
+     ValueError, "b must be finite and > 0"),
+    ("bump-tiny-b",
+     lambda: named_function("schwartz_bump", {"b": np.nextafter(LO, 0.0)}),
      ValueError, "b must be finite and > 0"),
     ("function-class",
      lambda: ScalarFunctionSpec("f", np.exp, "schwarz"),
@@ -327,6 +350,40 @@ def test_overflowing_sobolev_index_fails_in_one_line(scenario, config,
         cli.run(scenario, config, out=str(out))
     assert "\n" not in str(err.value)
     assert not out.exists() or not any(out.iterdir())
+
+
+# configs outside the domain of a scale or a Sobolev index: each run must
+# fail in one line, print no warning and write nothing
+OUT_OF_DOMAIN_CONFIGS = [
+    ("sigma-1e300", "funcalc-defect", {"sigma": 1e300}),
+    ("sigma-1e-300", "funcalc-defect", {"sigma": 1e-300}),
+    ("sigma-above-range", "funcalc-defect",
+     {"sigma": float(np.nextafter(HI, np.inf))}),
+    ("sigma-below-range", "funcalc-defect",
+     {"sigma": float(np.nextafter(LO, 0.0))}),
+    ("s-underflow", "quasiloc-scan", {"s": -700}),
+]
+
+
+@pytest.mark.parametrize("scenario, config",
+                         [row[1:] for row in OUT_OF_DOMAIN_CONFIGS],
+                         ids=[row[0] for row in OUT_OF_DOMAIN_CONFIGS])
+def test_out_of_domain_config_fails_in_one_line(scenario, config, tmp_path):
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught, \
+            pytest.raises(ValueError) as err:
+        warnings.simplefilter("always")
+        cli.run(scenario, config, out=str(out))
+    assert caught == []
+    assert "\n" not in str(err.value)
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("name, key", [("gaussian", "sigma"),
+                                       ("schwartz_bump", "b")])
+@pytest.mark.parametrize("value", [LO, HI])
+def test_a_scale_at_either_end_of_its_range_is_accepted(name, key, value):
+    assert named_function(name, {key: value})(np.zeros(1)).shape == (1,)
 
 
 def test_q_integral_checks_q_before_spectral_data(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import FrozenInstanceError
 
@@ -10,7 +11,7 @@ from torusop.funcalc import spectral_data, wave_operator
 from torusop.lattice import GridSpec, Section
 from torusop.operators import (
     SELF_ADJOINT_TOL,
-    _PANEL_ROWS,
+    _TILE,
     DiscreteOperator,
     _circulant_matrix,
     _hermitian_kernel,
@@ -318,7 +319,7 @@ def _random_matrix(n, seed, hermitian):
 @pytest.mark.parametrize("hermitian", [True, False])
 def test_hermitian_part_equals_full_matrix_expressions(grid, hermitian):
     n = grid.state_dim
-    assert n % _PANEL_ROWS != 0
+    assert n % _TILE != 0
     a = _random_matrix(n, n, hermitian)
     full = np.abs(a - a.conj().T).max()
     defect, herm = _hermitian_part(a, full)
@@ -327,6 +328,54 @@ def test_hermitian_part_equals_full_matrix_expressions(grid, hermitian):
                           ((a + a.conj().T) / 2.0).view(np.int64))
     # just under the defect: no output, and still the whole defect
     assert _hermitian_part(a, np.nextafter(full, 0.0)) == (full, None)
+
+
+def _panel_hermitian_part(a, tol):
+    """The row-panel scan that ``_hermitian_part``'s tile pairs replaced.
+
+    Each block of 64 rows is paired with the conjugate transpose of the
+    same block of columns; the oracle of the tiled scan.
+    """
+    out = np.empty_like(a)
+    defect = 0.0
+    for i in range(0, a.shape[0], 64):
+        rows = slice(i, i + 64)
+        ct = a[:, rows].conj().T
+        defect = max(defect, float(np.abs(a[rows] - ct).max()))
+        if defect <= tol:
+            np.add(a[rows], ct, out=out[rows])
+            out[rows] /= 2.0
+    return defect, (out if defect <= tol else None)
+
+
+@pytest.mark.parametrize("dim,N", [(1, 144), (2, 12)])
+def test_hermitian_part_tiles_equal_the_panel_scan(dim, N):
+    # compared as uint64, since float equality would hide a flipped signed
+    # zero: every named symbol's matrix (fiber 1 and 2, n not a multiple of
+    # the tile) and a random non-Hermitian one, at the self-adjoint
+    # tolerance and at tol = inf (symmetrize's pass)
+    cases = []
+    for name in sorted(NAMED_SYMBOLS):
+        fiber = 2 if name.startswith("dirac") else 1
+        p = named_symbol(GridSpec(dim, N, 1.5, fiber), name)
+        cases.append(_kn_matrix(p.grid, p.samples))
+    cases.append(_random_matrix(cases[0].shape[0], dim, hermitian=False))
+    assert {a.shape[0] % _TILE != 0 for a in cases} == {True}
+    assert len({a.shape[0] for a in cases}) == 2
+    outcomes = set()
+    for a in cases:
+        scale = float(np.abs(a).max())
+        for tol in (SELF_ADJOINT_TOL * scale, math.inf):
+            defect, herm = _hermitian_part(a, tol)
+            want_defect, want = _panel_hermitian_part(a, tol)
+            assert defect == want_defect
+            outcomes.add(want is None)
+            if want is None:
+                assert herm is None
+            else:
+                assert np.array_equal(herm.view(np.uint64),
+                                      want.view(np.uint64))
+    assert outcomes == {True, False}
 
 
 def test_self_adjoint_flag_keeps_its_check():
@@ -379,7 +428,7 @@ def test_hermitian_kernel_equals_panel_scan(dim, N, fiber, hermitian):
     assert full > 0
     for tol in (full, np.nextafter(full, 0.0)):
         defect, herm = _hermitian_kernel(b, tol)
-        want_defect, want = _hermitian_part(mat, tol)
+        want_defect, want = _panel_hermitian_part(mat, tol)
         assert defect == want_defect == full
         if tol < full:
             assert herm is None and want is None
@@ -392,7 +441,7 @@ def _panel_route(grid, a):
     """quantize's flag and matrix by the panel scan of the whole matrix."""
     raw = _kn_matrix(grid, a)
     scale = float(np.abs(raw).max()) or 1.0
-    _defect, herm = _hermitian_part(raw, SELF_ADJOINT_TOL * scale)
+    _defect, herm = _panel_hermitian_part(raw, SELF_ADJOINT_TOL * scale)
     return herm is not None, raw if herm is None else herm
 
 
