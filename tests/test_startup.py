@@ -6,7 +6,7 @@ torusop's modules import the top-level ``scipy`` package alone and reach
 scipy's module ``__getattr__`` imports on first access.  The scenarios
 built on the numpy calculus (quantize, compose, parametrix, Sobolev norms)
 then never pay for either subpackage.  The check runs in a fresh
-interpreter, because this session's has both loaded already.
+interpreter, because the test process has both loaded already.
 """
 
 import json
