@@ -66,6 +66,10 @@ _MARGIN_ROWS = 5
 _CHECK_KEYS = frozenset({"name", "value", "budget", "passed"})
 # columns of the scan.csv that waveprop and quasiloc-scan write
 _SCAN_HEADER = ("t", "R", "l", "mu_hat")
+# key -> (lo, hi): the key's value must lie in [2**lo, 2**hi].  Every
+# scenario's arithmetic stays finite at both ends of L; t_max's ends keep
+# the gaussian's sigma^2 t^2 / 2 finite for every sigma funcalc accepts
+_SCALE_EXPONENTS = {"L": (-20, 20), "t_max": (-64, 64)}
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +165,11 @@ def _validate_config(scenario: str, config: dict) -> dict:
                 f"{base[key]!r}, got {value!r}"
             )
     base.update(config)
+    for key, (lo, hi) in _SCALE_EXPONENTS.items():
+        # the bounds are compared, not squared, and NaN fails both
+        if key in base and not 2.0 ** lo <= base[key] <= 2.0 ** hi:
+            raise ValueError(f"config for {scenario}: {key} must be in "
+                             f"[2**{lo}, 2**{hi}], got {base[key]!r}")
     # bad names and grid values fail here, before run() writes anything
     pairs = base.get("pairs", [])
     if any(len(pair) != 2 for pair in pairs):

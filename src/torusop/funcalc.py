@@ -11,14 +11,14 @@ spectrum does not see how often a value repeats, so each route is taken
 once per distinct eigenvalue (``np.unique``).  Spectral data passed in must
 be P's own (``SpectralData.source is P``); any other is refused.
 
-The operators that are read (spectral_apply, wave_operator, q_integral)
-come from SpectralData.apply, V f(lambda) V*.  For a Fourier multiplier V
-is the Fourier basis of lattice.to_frequency, the eigenvalues are the
-values spectral_data reads from the kernel, and apply builds f(P) by
+The operators that are read (spectral_apply, wave_operator) come from
+SpectralData.apply, V f(lambda) V*.  For a Fourier multiplier V is the
+Fourier basis of lattice.to_frequency, the eigenvalues are the values
+spectral_data reads from the kernel, and apply builds f(P) by
 operators.multiplier_matrix, as fourier_multiplier does, at O(n^2 log n)
-instead of a dense O(n^3) product.  wave_columns reads a set of e^{itP}'s
-columns there with no n x n matrix: the multiplier's kernel holds every
-entry.
+instead of a dense O(n^3) product; V itself is never formed.  wave_columns
+reads a set of e^{itP}'s columns there with no n x n matrix: the
+multiplier's kernel holds every entry.
 The decomposition is checked when SpectralData is built, on one defect
 matrix D = V diag(lambda) V* - P; in the Fourier basis that is also the one
 test that P is a multiplier.  The spectral-norm checks go through a
@@ -40,8 +40,7 @@ psihat(s) = int psi(x) e^{-isx} dx, matching C = (1/2pi) int |s psihat(s)| ds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -66,8 +65,6 @@ __all__ = [
     "FuncalcResult",
     "fourier_apply",
     "chi_resolvent_integral",
-    "QIntegralResult",
-    "q_integral",
     "PsiDifferenceReport",
     "psi_difference_bound",
 ]
@@ -116,10 +113,10 @@ class SpectralData:
 
     ``vectors`` is V as a dense matrix, or None for the Fourier basis of
     lattice.to_frequency, in which eigenvalue i belongs to frequency state
-    i; apply then builds a multiplier matrix, and ``eigenvectors`` is built
-    only on first read.  Either way V diag(lambda) V* = P is checked here;
-    in the Fourier basis first entry by entry (MULTIPLIER_ENTRY_TOL), the
-    test that P is that multiplier at all, which takes no norm.
+    i; apply then builds a multiplier matrix, and V is never formed.
+    Either way V diag(lambda) V* = P is checked here; in the Fourier basis
+    first entry by entry (MULTIPLIER_ENTRY_TOL), the test that P is that
+    multiplier at all, which takes no norm.
     """
 
     eigenvalues: np.ndarray
@@ -154,14 +151,6 @@ class SpectralData:
             defect = float(np.linalg.norm(d, 2))
             if defect > SPECTRAL_REL_TOL * scale:
                 raise _DefectError(f"spectral reconstruction defect {defect:.3e}")
-
-    @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        """V as a dense state_dim x state_dim matrix."""
-        if self.vectors is not None:
-            return self.vectors
-        g = self.source.grid
-        return from_frequency(g, np.eye(g.state_dim))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """V diag(values) V*, with values in eigenvalue order."""
@@ -211,9 +200,8 @@ class ScalarFunctionSpec:
 
     declared_class is one of "schwartz", "symbol" (with growth order m) or
     "normalizing"; any other is rejected.  fhat, when present, is the
-    unitary Fourier transform of fn; derivative(j) returns the j-th
-    derivative as a callable; c_psi, when present, is the closed form of
-    (1/2pi) int |s psihat| ds, which the Lipschitz bounds of
+    unitary Fourier transform of fn; c_psi, when present, is the closed
+    form of (1/2pi) int |s psihat| ds, which the Lipschitz bounds of
     psi_difference_bound and homotopy_scan need.
     """
 
@@ -222,7 +210,6 @@ class ScalarFunctionSpec:
     declared_class: str
     m: int = 0
     fhat: object = None
-    derivative: object = None
     c_psi: float | None = None
 
     def __post_init__(self):
@@ -234,13 +221,18 @@ class ScalarFunctionSpec:
         return self.fn(np.asarray(x, dtype=float))
 
 def _positive_scale(prm, key):
-    """prm[key] (default 1.0) in [2^-511, 2^511], where value^2 and
-    value^-2 are finite normal floats; the bounds are compared, not squared.
+    """prm[key] (default 1.0) in [2^-64, 2^64]; the bounds are compared,
+    not squared.
+
+    The named symbols have order <= 2, so at the CLI's L >= 2^-20 and any
+    N < 2^32 their spectra lie within 2^110.  With windows t_max <= 2^64,
+    (x / value)^2 and value^2 t^2 then stay below 2^350, and no function's
+    arithmetic overflows.
     """
     value = prm.get(key, 1.0)
-    if not 2.0 ** -511 <= value <= 2.0 ** 511:
+    if not 2.0 ** -64 <= value <= 2.0 ** 64:
         raise ValueError(f"{key} must be finite and > 0, in "
-                         f"[2**-511, 2**511], got {value!r}")
+                         f"[2**-64, 2**64], got {value!r}")
     return value
 
 
@@ -253,20 +245,7 @@ def _gaussian(prm):
     def fhat(t):
         return sigma * np.exp(-(sigma ** 2) * t ** 2 / 2.0)
 
-    def derivative(j):
-        if j == 0:
-            return fn
-
-        def dj(x):
-            u = np.asarray(x) / sigma
-            he = np.polynomial.hermite_e.hermeval(
-                u, [0.0] * j + [1.0])
-            return (-1.0 / sigma) ** j * he * np.exp(-u ** 2 / 2.0)
-
-        return dj
-
-    return ScalarFunctionSpec("gaussian", fn, "schwartz", fhat=fhat,
-                              derivative=derivative)
+    return ScalarFunctionSpec("gaussian", fn, "schwartz", fhat=fhat)
 
 
 def _chi_rational(_prm):
@@ -549,74 +528,6 @@ def chi_resolvent_integral(
     x = np.unique(_spectrum_of(P, spectral).eigenvalues)
     vals = _resolvent_route(x, n_quad)
     return FuncalcResult(float(np.abs(vals - x / np.sqrt(1.0 + x ** 2)).max()))
-
-
-# ---------------------------------------------------------------------------
-# integration-by-parts identity for wave integrals
-
-
-@dataclass(frozen=True)
-class QIntegralResult:
-    """Integration-by-parts check of A_0 = int q(t) e^{itP} dt: the
-    identity's residual, its bound, and the norms of A_0."""
-
-    identity_residual: float
-    residual_bound: float
-    norms: dict = field(default_factory=dict)
-
-
-def q_integral(
-    q: ScalarFunctionSpec, n: int, P: DiscreteOperator, parametrix,
-) -> QIntegralResult:
-    """Quadrature of A_0 = int q(t) e^{itP} dt with the order-raising identity.
-
-    The trapezoid rule takes 4096 nodes on [-16, 16], summed by the wave
-    rule ``_wave_route`` on P's eigenvalues.  Each integration by
-    parts against the parametrix Q of P gives A_j = iQ A_{j+1} + S2 A_j,
-    hence A_0 = (iQ)^n A_n + sum_{j<n} (iQ)^j S2 A_j.  The residual of that
-    matrix identity is reported against a bound driven by the quadrature
-    defects and the parametrix residual S2.  The norms of A_0 are recorded
-    as maps H^{l-nk+k-1} -> H^l for l = 0 and 1.
-    """
-    if q.derivative is None:
-        raise ValueError("q_integral needs closed-form derivatives of q")
-    t_max, n_quad = 16.0, 4096
-    t = _trapezoid(t_max, n_quad)[0]
-    # every q^(j) is checked on the nodes before P's spectral data is taken
-    for j in range(n + 1):
-        qj = np.asarray(q.derivative(j)(t), dtype=complex)
-        tail = float(np.abs(qj[0] * t[0]) + np.abs(qj[-1] * t[-1]))
-        if tail > 1e-8:
-            raise ValueError(
-                f"q^({j})(t) |t| not integrable on the grid: tail {tail:.3e}"
-            )
-    sd = spectral_data(P)
-    # int q^(j)(t) e^{itx} dt is sqrt(2 pi) times the wave rule of q^(j)
-    mats = [sd.apply(np.sqrt(2 * np.pi) * _wave_route(
-                q.derivative(j), sd.eigenvalues, t_max, n_quad))
-            for j in range(n + 1)]
-
-    g = P.grid
-    iq = 1j * parametrix.Q.matrix
-    s2 = parametrix.S2.matrix
-    # the right side by Horner: S2 A_0 + iQ (S2 A_1 + iQ (... + iQ A_n))
-    rhs = mats[n]
-    for j in reversed(range(n)):
-        rhs = iq @ rhs + s2 @ mats[j]
-    q_norm = np.linalg.norm(parametrix.Q.matrix, 2)
-    s2_norm = np.linalg.norm(s2, 2)
-    bound = sum(q_norm ** j * s2_norm * np.linalg.norm(mats[j], 2)
-                for j in range(n))
-    residual = float(np.linalg.norm(mats[0] - rhs, 2))
-
-    k = P.order
-    A = DiscreteOperator(g, -(n * k - k + 1), mats[0],
-                         provenance="function_of")
-    norms = {}
-    for l in (0, 1):
-        norms[l] = op_norm(A, float(l - n * k + k - 1), float(l))
-    return QIntegralResult(identity_residual=residual,
-                           residual_bound=float(bound) + 1e-12, norms=norms)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BumpFunction
 from .operators import (
     DiscreteOperator,
     op_norm,
@@ -24,7 +23,6 @@ from .operators import (
 from .funcalc import (
     SPECTRAL_REL_TOL,
     ScalarFunctionSpec,
-    _resolvent_route,
     spectral_data,
     spectral_apply,
 )
@@ -36,8 +34,6 @@ __all__ = [
     "FredholmModule",
     "VerificationReport",
     "assemble_module",
-    "CommutatorIntegralResult",
-    "commutator_integral",
     "HomotopyTrace",
     "homotopy_scan",
 ]
@@ -241,70 +237,6 @@ def assemble_module(
         ),
     )
     return FredholmModule(T, report)
-
-
-# ---------------------------------------------------------------------------
-# commutator via the resolvent integral
-
-
-@dataclass(frozen=True)
-class CommutatorIntegralResult:
-    defect: float
-    first_term_norm: float
-    second_term_norm: float
-    under_resolved: bool
-
-
-def _summand_weights(mu: np.ndarray) -> tuple:
-    """(2/pi) int_0^inf of (1 + lam^2) and of -mu_i mu_j over
-    (1 + lam^2 + mu_i^2)(1 + lam^2 + mu_j^2), in closed form with
-    a = sqrt(1 + mu^2); they sum to the divided difference of chi."""
-    a = np.sqrt(1.0 + mu * mu)
-    aa = np.multiply.outer(a, a)
-    denom = aa * np.add.outer(a, a)
-    return (aa + 1.0) / denom, -np.multiply.outer(mu, mu) / denom
-
-
-def commutator_integral(
-    P: DiscreteOperator,
-    f: BumpFunction,
-    n_quad: int = 4096,
-) -> CommutatorIntegralResult:
-    """[rho(f), chi(P)] for chi(x) = x / sqrt(1+x^2), by the resolvent route.
-
-    The route is linear in the scalar integrand x / (1 + lam^2 + x^2), so
-    in P's eigenbasis, with r = V* rho(f) V, its commutator's entry (i, j)
-    is (R(mu_j) - R(mu_i)) r_ij for R = funcalc._resolvent_route, against
-    (chi(mu_j) - chi(mu_i)) r_ij directly.  V is unitary, so the spectral
-    norm of the difference is the defect in either basis; the result is
-    under-resolved when it exceeds 1e-4 max(1, ||direct||).  The integrand
-    splits into two summands against C_ij = (mu_j - mu_i) r_ij, and their
-    norms come from their closed-form integrals (_summand_weights).
-    """
-    if not P.self_adjoint:
-        raise ValueError("P must be self-adjoint")
-    sd = spectral_data(P)
-    v = sd.eigenvectors
-    rho = np.repeat(f.values, P.grid.fiber_dim)
-    r = v.T.conj() @ (rho[:, None] * v)
-    mu = sd.eigenvalues
-
-    def across(vals):
-        # (vals_j - vals_i) r_ij: the commutator with diag(vals) in this basis
-        return (vals[None, :] - vals[:, None]) * r
-
-    route = across(_resolvent_route(mu, n_quad))
-    direct = across(mu / np.sqrt(1.0 + mu * mu))
-    defect = float(np.linalg.norm(route - direct, 2))
-    first, second = _summand_weights(mu)
-    c = across(mu)
-    scale = max(1.0, float(np.linalg.norm(direct, 2)))
-    return CommutatorIntegralResult(
-        defect=defect,
-        first_term_norm=float(np.linalg.norm(first * c, 2)),
-        second_term_norm=float(np.linalg.norm(second * c, 2)),
-        under_resolved=bool(defect > 1e-4 * scale),
-    )
 
 
 # ---------------------------------------------------------------------------

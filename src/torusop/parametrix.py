@@ -7,15 +7,13 @@ of p and q_0 are the same in every sweep; each symbol keeps its own (see
 symbols.Symbol.xi_difference), so they are taken once.  The residuals
 S1 = I - PQ and S2 = I - QP are defined by exact subtraction, so the matrix
 identities hold to rounding.  S1 is formed with Q; the dense product behind
-S2 is formed on its first read, through ``ParametrixResult.S2`` or an
-("S2", k, l) norm, and then kept.  Because the excision zeroes the inverse
-on a low-frequency band, S1 acts as the identity there; residual norms are
-therefore reported both on and off that band.  Each norm is one
+S2 is formed on the first read of an ("S2", k, l) norm, and then kept.
+Because the excision zeroes the inverse on a low-frequency band, S1 acts as
+the identity there; residual norms are therefore reported both on and off
+that band.  Each norm is one
 operators.op_norm call, taken on the first read of its table entry; the
 band tables pass op_norm the band as a frequency mask.  Beside the
-parametrix stand the elliptic-estimate constant and the elliptic-regularity
-check, the paper's lemma that Pu smooth makes u smooth, read off the
-high-frequency tails of u and Pu.
+parametrix stands the elliptic-estimate constant.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from .lattice import (
     Section,
     from_frequency,
     sobolev_norm,
-    to_frequency,
 )
 from .symbols import (
     Symbol,
@@ -53,8 +50,6 @@ __all__ = [
     "band_projector",
     "elliptic_estimate_constant",
     "fourier_diagonal_constant",
-    "RegularityReport",
-    "elliptic_regularity_check",
 ]
 
 EIGH_DIM_CAP = 2000
@@ -128,10 +123,10 @@ def _identity_defect(grid: GridSpec, A: np.ndarray,
 class ParametrixResult:
     """Approximate inverse Q with residuals S1 = I - PQ and S2 = I - QP.
 
-    S1 is formed with Q.  S2 is formed on its first read, as ``.S2`` or
-    through an ("S2", k, l) entry, and both reads then return the same
-    operator; a result whose S2 is never read never forms it.  Nothing in
-    the result refers back to it, so dropping the result frees S1 and S2
+    S1 is formed with Q.  S2 is formed on the first read of an
+    ("S2", k, l) entry, and every later entry takes the same operator; a
+    result whose S2 entries are never read never forms it.  Nothing in the
+    result refers back to it, so dropping the result frees S1 and S2
     without the cycle collector.
 
     The norm tables are read-only mappings whose keys are fixed when the
@@ -144,7 +139,6 @@ class ParametrixResult:
 
     Q: DiscreteOperator
     S1: DiscreteOperator
-    _s2: _Once = field(repr=False, compare=False)
     excision_radius: float
     excision_width: float
     residual_norms: Mapping = field(default_factory=dict)
@@ -153,11 +147,6 @@ class ParametrixResult:
     defect_history: tuple = ()
     diverged: bool = False
     worst_cell: tuple = ()
-
-    @property
-    def S2(self) -> DiscreteOperator:
-        """I - QP, formed on the first read and then kept."""
-        return self._s2.get()
 
 
 def _denoise_x_spectrum(samples: np.ndarray, grid: GridSpec,
@@ -205,9 +194,9 @@ def build_parametrix(
     the keys k, l in range(norm_range); no norm is computed here, and S2
     is not formed here.  The first read of an S1 entry (residual,
     off-band or band) takes the frequency representation of S1, the first
-    read of an ("S2", k, l) entry forms S2 (unless ``.S2`` was read) and
-    takes its representation (each kept as the operator's
-    ``frequency_rep``), and every read of a new entry takes one SVD.
+    read of an ("S2", k, l) entry forms S2 and takes its representation
+    (each kept as the operator's ``frequency_rep``), and every read of a
+    new entry takes one SVD.
     """
     if J < 0:
         raise ValueError("J must be >= 0")
@@ -264,7 +253,7 @@ def build_parametrix(
     band_tab = _LazyTable(
         kl, lambda key: op_norm(S1, -float(key[0]), float(key[1]), ~offband))
     return ParametrixResult(
-        Q=Q, S1=S1, _s2=s2,
+        Q=Q, S1=S1,
         excision_radius=cert.radius, excision_width=excision_width,
         residual_norms=residual, off_band_norms=off_tab, band_norms=band_tab,
         defect_history=tuple(history), diverged=diverged, worst_cell=worst,
@@ -344,60 +333,3 @@ def fourier_diagonal_constant(fn, order: int) -> float:
     m = np.abs(np.asarray(fn(mags[:, None]), dtype=complex).ravel())
     ratio = (1.0 + mags ** 2) ** (order / 2.0) / (1.0 + m)
     return float(ratio.max())
-
-
-# ---------------------------------------------------------------------------
-# elliptic regularity
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    """Tail bound on u implied by u = Q(Pu) + S2 u and the tails of Pu."""
-
-    identity_defect: float
-    rows: tuple  # (level, tail_u, tail_Pu, ratio)
-
-
-def _tail_mass(u: Section, level: float) -> float:
-    g = u.grid
-    hat = to_frequency(g, u.flat()).reshape(g.n_points, g.fiber_dim)
-    outside = g.frequency_magnitude > level
-    return float(
-        g.quadrature_weight * np.linalg.norm(hat[outside])
-    )
-
-
-def elliptic_regularity_check(
-    P: DiscreteOperator,
-    p: Symbol,
-    u: Section,
-    J: int = 2,
-    excision_width: float = 1.0,
-) -> RegularityReport:
-    """Verify the parametrix identity on u and tabulate frequency tails.
-
-    The levels F are six equal steps up to 0.75 times the largest lattice
-    frequency.  At each level F the report compares the Sobolev mass of u
-    above F with the mass of Pu above F; for an elliptic P of order k the
-    former is controlled by the latter at relative order -k, except on the
-    excised band, where Pu can vanish while u does not.
-    """
-    g = P.grid
-    par = build_parametrix(P, p, J, excision_width, norm_range=1)
-    pu = apply_operator(P, u)
-    recon = apply_operator(par.Q, pu).values + apply_operator(par.S2, u).values
-    scale = sobolev_norm(u, 0.0) or 1.0
-    defect = float(
-        g.quadrature_weight
-        * np.linalg.norm((u.values - recon).ravel())
-    ) / scale
-
-    top = float(g.frequency_magnitude.max())
-    levels = np.linspace(0.0, 0.75 * top, 7)[1:]
-    rows = []
-    for level in levels:
-        tu = _tail_mass(u, level)
-        tpu = _tail_mass(pu, level)
-        ratio = tu / tpu if tpu > 0 else np.inf
-        rows.append((float(level), tu, tpu, ratio))
-    return RegularityReport(identity_defect=defect, rows=tuple(rows))

@@ -36,7 +36,6 @@ from .lattice import (
     Region,
     ball_region,
     cutoff_eta,
-    lipschitz_bump,
     to_frequency,
 )
 from .operators import DiscreteOperator, multiplier_matrix
@@ -50,8 +49,6 @@ __all__ = [
     "dominating_function",
     "WaveScanReport",
     "wave_quasilocality_scan",
-    "SpotcheckReport",
-    "pseudolocality_equivalence_spotcheck",
 ]
 
 # width of every exterior cutoff, in grid spacings
@@ -475,72 +472,4 @@ def wave_quasilocality_scan(
         growth_t=float(np.median(growths)) if growths else np.nan,
         range_limited=range_limited,
         propagation_exact=tuple(prop_rows),
-    )
-
-
-# ---------------------------------------------------------------------------
-# pseudolocality equivalence spot check
-
-
-@dataclass(frozen=True)
-class SpotcheckReport:
-    """Step-function approximation bookkeeping for commutators [T, f]."""
-
-    step_defects: tuple       # ||[T,f] - [T,f']|| per sampled f
-    direct_bounds: tuple      # 2 mesh ||T|| per sampled f
-    verdict_lipschitz: bool
-    verdict_borel: bool
-
-
-def pseudolocality_equivalence_spotcheck(
-    T: DiscreteOperator,
-    R: float,
-    L: float,
-    samples: int = 3,
-) -> SpotcheckReport:
-    """Compare the Lipschitz-commutator and Borel-indicator approximability views.
-
-    For sampled f in L-Lip_R (centres drawn from the generator seeded with
-    0), the range of f is partitioned into intervals of mesh 0.25;
-    f' = sum_i c_i chi_i is the induced step function.  Since
-    ||f - f'|| <= mesh, the commutator difference obeys
-    ||[T,f] - [T,f']|| <= 2 mesh ||T||, and [T, f'] assembles from the
-    off-diagonal blocks chi_i T chi_j, which is the bridge between the two
-    families.  Each family verdict holds when every sampled operator has
-    eps-rank at most state_dim // 4 at eps = 0.25.
-    """
-    g = T.grid
-    rng = np.random.default_rng(0)
-    tnorm = float(np.linalg.norm(T.matrix, 2))
-    mesh = eps = 0.25
-    rank_cap = g.state_dim // 4
-
-    defects, bounds = [], []
-    lip_ok = True
-    borel_ok = True
-    for _ in range(samples):
-        center = g.points[rng.integers(0, g.n_points)]
-        f = lipschitz_bump(g, center, R, L)
-        vals = f.values
-        edges = np.arange(vals.min(), vals.max() + mesh, mesh)
-        idx = np.clip(np.digitize(vals, edges) - 1, 0, len(edges) - 1)
-        levels = edges[idx] + mesh / 2.0
-        fv = np.repeat(vals, g.fiber_dim)
-        sv = np.repeat(levels, g.fiber_dim)
-        comm_f = T.matrix * fv[None, :] - fv[:, None] * T.matrix
-        comm_s = T.matrix * sv[None, :] - sv[:, None] * T.matrix
-        defect = float(np.linalg.norm(comm_f - comm_s, 2))
-        defects.append(defect)
-        bounds.append(2.0 * mesh * tnorm)
-        # family verdicts: commutator vs indicator compressions
-        sv_c = np.linalg.svd(comm_f, compute_uv=False)
-        lip_ok = lip_ok and _count_at_least(sv_c, eps) <= rank_cap
-        for i in np.unique(idx):
-            chi_i = np.repeat(idx == i, g.fiber_dim).astype(float)
-            mat = chi_i[:, None] * T.matrix - T.matrix * chi_i[None, :]
-            sv_b = np.linalg.svd(mat, compute_uv=False)
-            borel_ok = borel_ok and _count_at_least(sv_b, eps) <= rank_cap
-    return SpotcheckReport(
-        step_defects=tuple(defects), direct_bounds=tuple(bounds),
-        verdict_lipschitz=bool(lip_ok), verdict_borel=bool(borel_ok),
     )

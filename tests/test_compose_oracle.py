@@ -315,7 +315,8 @@ PARAMETRIX_CASES = [
     "grid, family, width", PARAMETRIX_CASES,
     ids=[f"{g.dim}d-N{g.points_per_axis}-r{g.fiber_dim}-{f}"
          for g, f, _w in PARAMETRIX_CASES])
-def test_parametrix_equals_oracle_bitwise(grid, family, width):
+def test_parametrix_equals_oracle_bitwise(grid, family, width, monkeypatch):
+    made = _counting_residuals(monkeypatch)
     p = _symbol(grid, family)
     P = quantize(p)
     for J in range(4):
@@ -323,7 +324,9 @@ def test_parametrix_equals_oracle_bitwise(grid, family, width):
         want = _parametrix_oracle(P, p, J, width)
         assert _same_bits(res.Q.matrix, want["Q"]), J
         assert _same_bits(res.S1.matrix, want["S1"]), J
-        assert _same_bits(res.S2.matrix, want["S2"]), J
+        # the first ("S2", k, l) read forms S2 = I - QP
+        res.residual_norms[("S2", 0, 0)]
+        assert _same_bits(made[-1].matrix, want["S2"]), J
         assert res.defect_history == want["history"]
         assert res.diverged == want["diverged"]
         assert res.worst_cell == want["worst"]
@@ -376,14 +379,14 @@ def test_band_tables_never_form_s2(monkeypatch):
         res.band_norms[key]
         res.residual_norms[("S1",) + key]
     assert len(made) == 1
-    S2 = res.S2
-    assert len(made) == 2 and made[1] is S2
     res.residual_norms[("S2", 1, 0)]
-    assert len(made) == 2 and res.S2 is S2
+    assert len(made) == 2
+    res.residual_norms[("S2", 0, 1)]
+    assert len(made) == 2
 
 
-@pytest.mark.parametrize("first", ["table", "attribute"])
-def test_s2_attribute_and_entries_share_one_operator(monkeypatch, first):
+def test_s2_entries_share_one_operator(monkeypatch):
+    made = _counting_residuals(monkeypatch)
     seen = []
     norm = parametrix.op_norm
 
@@ -396,17 +399,26 @@ def test_s2_attribute_and_entries_share_one_operator(monkeypatch, first):
     p = named_symbol(g, "elliptic_x")
     res = build_parametrix(quantize(p), p, 1, excision_width=4.0,
                            norm_range=2)
-    S2 = res.S2 if first == "attribute" else None
     res.residual_norms[("S2", 0, 1)]
     res.residual_norms[("S2", 1, 1)]
-    assert seen[0] is seen[1] is res.S2
-    assert S2 is None or S2 is res.S2
+    assert seen[0] is seen[1] is made[1]
     # the first S2 norm kept the representation on the shared operator
-    assert "frequency_rep" in vars(res.S2)
+    assert "frequency_rep" in vars(made[1])
 
 
-@pytest.mark.parametrize("read_s2", ["table", "attribute", "never"])
-def test_dropping_the_result_frees_the_residuals_without_gc(read_s2):
+@pytest.mark.parametrize("read_s2", ["table", "never"])
+def test_dropping_the_result_frees_the_residuals_without_gc(monkeypatch,
+                                                            read_s2):
+    # S1 and S2 are recorded by weak reference as they are formed
+    made = []
+    identity_defect = parametrix._identity_defect
+
+    def recording(*args):
+        residual = identity_defect(*args)
+        made.append(weakref.ref(residual))
+        return residual
+
+    monkeypatch.setattr(parametrix, "_identity_defect", recording)
     g = GridSpec(1, 64, 2.0)
     p = named_symbol(g, "elliptic_x")
     P = quantize(p)
@@ -417,9 +429,8 @@ def test_dropping_the_result_frees_the_residuals_without_gc(read_s2):
         res.off_band_norms[(0, 0)]
         if read_s2 == "table":
             res.residual_norms[("S2", 0, 0)]
-        refs = [weakref.ref(res.S1), weakref.ref(res.Q)]
-        if read_s2 != "never":
-            refs.append(weakref.ref(res.S2))
+        refs = made + [weakref.ref(res.Q)]
+        assert len(refs) == (3 if read_s2 == "table" else 2)
         del res
         assert all(ref() is None for ref in refs)
     finally:

@@ -24,10 +24,13 @@ or of name sharing that would hide it, and for one kind of coupling:
   imports from another, unless ``PRIVATE_IMPORTS`` lists it with its reason;
 - a definition no run reaches.  The roots are the names the package's
   module-level code loads (its tables, decorators and fields), ``cli.main``,
-  every name ``tests/test_acceptance.py`` references, every name and string
-  constant in ``bench``, and the entries of ``UNREACHED_ALLOWED``; the scan
-  closes over the names each reached body loads, so a definition only unit
-  tests reach is reported, however long its chain of callers.
+  every name ``tests/test_acceptance.py`` references, and every name and
+  string constant in ``bench``; the scan closes over the names each reached
+  body loads, so a definition only unit tests reach is reported, however
+  long its chain of callers.  No definition is exempt: code that only a
+  test runs belongs in the tests.
+
+The package's total line count is also held under ``SRC_LINE_CEILING``.
 
 Calls, reads and references are matched to definitions by name alone, and
 a call that splats ``*args`` or ``**kwargs`` counts as passing every
@@ -44,6 +47,9 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "torusop"
 SCANNED = (ROOT / "src", ROOT / "tests", ROOT / "bench")
+# total lines of src/torusop/*.py; a change may lower it, and one that
+# raises it says why in CHANGES.md
+SRC_LINE_CEILING = 3717
 
 # dataclass field name on several classes -> why each class keeps it; the
 # unread-field scan matches reads by name, so each listed class's field is
@@ -57,29 +63,12 @@ SHARED_FIELDS = {
     "values": "Section.values feeds the Sobolev norms; BumpFunction.values "
               "cuts sections off and is rho(f) in assemble_module and "
               "homotopy_scan",
-    "defect": "FuncalcResult.defect is funcalc-defect's and criterion 07's "
-              "check; CommutatorIntegralResult.defect its convergence test",
-    "norms": "QIntegralResult.norms and DecayProfile.norms are the norm "
-             "tables their tests and criterion 08 read",
 }
 
 # "importing module: private name" -> why the name crosses a module line
 PRIVATE_IMPORTS = {
     "khomology: _loglog_slope":
         "the continuity exponent is quasiloc's log-log slope fit",
-    "khomology: _resolvent_route":
-        "[rho(f), chi(P)] by the resolvent route is the commutator with "
-        "funcalc's one resolvent rule on P's spectrum, since the route is "
-        "linear in its scalar integrand",
-}
-
-_LEMMA = "paper lemma; ROADMAP item 13 turns it into a scenario check"
-# 'module.name' of a definition no run reaches -> why it stays in src
-UNREACHED_ALLOWED = {
-    "khomology.commutator_integral": _LEMMA,
-    "funcalc.q_integral": _LEMMA,
-    "parametrix.elliptic_regularity_check": _LEMMA,
-    "quasiloc.pseudolocality_equivalence_spotcheck": _LEMMA,
 }
 
 
@@ -523,16 +512,14 @@ def _string_constants(trees: list) -> set:
             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
 
 
-def unreached_definitions(defs: list, roots: set, allowed=()) -> list:
+def unreached_definitions(defs: list, roots: set) -> list:
     """'module.name' for each definition in ``defs`` no root reaches.
 
     Covers the definitions ``unreferenced_definitions`` covers, labelled
     by module stem and class.  A definition is reached when its name is a
-    root, when ``allowed`` lists its label, or when a reached body loads
-    its name (as ``_loaded_names`` reads a body); the bodies of a reached
-    class's dunder methods count as reached.  A label in ``allowed`` that
-    names no definition, or one the roots reach without it, is reported as
-    a stale allow-list entry, so the list cannot outlive its reasons.
+    root, or when a reached body loads its name (as ``_loaded_names`` reads
+    a body); the bodies of a reached class's dunder methods count as
+    reached.
     """
     definitions = []  # (label, name, names its reached body loads)
     for path, tree in defs:
@@ -551,26 +538,17 @@ def unreached_definitions(defs: list, roots: set, allowed=()) -> list:
                 definitions += [(f"{module}.{stmt.name}.{s.name}", s.name,
                                  _loaded_names(s)) for s in _methods(stmt)]
 
-    def closure(extra):
-        names, reached = set(roots), set()
-        grew = True
-        while grew:
-            grew = False
-            for label, name, loads in definitions:
-                if label in reached or not (name in names or label in extra):
-                    continue
-                reached.add(label)
-                names |= loads
-                grew = True
-        return reached
-
-    without = closure(())
-    reached = closure(set(allowed))
-    labels = {label for label, *_ in definitions}
-    out = [label for label, *_ in definitions if label not in reached]
-    out += [f"{label} (allow-listed, but reached or not defined)"
-            for label in allowed if label in without or label not in labels]
-    return out
+    names, reached = set(roots), set()
+    grew = True
+    while grew:
+        grew = False
+        for label, name, loads in definitions:
+            if label in reached or name not in names:
+                continue
+            reached.add(label)
+            names |= loads
+            grew = True
+    return [label for label, *_ in definitions if label not in reached]
 
 
 def _run_roots() -> set:
@@ -628,19 +606,10 @@ def _post_helper():
     roots = _module_level_names(trees) | _string_constants(bench)
     assert unreached_definitions(trees, roots) == [
         "mod.a", "mod.b", "mod.c", "mod.lemma", "mod._lemma_helper"]
-    assert unreached_definitions(trees, roots, {"mod.lemma": "kept"}) == [
-        "mod.a", "mod.b", "mod.c"]
-    # an entry that names a reached or a missing definition is stale
-    assert unreached_definitions(
-        trees, roots, {"mod.lemma": "", "mod.entry": "", "mod.gone": ""}) == [
-        "mod.a", "mod.b", "mod.c",
-        "mod.entry (allow-listed, but reached or not defined)",
-        "mod.gone (allow-listed, but reached or not defined)"]
 
 
 def test_every_definition_is_reached():
-    unreached = unreached_definitions(_trees(SRC), _run_roots(),
-                                      UNREACHED_ALLOWED)
+    unreached = unreached_definitions(_trees(SRC), _run_roots())
     assert not unreached, "definitions no run reaches: " + ", ".join(
         unreached)
 
@@ -687,3 +656,10 @@ def test_private_imports_are_the_listed_ones():
     stale = sorted(set(PRIVATE_IMPORTS) - set(found))
     assert not stale, "allow-list entries no module imports: " + ", ".join(
         stale)
+
+
+def test_src_stays_within_its_line_ceiling():
+    lines = sum(len(path.read_text().splitlines())
+                for path in SRC.glob("*.py"))
+    assert lines <= SRC_LINE_CEILING, (
+        f"src/torusop has {lines} lines, over its ceiling {SRC_LINE_CEILING}")

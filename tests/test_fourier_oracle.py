@@ -15,7 +15,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from torusop import funcalc, operators
+from torusop import funcalc, operators, parametrix
 from torusop.funcalc import SpectralData, spectral_data
 from torusop.lattice import GridSpec, from_frequency, to_frequency
 from torusop.operators import (
@@ -228,8 +228,9 @@ def test_spectral_data_fast_path_matches_dense_w(grid, monkeypatch):
     dense_diag = np.diag(w.conj().T @ P.matrix @ w).real
     # position by position: eigenvalue i belongs to frequency state i
     assert _rel(sd.eigenvalues, dense_diag) <= REL
-    # and the eigenbasis is the lifted W itself
-    assert _rel(sd.eigenvectors, w) <= REL
+    # and the eigenbasis, the Fourier basis of to_frequency, is the lifted
+    # W itself
+    assert _rel(from_frequency(grid, np.eye(grid.state_dim)), w) <= REL
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
@@ -430,13 +431,21 @@ def test_spectral_apply_fourier_basis_matches_dense_products(grid):
                            order=2)
     sd = spectral_data(P)
     assert sd.vectors is None
-    v, lam = sd.eigenvectors, sd.eigenvalues
+    v, lam = from_frequency(grid, np.eye(grid.state_dim)), sd.eigenvalues
     for f in (lam, np.exp(0.3j * lam), lam / np.sqrt(1.0 + lam ** 2)):
         vals = np.asarray(f, dtype=complex)
         assert _rel(sd.apply(vals), (v * vals[None, :]) @ v.conj().T) <= REL
 
 
-def test_parametrix_masked_norms_match_projector_composition():
+def test_parametrix_masked_norms_match_projector_composition(monkeypatch):
+    made = []
+    identity_defect = parametrix._identity_defect
+
+    def recording(*args):
+        made.append(identity_defect(*args))
+        return made[-1]
+
+    monkeypatch.setattr(parametrix, "_identity_defect", recording)
     g = GridSpec(1, 64, 2.0)
     p = named_symbol(g, "elliptic_x")
     res = build_parametrix(quantize(p), p, 1, excision_width=2.0,
@@ -452,7 +461,8 @@ def test_parametrix_masked_norms_match_projector_composition():
         expect = op_norm(band, -float(k), float(l))
         assert abs(res.band_norms[(k, l)] - expect) <= REL * expect
     for (tag, k, l), value in res.residual_norms.items():
-        S = res.S1 if tag == "S1" else res.S2
+        # S1 is formed first, with Q; S2 = I - QP on its first entry's read
+        S = made[0] if tag == "S1" else made[1]
         expect = _dense_op_norm(S, -float(k), float(l))
         assert abs(value - expect) <= REL * expect
 

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from torusop import cli, funcalc
+from torusop import cli
 from torusop.funcalc import (
     ScalarFunctionSpec,
     SpectralData,
@@ -18,13 +18,11 @@ from torusop.funcalc import (
     fourier_apply,
     named_function,
     psi_difference_bound,
-    q_integral,
     spectral_data,
 )
 from torusop.khomology import (
     Multigrading,
     assemble_module,
-    commutator_integral,
     homotopy_scan,
     make_multigrading,
 )
@@ -63,8 +61,11 @@ G = GridSpec(1, 16, 1.0)
 G2 = GridSpec(1, 16, 1.0, fiber_dim=2)
 N = G.n_points
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-# the range of a function's scale (gaussian sigma, schwartz_bump b)
-LO, HI = 2.0 ** -511, 2.0 ** 511
+# the ranges of the scale keys: the period scale L, a function's scale
+# (gaussian sigma, schwartz_bump b) and funcalc-defect's window t_max
+L_LO, L_HI = 2.0 ** -20, 2.0 ** 20
+LO, HI = 2.0 ** -64, 2.0 ** 64
+T_LO, T_HI = 2.0 ** -64, 2.0 ** 64
 
 
 def _p(name="laplace+1"):
@@ -197,11 +198,10 @@ GUARDS = [
     ("bump-infinite-b",
      lambda: named_function("schwartz_bump", {"b": np.inf}),
      ValueError, "b must be finite and > 0"),
-    # a scale is squared and inverted: one ulp beyond [2^-511, 2^511]
-    # one of value^2 and value^-2 is no longer a finite normal float
+    # one ulp outside [2^-64, 2^64], the range a function's scale has
     ("gaussian-huge-sigma",
      lambda: named_function("gaussian", {"sigma": np.nextafter(HI, np.inf)}),
-     ValueError, r"sigma must be finite and > 0, in \[2\*\*-511, 2\*\*511\]"),
+     ValueError, r"sigma must be finite and > 0, in \[2\*\*-64, 2\*\*64\]"),
     ("gaussian-tiny-sigma",
      lambda: named_function("gaussian", {"sigma": np.nextafter(LO, 0.0)}),
      ValueError, "sigma must be finite and > 0"),
@@ -229,13 +229,6 @@ GUARDS = [
     ("resolvent-quadrature",
      lambda: chi_resolvent_integral(_P(), n_quad=1),
      ValueError, "needs n_quad >= 2"),
-    ("q-derivatives",
-     lambda: q_integral(named_function("chi_rational"), 1, _P(), None),
-     ValueError, "needs closed-form derivatives"),
-    ("q-tail",
-     lambda: q_integral(named_function("gaussian", {"sigma": 10.0}), 1,
-                        _P(), None),
-     ValueError, "not integrable on the grid"),
     ("psi-constant",
      lambda: psi_difference_bound(named_function("gaussian"), _momentum(),
                                   _momentum()),
@@ -297,12 +290,6 @@ GUARDS = [
                              np.sign, make_multigrading(0), {},
                              check_square_exact=True),
      ValueError, "needs a spectral gap at 0"),
-    ("commutator-integral-adjoint",
-     lambda: commutator_integral(_drift(), _bump()),
-     ValueError, "P must be self-adjoint"),
-    ("commutator-integral-quadrature",
-     lambda: commutator_integral(_momentum(), _bump(), n_quad=1),
-     ValueError, "needs n_quad >= 2"),
     ("homotopy-adjoint",
      lambda: homotopy_scan(_P(), _drift(), np.sign, [4], []),
      ValueError, "both endpoints must be self-adjoint"),
@@ -362,6 +349,25 @@ OUT_OF_DOMAIN_CONFIGS = [
     ("sigma-below-range", "funcalc-defect",
      {"sigma": float(np.nextafter(LO, 0.0))}),
     ("s-underflow", "quasiloc-scan", {"s": -700}),
+    # at 2^-511 the gaussian's x^2 / (2 sigma^2) overflows, at 2^511 its
+    # sigma^2 t^2 / 2
+    ("sigma-2^-511", "funcalc-defect", {"sigma": 2.0 ** -511}),
+    ("sigma-2^511", "funcalc-defect", {"sigma": 2.0 ** 511}),
+    ("t_max-1e300", "funcalc-defect", {"t_max": 1e300}),
+    ("t_max-above-range", "funcalc-defect",
+     {"t_max": float(np.nextafter(T_HI, np.inf))}),
+    ("t_max-below-range", "funcalc-defect",
+     {"t_max": float(np.nextafter(T_LO, 0.0))}),
+    ("L-1e300-quasiloc", "quasiloc-scan", {"L": 1e300}),
+    ("L-1e300-symbol-check", "symbol-check", {"L": 1e300}),
+    ("L-1e300-waveprop", "waveprop", {"L": 1e300}),
+    ("L-1e-300-homotopy", "homotopy-scan", {"L": 1e-300}),
+    ("L-1e-300-elliptic", "elliptic-estimate", {"L": 1e-300}),
+    ("L-above-range", "compose-check",
+     {"L": float(np.nextafter(L_HI, np.inf))}),
+    ("L-below-range", "fredholm-check",
+     {"L": float(np.nextafter(L_LO, 0.0))}),
+    ("L-nan", "parametrix", {"L": float("nan")}),
 ]
 
 
@@ -379,20 +385,39 @@ def test_out_of_domain_config_fails_in_one_line(scenario, config, tmp_path):
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("name, key", [("gaussian", "sigma"),
-                                       ("schwartz_bump", "b")])
-@pytest.mark.parametrize("value", [LO, HI])
-def test_a_scale_at_either_end_of_its_range_is_accepted(name, key, value):
-    assert named_function(name, {key: value})(np.zeros(1)).shape == (1,)
+@pytest.mark.parametrize("t_max", [T_LO, T_HI],
+                         ids=["shortest-window", "longest-window"])
+@pytest.mark.parametrize("scale", [LO, HI],
+                         ids=["smallest-scale", "largest-scale"])
+def test_a_scale_at_either_end_of_its_range_is_accepted(scale, t_max,
+                                                        tmp_path):
+    # on the largest spectrum funcalc-defect takes, an order-2 family at
+    # the smallest L, and on its window's ends: funcalc-defect with the
+    # gaussian, and schwartz_bump's b (no config key) by the same route
+    config = {"sigma": scale, "t_max": t_max, "L": L_LO,
+              "family": "laplace+1"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run("funcalc-defect", config, out=str(tmp_path)) in (0, 1)
+        P = quantize(named_symbol(GridSpec(1, 64, L_LO), "laplace+1"))
+        bump = named_function("schwartz_bump", {"b": scale})
+        assert np.isfinite(fourier_apply(P, bump, t_max=t_max).defect)
 
 
-def test_q_integral_checks_q_before_spectral_data(monkeypatch):
-    def never(P):
-        raise AssertionError("spectral data taken before q was checked")
-
-    monkeypatch.setattr(funcalc, "spectral_data", never)
-    with pytest.raises(ValueError, match="not integrable on the grid"):
-        q_integral(named_function("gaussian", {"sigma": 10.0}), 1, _P(), None)
+@pytest.mark.parametrize("L", [L_LO, L_HI], ids=["smallest-L", "largest-L"])
+@pytest.mark.parametrize("scenario", [s for s in cli.SCENARIOS
+                                      if "L" in cli.default_config(s)])
+def test_every_scenario_at_either_end_of_L_warns_nothing(scenario, L,
+                                                         tmp_path):
+    # a scenario runs, or its own guard refuses the grid in one line
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            assert cli.run(scenario, {"L": L}, out=str(out)) in (0, 1)
+        except ValueError as exc:
+            assert "\n" not in str(exc)
+            assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("forms", [(), ("fT", "bogus")], ids=["empty", "late"])

@@ -41,7 +41,6 @@ from torusop.quasiloc import (
     _region_states,
     dominating_function,
     eps_rank,
-    pseudolocality_equivalence_spotcheck,
     uniform_approx_profile,
     wave_quasilocality_scan,
 )
@@ -204,16 +203,6 @@ def test_composition_dominating_function_subadditive():
     nb = op_norm(B, 0.0, 0.0)
     rhs = mu_a.mu_hat[0] * nb + na * mu_b.mu_hat[0]
     assert mu_ab.mu_hat[0] <= 4.0 * rhs + 1e-12
-
-
-def test_spotcheck_verdicts_agree_for_smoothing_operator():
-    g = GridSpec(1, 64, 1.0)
-    T = quantize(named_symbol(g, "schwartz_xi"))
-    rep = pseudolocality_equivalence_spotcheck(T, R=1.0, L=2.0, samples=2)
-    for defect, bound in zip(rep.step_defects, rep.direct_bounds):
-        assert defect <= bound * (1 + 1e-9)
-    assert rep.verdict_lipschitz
-    assert rep.verdict_lipschitz == rep.verdict_borel
 
 
 def _solve(cols, rr):
@@ -1026,3 +1015,58 @@ def test_s_zero_solve_receives_only_the_kept_rows(monkeypatch):
     wave_quasilocality_scan(P, k + 1, t_list, R_list, l, region=region,
                             probes=1, spectral=spectral_data(P))
     assert shapes == [(m, P.grid.state_dim)] * len(t_list)
+
+
+# ---------------------------------------------------------------------------
+# translation covariance at the wave-scan workload's shape
+
+# the wave-scan workload's grid, region radius and criterion 06's t and R
+WORKLOAD_GRID = GridSpec(1, 1024, 8.0)
+WORKLOAD_T = (0.0625, 0.125, 0.25)
+WORKLOAD_R = (2.0, 4.0, 8.0, 16.0)
+# whole grid steps: a short one and one that wraps past the period
+SHIFTS = (37, 1000)
+# relative: the distance fields of a translate round differently
+TRANSLATION_REL = 1e-13
+
+
+def _translated(region, k):
+    return Region(region.grid, np.roll(region.mask, k))
+
+
+def test_wave_scan_is_translation_invariant_at_the_workload_shape():
+    # a multiplier commutes with translations, so moving the region by
+    # whole grid steps moves no mu_hat; the probes, drawn on the whole
+    # grid, meet other values but move a row only by rounding
+    g = WORKLOAD_GRID
+    P = fourier_multiplier(g, lambda xi: 1.3 + xi[..., 0] ** 2, order=2)
+    sd = spectral_data(P)
+    region = ball_region(g, np.zeros(1), 4.0)
+
+    def mu_hat(reg):
+        rep = wave_quasilocality_scan(P, 2, WORKLOAD_T, WORKLOAD_R, 1.0,
+                                      region=reg, probes=2, spectral=sd)
+        return np.array([row[3] for row in rep.entries])
+
+    want = mu_hat(region)
+    assert np.all(want > 0)
+    for k in SHIFTS:
+        got = mu_hat(_translated(region, k))
+        assert np.all(np.abs(got - want) <= TRANSLATION_REL * want), k
+
+
+def test_dominating_function_is_translation_covariant_at_the_workload_shape():
+    # mu_hat(S A S^T, S L) = mu_hat(A, L) for the shift S by whole grid
+    # steps, here on the x-dependent drift at s = 1, the FFT route
+    g = WORKLOAD_GRID
+    A = quantize(named_symbol(g, "drift"))
+    region = ball_region(g, np.zeros(1), 4.0)
+    want = np.array(dominating_function(A, 0.0, 1.0, WORKLOAD_R,
+                                        [region]).mu_hat)
+    assert np.all(want > 0)
+    for k in SHIFTS:
+        shifted = np.roll(np.roll(A.matrix, k, axis=0), k, axis=1)
+        SA = DiscreteOperator(g, A.order, shifted, provenance="composed")
+        got = np.array(dominating_function(SA, 0.0, 1.0, WORKLOAD_R,
+                                           [_translated(region, k)]).mu_hat)
+        assert np.all(np.abs(got - want) <= TRANSLATION_REL * want), k
