@@ -48,7 +48,6 @@ from .parametrix import (
     elliptic_estimate_constant,
 )
 from .funcalc import (
-    NAMED_FUNCTIONS,
     chi_resolvent_integral,
     fourier_apply,
     named_function,
@@ -67,9 +66,8 @@ _CHECK_KEYS = frozenset({"name", "value", "budget", "passed"})
 # columns of the scan.csv that waveprop and quasiloc-scan write
 _SCAN_HEADER = ("t", "R", "l", "mu_hat")
 # key -> (lo, hi): the key's value must lie in [2**lo, 2**hi].  Every
-# scenario's arithmetic stays finite at both ends of L; t_max's ends keep
-# the gaussian's sigma^2 t^2 / 2 finite for every sigma funcalc accepts
-_SCALE_EXPONENTS = {"L": (-20, 20), "t_max": (-64, 64)}
+# scenario's arithmetic stays finite at both ends of L
+_SCALE_EXPONENTS = {"L": (-20, 20)}
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +98,7 @@ _DEFAULTS = {
     },
     "funcalc-defect": {
         "N": 64, "L": 2.0, "family": "sqrt_laplace",
-        "function": "gaussian", "sigma": 1.0,
+        "sigma": 1.0,
         "t_max": 12.0, "n_quad": [1024, 2048],
         "resolvent_quad": [2048, 4096],
     },
@@ -129,22 +127,18 @@ def default_config(scenario: str) -> dict:
 
 
 def _fits(value, default) -> bool:
-    """Whether value has the type of default; an int may stand for a float."""
+    """Whether value has the type of default; an int may stand for a float,
+    and a float must be finite."""
     if isinstance(value, bool):
         return isinstance(default, bool)
     if isinstance(default, float):
-        return isinstance(value, numbers.Real)
+        return isinstance(value, numbers.Real) and math.isfinite(value)
     if isinstance(default, int):
         return isinstance(value, numbers.Integral)
     if isinstance(default, list):
         return isinstance(value, list) and all(
             _fits(v, default[0]) for v in value)
     return isinstance(value, type(default))
-
-
-def _config_function(cfg):
-    """The scalar function a funcalc-defect config names, with its sigma."""
-    return named_function(cfg["function"], {"sigma": cfg["sigma"]})
 
 
 def _validate_config(scenario: str, config: dict) -> dict:
@@ -184,18 +178,12 @@ def _validate_config(scenario: str, config: dict) -> dict:
     if any(float(l) not in range(NORM_RANGE) for l in base.get("l_list", [])):
         raise ValueError(f"config for {scenario}: l_list values must be "
                          f"whole numbers in [0, {NORM_RANGE - 1}]")
-    function = base.get("function")
-    if function is not None and function not in NAMED_FUNCTIONS:
-        raise ValueError(f"config for {scenario}: unknown function {function!r}")
-    if function is not None:
-        # built with the run's own parameters, so a bad scale fails here
+    if "sigma" in base:
+        # the run's own gaussian, so a bad scale fails here
         try:
-            f = _config_function(base)
+            named_function("gaussian", {"sigma": base["sigma"]})
         except ValueError as exc:
             raise ValueError(f"config for {scenario}: {exc}") from None
-        if f.fhat is None:
-            raise ValueError(f"config for {scenario}: function {function!r} "
-                             "has no closed-form Fourier transform")
     if "L" in base:
         for N in base.get("N_ladder", [base.get("N")]):
             try:
@@ -320,7 +308,7 @@ def _run_funcalc_defect(cfg):
     g = GridSpec(1, cfg["N"], cfg["L"])
     P = quantize(named_symbol(g, cfg["family"]))
     sd = spectral_data(P)
-    f = _config_function(cfg)
+    f = named_function("gaussian", {"sigma": cfg["sigma"]})
     doc = {"spectral_radius": sd.spectral_radius, "fourier": [],
            "resolvent": []}
     # an order-k spectrum grows like |xi|^k up to the lattice edge N/(2L)

@@ -18,7 +18,9 @@ spectral_data reads from the kernel, and apply builds f(P) by
 operators.multiplier_matrix, as fourier_multiplier does, at O(n^2 log n)
 instead of a dense O(n^3) product; V itself is never formed.  wave_columns
 reads a set of e^{itP}'s columns there with no n x n matrix: the
-multiplier's kernel holds every entry.
+multiplier's kernel holds every entry.  Finite propagation belongs to this
+wave route alone: P's declared propagation_speed is read by wave_operator
+and wave_columns, which stamp e^{itP} with operators.propagation_stamp.
 The decomposition is checked when SpectralData is built, on one defect
 matrix D = V diag(lambda) V* - P; in the Fourier basis that is also the one
 test that P is a multiplier.  The spectral-norm checks go through a
@@ -196,29 +198,22 @@ def spectral_data(P: DiscreteOperator) -> SpectralData:
 
 @dataclass(frozen=True)
 class ScalarFunctionSpec:
-    """Closed-form scalar function with a declared class.
+    """Closed-form scalar function, with what a route reads of it.
 
-    declared_class is one of "schwartz", "symbol" (with growth order m) or
-    "normalizing"; any other is rejected.  fhat, when present, is the
-    unitary Fourier transform of fn; c_psi, when present, is the closed
+    fhat, when present, is the unitary Fourier transform of fn, which the
+    wave route (fourier_apply) needs; c_psi, when present, is the closed
     form of (1/2pi) int |s psihat| ds, which the Lipschitz bounds of
     psi_difference_bound and homotopy_scan need.
     """
 
     name: str
     fn: object
-    declared_class: str
-    m: int = 0
     fhat: object = None
     c_psi: float | None = None
 
-    def __post_init__(self):
-        if self.declared_class not in ("schwartz", "symbol", "normalizing"):
-            raise ValueError(
-                f"unknown function class {self.declared_class!r}")
-
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
+
 
 def _positive_scale(prm, key):
     """prm[key] (default 1.0) in [2^-64, 2^64]; the bounds are compared,
@@ -245,33 +240,14 @@ def _gaussian(prm):
     def fhat(t):
         return sigma * np.exp(-(sigma ** 2) * t ** 2 / 2.0)
 
-    return ScalarFunctionSpec("gaussian", fn, "schwartz", fhat=fhat)
+    return ScalarFunctionSpec("gaussian", fn, fhat=fhat)
 
 
 def _chi_rational(_prm):
     fn = lambda x: np.asarray(x) / np.sqrt(1.0 + np.asarray(x) ** 2)
     # chi'(x) = (1+x^2)^{-3/2}; its non-unitary transform 2|s|K_1(|s|) is
     # nonnegative, so (1/2pi) int |s chihat(s)| ds = chi'(0) = 1 exactly.
-    return ScalarFunctionSpec("chi_rational", fn, "normalizing", m=0,
-                              c_psi=1.0)
-
-
-def _schwartz_bump(prm):
-    a = prm.get("a", 1.0)
-    b = _positive_scale(prm, "b")
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-(x / b) ** 2) * np.cos(a * x)
-
-    def fhat(t):
-        # unitary transform of exp(-(x/b)^2) cos(ax)
-        t = np.asarray(t, dtype=float)
-        c = b / (2.0 * np.sqrt(2.0))
-        return c * (np.exp(-(b ** 2) * (t - a) ** 2 / 4.0)
-                    + np.exp(-(b ** 2) * (t + a) ** 2 / 4.0))
-
-    return ScalarFunctionSpec("schwartz_bump", fn, "schwartz", fhat=fhat)
+    return ScalarFunctionSpec("chi_rational", fn, c_psi=1.0)
 
 
 def _si_normalizing(_prm):
@@ -281,28 +257,13 @@ def _si_normalizing(_prm):
 
     # psi'(x) = (2/pi) sinc; its non-unitary transform is the indicator of
     # [-1, 1] scaled by 2, so (1/2pi) int |s psihat(s)| ds = 2/pi exactly.
-    return ScalarFunctionSpec("si_normalizing", fn, "normalizing",
-                              c_psi=2.0 / np.pi)
-
-
-def _identity_fn(_prm):
-    return ScalarFunctionSpec("identity", lambda x: np.asarray(x, dtype=float),
-                              "symbol", m=1)
-
-
-def _one_fn(_prm):
-    return ScalarFunctionSpec(
-        "one", lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        "symbol", m=0)
+    return ScalarFunctionSpec("si_normalizing", fn, c_psi=2.0 / np.pi)
 
 
 NAMED_FUNCTIONS = {
     "gaussian": _gaussian,
     "chi_rational": _chi_rational,
-    "schwartz_bump": _schwartz_bump,
     "si_normalizing": _si_normalizing,
-    "identity": _identity_fn,
-    "one": _one_fn,
 }
 
 
@@ -349,15 +310,19 @@ def wave_operator(
 
     When P carries a finite propagation speed and the displacement |t| * speed
     is a whole number of grid spacings, the result is stamped with that
-    propagation bound; entries beyond it must already vanish to rounding and
-    are then zeroed exactly.  Incommensurate displacements are left unstamped
-    because the band-limited interpolant of a shifted section has full
-    support on the lattice.
+    propagation bound (``propagation_stamp`` at the matrix's own scale):
+    entries beyond it must already vanish to rounding and are then zeroed
+    exactly.  Incommensurate displacements are left unstamped because the
+    band-limited interpolant of a shifted section has full support on the
+    lattice.
     """
     sd = _spectrum_of(P, spectral)
     mat = sd.apply(np.exp(1j * t * sd.eigenvalues))
-    return DiscreteOperator(P.grid, 0, mat, provenance="function_of",
-                            propagation_bound=_propagation_bound(P, t))
+    bound = _propagation_bound(P, t)
+    if bound is not None:
+        mat = propagation_stamp(P.grid, mat, bound,
+                                float(np.abs(mat).max()) or 1.0)
+    return DiscreteOperator(P.grid, 0, mat, provenance="function_of")
 
 
 def _propagation_bound(P: DiscreteOperator, t: float) -> float | None:
@@ -387,11 +352,11 @@ def wave_columns(
     matrix's.  On the eigh path the operator is built and its columns taken.
     """
     sd = _spectrum_of(P, spectral)
+    bound = _propagation_bound(P, t)
     if sd.vectors is not None:
         U = wave_operator(P, t, spectral=sd)
-        return U.matrix.take(states, axis=1), U.propagation_bound
+        return U.matrix.take(states, axis=1), bound
     cols = multiplier_matrix(P.grid, np.exp(1j * t * sd.eigenvalues), states)
-    bound = _propagation_bound(P, t)
     if bound is not None:
         cols = propagation_stamp(P.grid, cols, bound,
                                  float(np.abs(cols).max()) or 1.0, states)
@@ -461,16 +426,19 @@ def fourier_apply(
     sum over giant steps t[::b] and baby steps c h, with b ~ sqrt(n_quad)
     and h = 2 t_max / (n_quad - 1), which forms no n_quad x n phase table.
     Only f with a closed-form transform ``fhat`` (Schwartz f) is accepted,
-    and the window [-t_max, t_max] needs a finite t_max > 0.
+    and the window [-t_max, t_max] needs t_max in [2^-64, 2^64], where the
+    gaussian's sigma^2 t^2 / 2 stays finite for every sigma it accepts.
     """
     if f.fhat is None:
         raise ValueError(
             f"fourier_apply needs the closed-form transform of {f.name!r}")
     if n_quad < 2:
         raise ValueError(f"the wave route needs n_quad >= 2: {n_quad}")
-    if not (np.isfinite(t_max) and t_max > 0):
-        # a reversed or empty interval would flip or zero the integral
-        raise ValueError(f"the wave route needs a finite t_max > 0: {t_max}")
+    if not 2.0 ** -64 <= t_max <= 2.0 ** 64:
+        # a reversed or empty interval would flip or zero the integral;
+        # the bounds are compared, not squared, and NaN fails both
+        raise ValueError(f"the wave route needs a finite t_max > 0, in "
+                         f"[2**-64, 2**64]: {t_max}")
     x = np.unique(_spectrum_of(P, spectral).eigenvalues)
     vals = _wave_route(f.fhat, x, t_max, n_quad)
     oracle = np.asarray(f.fn(x), dtype=complex)

@@ -10,6 +10,9 @@ and can build a set of a multiplier's columns alone from its kernel.
 Operator norms between Sobolev spaces are taken in the frequency basis of
 lattice.to_frequency, where the Sobolev weights are diagonal, by op_norm
 alone; it reads the representation each operator keeps as frequency_rep.
+A declared ``propagation_speed`` is read by funcalc's wave route alone,
+which stamps e^{itP} with ``propagation_stamp``; no other operator here
+carries a propagation bound, through composition or otherwise.
 """
 
 from __future__ import annotations
@@ -127,7 +130,6 @@ class DiscreteOperator:
     matrix: np.ndarray
     provenance: str = "quantized"
     self_adjoint: bool = False
-    propagation_bound: float | None = None
     propagation_speed: float | None = None
 
     def __post_init__(self):
@@ -139,18 +141,14 @@ class DiscreteOperator:
             )
         if not np.all(np.isfinite(a)):
             raise ValueError("non-finite operator entries")
-        if self.self_adjoint or self.propagation_bound is not None:
-            # before the symmetrized copy, so the abs temporary is freed
-            scale = float(np.abs(a).max()) or 1.0
         if self.self_adjoint:
+            scale = float(np.abs(a).max()) or 1.0
             defect, a_h = _hermitian_part(a, SELF_ADJOINT_TOL * scale)
             if a_h is None:
                 raise ValueError(
                     f"operator flagged self_adjoint but defect {defect:.3e}"
                 )
             a = a_h
-        if self.propagation_bound is not None:
-            a = propagation_stamp(g, a, self.propagation_bound, scale)
         object.__setattr__(self, "matrix", a)
 
     @cached_property
@@ -308,7 +306,6 @@ def multiplication_operator(grid: GridSpec, values) -> DiscreteOperator:
         grid, 0, np.diag(diag),
         provenance="multiplication",
         self_adjoint=bool(np.all(np.isreal(f))),
-        propagation_bound=0.0,
     )
 
 
@@ -356,20 +353,12 @@ def op_norm(A: DiscreteOperator, s: float, t: float, modes=None) -> float:
     return float(np.linalg.norm(A.frequency_rep[:, cols] * weights, 2))
 
 
-def _combine_propagation(a, b):
-    if a is None or b is None:
-        return None
-    return a + b
-
-
 def compose(A: DiscreteOperator, B: DiscreteOperator) -> DiscreteOperator:
     if A.grid != B.grid:
         raise ValueError("grid mismatch")
     return DiscreteOperator(
         A.grid, A.order + B.order, A.matrix @ B.matrix,
         provenance="composed",
-        propagation_bound=_combine_propagation(
-            A.propagation_bound, B.propagation_bound),
     )
 
 
@@ -385,8 +374,6 @@ def commutator(A: DiscreteOperator, B: DiscreteOperator) -> DiscreteOperator:
     return DiscreteOperator(
         A.grid, order, A.matrix @ B.matrix - B.matrix @ A.matrix,
         provenance="composed",
-        propagation_bound=_combine_propagation(
-            A.propagation_bound, B.propagation_bound),
     )
 
 

@@ -49,7 +49,7 @@ SRC = ROOT / "src" / "torusop"
 SCANNED = (ROOT / "src", ROOT / "tests", ROOT / "bench")
 # total lines of src/torusop/*.py; a change may lower it, and one that
 # raises it says why in CHANGES.md
-SRC_LINE_CEILING = 3717
+SRC_LINE_CEILING = 3660
 
 # dataclass field name on several classes -> why each class keeps it; the
 # unread-field scan matches reads by name, so each listed class's field is

@@ -20,6 +20,7 @@ from torusop.funcalc import (
     ScalarFunctionSpec,
     SpectralData,
     _gate_passes,
+    _propagation_bound,
     _trapezoid,
     chi_resolvent_integral,
     fourier_apply,
@@ -152,19 +153,24 @@ def test_plain_operator_holding_a_multiplier_takes_the_fourier_path(
     assert sd.eigenvalues.tobytes() == want.tobytes()
 
 
-def _declared_class_holds(spec) -> bool:
-    """Whether ``spec`` is in its declared class on 8001 points of [-40, 40].
+# the class of each named function: the gaussian is the wave route's
+# Schwartz function, the other two normalize chi(P)
+FUNCTION_CLASSES = {"gaussian": "schwartz", "chi_rational": "normalizing",
+                    "si_normalizing": "normalizing"}
 
-    For "symbol" and "schwartz" the constants C_n = sup |f^(n)| (1+|x|)^(n-m),
-    n = 0..4, must be finite, with m = -8 for "schwartz"; a "normalizing"
-    function must be odd, positive on the positives and tend to 1.
+
+def _in_class(spec, cls) -> bool:
+    """Whether ``spec`` is in class ``cls`` on 8001 points of [-40, 40].
+
+    For "schwartz" the constants C_n = sup |f^(n)| (1+|x|)^(n+8), n = 0..4,
+    must be finite; a "normalizing" function must be odd, positive on the
+    positives and tend to 1.
     """
     x = np.linspace(-40.0, 40.0, 8001)
     f = np.asarray(spec.fn(x), dtype=float)
-    if spec.declared_class in ("schwartz", "symbol"):
-        m = -8 if spec.declared_class == "schwartz" else spec.m
+    if cls == "schwartz":
         for n in range(5):
-            weight = (1.0 + np.abs(x)) ** (n - m)
+            weight = (1.0 + np.abs(x)) ** (n + 8)
             if not np.isfinite((np.abs(f) * weight).max()):
                 return False
             f = np.gradient(f, x, edge_order=2)
@@ -175,8 +181,9 @@ def _declared_class_holds(spec) -> bool:
 
 
 def test_named_function_specs_verify():
-    for name in NAMED_FUNCTIONS:
-        assert _declared_class_holds(named_function(name)), name
+    assert FUNCTION_CLASSES.keys() == NAMED_FUNCTIONS.keys()
+    for name, cls in FUNCTION_CLASSES.items():
+        assert _in_class(named_function(name), cls), name
 
 
 def test_wave_operator_unitary_group():
@@ -200,7 +207,7 @@ def test_fourier_route_matches_oracle():
 
 def test_fourier_route_needs_a_closed_form_transform():
     P = _p(N=32, L=2.0, name="sqrt_laplace")
-    for name in ("chi_rational", "si_normalizing", "identity", "one"):
+    for name in ("chi_rational", "si_normalizing"):
         with pytest.raises(ValueError, match="closed-form transform"):
             fourier_apply(P, named_function(name))
 
@@ -320,7 +327,7 @@ def _odd_schwartz():
     and imaginary: unlike the even named functions, it tells e^{itP} from
     e^{-itP}."""
     return ScalarFunctionSpec(
-        "odd_gaussian", lambda x: x * np.exp(-x ** 2 / 2.0), "schwartz",
+        "odd_gaussian", lambda x: x * np.exp(-x ** 2 / 2.0),
         fhat=lambda t: -1j * t * np.exp(-t ** 2 / 2.0))
 
 
@@ -485,7 +492,7 @@ def test_wave_columns_equal_wave_operator_columns():
         U = wave_operator(P, t, spectral=sd)
         cols, bound = wave_columns(P, t, states, spectral=sd)
         want = np.ascontiguousarray(U.matrix[:, states])
-        assert bound == U.propagation_bound
+        assert bound == _propagation_bound(P, t)
         assert np.array_equal(cols.view(np.int64), want.view(np.int64))
         if bound is not None:
             stamped += 1
@@ -506,6 +513,32 @@ def test_wave_columns_raise_what_wave_operator_raises():
         with pytest.raises(ValueError, match="propagation bound") as cols:
             wave_columns(P, 2 * g.spacing, states, spectral=sd)
         assert str(cols.value) == str(full.value)
+
+
+def test_wave_columns_on_the_eigh_path_stamp_a_gauged_translation():
+    # P = M F M* with M = e^{i cos x} and F the xi multiplier is no
+    # multiplier, so it takes the eigh path; e^{itP} = M S M* for the
+    # 3-step shift S, which moves a section by |t| = 3h and no further
+    g = GridSpec(1, 64, 1.0)
+    n, t = g.n_points, 3 * g.spacing
+    m = np.exp(1j * np.cos(g.points[:, 0]))
+    F = fourier_multiplier(g, lambda xi: xi[..., 0], order=1).matrix
+    P = DiscreteOperator(g, 1, (m[:, None] * F) * m.conj()[None, :],
+                         provenance="composed", self_adjoint=True,
+                         propagation_speed=1.0)
+    sd = spectral_data(P)
+    assert sd.vectors is not None
+    states = np.flatnonzero(ball_region(g, g.points[n // 3],
+                                        2.0 * g.spacing).mask)
+    cols, bound = wave_columns(P, t, states, spectral=sd)
+    U = wave_operator(P, t, spectral=sd).matrix
+    want = np.ascontiguousarray(U[:, states])
+    assert np.array_equal(cols.view(np.int64), want.view(np.int64))
+    assert bound == abs(t)
+    beyond = g.pairwise_distance() > bound * (1.0 + 1e-9)
+    assert beyond.any() and np.all(U[beyond] == 0)
+    shifted = (m[:, None] * np.roll(np.eye(n), 3, axis=1)) * m.conj()[None, :]
+    assert np.abs(U - shifted).max() <= 1e-12
 
 
 def test_wave_columns_on_the_eigh_path_are_the_operator_columns():
@@ -577,11 +610,11 @@ def test_chi_rational_constant_matches_fft_oracle():
     assert oracle == pytest.approx(chi.c_psi, rel=1e-8)
 
 
-@pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 0.5), (0.5, 3.0)])
-def test_schwartz_bump_transform_matches_riemann_sum(a, b):
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
+def test_gaussian_transform_matches_riemann_sum(sigma):
     # the unitary transform (1/sqrt(2pi)) int f(x) e^{-itx} dx, by a Riemann
     # sum that is spectrally accurate for this Schwartz f
-    f = named_function("schwartz_bump", {"a": a, "b": b})
+    f = named_function("gaussian", {"sigma": sigma})
     x = np.linspace(-60.0, 60.0, 1 << 16, endpoint=False)
     fx = f(x) * (x[1] - x[0]) / np.sqrt(2.0 * np.pi)
     t = np.linspace(-8.0, 8.0, 33)

@@ -12,7 +12,6 @@ import pytest
 
 from torusop import cli
 from torusop.funcalc import (
-    ScalarFunctionSpec,
     SpectralData,
     chi_resolvent_integral,
     fourier_apply,
@@ -41,6 +40,7 @@ from torusop.operators import (
     fourier_multiplier,
     multiplication_operator,
     op_norm,
+    propagation_stamp,
     quantize,
 )
 from torusop.parametrix import (
@@ -61,8 +61,8 @@ G = GridSpec(1, 16, 1.0)
 G2 = GridSpec(1, 16, 1.0, fiber_dim=2)
 N = G.n_points
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-# the ranges of the scale keys: the period scale L, a function's scale
-# (gaussian sigma, schwartz_bump b) and funcalc-defect's window t_max
+# the ranges of the scale keys: the period scale L, the gaussian's sigma
+# and the wave route's window t_max
 L_LO, L_HI = 2.0 ** -20, 2.0 ** 20
 LO, HI = 2.0 ** -64, 2.0 ** 64
 T_LO, T_HI = 2.0 ** -64, 2.0 ** 64
@@ -154,7 +154,7 @@ GUARDS = [
      lambda: DiscreteOperator(G, 0, np.full((N, N), np.nan)),
      ValueError, "non-finite operator entries"),
     ("operator-propagation",
-     lambda: DiscreteOperator(G, 0, np.ones((N, N)), propagation_bound=0.0),
+     lambda: propagation_stamp(G, np.ones((N, N)), 0.0, 1.0),
      ValueError, "declared propagation bound violated"),
     ("quantize-cap",
      lambda: quantize(Symbol(GridSpec(2, 68, 1.0), 0, np.ones((1, 68 ** 2)))),
@@ -193,11 +193,9 @@ GUARDS = [
     ("gaussian-nan-sigma",
      lambda: named_function("gaussian", {"sigma": np.nan}),
      ValueError, "sigma must be finite and > 0"),
-    ("bump-zero-b", lambda: named_function("schwartz_bump", {"b": 0.0}),
-     ValueError, "b must be finite and > 0"),
-    ("bump-infinite-b",
-     lambda: named_function("schwartz_bump", {"b": np.inf}),
-     ValueError, "b must be finite and > 0"),
+    ("gaussian-infinite-sigma",
+     lambda: named_function("gaussian", {"sigma": np.inf}),
+     ValueError, "sigma must be finite and > 0"),
     # one ulp outside [2^-64, 2^64], the range a function's scale has
     ("gaussian-huge-sigma",
      lambda: named_function("gaussian", {"sigma": np.nextafter(HI, np.inf)}),
@@ -205,15 +203,6 @@ GUARDS = [
     ("gaussian-tiny-sigma",
      lambda: named_function("gaussian", {"sigma": np.nextafter(LO, 0.0)}),
      ValueError, "sigma must be finite and > 0"),
-    ("bump-huge-b",
-     lambda: named_function("schwartz_bump", {"b": np.nextafter(HI, np.inf)}),
-     ValueError, "b must be finite and > 0"),
-    ("bump-tiny-b",
-     lambda: named_function("schwartz_bump", {"b": np.nextafter(LO, 0.0)}),
-     ValueError, "b must be finite and > 0"),
-    ("function-class",
-     lambda: ScalarFunctionSpec("f", np.exp, "schwarz"),
-     ValueError, "unknown function class 'schwarz'"),
     ("fourier-quadrature",
      lambda: fourier_apply(_P(), named_function("gaussian"), n_quad=1),
      ValueError, "needs n_quad >= 2"),
@@ -225,6 +214,15 @@ GUARDS = [
      ValueError, "needs a finite t_max > 0"),
     ("fourier-infinite-window",
      lambda: fourier_apply(_P(), named_function("gaussian"), t_max=np.inf),
+     ValueError, "needs a finite t_max > 0"),
+    # one ulp outside [2^-64, 2^64], where the gaussian's fhat stays finite
+    ("fourier-huge-window",
+     lambda: fourier_apply(_P(), named_function("gaussian"),
+                           t_max=np.nextafter(T_HI, np.inf)),
+     ValueError, r"needs a finite t_max > 0, in \[2\*\*-64, 2\*\*64\]"),
+    ("fourier-tiny-window",
+     lambda: fourier_apply(_P(), named_function("gaussian"),
+                           t_max=np.nextafter(T_LO, 0.0)),
      ValueError, "needs a finite t_max > 0"),
     ("resolvent-quadrature",
      lambda: chi_resolvent_integral(_P(), n_quad=1),
@@ -368,6 +366,10 @@ OUT_OF_DOMAIN_CONFIGS = [
     ("L-below-range", "fredholm-check",
      {"L": float(np.nextafter(L_LO, 0.0))}),
     ("L-nan", "parametrix", {"L": float("nan")}),
+    # a non-finite float is no value of a float key
+    ("mass-inf", "fredholm-check", {"mass": float("inf")}),
+    ("centers-inf", "fredholm-check", {"centers": [float("inf")]}),
+    ("R_list-inf", "quasiloc-scan", {"R_list": [float("inf")]}),
 ]
 
 
@@ -391,17 +393,13 @@ def test_out_of_domain_config_fails_in_one_line(scenario, config, tmp_path):
                          ids=["smallest-scale", "largest-scale"])
 def test_a_scale_at_either_end_of_its_range_is_accepted(scale, t_max,
                                                         tmp_path):
-    # on the largest spectrum funcalc-defect takes, an order-2 family at
-    # the smallest L, and on its window's ends: funcalc-defect with the
-    # gaussian, and schwartz_bump's b (no config key) by the same route
+    # funcalc-defect with the gaussian, on the largest spectrum it takes
+    # (an order-2 family at the smallest L) and on its window's ends
     config = {"sigma": scale, "t_max": t_max, "L": L_LO,
               "family": "laplace+1"}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.run("funcalc-defect", config, out=str(tmp_path)) in (0, 1)
-        P = quantize(named_symbol(GridSpec(1, 64, L_LO), "laplace+1"))
-        bump = named_function("schwartz_bump", {"b": scale})
-        assert np.isfinite(fourier_apply(P, bump, t_max=t_max).defect)
 
 
 @pytest.mark.parametrize("L", [L_LO, L_HI], ids=["smallest-L", "largest-L"])
