@@ -48,6 +48,7 @@ from .parametrix import (
     elliptic_estimate_constant,
 )
 from .funcalc import (
+    _check_rule,
     chi_resolvent_integral,
     fourier_apply,
     named_function,
@@ -179,15 +180,21 @@ def _validate_config(scenario: str, config: dict) -> dict:
         raise ValueError(f"config for {scenario}: l_list values must be "
                          f"whole numbers in [0, {NORM_RANGE - 1}]")
     if "sigma" in base:
-        # the run's own gaussian, so a bad scale fails here
+        # the run's gaussian and quadrature rules, by their own guards
         try:
             named_function("gaussian", {"sigma": base["sigma"]})
+            _check_rule("wave", min(base["n_quad"]), base["t_max"])
+            _check_rule("resolvent", min(base["resolvent_quad"]))
         except ValueError as exc:
             raise ValueError(f"config for {scenario}: {exc}") from None
     if "L" in base:
+        # the run's grids, and the weights of the Sobolev indices it names
+        indices = [base[k] for k in ("r", "s", "l") if k in base]
         for N in base.get("N_ladder", [base.get("N")]):
             try:
-                GridSpec(1, N, base["L"])
+                g = GridSpec(1, N, base["L"])
+                for s in indices + base.get("s_list", []):
+                    g.sobolev_weights(s)
             except ValueError as exc:
                 raise ValueError(f"config for {scenario}: {exc}") from None
     return base
@@ -314,26 +321,21 @@ def _run_funcalc_defect(cfg):
     # an order-k spectrum grows like |xi|^k up to the lattice edge N/(2L)
     budget = 20.0 * (cfg["N"] / (2.0 * cfg["L"])) ** max(P.order - 1, 0)
     checks = [_check("spectral radius", sd.spectral_radius, budget)]
-    prev = None
-    for nq in cfg["n_quad"]:
-        res = fourier_apply(P, f, t_max=cfg["t_max"], n_quad=int(nq),
-                            spectral=sd)
-        doc["fourier"].append({"n_quad": int(nq), "defect": res.defect})
-        if prev is not None:
-            # doubling the grid must help unless already at roundoff
-            checks.append(_check("wave-route defect decreases",
-                                 res.defect, max(prev, 1e-12)))
-        prev = res.defect
-    checks.append(_check("wave-route final defect", prev, 1e-5))
-    prev = None
-    for nq in cfg["resolvent_quad"]:
-        res = chi_resolvent_integral(P, n_quad=int(nq), spectral=sd)
-        doc["resolvent"].append({"n_quad": int(nq), "defect": res.defect})
-        if prev is not None:
-            checks.append(_check("resolvent-route defect decreases",
-                                 res.defect, max(prev, 1e-12)))
-        prev = res.defect
-    checks.append(_check("resolvent-route final defect", prev, 1e-5))
+    routes = (("wave", "fourier", cfg["n_quad"],
+               functools.partial(fourier_apply, P, f, cfg["t_max"])),
+              ("resolvent", "resolvent", cfg["resolvent_quad"],
+               functools.partial(chi_resolvent_integral, P)))
+    for route, key, sizes, route_defect in routes:
+        prev = None
+        for nq in sizes:
+            res = route_defect(n_quad=int(nq), spectral=sd)
+            doc[key].append({"n_quad": int(nq), "defect": res.defect})
+            if prev is not None:
+                # doubling the grid must help unless already at roundoff
+                checks.append(_check(f"{route}-route defect decreases",
+                                     res.defect, max(prev, 1e-12)))
+            prev = res.defect
+        checks.append(_check(f"{route}-route final defect", prev, 1e-5))
     return checks, {"defects.json": doc}
 
 

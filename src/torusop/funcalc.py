@@ -21,22 +21,20 @@ reads a set of e^{itP}'s columns there with no n x n matrix: the
 multiplier's kernel holds every entry.  Finite propagation belongs to this
 wave route alone: P's declared propagation_speed is read by wave_operator
 and wave_columns, which stamp e^{itP} with operators.propagation_stamp.
-The decomposition is checked when SpectralData is built, on one defect
-matrix D = V diag(lambda) V* - P; in the Fourier basis that is also the one
-test that P is a multiplier.  The spectral-norm checks go through a
+The decomposition is checked when SpectralData is built, on the defect
+D = V diag(lambda) V* - P; in the Fourier basis that is also the one test
+that P is a multiplier, and D is read in row panels through the kernel's
+strided view, never whole.  The spectral-norm checks go through a
 one-sided gate: the bound
 ||D||_2 <= sqrt(||D||_1 ||D||_inf) against a Rayleigh quotient |x*Ax| / x*x
 <= ||A||_2 can only say "pass" when the exact check would pass; otherwise
-the exact SVD norms decide, as before.
+the exact SVD norms decide, on D formed whole.
 
 Fourier transform convention for the wave route: fhat(t) is the unitary
-transform, f(x) = (1/sqrt(2 pi)) int fhat(t) e^{itx} dt.  Its trapezoid
-sum on the spectrum is taken in two levels (``_wave_route``): each node's
-phase is a giant step at every b-th node times a baby step c h, h the
-linspace's own step 2 t_max / (n_quad - 1), so (a + b) exps per eigenvalue
-replace the n_quad of the full phase table.  The Lipschitz
-constant of the psi-difference bound uses the non-unitary transform
-psihat(s) = int psi(x) e^{-isx} dx, matching C = (1/2pi) int |s psihat(s)| ds.
+transform, f(x) = (1/sqrt(2 pi)) int fhat(t) e^{itx} dt, summed on the
+spectrum by ``_wave_route``.  The Lipschitz constant of the psi-difference
+bound uses the non-unitary transform psihat(s) = int psi(x) e^{-isx} dx,
+matching C = (1/2pi) int |s psihat(s)| ds.
 """
 
 from __future__ import annotations
@@ -50,6 +48,7 @@ import scipy
 from .lattice import from_frequency, to_frequency
 from .operators import (
     DiscreteOperator,
+    _multiplier_view,
     multiplier_matrix,
     op_norm,
     propagation_stamp,
@@ -75,9 +74,10 @@ SPECTRAL_REL_TOL = 1e-9
 # entrywise Fourier-basis defect, relative to the largest eigenvalue
 MULTIPLIER_ENTRY_TOL = 1e-12
 UNITARY_TOL = 1e-10
-# bytes of one row block of the resolvent route's table: about one core's
-# L2 cache, so a block is written and summed while it stays there
-_RESOLVENT_BLOCK_BYTES = 1 << 20
+# bytes of one row block of a table summed in blocks (the resolvent route's
+# integrands, a multiplier proof's defect): about one core's L2 cache, so a
+# block is written and summed while it stays there
+_BLOCK_BYTES = 1 << 20
 # relative room the cheap gate leaves for rounding in the norms it compares;
 # those carry relative errors of order state_dim * 1e-16
 GATE_MARGIN = 1e-6
@@ -87,21 +87,46 @@ GATE_MARGIN = 1e-6
 # spectral decomposition
 
 
-def _gate_passes(defect: np.ndarray, a: np.ndarray, x: np.ndarray) -> bool:
-    """One-sided check of ||defect||_2 <= SPECTRAL_REL_TOL * ||a||_2.
+def _gate_passes(col_max: float, row_max: float, a: np.ndarray,
+                 x: np.ndarray) -> bool:
+    """One-sided check of ||D||_2 <= SPECTRAL_REL_TOL * ||a||_2 from the
+    largest column and row sums of |D|, ||D||_1 and ||D||_inf.
 
     sqrt(||D||_1 ||D||_inf) bounds ||D||_2 from above (Golub & Van Loan,
     Matrix Computations, 2.3), and the Rayleigh quotient |x* a x| / x* x
     bounds ||a||_2 from below, so True implies that the exact check passes.
-    False decides nothing: the caller then takes the exact norms.  A real
-    ``defect`` is taken to hold |D| already, and no second n x n array of
-    magnitudes is made.
+    False decides nothing: the caller then takes the exact norms.
     """
-    mag = defect if np.isrealobj(defect) else np.abs(defect)
-    upper = math.sqrt(float(mag.sum(axis=0).max())
-                      * float(mag.sum(axis=1).max()))
+    upper = math.sqrt(col_max * row_max)
     lower = abs(np.vdot(x, a @ x)) / np.vdot(x, x).real
     return upper * (1.0 + GATE_MARGIN) <= SPECTRAL_REL_TOL * lower
+
+
+def _multiplier_defect(grid, values: np.ndarray, a: np.ndarray) -> tuple:
+    """(max |D_jk|, largest column sum, largest row sum) of |D| for
+    D = multiplier_matrix(grid, values) - a, bit for bit, with no n x n
+    array formed: D is read through ``_multiplier_view`` in row panels of
+    about _BLOCK_BYTES, whole steps of the first grid axis.  Each panel's
+    |D| is written below the running column sums (zero before the first
+    panel, and 0 + x is x), as in _resolvent_route, so the rows meet in the
+    whole matrix's order."""
+    view = _multiplier_view(grid, values)
+    n, N = a.shape[0], grid.points_per_axis
+    step = n // N
+    k = min(N, max(1, _BLOCK_BYTES // (16 * n * step)))
+    d = np.empty((k * step, n), dtype=complex)
+    mag = np.zeros((k * step + 1, n))
+    top = row_max = 0.0
+    for lo in range(0, N, k):
+        m = view[lo:lo + k]
+        rows = m.shape[0] * step
+        np.subtract(m, a[lo * step:lo * step + rows].reshape(m.shape),
+                    out=d[:rows].reshape(m.shape))
+        np.abs(d[:rows], out=mag[1:rows + 1])
+        top = max(top, float(mag[1:rows + 1].max()))
+        row_max = max(row_max, float(mag[1:rows + 1].sum(axis=1).max()))
+        mag[0] = mag[:rows + 1].sum(axis=0)
+    return top, float(mag[0].max()), row_max
 
 
 class _DefectError(ValueError):
@@ -118,7 +143,9 @@ class SpectralData:
     i; apply then builds a multiplier matrix, and V is never formed.
     Either way V diag(lambda) V* = P is checked here; in the Fourier basis
     first entry by entry (MULTIPLIER_ENTRY_TOL), the test that P is that
-    multiplier at all, which takes no norm.
+    multiplier at all, which takes no norm.  There the defect is read in
+    panels (``_multiplier_defect``), and formed whole only for the exact
+    norms, when the gate fails.
     """
 
     eigenvalues: np.ndarray
@@ -130,25 +157,28 @@ class SpectralData:
         a = self.source.matrix
         n = a.shape[0]
         top = int(np.argmax(np.abs(lam)))
-        if self.vectors is not None:
+        d = None
+        if self.vectors is None:
+            off, *sums = _multiplier_defect(self.source.grid, lam, a)
+            if off > MULTIPLIER_ENTRY_TOL * (float(np.abs(lam).max()) or 1.0):
+                raise _DefectError(f"spectral reconstruction defect {off:.3e}")
+            x = np.zeros(n, dtype=complex)
+            x[top] = 1.0
+            x = from_frequency(self.source.grid, x)
+        else:
             v = self.vectors
             gram_defect = float(np.abs(v.conj().T @ v - np.eye(n)).max())
             if gram_defect > UNITARY_TOL * n:
                 raise ValueError(
                     f"eigenvector basis not unitary: {gram_defect:.3e}")
             x = v[:, top]
-        d = self.apply(lam)
-        d -= a
-        mag = d
-        if self.vectors is None:
+            d = self.apply(lam)
+            d -= a
             mag = np.abs(d)
-            off = float(mag.max())
-            if off > MULTIPLIER_ENTRY_TOL * (float(np.abs(lam).max()) or 1.0):
-                raise _DefectError(f"spectral reconstruction defect {off:.3e}")
-            x = np.zeros(n, dtype=complex)
-            x[top] = 1.0
-            x = from_frequency(self.source.grid, x)
-        if not _gate_passes(mag, a, x):
+            sums = float(mag.sum(axis=0).max()), float(mag.sum(axis=1).max())
+        if not _gate_passes(*sums, a, x):
+            if d is None:
+                d = self.apply(lam) - a
             scale = float(np.linalg.norm(a, 2)) or 1.0
             defect = float(np.linalg.norm(d, 2))
             if defect > SPECTRAL_REL_TOL * scale:
@@ -415,6 +445,18 @@ def _wave_route(fhat, x: np.ndarray, t_max: float, n_quad: int) -> np.ndarray:
     return giant.sum(axis=0) / np.sqrt(2 * np.pi)
 
 
+def _check_rule(route: str, n_quad: int, t_max: float = 1.0) -> None:
+    """Refuse a rule of fewer than two nodes, or a window t_max outside
+    [2^-64, 2^64], where the gaussian's sigma^2 t^2 / 2 stays finite."""
+    if n_quad < 2:
+        raise ValueError(f"the {route} route needs n_quad >= 2: {n_quad}")
+    if not 2.0 ** -64 <= t_max <= 2.0 ** 64:
+        # a reversed or empty interval would flip or zero the integral;
+        # the bounds are compared, not squared, and NaN fails both
+        raise ValueError(f"the wave route needs a finite t_max > 0, in "
+                         f"[2**-64, 2**64]: {t_max}")
+
+
 def fourier_apply(
     P: DiscreteOperator, f: ScalarFunctionSpec, t_max: float = 12.0,
     n_quad: int = 2048, spectral: SpectralData | None = None,
@@ -422,23 +464,14 @@ def fourier_apply(
     """Wave route f(P) = (1/sqrt(2 pi)) int fhat(t) e^{itP} dt by trapezoid.
 
     The n_quad-node sum is ``_wave_route`` on P's distinct eigenvalues
-    (a repeated one adds nothing to the defect's maximum): a two-level
-    sum over giant steps t[::b] and baby steps c h, with b ~ sqrt(n_quad)
-    and h = 2 t_max / (n_quad - 1), which forms no n_quad x n phase table.
-    Only f with a closed-form transform ``fhat`` (Schwartz f) is accepted,
-    and the window [-t_max, t_max] needs t_max in [2^-64, 2^64], where the
-    gaussian's sigma^2 t^2 / 2 stays finite for every sigma it accepts.
+    (a repeated one adds nothing to the defect's maximum), which forms no
+    n_quad x n phase table.  Only f with a closed-form transform ``fhat``
+    (Schwartz f) is accepted, on a rule ``_check_rule`` accepts.
     """
     if f.fhat is None:
         raise ValueError(
             f"fourier_apply needs the closed-form transform of {f.name!r}")
-    if n_quad < 2:
-        raise ValueError(f"the wave route needs n_quad >= 2: {n_quad}")
-    if not 2.0 ** -64 <= t_max <= 2.0 ** 64:
-        # a reversed or empty interval would flip or zero the integral;
-        # the bounds are compared, not squared, and NaN fails both
-        raise ValueError(f"the wave route needs a finite t_max > 0, in "
-                         f"[2**-64, 2**64]: {t_max}")
+    _check_rule("wave", n_quad, t_max)
     x = np.unique(_spectrum_of(P, spectral).eigenvalues)
     vals = _wave_route(f.fhat, x, t_max, n_quad)
     oracle = np.asarray(f.fn(x), dtype=complex)
@@ -455,21 +488,19 @@ def _resolvent_route(x: np.ndarray, n_quad: int) -> np.ndarray:
     increments), so the only numerical error is the window's trapezoid error.
 
     The n_quad x len(x) table of weighted integrands is summed over the
-    nodes in row blocks of about _RESOLVENT_BLOCK_BYTES, never whole.  Each
-    block after the first carries the running sum as its first row, and
-    numpy adds a C-ordered table's rows one after another along axis 0, so
-    the rows meet in the whole table's order and the sum is its sum, bit
-    for bit.
+    nodes in row blocks of about _BLOCK_BYTES, never whole.  Each block
+    after the first carries the running sum as its first row, and numpy
+    adds a C-ordered table's rows one after another along axis 0, so the
+    rows meet in the whole table's order and the sum is its sum, bit for bit.
     """
-    if n_quad < 2:
-        raise ValueError(f"the resolvent route needs n_quad >= 2: {n_quad}")
+    _check_rule("resolvent", n_quad)
     lam_min, lam_max = 1e-6, 1e3
     lam = np.geomspace(lam_min, lam_max, n_quad)
     w = np.zeros(n_quad)
     w[1:] += 0.5 * np.diff(lam)
     w[:-1] += 0.5 * np.diff(lam)
     x2 = x[None, :] ** 2
-    rows = max(1, _RESOLVENT_BLOCK_BYTES // (8 * x.size))
+    rows = max(1, _BLOCK_BYTES // (8 * x.size))
     block = np.empty((rows + 1, x.size))
     for lo in range(0, n_quad, rows):
         hi = min(lo + rows, n_quad)

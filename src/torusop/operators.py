@@ -6,7 +6,7 @@ p(x, xi), one inverse FFT over xi per point x.  A symbol that does not
 depend on x takes a single inverse FFT, and its kernel depends on x - y
 only; multiplier_matrix builds Fourier multipliers the same way, so
 quantization and multipliers share one kernel routine and state layout,
-and can build a set of a multiplier's columns alone from its kernel.
+and a multiplier's columns, or a strided view of it, come from its kernel.
 Operator norms between Sobolev spaces are taken in the frequency basis of
 lattice.to_frequency, where the Sobolev weights are diagonal, by op_norm
 alone; it reads the representation each operator keeps as frequency_rep.
@@ -197,21 +197,26 @@ def _kn_matrix(grid: GridSpec, a: np.ndarray) -> np.ndarray:
             .reshape(n * r, n * r))
 
 
-def _circulant_matrix(grid: GridSpec, b: np.ndarray) -> np.ndarray:
-    """Dense matrix with fiber block (j, k) = b((j - k) mod N), read through a
-    strided view of b wrap-padded to 2N per axis, strides (+s, -s)."""
-    d, N = grid.dim, grid.points_per_axis
-    n, r = grid.n_points, grid.fiber_dim
+def _circulant_view(grid: GridSpec, b: np.ndarray) -> np.ndarray:
+    """Read-only view of the matrix with fiber block (j, k) = b((j - k) mod N),
+    shape grid_shape + (r,) + grid_shape + (r,): b wrap-padded to 2N per
+    axis, read with strides (+s, -s)."""
+    d, N, r = grid.dim, grid.points_per_axis, grid.fiber_dim
     # entry N + j - k of a padded axis is b at (j - k) mod N
     padded = np.tile(b, (2,) * d + (1, 1))
     s = padded.strides
-    view = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         padded[(N,) * d],
         shape=grid.grid_shape() + (r,) + grid.grid_shape() + (r,),
         strides=s[:d] + s[d:d + 1] + tuple(-x for x in s[:d]) + s[d + 1:],
         writeable=False,
     )
-    return np.ascontiguousarray(view).reshape(n * r, n * r)
+
+
+def _circulant_matrix(grid: GridSpec, b: np.ndarray) -> np.ndarray:
+    """Dense copy of ``_circulant_view(grid, b)``."""
+    n = grid.state_dim
+    return np.ascontiguousarray(_circulant_view(grid, b)).reshape(n, n)
 
 
 def _hermitian_kernel(b: np.ndarray, tol: float) -> tuple:
@@ -260,6 +265,13 @@ def multiplier_matrix(grid: GridSpec, values, states=None) -> np.ndarray:
     if states is None:
         return _kn_matrix(grid, samples)
     return _circulant_columns(grid, _kn_kernel(grid, samples), states)
+
+
+def _multiplier_view(grid: GridSpec, values) -> np.ndarray:
+    """``multiplier_matrix(grid, values)`` read through its kernel's
+    ``_circulant_view``: its entries, bit for bit, with no n x n array."""
+    return _circulant_view(grid, _kn_kernel(grid,
+                                            _multiplier_samples(grid, values)))
 
 
 def _multiplier_samples(grid: GridSpec, values) -> np.ndarray:

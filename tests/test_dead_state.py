@@ -49,7 +49,7 @@ SRC = ROOT / "src" / "torusop"
 SCANNED = (ROOT / "src", ROOT / "tests", ROOT / "bench")
 # total lines of src/torusop/*.py; a change may lower it, and one that
 # raises it says why in CHANGES.md
-SRC_LINE_CEILING = 3660
+SRC_LINE_CEILING = 3705
 
 # dataclass field name on several classes -> why each class keeps it; the
 # unread-field scan matches reads by name, so each listed class's field is
@@ -69,6 +69,12 @@ SHARED_FIELDS = {
 PRIVATE_IMPORTS = {
     "khomology: _loglog_slope":
         "the continuity exponent is quasiloc's log-log slope fit",
+    "funcalc: _multiplier_view":
+        "SpectralData proves a multiplier on its kernel's strided view, in "
+        "row panels, with no n x n multiplier matrix",
+    "cli: _check_rule":
+        "a funcalc-defect window or node count is refused by the "
+        "quadrature rules' own guard before --out is touched",
 }
 
 

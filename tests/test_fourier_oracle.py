@@ -332,7 +332,7 @@ SPY_GRIDS = [GridSpec(1, 1024, 8.0), GridSpec(2, 8, 1.0, 2)]
 
 @pytest.mark.parametrize("grid", SPY_GRIDS, ids=["wave-scan", "2d-r2"])
 def test_spectral_data_checks_a_multiplier_once(grid, monkeypatch):
-    # a multiplier costs one n x n multiplier matrix and the cheap gate; a
+    # a multiplier costs the cheap gate and no n x n multiplier matrix; a
     # non-multiplier is refused the Fourier basis before the gate, and only
     # the eigh path's decomposition reaches it
     events = []
@@ -363,7 +363,7 @@ def test_spectral_data_checks_a_multiplier_once(grid, monkeypatch):
     P = fourier_multiplier(grid, lambda xi: 1.2 + (xi ** 2).sum(axis=-1),
                            order=2)
     assert spectral_data(P).vectors is None
-    assert events == ["multiplier", "gate"]
+    assert events == ["gate"]
     events.clear()
     # an x-dependent perturbation of 1e-9 relative to P's largest entry
     x = grid.points[:, 0]
@@ -372,8 +372,8 @@ def test_spectral_data_checks_a_multiplier_once(grid, monkeypatch):
     perturbed = DiscreteOperator(grid, 0, P.matrix + np.diag(bump),
                                  provenance="composed", self_adjoint=True)
     assert spectral_data(perturbed).vectors is not None
-    # the refused Fourier basis took no gate and no SVD
-    assert events[:2] == ["multiplier", "eigh"]
+    # the refused Fourier basis took no gate, no SVD and no n x n matrix
+    assert events[:1] == ["eigh"] and "multiplier" not in events
 
 
 def test_spectral_data_takes_no_eigh_past_the_dense_cap(monkeypatch):

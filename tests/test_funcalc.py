@@ -20,6 +20,7 @@ from torusop.funcalc import (
     ScalarFunctionSpec,
     SpectralData,
     _gate_passes,
+    _multiplier_defect,
     _propagation_bound,
     _trapezoid,
     chi_resolvent_integral,
@@ -37,6 +38,13 @@ from torusop.symbols import named_symbol
 def _p(N=64, L=1.0, name="laplace+1"):
     g = GridSpec(1, N, L)
     return quantize(named_symbol(g, name))
+
+
+def _sum_maxima(d):
+    """The largest column and row sums of |d|, ||d||_1 and ||d||_inf, taken
+    on the whole matrix: the dense oracle of the gate's inputs."""
+    mag = np.abs(d)
+    return float(mag.sum(axis=0).max()), float(mag.sum(axis=1).max())
 
 
 def test_spectral_data_reconstructs():
@@ -83,7 +91,8 @@ def test_spectral_gate_is_one_sided(half_n, seed, log_size):
     d = (vecs * vals.astype(complex)[None, :]) @ vecs.conj().T - m
     exact_ok = (np.linalg.norm(d, 2)
                 <= SPECTRAL_REL_TOL * (np.linalg.norm(m, 2) or 1.0))
-    cheap_ok = _gate_passes(d, m, vecs[:, np.argmax(np.abs(vals))])
+    cheap_ok = _gate_passes(*_sum_maxima(d), m,
+                            vecs[:, np.argmax(np.abs(vals))])
     assert exact_ok or not cheap_ok
     if log_size <= -11.0:
         assert cheap_ok
@@ -121,7 +130,100 @@ def test_spectral_gate_passes_on_wave_scan_multiplier():
     x = np.zeros(g.state_dim, dtype=complex)
     x[np.argmax(np.abs(sd.eigenvalues))] = 1.0
     x = from_frequency(g, x)
-    assert _gate_passes(sd.apply(sd.eigenvalues) - P.matrix, P.matrix, x)
+    assert _gate_passes(*_sum_maxima(sd.apply(sd.eigenvalues) - P.matrix),
+                        P.matrix, x)
+
+
+def _dense_defect(grid, values, a):
+    """The panel pass's oracle: max |D| and the largest column and row sums
+    of |D|, on D = multiplier_matrix(grid, values) - a formed whole."""
+    d = operators.multiplier_matrix(grid, values) - a
+    return (float(np.abs(d).max()),) + _sum_maxima(d)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 64, 1.0), GridSpec(1, 1024, 8.0),
+                                  GridSpec(2, 8, 1.0, 2), GridSpec(2, 32, 1.0)],
+                         ids=["1d-64", "1d-1024", "2d-8-r2", "2d-32"])
+def test_panel_pass_equals_the_dense_defect(grid):
+    P = fourier_multiplier(grid, lambda xi: 1.2 + (xi ** 2).sum(axis=-1),
+                           order=2)
+    vals = spectral_data(P).eigenvalues
+    got = _multiplier_defect(grid, vals, P.matrix)
+    assert got == _dense_defect(grid, vals, P.matrix)
+    # corrupted eigenvalues: the same maxima, and the Fourier basis refused
+    bad = vals.copy()
+    bad[3] += 1e-6 * np.abs(vals).max()
+    assert (_multiplier_defect(grid, bad, P.matrix)
+            == _dense_defect(grid, bad, P.matrix))
+    with pytest.raises(funcalc._DefectError):
+        SpectralData(bad, None, P)
+    # an x-dependent perturbation of 1e-9 of P's largest entry is refused
+    # the Fourier basis, which sends spectral_data to the eigh path
+    bump = np.repeat(1e-9 * np.abs(P.matrix).max()
+                     * np.cos(grid.points[:, 0] / grid.period_scale),
+                     grid.fiber_dim)
+    perturbed = P.matrix + np.diag(bump)
+    assert (_multiplier_defect(grid, vals, perturbed)
+            == _dense_defect(grid, vals, perturbed))
+    with pytest.raises(funcalc._DefectError):
+        SpectralData(vals, None, DiscreteOperator(
+            grid, 0, perturbed, provenance="composed", self_adjoint=True))
+
+
+def test_exact_norms_decide_when_the_gate_fails(monkeypatch):
+    g = GridSpec(1, 1024, 8.0)
+    P = fourier_multiplier(g, lambda xi: 1.2 + xi[..., 0] ** 2, order=2)
+    vals = spectral_data(P).eigenvalues
+    top = np.abs(vals).max()
+    norms = []
+
+    def norm(x, ord=None):
+        norms.append(ord)
+        return np_norm(x, ord)
+
+    np_norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    # one eigenvalue off by eps puts eps / n in every entry of D, under the
+    # entry test's 1e-12, and ||D||_2 = eps over the exact check's 1e-9:
+    # the gate fails by itself, and the two exact norms refuse
+    bad = vals.copy()
+    bad[5] += 1.01e-9 * top
+    got = _multiplier_defect(g, bad, P.matrix)
+    assert got == _dense_defect(g, bad, P.matrix) and got[0] <= 1e-12 * top
+    with pytest.raises(funcalc._DefectError):
+        SpectralData(bad, None, P)
+    assert norms == [2, 2]
+    # a forced gate failure (on a smaller grid, where an SVD is cheap): the
+    # exact norms take the Fourier basis
+    norms.clear()
+    monkeypatch.setattr(funcalc, "_gate_passes", lambda *args: False)
+    P = fourier_multiplier(GridSpec(1, 64, 1.0), lambda xi: 1.2 + xi[..., 0] ** 2,
+                           order=2)
+    assert spectral_data(P).vectors is None
+    assert norms == [2, 2]
+
+
+@pytest.mark.parametrize("grid, k", [(GridSpec(1, 1024, 8.0), (37,)),
+                                     (GridSpec(2, 8, 1.0, 2), (3, -2))],
+                         ids=["wave-scan", "2d-r2"])
+def test_modulation_rolls_a_multiplier_eigenvalues(grid, k):
+    # M_k P M_k* with the lattice character e^{2 pi i k.j / N} is the
+    # multiplier of p(xi - k): the Fourier path takes it, and its
+    # eigenvalues are P's rolled by k, within 1e-13 relative
+    P = fourier_multiplier(
+        grid, lambda xi: 1.2 + (xi ** 2).sum(axis=-1) + np.sin(xi[..., 0]),
+        order=2)
+    index = np.indices(grid.grid_shape()).reshape(grid.dim, -1).T
+    char = np.repeat(np.exp(2j * np.pi * (index @ k) / grid.points_per_axis),
+                     grid.fiber_dim)
+    Q = DiscreteOperator(grid, 2, char[:, None] * P.matrix * char.conj(),
+                         provenance="composed", self_adjoint=True)
+    sd = spectral_data(Q)
+    assert sd.vectors is None
+    want = np.roll(spectral_data(P).eigenvalues.reshape(
+        grid.grid_shape() + (grid.fiber_dim,)), k, tuple(range(grid.dim)))
+    assert (np.abs(sd.eigenvalues - want.ravel()).max()
+            <= 1e-13 * np.abs(want).max())
 
 
 def test_spectral_data_multiplier_fast_path():
@@ -437,6 +539,14 @@ def _traced_peak(fn):
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def test_spectral_data_of_a_multiplier_holds_one_matrix():
+    # P is the only n x n array of the Fourier-path proof: the panels take
+    # about 1.5 MiB, and one n x n complex array is 16 MiB
+    P, _sd = _wave_scan_multiplier()
+    peak = _traced_peak(lambda: spectral_data(P))
+    assert peak < 4 << 20, peak
 
 
 def test_resolvent_route_never_holds_its_whole_table():

@@ -337,8 +337,9 @@ def test_overflowing_sobolev_index_fails_in_one_line(scenario, config,
     assert not out.exists() or not any(out.iterdir())
 
 
-# configs outside the domain of a scale or a Sobolev index: each run must
-# fail in one line, print no warning and write nothing
+# configs outside the domain of a scale, a Sobolev index or a quadrature
+# rule: each run must fail in one line, print no warning, write nothing and
+# leave an earlier run's summary and manifest as they were
 OUT_OF_DOMAIN_CONFIGS = [
     ("sigma-1e300", "funcalc-defect", {"sigma": 1e300}),
     ("sigma-1e-300", "funcalc-defect", {"sigma": 1e-300}),
@@ -370,6 +371,10 @@ OUT_OF_DOMAIN_CONFIGS = [
     ("mass-inf", "fredholm-check", {"mass": float("inf")}),
     ("centers-inf", "fredholm-check", {"centers": [float("inf")]}),
     ("R_list-inf", "quasiloc-scan", {"R_list": [float("inf")]}),
+    # the quadrature rules' own guards, run before --out is touched
+    ("t_max-0", "funcalc-defect", {"t_max": 0}),
+    ("n_quad-1", "funcalc-defect", {"n_quad": [1]}),
+    ("resolvent_quad-1", "funcalc-defect", {"resolvent_quad": [1]}),
 ]
 
 
@@ -378,13 +383,18 @@ OUT_OF_DOMAIN_CONFIGS = [
                          ids=[row[0] for row in OUT_OF_DOMAIN_CONFIGS])
 def test_out_of_domain_config_fails_in_one_line(scenario, config, tmp_path):
     out = tmp_path / "out"
+    out.mkdir()
+    earlier = {"summary.json": b'{"placeholder": "summary"}',
+               "manifest.json": b'{"placeholder": "manifest"}'}
+    for name, data in earlier.items():
+        (out / name).write_bytes(data)
     with warnings.catch_warnings(record=True) as caught, \
             pytest.raises(ValueError) as err:
         warnings.simplefilter("always")
         cli.run(scenario, config, out=str(out))
     assert caught == []
     assert "\n" not in str(err.value)
-    assert not out.exists() or not any(out.iterdir())
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == earlier
 
 
 @pytest.mark.parametrize("t_max", [T_LO, T_HI],
