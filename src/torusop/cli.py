@@ -36,6 +36,7 @@ from .symbols import (
 )
 from .operators import (
     DiscreteOperator,
+    _check_dense_cap,
     compose,
     fourier_multiplier,
     multiplication_operator,
@@ -66,9 +67,9 @@ _MARGIN_ROWS = 5
 _CHECK_KEYS = frozenset({"name", "value", "budget", "passed"})
 # columns of the scan.csv that waveprop and quasiloc-scan write
 _SCAN_HEADER = ("t", "R", "l", "mu_hat")
-# key -> (lo, hi): the key's value must lie in [2**lo, 2**hi].  Every
-# scenario's arithmetic stays finite at both ends of L
-_SCALE_EXPONENTS = {"L": (-20, 20)}
+# every Sobolev index a run takes, named or derived, must have its weights
+# in [2**-W, 2**W]: a norm squares them, and a run divides one by another
+_WEIGHT_EXPONENT = 384
 
 
 # ---------------------------------------------------------------------------
@@ -160,51 +161,60 @@ def _validate_config(scenario: str, config: dict) -> dict:
                 f"{base[key]!r}, got {value!r}"
             )
     base.update(config)
-    for key, (lo, hi) in _SCALE_EXPONENTS.items():
-        # the bounds are compared, not squared, and NaN fails both
-        if key in base and not 2.0 ** lo <= base[key] <= 2.0 ** hi:
-            raise ValueError(f"config for {scenario}: {key} must be in "
-                             f"[2**{lo}, 2**{hi}], got {base[key]!r}")
-    # bad names and grid values fail here, before run() writes anything
-    pairs = base.get("pairs", [])
-    if any(len(pair) != 2 for pair in pairs):
-        raise ValueError(f"config for {scenario}: pairs must be name pairs")
-    names = base.get("families", []) + sum(pairs, [])
-    if "family" in base:
-        names.append(base["family"])
-    for name in names:
-        if name not in NAMED_SYMBOLS:
-            raise ValueError(
-                f"config for {scenario}: unknown symbol family {name!r}")
-    if any(float(l) not in range(NORM_RANGE) for l in base.get("l_list", [])):
-        raise ValueError(f"config for {scenario}: l_list values must be "
-                         f"whole numbers in [0, {NORM_RANGE - 1}]")
-    if "sigma" in base:
-        # the run's gaussian and quadrature rules, by their own guards
-        try:
-            named_function("gaussian", {"sigma": base["sigma"]})
-            _check_rule("wave", min(base["n_quad"]), base["t_max"])
-            _check_rule("resolvent", min(base["resolvent_quad"]))
-        except ValueError as exc:
-            raise ValueError(f"config for {scenario}: {exc}") from None
-    if "L" in base:
-        # the run's grids, and the weights of the Sobolev indices it names
-        indices = [base[k] for k in ("r", "s", "l") if k in base]
-        for N in base.get("N_ladder", [base.get("N")]):
-            try:
-                g = GridSpec(1, N, base["L"])
-                for s in indices + base.get("s_list", []):
-                    g.sobolev_weights(s)
-            except ValueError as exc:
-                raise ValueError(f"config for {scenario}: {exc}") from None
+    try:
+        _check_domains(scenario, base)
+    except ValueError as exc:
+        raise ValueError(f"config for {scenario}: {exc}") from None
     return base
 
 
+def _check_domains(scenario: str, cfg: dict) -> None:
+    """Refuse the bad names, scales, grids and Sobolev indices of a whole
+    config, before run() writes anything."""
+    # every scenario's arithmetic stays finite at both ends of L's range
+    if "L" in cfg and not 2.0 ** -20 <= cfg["L"] <= 2.0 ** 20:
+        raise ValueError(f"L must be in [2**-20, 2**20], got {cfg['L']!r}")
+    pairs = cfg.get("pairs", [])
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("pairs must be name pairs")
+    names = cfg.get("families", []) + sum(pairs, []) + (
+        [cfg["family"]] if "family" in cfg else [])
+    for name in names:
+        if name not in NAMED_SYMBOLS:
+            raise ValueError(f"unknown symbol family {name!r}")
+    if any(float(l) not in range(NORM_RANGE) for l in cfg.get("l_list", [])):
+        raise ValueError("l_list values must be whole numbers in "
+                         f"[0, {NORM_RANGE - 1}]")
+    if "sigma" in cfg:
+        # the run's gaussian and quadrature rules, by their own guards
+        named_function("gaussian", {"sigma": cfg["sigma"]})
+        _check_rule("wave", min(cfg["n_quad"]), cfg["t_max"])
+        _check_rule("resolvent", min(cfg["resolvent_quad"]))
+    if "L" not in cfg:
+        return
+    # every Sobolev index the run takes: those it names, compose-check's
+    # targets t and the estimate's s - k
+    order = {name: NAMED_SYMBOLS[name]({})[1] for name in names}
+    indices = [cfg[k] for k in ("r", "s", "l") if k in cfg] + [
+        s - order[p] - order[q] + J + 1 for p, q in pairs
+        for J in cfg["J_list"] for s in cfg["s_list"]]
+    if scenario == "elliptic-estimate":
+        indices += [cfg["s"] - order[fam] for fam in cfg["families"]]
+    for N in cfg.get("N_ladder", [cfg.get("N")]):
+        # the run's grids: fredholm-check's carry 2 states per point
+        _check_dense_cap(GridSpec(1, N, cfg["L"],
+                                  1 + (scenario == "fredholm-check")))
+        # log2 of the largest weight of index 1, at the lattice edge
+        edge = math.log2(1.0 + (N / 2.0 / cfg["L"]) ** 2) / 2.0
+        for s in indices + cfg.get("s_list", []):
+            if abs(s) * edge > _WEIGHT_EXPONENT:
+                raise ValueError(f"Sobolev index s = {s} has weights "
+                                 f"outside 2**(+-{_WEIGHT_EXPONENT})")
+
+
 def _check(name, value, budget, ok=None) -> dict:
-    if ok is None:
-        ok = bool(value <= budget)
     return {"name": name, "value": value, "budget": budget,
-            "passed": bool(ok)}
+            "passed": bool(value <= budget if ok is None else ok)}
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +312,11 @@ def _run_waveprop(cfg):
     t_list = [k * g.spacing for k in cfg["t_spacings"]]
     rep = wave_quasilocality_scan(P, 1, t_list, cfg["R_list"], cfg["l"],
                                   probes=cfg["probes"], seed=cfg["seed"])
-    checks = []
     beyond = rep.propagation_exact
-    checks.append(_check("rows beyond |t| + cutoff recorded",
-                         len(beyond), np.inf, ok=len(beyond) > 0))
-    checks.append(_check("exact zeros beyond propagation cone",
-                         sum(0 if row[2] else 1 for row in beyond), 0))
+    checks = [_check("rows beyond |t| + cutoff recorded", len(beyond), np.inf,
+                     ok=len(beyond) > 0),
+              _check("exact zeros beyond propagation cone",
+                     sum(0 if row[2] else 1 for row in beyond), 0)]
     return checks, {"scan.csv": (_SCAN_HEADER, rep.entries)}
 
 
@@ -395,10 +404,8 @@ def _run_homotopy_scan(cfg):
     Pp = DiscreteOperator(g, 1, P.matrix + pert.matrix,
                           provenance="composed", self_adjoint=True)
     tr = homotopy_scan(P, Pp, chi, cfg["t_steps"], [f])
-    checks = []
-    for fam, gamma in sorted(tr.gamma.items()):
-        checks.append(_check(f"continuity exponent {fam} > 0", -gamma, 0.0,
-                             ok=gamma > 0))
+    checks = [_check(f"continuity exponent {fam} > 0", -gamma, 0.0,
+                     ok=gamma > 0) for fam, gamma in sorted(tr.gamma.items())]
     bad = sum(1 for (_, _, lhs, rhs) in tr.lipschitz if lhs > 1.05 * rhs)
     checks.append(_check("order-1 Lipschitz bound rows", bad, 0))
     doc = {
@@ -578,11 +585,9 @@ def _read_summary(path: str) -> dict:
 
 def _read_summaries(artifact_dir: str) -> list:
     """(directory, parsed summary.json) for every summary under a directory."""
-    summaries = []
-    for root, _dirs, files in os.walk(artifact_dir):
-        if "summary.json" in files:
-            summaries.append(
-                (root, _read_summary(os.path.join(root, "summary.json"))))
+    summaries = [(root, _read_summary(os.path.join(root, "summary.json")))
+                 for root, _dirs, files in os.walk(artifact_dir)
+                 if "summary.json" in files]
     if not summaries:
         raise FileNotFoundError(f"no summaries under {artifact_dir}")
     return sorted(summaries)
@@ -590,18 +595,12 @@ def _read_summaries(artifact_dir: str) -> list:
 
 def _tally(summaries: list) -> tuple:
     """Exit code and pass/fail lines of parsed summaries."""
-    lines, failures = [], []
-    total = passed = 0
-    for root, doc in summaries:
-        for c in doc["checks"]:
-            total += 1
-            passed += bool(c["passed"])
-            if not c["passed"]:
-                failures.append(f"{root}: {c['name']} "
-                                f"(value {c['value']!r})")
-    lines.append(f"{passed}/{total} pass")
-    lines.extend(failures)
-    return (0 if 0 < passed == total else 1), lines
+    checks = [(root, c) for root, doc in summaries for c in doc["checks"]]
+    failures = [f"{root}: {c['name']} (value {c['value']!r})"
+                for root, c in checks if not c["passed"]]
+    passed = len(checks) - len(failures)
+    return ((0 if 0 < passed == len(checks) else 1),
+            [f"{passed}/{len(checks)} pass"] + failures)
 
 
 def report(artifact_dir: str) -> tuple:
@@ -615,15 +614,11 @@ def _tightest_margins(summaries: list) -> list:
     Checks whose value or budget is a string (a non-finite float in strict
     JSON) or whose budget is not positive have no margin and are skipped.
     """
-    rows = []
-    for root, doc in summaries:
-        for c in doc["checks"]:
-            value, budget = c["value"], c["budget"]
-            if isinstance(value, str) or isinstance(budget, str):
-                continue
-            if 0 < budget < math.inf:
-                rows.append((value / budget, root, c["name"]))
-    rows.sort(key=lambda row: -row[0])
+    rows = sorted(((c["value"] / c["budget"], root, c["name"])
+                   for root, doc in summaries for c in doc["checks"]
+                   if not isinstance(c["value"], str)
+                   and not isinstance(c["budget"], str)
+                   and 0 < c["budget"] < math.inf), key=lambda row: -row[0])
     return [f"margin {m:.3g} {root}: {name}"
             for m, root, name in rows[:_MARGIN_ROWS]]
 

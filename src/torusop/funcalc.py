@@ -47,8 +47,10 @@ import scipy
 
 from .lattice import from_frequency, to_frequency
 from .operators import (
+    _BLOCK_BYTES,
     DiscreteOperator,
     _multiplier_view,
+    _panels,
     multiplier_matrix,
     op_norm,
     propagation_stamp,
@@ -74,10 +76,6 @@ SPECTRAL_REL_TOL = 1e-9
 # entrywise Fourier-basis defect, relative to the largest eigenvalue
 MULTIPLIER_ENTRY_TOL = 1e-12
 UNITARY_TOL = 1e-10
-# bytes of one row block of a table summed in blocks (the resolvent route's
-# integrands, a multiplier proof's defect): about one core's L2 cache, so a
-# block is written and summed while it stays there
-_BLOCK_BYTES = 1 << 20
 # relative room the cheap gate leaves for rounding in the norms it compares;
 # those carry relative errors of order state_dim * 1e-16
 GATE_MARGIN = 1e-6
@@ -105,15 +103,14 @@ def _gate_passes(col_max: float, row_max: float, a: np.ndarray,
 def _multiplier_defect(grid, values: np.ndarray, a: np.ndarray) -> tuple:
     """(max |D_jk|, largest column sum, largest row sum) of |D| for
     D = multiplier_matrix(grid, values) - a, bit for bit, with no n x n
-    array formed: D is read through ``_multiplier_view`` in row panels of
-    about _BLOCK_BYTES, whole steps of the first grid axis.  Each panel's
-    |D| is written below the running column sums (zero before the first
-    panel, and 0 + x is x), as in _resolvent_route, so the rows meet in the
-    whole matrix's order."""
+    array formed: D is read through ``_multiplier_view`` in the row panels
+    of ``operators._panels``, whole steps of the first grid axis.  Each
+    panel's |D| is written below the running column sums (zero before the
+    first panel, and 0 + x is x), as in _resolvent_route, so the rows meet
+    in the whole matrix's order."""
     view = _multiplier_view(grid, values)
     n, N = a.shape[0], grid.points_per_axis
-    step = n // N
-    k = min(N, max(1, _BLOCK_BYTES // (16 * n * step)))
+    step, k = n // N, _panels(grid)[0][1]
     d = np.empty((k * step, n), dtype=complex)
     mag = np.zeros((k * step + 1, n))
     top = row_max = 0.0

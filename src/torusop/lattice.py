@@ -3,10 +3,11 @@
 The torus has ``dim`` axes of length ``2*pi*L`` sampled at ``N`` points each.
 Sections are complex vector-valued grid functions.  The one Fourier
 transform of the package is to_frequency / from_frequency, the unitary FFT
-over the grid axes of state vectors, so all Sobolev norms are diagonal in
-the frequency basis.  A region is a mask of grid points; its distance field
-gives the geodesic ball B_R(region) as ``distance_field() <= R``, and the
-smooth cutoffs of the restricted seminorms are built on it.
+over the grid axes of state vectors, written axis after axis into one
+output array; all Sobolev norms are diagonal in the frequency basis.  A
+region is a mask of grid points; its distance field gives the geodesic ball
+B_R(region) as ``distance_field() <= R``, and the smooth cutoffs of the
+restricted seminorms are built on it.
 """
 
 from __future__ import annotations
@@ -174,7 +175,8 @@ class Section:
 def _over_grid_axes(grid: GridSpec, cols, transform) -> np.ndarray:
     cols = np.asarray(cols)
     shaped = cols.reshape(grid.grid_shape() + (grid.fiber_dim,) + cols.shape[1:])
-    out = transform(shaped, axes=tuple(range(grid.dim)), norm="ortho")
+    out = transform(shaped, axes=tuple(range(grid.dim)), norm="ortho",
+                    out=np.empty_like(shaped, dtype=complex))
     return out.reshape(cols.shape)
 
 

@@ -7,6 +7,9 @@ depend on x takes a single inverse FFT, and its kernel depends on x - y
 only; multiplier_matrix builds Fourier multipliers the same way, so
 quantization and multipliers share one kernel routine and state layout,
 and a multiplier's columns, or a strided view of it, come from its kernel.
+A quantization holds one n x n array: an x-dependent kernel is transformed
+and gathered into the matrix in row panels, and the Hermitian part is
+written back into that matrix.
 Operator norms between Sobolev spaces are taken in the frequency basis of
 lattice.to_frequency, where the Sobolev weights are diagonal, by op_norm
 alone; it reads the representation each operator keeps as frequency_rep.
@@ -47,6 +50,9 @@ STATE_DIM_CAP = 4608
 SELF_ADJOINT_TOL = 1e-10
 PROPAGATION_DUST_TOL = 1e-10
 _TILE = 64
+# bytes of a row panel of a dense matrix or a row block of a summed table:
+# about one core's L2 cache, where it stays while it is used
+_BLOCK_BYTES = 1 << 20
 
 
 @lru_cache(maxsize=4)
@@ -73,27 +79,29 @@ def _distance_mask_beyond(grid: GridSpec, rho: float) -> np.ndarray:
     return mask
 
 
-def _hermitian_part(a: np.ndarray, tol: float) -> tuple:
+def _hermitian_part(a: np.ndarray, tol: float, out=None) -> tuple:
     """max|A - A*| and, when that is at most ``tol``, (A + A*) / 2, else None.
 
-    Reads tiles (i, j) and (j, i) together and takes each output entry as
-    A_pq + conj(A_qp), never as its mirror's conjugate (which flips the
-    sign of a zero imaginary part): both results are bitwise those of the
-    full-matrix expressions.  Once the defect is over ``tol`` the remaining
-    tiles only add to it, so a matrix that is not Hermitian fills no output.
+    The defect is scanned first, over tiles (i, j) and (j, i) read together;
+    only a matrix within ``tol`` is then symmetrized, tile pair by tile
+    pair, into ``out`` (a new array by default).  ``out`` may be ``a``
+    itself, since both tiles' new values are taken before either is
+    assigned.  Each output entry is A_pq + conj(A_qp), never its mirror's
+    conjugate (which flips the sign of a zero imaginary part): both results
+    are bitwise those of the full-matrix expressions.
     """
-    out = np.empty_like(a)
-    defect = 0.0
-    for i in range(0, len(a), _TILE):
-        for j in range(i, len(a), _TILE):
-            rows, cols = slice(i, i + _TILE), slice(j, j + _TILE)
-            upper, lower = a[rows, cols], a[cols, rows]
-            lower_ct = lower.conj().T
-            defect = max(defect, float(np.abs(upper - lower_ct).max()))
-            if defect <= tol:
-                out[rows, cols] = (upper + lower_ct) / 2.0
-                out[cols, rows] = (lower + upper.conj().T) / 2.0
-    return defect, (out if defect <= tol else None)
+    pairs = [(slice(i, i + _TILE), slice(j, j + _TILE))
+             for i in range(0, len(a), _TILE) for j in range(i, len(a), _TILE)]
+    defect = max(0.0, *(float(np.abs(a[rows, cols] - a[cols, rows].conj().T)
+                              .max()) for rows, cols in pairs))
+    if defect > tol:
+        return defect, None
+    out = np.empty_like(a) if out is None else out
+    for rows, cols in pairs:
+        upper, lower = a[rows, cols], a[cols, rows]
+        out[rows, cols], out[cols, rows] = ((upper + lower.conj().T) / 2.0,
+                                            (lower + upper.conj().T) / 2.0)
+    return defect, out
 
 
 def propagation_stamp(grid: GridSpec, a: np.ndarray, bound: float,
@@ -121,8 +129,8 @@ class DiscreteOperator:
     """Dense operator on sections with declared order and provenance.
 
     With ``self_adjoint=True`` the matrix must satisfy
-    max|A - A*| <= SELF_ADJOINT_TOL max|A|, and (A + A*) / 2 is stored;
-    the check and the symmetrization share one tiled pass over A.
+    max|A - A*| <= SELF_ADJOINT_TOL max|A|, and (A + A*) / 2 is stored, in
+    a new array: the check and the symmetrization read A by tile pairs.
     """
 
     grid: GridSpec
@@ -159,18 +167,27 @@ class DiscreteOperator:
         return rep
 
 
-def _kn_kernel(grid: GridSpec, a: np.ndarray) -> np.ndarray:
-    """Inverse FFT over xi of symbol samples ``a``: the kernel b(x, offset),
-    shape grid_shape [+ grid_shape when a depends on x] + (r, r)."""
+def _check_dense_cap(grid: GridSpec) -> None:
     if grid.state_dim > STATE_DIM_CAP:
-        raise ValueError(
-            f"state dimension {grid.state_dim} exceeds the dense cap "
-            f"{STATE_DIM_CAP}"
-        )
+        raise ValueError(f"state dimension {grid.state_dim} exceeds the "
+                         f"dense cap {STATE_DIM_CAP}")
+
+
+def _panels(grid: GridSpec) -> list:
+    """(lo, hi) ranges of the first grid axis that split the rows of a
+    dense matrix into panels of about _BLOCK_BYTES, one step at least."""
+    n, N = grid.state_dim, grid.points_per_axis
+    k = min(N, max(1, _BLOCK_BYTES // (16 * n * (n // N))))
+    return [(lo, min(lo + k, N)) for lo in range(0, N, k)]
+
+
+def _kn_kernel(grid: GridSpec, a: np.ndarray) -> np.ndarray:
+    """Inverse FFT over xi of x-independent symbol samples ``a``: the
+    kernel b(offset), shape grid_shape + (r, r)."""
+    _check_dense_cap(grid)
     shape, r = grid.grid_shape(), grid.fiber_dim
-    x_shape = shape if a.shape[0] == grid.n_points else ()
-    return np.fft.ifftn(a.reshape(x_shape + shape + (r, r)),
-                        axes=tuple(range(-2 - grid.dim, -2)))
+    return np.fft.ifftn(a.reshape(shape + (r, r)),
+                        axes=tuple(range(grid.dim)))
 
 
 def _kn_matrix(grid: GridSpec, a: np.ndarray) -> np.ndarray:
@@ -178,23 +195,32 @@ def _kn_matrix(grid: GridSpec, a: np.ndarray) -> np.ndarray:
 
     ``a`` has shape (m, n_points, r, r), indexed (x, xi, fiber, fiber) with
     xi in FFT order; m = 1 stands for a symbol that does not depend on x.
-    The xi-sum is one inverse FFT per sampled x (``_kn_kernel``); the
-    kernel entry (j, k) then reads it at the lattice offset (j - k) mod N,
-    at x_j.  With a single sample the matrix is translation invariant
-    (``_circulant_matrix``).  The x-dependent kernel is gathered with
-    offset index arrays, since padding it would cost 2^d times its size.
+    The xi-sum is one inverse FFT per sampled x; the kernel entry (j, k)
+    then reads it at the lattice offset (j - k) mod N, at x_j.  With a
+    single sample the matrix is translation invariant (``_circulant_matrix``).
+    Otherwise the matrix is the one n x n array: each row panel
+    (``_panels``) takes its points' transforms and is then gathered in
+    place with offset index arrays, which is safe since a panel's rows read
+    only that panel's kernel rows.
     """
-    d, N = grid.dim, grid.points_per_axis
-    n, r = grid.n_points, grid.fiber_dim
-    b = _kn_kernel(grid, a)
-    if b.ndim == d + 2:
-        return _circulant_matrix(grid, b)
+    if a.shape[0] == 1:
+        return _circulant_matrix(grid, _kn_kernel(grid, a))
+    _check_dense_cap(grid)
+    d, N, r = grid.dim, grid.points_per_axis, grid.fiber_dim
+    n, shape = grid.n_points, grid.grid_shape()
+    out = np.empty((n * r, n * r), dtype=complex)
+    # out's memory as the kernel b(x, offset), and as rows by x_1
+    b, rows = out.reshape(shape * 2 + (r, r)), out.reshape(N, -1, r, n, r)
     # open index grids over the axes (j_1..j_d, k_1..k_d)
     ix = np.ix_(*[np.arange(N)] * (2 * d))
-    j, k = ix[:d], ix[d:]
-    kern = b[j + tuple((ji - ki) % N for ji, ki in zip(j, k))]
-    return (kern.reshape(n, n, r, r).transpose(0, 2, 1, 3)
-            .reshape(n * r, n * r))
+    offset = tuple((j - k) % N for j, k in zip(ix[:d], ix[d:]))
+    for lo, hi in _panels(grid):
+        np.fft.ifftn(a.reshape(b.shape)[lo:hi], axes=tuple(range(d, 2 * d)),
+                     out=b[lo:hi])
+        kern = b[(ix[0][lo:hi],) + ix[1:d] + (offset[0][lo:hi],) + offset[1:]]
+        rows[lo:hi] = (kern.reshape(hi - lo, -1, n, r, r)
+                       .transpose(0, 1, 3, 2, 4))
+    return out
 
 
 def _circulant_view(grid: GridSpec, b: np.ndarray) -> np.ndarray:
@@ -287,7 +313,8 @@ def _multiplier_samples(grid: GridSpec, values) -> np.ndarray:
 def _kn_operator(grid: GridSpec, order: int, a: np.ndarray,
                  **flags) -> DiscreteOperator:
     """The operator of symbol samples ``a``, flagged self-adjoint when it is:
-    one scan as in __post_init__, on the kernel when a is x-independent."""
+    __post_init__'s check, on the kernel when a is x-independent, else in
+    place on the one matrix."""
     if a.shape[0] == 1:
         b = _kn_kernel(grid, a)
         scale = float(np.abs(b).max()) or 1.0
@@ -295,9 +322,9 @@ def _kn_operator(grid: GridSpec, order: int, a: np.ndarray,
         mat = _circulant_matrix(grid, b if herm is None else herm)
     else:
         mat = _kn_matrix(grid, a)
-        scale = float(np.abs(mat).max()) or 1.0
-        _defect, herm = _hermitian_part(mat, SELF_ADJOINT_TOL * scale)
-        mat = mat if herm is None else herm
+        scale = max(float(np.abs(mat.reshape(grid.points_per_axis, -1)[lo:hi])
+                          .max()) for lo, hi in _panels(grid)) or 1.0
+        _defect, herm = _hermitian_part(mat, SELF_ADJOINT_TOL * scale, mat)
     op = DiscreteOperator(grid, order, mat, provenance="quantized", **flags)
     object.__setattr__(op, "self_adjoint", herm is not None)
     return op

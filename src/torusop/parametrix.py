@@ -309,9 +309,12 @@ def elliptic_estimate_constant(
     if g.state_dim <= EIGH_DIM_CAP:
         ws = g.sobolev_weights(s)
         wsk = g.sobolev_weights(s - P.order)
-        B = (wsk[:, None] * P.frequency_rep) / ws[None, :]
+        # in place, in the Fortran order zherk reads, and dropped after it
+        B = np.multiply(wsk[:, None], P.frequency_rep, order="F")
+        B /= ws[None, :]
         # the lower triangle of B^H B; eigh reads only that triangle
         H = scipy.linalg.blas.zherk(1.0, B, trans=2, lower=1)
+        del B
         H[np.diag_indices_from(H)] += (wsk / ws) ** 2
         v = scipy.linalg.eigh(H, lower=True, subset_by_index=[0, 0],
                               driver="evr")[1][:, 0]

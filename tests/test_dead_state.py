@@ -49,7 +49,7 @@ SRC = ROOT / "src" / "torusop"
 SCANNED = (ROOT / "src", ROOT / "tests", ROOT / "bench")
 # total lines of src/torusop/*.py; a change may lower it, and one that
 # raises it says why in CHANGES.md
-SRC_LINE_CEILING = 3705
+SRC_LINE_CEILING = 3729
 
 # dataclass field name on several classes -> why each class keeps it; the
 # unread-field scan matches reads by name, so each listed class's field is
@@ -72,6 +72,15 @@ PRIVATE_IMPORTS = {
     "funcalc: _multiplier_view":
         "SpectralData proves a multiplier on its kernel's strided view, in "
         "row panels, with no n x n multiplier matrix",
+    "funcalc: _BLOCK_BYTES":
+        "the resolvent route sums its table in blocks of the size that "
+        "operators fills and reads dense matrices in",
+    "funcalc: _panels":
+        "a multiplier proof reads its defect in the row panels that "
+        "operators fills an x-dependent quantization in",
+    "cli: _check_dense_cap":
+        "a grid over the dense cap is refused by quantization's own guard "
+        "before --out is touched or any symbol is sampled",
     "cli: _check_rule":
         "a funcalc-defect window or node count is refused by the "
         "quadrature rules' own guard before --out is touched",

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from torusop import cli
+from torusop import cli, symbols
 from torusop.funcalc import (
     SpectralData,
     chi_resolvent_integral,
@@ -34,6 +34,7 @@ from torusop.lattice import (
     lipschitz_bump,
 )
 from torusop.operators import (
+    STATE_DIM_CAP,
     DiscreteOperator,
     commutator,
     compose,
@@ -348,6 +349,15 @@ OUT_OF_DOMAIN_CONFIGS = [
     ("sigma-below-range", "funcalc-defect",
      {"sigma": float(np.nextafter(LO, 0.0))}),
     ("s-underflow", "quasiloc-scan", {"s": -700}),
+    # indices a run derives or squares: compose-check's target t = s - 3
+    # (t = -172 underflows at N = 128), the estimate's s - k, and the
+    # squared weights of its norms; each refused before --out is touched
+    ("s_list-target-underflow", "compose-check", {"s_list": [-169.0]}),
+    ("s-minus-k-norm-overflow", "elliptic-estimate", {"s": -120}),
+    ("s-norm-overflow", "elliptic-estimate", {"s": 140}),
+    # in range themselves, out of range only through t = s - 3 and s - k
+    ("s_list-target-only", "compose-check", {"s_list": [-62.0]}),
+    ("s-minus-k-only", "elliptic-estimate", {"s": -75}),
     # at 2^-511 the gaussian's x^2 / (2 sigma^2) overflows, at 2^511 its
     # sigma^2 t^2 / 2
     ("sigma-2^-511", "funcalc-defect", {"sigma": 2.0 ** -511}),
@@ -395,6 +405,67 @@ def test_out_of_domain_config_fails_in_one_line(scenario, config, tmp_path):
     assert caught == []
     assert "\n" not in str(err.value)
     assert {path.name: path.read_bytes() for path in out.iterdir()} == earlier
+
+
+def _last_accepted(scenario, key, sign):
+    """The config value of ``key`` farthest from 0 on the side ``sign``
+    that _validate_config accepts, by bisection."""
+    wrap = (lambda v: [v]) if key == "s_list" else (lambda v: v)
+
+    def accepted(v):
+        try:
+            cli._validate_config(scenario, {key: wrap(v)})
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = 0.0, sign * 1024.0
+    assert not accepted(hi)
+    for _ in range(64):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+    return wrap(lo)
+
+
+SOBOLEV_KEYS = [("quasiloc-scan", "r"), ("quasiloc-scan", "s"),
+                ("compose-check", "s_list"), ("elliptic-estimate", "s"),
+                ("waveprop", "l")]
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["lowest", "highest"])
+@pytest.mark.parametrize("scenario, key", SOBOLEV_KEYS,
+                         ids=[f"{s}-{k}" for s, k in SOBOLEV_KEYS])
+def test_a_sobolev_index_at_either_end_of_its_range_warns_nothing(
+        scenario, key, sign, tmp_path):
+    # the last index the range accepts, through the index the run derives
+    # from it where that is the extreme one, runs with no warning
+    value = _last_accepted(scenario, key, sign)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(scenario, {key: value}, out=str(tmp_path)) in (0, 1)
+
+
+@pytest.mark.parametrize("scenario, config", [
+    ("parametrix", {"N": STATE_DIM_CAP + 2}),
+    ("compose-check", {"N_ladder": [64, STATE_DIM_CAP + 2]}),
+    ("fredholm-check", {"N": STATE_DIM_CAP // 2 + 2}),
+], ids=["N", "N_ladder", "fiber-2"])
+def test_a_grid_over_the_dense_cap_fails_in_one_line(scenario, config,
+                                                     tmp_path, monkeypatch):
+    # refused before --out is touched and before any symbol is sampled:
+    # an x-dependent family's samples alone are N x N
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a symbol sampled on a grid over the dense cap")
+
+    monkeypatch.setattr(symbols, "symbol_from_callable", no_sampling)
+    monkeypatch.setattr(cli, "symbol_from_callable", no_sampling)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.json").write_bytes(b"{}")
+    with pytest.raises(ValueError, match="dense cap") as err:
+        cli.run(scenario, config, out=str(out))
+    assert "\n" not in str(err.value)
+    assert (out / "summary.json").read_bytes() == b"{}"
 
 
 @pytest.mark.parametrize("t_max", [T_LO, T_HI],

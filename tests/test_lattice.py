@@ -209,3 +209,31 @@ def test_distance_field_matches_all_points_minimum(dim, N, L):
         expect = _all_points_distance(region)
         assert got.dtype == expect.dtype and got.shape == expect.shape
         assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 64, 1.0), GridSpec(2, 8, 1.0),
+                                  GridSpec(1, 16, 1.0, 2),
+                                  GridSpec(2, 6, 1.0, 2)],
+                         ids=["1d", "2d", "1d-fiber2", "2d-fiber2"])
+def test_frequency_transforms_equal_the_plain_numpy_call(grid):
+    # one output array written axis after axis: bitwise the values, and
+    # the memory layout, of numpy's per-axis arrays, for a vector, a stack
+    # of columns, its transpose (as _to_fourier_rep passes it) and a real
+    # input
+    n = grid.state_dim
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    axes = tuple(range(grid.dim))
+    for cols in (a[:, 0], a, a.T, a.real):
+        shaped = cols.reshape(grid.grid_shape() + (grid.fiber_dim,)
+                              + cols.shape[1:])
+        for ours, plain in ((to_frequency, np.fft.fftn),
+                            (from_frequency, np.fft.ifftn)):
+            want = plain(shaped, axes=axes, norm="ortho").reshape(cols.shape)
+            got = ours(grid, cols)
+            assert got.strides == want.strides
+            assert np.array_equal(_bits(got), _bits(want))

@@ -286,6 +286,64 @@ def test_kn_matrix_equals_offset_gather(dim, N, fiber, x_dependent):
 
 @pytest.mark.parametrize("dim,N", [(1, 32), (2, 8)])
 @pytest.mark.parametrize("fiber", [1, 2])
+def test_kn_matrix_panels_equal_offset_gather(dim, N, fiber, monkeypatch):
+    # panels of three steps of the first axis, the last one partial: each
+    # panel's transform and in-place gather give the oracle's bits
+    g = GridSpec(dim, N, 1.0, fiber)
+    n = g.state_dim
+    monkeypatch.setattr(operators, "_BLOCK_BYTES", 3 * 16 * n * (n // N))
+    panels = operators._panels(g)
+    assert len(panels) > 2 and panels[-1][1] - panels[-1][0] < 3
+    rng = np.random.default_rng([dim, N, fiber, 3])
+    shape = (g.n_points, g.n_points, fiber, fiber)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = _kn_matrix(g, a)
+    assert np.array_equal(got.view(np.uint64),
+                          _gathered_kn_matrix(g, a).view(np.uint64))
+
+
+def test_x_dependent_scale_reads_every_panel(monkeypatch):
+    # a Hermitian matrix whose largest entry lies in the last of four
+    # panels, off by a defect within SELF_ADJOINT_TOL of that entry but not
+    # of the first panel's: quantize decides as the dense check does
+    g = GridSpec(1, 32, 1.0)
+    monkeypatch.setattr(operators, "_BLOCK_BYTES", 8 * 16 * g.state_dim)
+    assert len(operators._panels(g)) == 4
+    a = 1e-3 * _random_matrix(g.state_dim, 11, hermitian=True)
+    a[-1, -1] = 1.0
+    a[0, 1] += 0.5 * SELF_ADJOINT_TOL
+    want = DiscreteOperator(g, 0, a, self_adjoint=True)
+    monkeypatch.setattr(operators, "_kn_matrix", lambda grid, samples: a.copy())
+    got = operators._kn_operator(g, 0, np.zeros((g.n_points,) * 2 + (1, 1)))
+    assert got.self_adjoint
+    assert np.array_equal(got.matrix.view(np.uint64),
+                          want.matrix.view(np.uint64))
+
+
+@pytest.mark.parametrize("N", [16, 32])
+def test_x_dependent_quantize_holds_one_matrix(N, monkeypatch):
+    # beyond its samples, quantize allocates the matrix and panel- or
+    # tile-sized temporaries, no second n x n array.  At N = 16 the matrix
+    # is 1 MiB, one default panel; there panels of one step and 32 x 32
+    # tiles keep the temporaries, numpy's per-call buffers included, under
+    # a quarter of it.  N = 32 is quantize-2d's grid, at the defaults
+    if N == 16:
+        monkeypatch.setattr(operators, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(operators, "_TILE", 32)
+    p = named_symbol(GridSpec(2, N, 1.0), "elliptic_x")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        P = quantize(p)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert P.self_adjoint
+    assert peak <= 1.25 * P.matrix.nbytes
+
+
+@pytest.mark.parametrize("dim,N", [(1, 32), (2, 8)])
+@pytest.mark.parametrize("fiber", [1, 2])
 def test_multiplier_columns_equal_full_matrix_columns(dim, N, fiber):
     # any states, in any order and with repeats, not only whole points
     g = GridSpec(dim, N, 1.0, fiber)
@@ -372,6 +430,36 @@ def test_hermitian_part_tiles_equal_the_panel_scan(dim, N):
                 assert herm is None
             else:
                 assert np.array_equal(herm.view(np.uint64),
+                                      want.view(np.uint64))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("dim,N", [(1, 144), (2, 12)])
+def test_hermitian_part_in_place_equals_the_panel_scan(dim, N):
+    # written into the matrix it reads, as quantize does: the panel scan's
+    # bits, and a matrix over the tolerance is left as it was
+    cases = []
+    for name in sorted(NAMED_SYMBOLS):
+        fiber = 2 if name.startswith("dirac") else 1
+        p = named_symbol(GridSpec(dim, N, 1.5, fiber), name)
+        cases.append(_kn_matrix(p.grid, p.samples))
+    cases.append(_random_matrix(cases[0].shape[0], dim, hermitian=False))
+    outcomes = set()
+    for a in cases:
+        scale = float(np.abs(a).max())
+        for tol in (SELF_ADJOINT_TOL * scale, math.inf):
+            want_defect, want = _panel_hermitian_part(a, tol)
+            work = a.copy()
+            defect, herm = _hermitian_part(work, tol, work)
+            assert defect == want_defect
+            outcomes.add(want is None)
+            if want is None:
+                assert herm is None
+                assert np.array_equal(work.view(np.uint64),
+                                      a.view(np.uint64))
+            else:
+                assert herm is work
+                assert np.array_equal(work.view(np.uint64),
                                       want.view(np.uint64))
     assert outcomes == {True, False}
 
